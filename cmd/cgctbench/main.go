@@ -15,11 +15,11 @@
 // allocs/op and bytes/op, plus the trace-generation cost paid once per
 // workload (trace_gen_ns) and how many of the timed iterations were
 // served from the shared compiled-trace cache (trace_cache_hits). The
-// sweep4-* configs measure a ≥4-variant sweep sequentially vs through
-// the batched multi-variant engine, recording the scheduler settings
-// (parallelism, variants_per_decode) and per-iteration wall vs CPU time
-// (wall_ns, cpu_ns) so the scaling curve is visible in the artifact. The
-// JSON schema is the benchResult struct below.
+// sweep4-* configs measure a ≥4-variant sweep through the cgct.RunAll
+// pool at one worker and at the host's parallelism, recording the worker
+// count (parallelism) and per-iteration wall vs CPU time (wall_ns,
+// cpu_ns) so the scaling curve is visible in the artifact. The JSON
+// schema is the benchResult struct below.
 package main
 
 import (
@@ -40,17 +40,15 @@ import (
 // benchConfig is one measured configuration, mirroring the BenchmarkSim*
 // benchmarks in the repository's bench_test.go. A config with Variants
 // set is a multi-variant sweep over one workload, executed through the
-// batched engine (cgct.RunAll) at the given scheduler settings — or
-// strictly sequentially when Parallelism and VariantsPerDecode are both
-// 1, which is the sweep's "before" baseline.
+// cgct.RunAll pool on Parallelism workers; Parallelism 1 runs the
+// variants one after another, the sweep's "before" baseline.
 type benchConfig struct {
 	Name      string
 	Benchmark string
 	Opts      cgct.Options
 
-	Variants          []cgct.Options
-	Parallelism       int
-	VariantsPerDecode int
+	Variants    []cgct.Options
+	Parallelism int
 }
 
 // opsPerProc matches bench_test.go's benchmarkRun so cgctbench numbers are
@@ -87,8 +85,8 @@ func configs() []benchConfig {
 		// single-core host, its coordination overhead).
 		{Name: "pdes-ocean", Benchmark: "ocean", Opts: cgct.Options{CGCT: true, SimParallelism: 4}},
 		{Name: "pdes-tpcb", Benchmark: "tpc-b", Opts: cgct.Options{Processors: 16, CGCT: true, SimParallelism: par}},
-		{Name: "sweep4-ocean-seq", Benchmark: "ocean", Variants: sweepVariants(), Parallelism: 1, VariantsPerDecode: 1},
-		{Name: "sweep4-ocean-batched", Benchmark: "ocean", Variants: sweepVariants(), Parallelism: par, VariantsPerDecode: 4},
+		{Name: "sweep4-ocean-seq", Benchmark: "ocean", Variants: sweepVariants(), Parallelism: 1},
+		{Name: "sweep4-ocean-pool", Benchmark: "ocean", Variants: sweepVariants(), Parallelism: par},
 	}
 }
 
@@ -111,12 +109,11 @@ type benchResult struct {
 	// TraceCacheHits counts timed iterations whose workload came out of
 	// the shared compiled-trace cache instead of being regenerated.
 	TraceCacheHits uint64 `json:"trace_cache_hits"`
-	// Parallelism and VariantsPerDecode record the batched-engine
-	// scheduler settings the config ran at (1/1 = strictly sequential);
-	// Variants is how many machine variants one iteration simulates.
-	Parallelism       int `json:"parallelism"`
-	VariantsPerDecode int `json:"variants_per_decode"`
-	Variants          int `json:"variants"`
+	// Parallelism records the RunAll worker count the config ran at (1 =
+	// strictly sequential); Variants is how many machine variants one
+	// iteration simulates.
+	Parallelism int `json:"parallelism"`
+	Variants    int `json:"variants"`
 	// WallNs and CPUNs are the per-iteration wall-clock and process CPU
 	// time (getrusage): on a parallel sweep CPUNs/WallNs approaches the
 	// worker count, on a single run they coincide.
@@ -213,58 +210,42 @@ func measure(c benchConfig, iters int) (benchResult, error) {
 		opsPerSec = float64(procs*opsPerProc*iters) / elapsed.Seconds()
 	}
 	return benchResult{
-		Name:              c.Name,
-		Benchmark:         c.Benchmark,
-		CGCT:              c.Opts.CGCT,
-		Processors:        procs,
-		Runs:              iters,
-		NsPerOp:           elapsed.Nanoseconds() / int64(iters),
-		TraceOpsSec:       opsPerSec,
-		AllocsPerOp:       int64((after.Mallocs - before.Mallocs) / uint64(iters)),
-		BytesPerOp:        int64((after.TotalAlloc - before.TotalAlloc) / uint64(iters)),
-		SimCycles:         cycles,
-		TraceGenNs:        genNs,
-		TraceCacheHits:    hits,
-		Parallelism:       1,
-		VariantsPerDecode: 1,
-		Variants:          1,
-		WallNs:            elapsed.Nanoseconds() / int64(iters),
-		CPUNs:             cpu.Nanoseconds() / int64(iters),
-		SimParallelism:    c.Opts.SimParallelism,
-		PartitionEvents:   res.PartitionEvents,
+		Name:            c.Name,
+		Benchmark:       c.Benchmark,
+		CGCT:            c.Opts.CGCT,
+		Processors:      procs,
+		Runs:            iters,
+		NsPerOp:         elapsed.Nanoseconds() / int64(iters),
+		TraceOpsSec:     opsPerSec,
+		AllocsPerOp:     int64((after.Mallocs - before.Mallocs) / uint64(iters)),
+		BytesPerOp:      int64((after.TotalAlloc - before.TotalAlloc) / uint64(iters)),
+		SimCycles:       cycles,
+		TraceGenNs:      genNs,
+		TraceCacheHits:  hits,
+		Parallelism:     1,
+		Variants:        1,
+		WallNs:          elapsed.Nanoseconds() / int64(iters),
+		CPUNs:           cpu.Nanoseconds() / int64(iters),
+		SimParallelism:  c.Opts.SimParallelism,
+		PartitionEvents: res.PartitionEvents,
 	}, nil
 }
 
-// runSweep executes one full sweep over c.Variants: strictly
-// sequentially (one Run per variant, each paying its own trace decode)
-// when the scheduler settings are 1/1, through the batched multi-variant
-// engine otherwise. Returns the summed simulated cycles (deterministic
-// per config, so drift between the two paths would be visible).
+// runSweep executes one full sweep over c.Variants through the
+// cgct.RunAll pool on c.Parallelism workers. Returns the summed simulated
+// cycles (deterministic per config, so drift between worker counts would
+// be visible).
 func runSweep(c benchConfig, seed uint64) (uint64, error) {
-	var cycles uint64
-	if c.Parallelism <= 1 && c.VariantsPerDecode <= 1 {
-		for _, o := range c.Variants {
-			o.OpsPerProc, o.Seed = opsPerProc, seed
-			res, err := cgct.Run(c.Benchmark, o)
-			if err != nil {
-				return 0, err
-			}
-			cycles += res.Cycles
-		}
-		return cycles, nil
-	}
 	reqs := make([]cgct.RunRequest, len(c.Variants))
 	for i, o := range c.Variants {
 		o.OpsPerProc, o.Seed = opsPerProc, seed
 		reqs[i] = cgct.RunRequest{Benchmark: c.Benchmark, Options: o}
 	}
-	results, err := cgct.RunAll(context.Background(), reqs, cgct.Sched{
-		Parallelism:       c.Parallelism,
-		VariantsPerDecode: c.VariantsPerDecode,
-	})
+	results, err := cgct.RunAll(context.Background(), reqs, c.Parallelism)
 	if err != nil {
 		return 0, err
 	}
+	var cycles uint64
 	for _, r := range results {
 		cycles += r.Cycles
 	}
@@ -273,8 +254,7 @@ func runSweep(c benchConfig, seed uint64) (uint64, error) {
 
 // measureSweep times iters multi-variant sweeps. Aggregate trace-ops/s
 // counts every variant's replayed ops against the sweep's wall clock —
-// the number the batched engine moves by sharing decodes and running
-// variants in parallel.
+// the number the pool moves by running variants in parallel.
 func measureSweep(c benchConfig, iters int) (benchResult, error) {
 	procs := c.Opts.Processors
 	if procs == 0 {
@@ -323,22 +303,21 @@ func measureSweep(c benchConfig, iters int) (benchResult, error) {
 		opsPerSec = float64(procs*opsPerProc*len(c.Variants)*iters) / elapsed.Seconds()
 	}
 	return benchResult{
-		Name:              c.Name,
-		Benchmark:         c.Benchmark,
-		Processors:        procs,
-		Runs:              iters,
-		NsPerOp:           elapsed.Nanoseconds() / int64(iters),
-		TraceOpsSec:       opsPerSec,
-		AllocsPerOp:       int64((after.Mallocs - before.Mallocs) / uint64(iters)),
-		BytesPerOp:        int64((after.TotalAlloc - before.TotalAlloc) / uint64(iters)),
-		SimCycles:         cycles,
-		TraceGenNs:        genNs,
-		TraceCacheHits:    hits,
-		Parallelism:       c.Parallelism,
-		VariantsPerDecode: c.VariantsPerDecode,
-		Variants:          len(c.Variants),
-		WallNs:            elapsed.Nanoseconds() / int64(iters),
-		CPUNs:             cpu.Nanoseconds() / int64(iters),
+		Name:           c.Name,
+		Benchmark:      c.Benchmark,
+		Processors:     procs,
+		Runs:           iters,
+		NsPerOp:        elapsed.Nanoseconds() / int64(iters),
+		TraceOpsSec:    opsPerSec,
+		AllocsPerOp:    int64((after.Mallocs - before.Mallocs) / uint64(iters)),
+		BytesPerOp:     int64((after.TotalAlloc - before.TotalAlloc) / uint64(iters)),
+		SimCycles:      cycles,
+		TraceGenNs:     genNs,
+		TraceCacheHits: hits,
+		Parallelism:    c.Parallelism,
+		Variants:       len(c.Variants),
+		WallNs:         elapsed.Nanoseconds() / int64(iters),
+		CPUNs:          cpu.Nanoseconds() / int64(iters),
 	}, nil
 }
 
@@ -458,9 +437,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cgctbench %s: %v\n", c.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-20s %12.0f trace-ops/s  %8d allocs/op  %11d ns/op  (par %d, vpd %d, simpar %d, cpu/wall %.2f)\n",
+		fmt.Printf("%-20s %12.0f trace-ops/s  %8d allocs/op  %11d ns/op  (par %d, simpar %d, cpu/wall %.2f)\n",
 			res.Name, res.TraceOpsSec, res.AllocsPerOp, res.NsPerOp,
-			res.Parallelism, res.VariantsPerDecode, res.SimParallelism, float64(res.CPUNs)/float64(res.WallNs))
+			res.Parallelism, res.SimParallelism, float64(res.CPUNs)/float64(res.WallNs))
 		file.Results = append(file.Results, res)
 	}
 	if len(file.Results) == 0 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"os"
 	"strings"
 	"testing"
 )
@@ -67,7 +68,7 @@ func TestCompareLinesNaNResult(t *testing.T) {
 func TestBaselineSchemaTolerance(t *testing.T) {
 	results := []benchResult{
 		{Name: "cgct-ocean", TraceOpsSec: 150, AllocsPerOp: 10},
-		{Name: "sweep4-ocean-batched", TraceOpsSec: 600, Parallelism: 4, VariantsPerDecode: 4},
+		{Name: "sweep4-ocean-pool", TraceOpsSec: 600, Parallelism: 4},
 	}
 	cases := map[string]struct {
 		json      string
@@ -81,7 +82,7 @@ func TestBaselineSchemaTolerance(t *testing.T) {
 		"future schema, unknown columns": {
 			json: `{"generated":"2027-01-01T00:00:00Z","quantum_cores":9,"results":[
 				{"name":"cgct-ocean","trace_ops_per_sec":100,"allocs_per_op":13,"warp_factor":7},
-				{"name":"sweep4-ocean-batched","trace_ops_per_sec":300,"parallelism":8}]}`,
+				{"name":"sweep4-ocean-pool","trace_ops_per_sec":300,"parallelism":8}]}`,
 			wantDelta: true,
 		},
 		"empty results": {
@@ -129,5 +130,34 @@ func TestCompareLinesSkipsWallClockAcrossHosts(t *testing.T) {
 	}
 	if !strings.Contains(lines[0], "allocs/op -3") {
 		t.Errorf("allocation delta missing: %q", lines[0])
+	}
+}
+
+// TestCommittedBaselineLoads: the committed BENCH_simcore.json predates
+// the sweep4-ocean-pool config and still carries the retired
+// variants_per_decode column; -baseline must load it, compare the
+// configs it has, and mark the new one "(no baseline)".
+func TestCommittedBaselineLoads(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_simcore.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := loadBaseline(data)
+	if err != nil {
+		t.Fatalf("committed baseline unreadable: %v", err)
+	}
+	results := []benchResult{
+		{Name: "cgct-ocean", TraceOpsSec: 1_000_000, AllocsPerOp: 10},
+		{Name: "sweep4-ocean-pool", TraceOpsSec: 600, Parallelism: 4, Variants: 4},
+	}
+	lines := compareLines(results, base.Results, true)
+	if len(lines) != 2 {
+		t.Fatalf("got %d lines for %d results", len(lines), len(results))
+	}
+	if !strings.Contains(lines[0], "trace-ops/s") {
+		t.Errorf("cgct-ocean not compared against the committed row: %q", lines[0])
+	}
+	if !strings.Contains(lines[1], "(no baseline)") {
+		t.Errorf("sweep4-ocean-pool: want \"(no baseline)\", got %q", lines[1])
 	}
 }

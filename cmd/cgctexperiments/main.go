@@ -63,7 +63,7 @@ func main() {
 		ops        = flag.Int("ops", 400_000, "trace length per processor")
 		seeds      = flag.Int("seeds", 3, "number of seeded runs per configuration")
 		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all nine)")
-		parallel   = flag.Int("parallel", 0, "worker goroutines for the batched sweep engine; same-workload variants additionally share one trace decode in lockstep (default GOMAXPROCS)")
+		parallel   = flag.Int("parallel", 0, "independent simulations run at once by each sweep's worker pool (default GOMAXPROCS)")
 		csvOut     = flag.String("csv", "", "also write each experiment's rows to CSV files in this directory")
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")

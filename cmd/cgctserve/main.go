@@ -53,17 +53,17 @@ import (
 
 func main() {
 	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		workers  = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-		queue    = flag.Int("queue", 64, "admission queue capacity (overflow gets 429)")
-		cache    = flag.Int("cache", 1024, "result cache capacity, entries (LRU)")
-		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		timeout  = flag.Duration("job-timeout", 30*time.Minute, "per-job wall-clock deadline (0 = none; requests may set a shorter timeout_ms)")
-		stall    = flag.Duration("watchdog", 2*time.Minute, "fail a running job whose simulation makes no progress for this long (0 = disabled)")
-		smoke    = flag.Bool("smoke", false, "serve on a loopback port, run a client round trip, and exit")
-		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		traceOut = flag.String("trace-out", "", "write completed jobs' phase spans as chrome://tracing JSON to this path on shutdown")
-		logFmt   = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
+		addr      = flag.String("addr", ":8080", "listen address")
+		workers   = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
+		queue     = flag.Int("queue", 64, "admission queue capacity (overflow gets 429)")
+		cache     = flag.Int("cache", 1024, "result cache capacity, entries (LRU)")
+		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		timeout   = flag.Duration("job-timeout", 30*time.Minute, "per-job wall-clock deadline (0 = none; requests may set a shorter timeout_ms)")
+		stall     = flag.Duration("watchdog", 2*time.Minute, "fail a running job whose simulation makes no progress for this long (0 = disabled)")
+		smoke     = flag.Bool("smoke", false, "serve on a loopback port, run a client round trip, and exit")
+		pprofAt   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
+		traceOut  = flag.String("trace-out", "", "write completed jobs' phase spans as chrome://tracing JSON to this path on shutdown")
+		logFmt    = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
 		storeDir  = flag.String("store", "", "persistent store directory: results and compiled traces spill here crash-safely and restarts warm-start from it (empty = no persistence)")
 		storeMax  = flag.Int64("store-max-bytes", 0, "byte cap on the persistent store; least-recently-used entries are evicted past it (0 = unlimited)")
 		scrubBeat = flag.Duration("scrub-interval", 0, "re-verify one store entry's integrity per interval, quarantining corruption and restoring it from replicas (0 = disabled)")

@@ -13,7 +13,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
 	"cgct"
 	"cgct/internal/runcache"
@@ -58,30 +57,24 @@ func (k runKey) String() string {
 	return fmt.Sprintf("%s|cgct=%t|region=%d|sets=%d|seed=%d", k.bench, k.cgctOn, k.region, k.rcaSets, k.seed)
 }
 
-// runner executes and caches simulation runs, fanning independent runs out
-// over a worker pool. The cache is singleflight: N concurrent get() calls
-// on the same key cost exactly one simulation (previously both checked the
-// map, missed, and ran the full simulation twice).
+// runner executes and caches simulation runs. The cache is singleflight:
+// N concurrent get() calls on the same key cost exactly one simulation
+// (previously both checked the map, missed, and ran the full simulation
+// twice).
 type runner struct {
 	p     Params
 	cache *runcache.Cache[*cgct.Result]
 	run   func(k runKey) (*cgct.Result, error) // swappable in tests
-	// batch executes many keys through the batched multi-variant engine
-	// (cgct.RunAll): same-workload variants share one trace decode in
-	// lockstep, batches spread over p.Parallel workers. nil falls back to
-	// per-key run calls (tests that stub run).
-	batch func(keys []runKey) ([]*cgct.Result, error)
 }
 
 func newRunner(p Params) *runner {
 	r := &runner{p: p, cache: runcache.New[*cgct.Result](0, p.Parallel)}
 	r.run = r.simulate
-	r.batch = r.simulateBatch
 	return r
 }
 
 // options maps a run key to the public API options. get and prefetchAll
-// must agree on this mapping exactly: the batched path and the per-key
+// must agree on this mapping exactly: the pooled path and the per-key
 // path fill the same cache entries.
 func (r *runner) options(k runKey) cgct.Options {
 	return cgct.Options{
@@ -103,7 +96,7 @@ func (r *runner) simulateBatch(keys []runKey) ([]*cgct.Result, error) {
 	for i, k := range keys {
 		reqs[i] = cgct.RunRequest{Benchmark: k.bench, Options: r.options(k)}
 	}
-	return cgct.RunAll(context.Background(), reqs, cgct.Sched{Parallelism: r.p.Parallel})
+	return cgct.RunAll(context.Background(), reqs, r.p.Parallel)
 }
 
 // get runs (or fetches) one simulation.
@@ -117,12 +110,10 @@ func (r *runner) get(k runKey) *cgct.Result {
 	return res
 }
 
-// prefetchAll warms the cache for a set of keys through the batched
-// multi-variant engine: every key missing from the cache is submitted to
-// cgct.RunAll in one sweep, so variants of the same (benchmark, seed)
-// workload run in lockstep over a single trace decode and batches spread
-// across p.Parallel workers. Results land in the same singleflight cache
-// get() reads, so the figure code is unchanged.
+// prefetchAll warms the cache for a set of keys: every key missing from
+// the cache is submitted to cgct.RunAll as one pool of p.Parallel
+// workers. Results land in the same singleflight cache get() reads, so
+// the figure code is unchanged.
 func (r *runner) prefetchAll(keys []runKey) {
 	seen := make(map[runKey]bool, len(keys))
 	var want []runKey
@@ -135,29 +126,7 @@ func (r *runner) prefetchAll(keys []runKey) {
 	if len(want) == 0 {
 		return
 	}
-	if r.batch == nil {
-		// Stubbed runner (tests): fall back to a bounded worker pool of
-		// per-key get() calls.
-		workers := min(r.p.Parallel, len(want))
-		next := make(chan runKey)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				defer wg.Done()
-				for k := range next {
-					r.get(k)
-				}
-			}()
-		}
-		for _, k := range want {
-			next <- k
-		}
-		close(next)
-		wg.Wait()
-		return
-	}
-	results, err := r.batch(want)
+	results, err := r.simulateBatch(want)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err)) // static inputs; cannot fail
 	}

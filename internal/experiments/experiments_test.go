@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -281,6 +282,42 @@ func TestFabric(t *testing.T) {
 	}
 	if r.CGCTBroadcasts >= r.BaseBroadcasts {
 		t.Error("CGCT did not cut broadcasts")
+	}
+}
+
+// TestFabricHonoursParallel: Fabric submits its whole grid as one pool
+// of p.Parallel workers; the rows must not depend on that width, and must
+// equal rows rebuilt from sequential cgct.Run calls.
+func TestFabricHonoursParallel(t *testing.T) {
+	p := Params{OpsPerProc: 2_000, Seeds: []uint64{1, 2}, Benchmarks: []string{"barnes", "tpc-b"}}
+	procs := []int{4, 8}
+	p.Parallel = 1
+	one := Fabric(p, procs)
+	p.Parallel = 4
+	four := Fabric(p, procs)
+	if !reflect.DeepEqual(one, four) {
+		t.Fatalf("rows differ between Parallel 1 and 4:\n%+v\n%+v", one, four)
+	}
+	var want []FabricRow
+	for _, n := range procs {
+		for _, b := range p.withDefaults().sortedBenchmarks() {
+			var runs [][5]*cgct.Result
+			for _, s := range p.Seeds {
+				var rs [5]*cgct.Result
+				for i, o := range fabricVariants(p.OpsPerProc, n, s) {
+					r, err := cgct.Run(b, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rs[i] = r
+				}
+				runs = append(runs, rs)
+			}
+			want = append(want, fabricRow(b, n, runs))
+		}
+	}
+	if !reflect.DeepEqual(one, want) {
+		t.Fatalf("pooled rows differ from sequential runs:\n%+v\n%+v", one, want)
 	}
 }
 

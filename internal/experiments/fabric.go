@@ -38,61 +38,83 @@ func Fabric(p Params, processorCounts []int) []FabricRow {
 	if len(processorCounts) == 0 {
 		processorCounts = []int{4, 16}
 	}
-	// The five fabric variants of one (benchmark, procs, seed) workload are
-	// an ideal lockstep batch: RunVariants replays them over a single
-	// decode pass of the shared compiled trace.
-	run := func(b string, procs int, seed uint64) [5]*cgct.Result {
-		base := cgct.Options{
-			OpsPerProc:    p.OpsPerProc,
-			Seed:          seed,
-			Processors:    procs,
-			PerturbCycles: 40,
+	benches := p.sortedBenchmarks()
+	// Every (procs, benchmark, seed, variant) run is independent: submit
+	// the whole grid as one pool so it spreads over p.Parallel workers.
+	var reqs []cgct.RunRequest
+	for _, procs := range processorCounts {
+		for _, b := range benches {
+			for _, s := range p.Seeds {
+				for _, o := range fabricVariants(p.OpsPerProc, procs, s) {
+					reqs = append(reqs, cgct.RunRequest{Benchmark: b, Options: o})
+				}
+			}
 		}
-		variants := [5]cgct.Options{base, base, base, base, base}
-		variants[1].CGCT, variants[1].RegionBytes = true, 512
-		variants[2].RegionScout, variants[2].RegionBytes = true, 512
-		variants[3].Directory = true
-		variants[4].Directory, variants[4].CGCT, variants[4].RegionBytes = true, true, 512
-		res, err := cgct.RunVariants(context.Background(), b, variants[:])
-		if err != nil {
-			panic(err)
-		}
-		return [5]*cgct.Result{res[0], res[1], res[2], res[3], res[4]}
+	}
+	res, err := cgct.RunAll(context.Background(), reqs, p.Parallel)
+	if err != nil {
+		panic(err)
 	}
 	var rows []FabricRow
 	for _, procs := range processorCounts {
-		for _, b := range p.sortedBenchmarks() {
-			var cg, sc, dir, dirCG []float64
-			var cgC2C, threeHop, baseB, cgB, dirMsg, dirCGMsg, fastPaths uint64
-			for _, s := range p.Seeds {
-				rs5 := run(b, procs, s)
-				base, c, rs, d, dc := rs5[0], rs5[1], rs5[2], rs5[3], rs5[4]
-				red := func(r *cgct.Result) float64 {
-					return 100 * (float64(base.Cycles) - float64(r.Cycles)) / float64(base.Cycles)
-				}
-				cg = append(cg, red(c))
-				sc = append(sc, red(rs))
-				dir = append(dir, red(d))
-				dirCG = append(dirCG, red(dc))
-				cgC2C += c.CacheToCache
-				threeHop += d.ThreeHops
-				baseB += base.Broadcasts
-				cgB += c.Broadcasts
-				dirMsg += d.DirMessages
-				dirCGMsg += dc.DirMessages
-				fastPaths += dc.DirFastPaths
+		for _, b := range benches {
+			runs := make([][5]*cgct.Result, len(p.Seeds))
+			for i := range runs {
+				copy(runs[i][:], res)
+				res = res[5:]
 			}
-			n := uint64(len(p.Seeds))
-			rows = append(rows, FabricRow{
-				Benchmark:  b,
-				Processors: procs,
-				CGCT:       mean(cg), Scout: mean(sc), Directory: mean(dir), DirCGCT: mean(dirCG),
-				CGCTC2C: cgC2C / n, DirThreeHops: threeHop / n,
-				BaseBroadcasts: baseB / n, CGCTBroadcasts: cgB / n,
-				DirMessages: dirMsg / n, DirCGCTMessages: dirCGMsg / n,
-				DirFastPaths: fastPaths / n,
-			})
+			rows = append(rows, fabricRow(b, procs, runs))
 		}
 	}
 	return rows
+}
+
+// fabricVariants is the five-fabric axis of one workload: snooping,
+// +CGCT, RegionScout, directory, directory+CGCT.
+func fabricVariants(opsPerProc, procs int, seed uint64) [5]cgct.Options {
+	base := cgct.Options{
+		OpsPerProc:    opsPerProc,
+		Seed:          seed,
+		Processors:    procs,
+		PerturbCycles: 40,
+	}
+	v := [5]cgct.Options{base, base, base, base, base}
+	v[1].CGCT, v[1].RegionBytes = true, 512
+	v[2].RegionScout, v[2].RegionBytes = true, 512
+	v[3].Directory = true
+	v[4].Directory, v[4].CGCT, v[4].RegionBytes = true, true, 512
+	return v
+}
+
+// fabricRow averages one benchmark's per-seed fabricVariants results.
+func fabricRow(b string, procs int, runs [][5]*cgct.Result) FabricRow {
+	var cg, sc, dir, dirCG []float64
+	var cgC2C, threeHop, baseB, cgB, dirMsg, dirCGMsg, fastPaths uint64
+	for _, rs5 := range runs {
+		base, c, rs, d, dc := rs5[0], rs5[1], rs5[2], rs5[3], rs5[4]
+		red := func(r *cgct.Result) float64 {
+			return 100 * (float64(base.Cycles) - float64(r.Cycles)) / float64(base.Cycles)
+		}
+		cg = append(cg, red(c))
+		sc = append(sc, red(rs))
+		dir = append(dir, red(d))
+		dirCG = append(dirCG, red(dc))
+		cgC2C += c.CacheToCache
+		threeHop += d.ThreeHops
+		baseB += base.Broadcasts
+		cgB += c.Broadcasts
+		dirMsg += d.DirMessages
+		dirCGMsg += dc.DirMessages
+		fastPaths += dc.DirFastPaths
+	}
+	n := uint64(len(runs))
+	return FabricRow{
+		Benchmark:  b,
+		Processors: procs,
+		CGCT:       mean(cg), Scout: mean(sc), Directory: mean(dir), DirCGCT: mean(dirCG),
+		CGCTC2C: cgC2C / n, DirThreeHops: threeHop / n,
+		BaseBroadcasts: baseB / n, CGCTBroadcasts: cgB / n,
+		DirMessages: dirMsg / n, DirCGCTMessages: dirCGMsg / n,
+		DirFastPaths: fastPaths / n,
+	}
 }

@@ -552,8 +552,6 @@ func (m *Manager) initMetrics() {
 	}
 	r.GaugeFunc("cgct_directory_entries", "live directory entries process-wide",
 		func() float64 { return float64(directory.LiveEntries()) })
-	r.GaugeFunc("cgct_parallel_runs_inflight", "simulator instances currently executing under the batched multi-variant engine",
-		func() float64 { return float64(sim.RunsInflight()) })
 	r.CounterFunc("cgct_sim_window_stalls_total", "PDES windows degraded to a single sequential step by an imminent hub event",
 		func() float64 { return float64(sim.WindowStallsTotal()) })
 	r.GaugeFunc("cgct_sim_partitions_inflight", "node partitions currently executing a PDES time window",
@@ -1228,11 +1226,6 @@ type Metrics struct {
 	FabricMessages   map[string]uint64 `json:"fabric_messages"`
 	DirectoryEntries uint64            `json:"directory_entries"`
 
-	// ParallelRunsInflight is the number of simulator instances currently
-	// executing under the batched multi-variant engine (lockstep batches
-	// on scheduler workers), process-wide.
-	ParallelRunsInflight uint64 `json:"parallel_runs_inflight"`
-
 	// Intra-run (PDES) engine: windows degraded to a single sequential
 	// step by an imminent hub event, and node partitions currently
 	// executing a time window, process-wide.
@@ -1295,7 +1288,6 @@ func (m *Manager) Metrics() Metrics {
 	b, d, l, dm := sim.FabricTraffic()
 	out.FabricMessages = map[string]uint64{"broadcast": b, "direct": d, "local": l, "directory": dm}
 	out.DirectoryEntries = directory.LiveEntries()
-	out.ParallelRunsInflight = sim.RunsInflight()
 	out.SimWindowStalls = sim.WindowStallsTotal()
 	if n := sim.PartitionsInflight(); n > 0 {
 		out.SimPartitionsInflight = uint64(n)

@@ -200,8 +200,7 @@ func (s *System) RunContext(ctx context.Context) (run *stats.Run, err error) {
 }
 
 // start arms the system for execution: debug-check state, the initial
-// per-node events, and the DMA agent. Exactly one of RunContext or a
-// lockstep driver calls it, once.
+// per-node events, and the DMA agent. RunContext calls it once.
 func (s *System) start() {
 	if s.DebugChecks {
 		s.verGlobal = make(map[addr.LineAddr]uint64)
@@ -220,8 +219,8 @@ func (s *System) start() {
 
 // stepChunk executes up to progressChunkEvents events and returns how
 // many ran, plus whether the run completed (statistics collected). It is
-// the resumable primitive RunContext and RunLockstep batch their
-// progress/cancellation bookkeeping around.
+// the resumable primitive RunContext batches its progress/cancellation
+// bookkeeping around.
 func (s *System) stepChunk() (executed int, finished bool) {
 	for i := 0; i < progressChunkEvents; i++ {
 		if !s.queue.Step() {

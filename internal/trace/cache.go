@@ -169,12 +169,10 @@ func Get(ctx context.Context, k Key) (*Trace, error) {
 
 // Stats reports shared-cache behaviour: singleflight hits, misses,
 // evictions, resident entries and bytes, plus the number of trace
-// compilations actually performed process-wide and the decoded blocks
-// that batched (lockstep) replay shared across variants.
+// compilations actually performed process-wide.
 type Stats struct {
 	runcache.Stats
 	Compilations uint64 `json:"compilations"`
-	DecodeShares uint64 `json:"decode_shares"`
 	// StoreHits counts compilations avoided by loading the compiled slab
 	// from the persistent store (warm restarts and post-eviction reloads).
 	StoreHits uint64 `json:"store_hits"`
@@ -185,7 +183,6 @@ func SharedStats() Stats {
 	return Stats{
 		Stats:        shared.Stats(),
 		Compilations: compilations.Load(),
-		DecodeShares: decodeShares.Load(),
 		StoreHits:    storeHits.Load(),
 	}
 }
@@ -199,8 +196,6 @@ func RegisterMetrics(reg *metrics.Registry) {
 	shared.RegisterMetrics(reg, "cgct_trace_cache")
 	reg.CounterFunc("cgct_trace_compilations_total", "workload trace compilations performed process-wide",
 		func() float64 { return float64(compilations.Load()) })
-	reg.CounterFunc("cgct_batch_decode_shares_total", "decoded trace blocks served to additional lockstep consumers without re-decoding",
-		func() float64 { return float64(decodeShares.Load()) })
 	reg.CounterFunc("cgct_trace_store_hits_total", "compilations avoided by loading the compiled slab from the persistent store",
 		func() float64 { return float64(storeHits.Load()) })
 }

@@ -108,74 +108,6 @@ func fabricVariants() []Options {
 	}
 }
 
-// TestRunVariantsBitIdentical: a batched RunVariants sweep — all 5
-// fabric variants in lockstep over one shared trace decode — must return
-// exactly what sequential Run calls return, result for result.
-func TestRunVariantsBitIdentical(t *testing.T) {
-	const bench = "tpc-w"
-	opts := fabricVariants()
-	for i := range opts {
-		opts[i].OpsPerProc, opts[i].Seed = 6_000, 13
-	}
-	want := make([]*Result, len(opts))
-	for i, o := range opts {
-		r, err := Run(bench, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-	got, err := RunVariants(context.Background(), bench, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range opts {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("variant %d diverged under batched replay:\nbatched    %+v\nsequential %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestRunVariantsSchedulingInvariance: results are a function of the
-// requests alone — any batch width and any worker parallelism must
-// produce bit-identical sweeps (the property that makes the scheduler
-// free to choose).
-func TestRunVariantsSchedulingInvariance(t *testing.T) {
-	var reqs []RunRequest
-	for _, bench := range []string{"ocean", "barnes"} {
-		for _, o := range []Options{
-			{},
-			{CGCT: true, RegionBytes: 256},
-			{CGCT: true, RegionBytes: 1024},
-			{Directory: true},
-		} {
-			o.OpsPerProc, o.Seed = 3_000, 5
-			reqs = append(reqs, RunRequest{Benchmark: bench, Options: o})
-		}
-	}
-	ref, err := RunAll(context.Background(), reqs, Sched{Parallelism: 1, VariantsPerDecode: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sched := range []Sched{
-		{Parallelism: 1, VariantsPerDecode: 4},
-		{Parallelism: 2, VariantsPerDecode: 3},
-		{Parallelism: 4, VariantsPerDecode: 8},
-		{Parallelism: 8, VariantsPerDecode: 2},
-	} {
-		got, err := RunAll(context.Background(), reqs, sched)
-		if err != nil {
-			t.Fatalf("sched %+v: %v", sched, err)
-		}
-		for i := range reqs {
-			if !reflect.DeepEqual(got[i], ref[i]) {
-				t.Fatalf("sched %+v: request %d (%s %+v) diverged from the sequential reference",
-					sched, i, reqs[i].Benchmark, reqs[i].Options)
-			}
-		}
-	}
-}
-
 // TestRunFallsBackWhenTooLarge: a workload beyond the shared cache's op
 // budget must still run (live generation), not fail.
 func TestRunFallsBackWhenTooLarge(t *testing.T) {
