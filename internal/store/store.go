@@ -352,6 +352,10 @@ func (s *Store) persist(p pending) {
 		s.log.Warn("store: write failed", "key", shortKey(p.key), "error", err.Error())
 	} else {
 		s.writes.Add(1)
+		// Index and evict before settling the dirty entry, so a Flush that
+		// returns has also applied the byte cap. The key is still busy
+		// here, so it can never be its own victim.
+		s.noteDurable(p.key, entrySize(p.key, len(p.payload)))
 	}
 	s.mu.Lock()
 	if cur, ok := s.dirty[p.key]; ok && cur.gen == p.gen {
@@ -363,9 +367,6 @@ func (s *Store) persist(p pending) {
 	s.mu.Unlock()
 	ws.mu.Unlock()
 	s.releaseWrite(p.key, ws)
-	if err == nil {
-		s.noteDurable(p.key, entrySize(p.key, len(p.payload)))
-	}
 }
 
 // acquireWrite returns the key's refcounted persist lock, creating it on
