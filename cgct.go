@@ -109,14 +109,6 @@ type Options struct {
 	// each fabric request (run-to-run variability for confidence
 	// intervals).
 	PerturbCycles uint64
-	// SimParallelism spreads a single run's node partitions across up to
-	// this many goroutines (conservative PDES with a latency-lookahead
-	// window; see internal/sim). Results are bit-identical at every
-	// setting — it is an execution strategy, not part of the simulated
-	// machine, so it does not enter result-cache keys. 0 or 1 runs
-	// sequentially; runs the engine cannot partition (directory fabric,
-	// PerturbCycles, DebugChecks, one processor) fall back to sequential.
-	SimParallelism int
 	// DebugChecks enables the expensive coherence invariants.
 	DebugChecks bool
 }
@@ -235,15 +227,6 @@ type Result struct {
 	RCAEmptyEvictFrac  float64
 	RCASelfInvals      uint64
 	AvgLinesAtEviction float64
-
-	// SimParallelism echoes the effective parallelism option the run was
-	// submitted with (results are identical at every setting).
-	// PartitionEvents, non-nil only when the run actually executed on the
-	// parallel (PDES) engine, counts the events each partition executed:
-	// one slot per processor plus a final slot for the shared hub
-	// partition (fabric, memory controllers, DMA).
-	SimParallelism  int
-	PartitionEvents []uint64
 }
 
 // EnergyBreakdown is the per-component energy of a run (relative units).
@@ -327,10 +310,6 @@ func buildConfig(o Options) (config.Config, Options) {
 	cfg.Proc.RegionPrefetch = o.RegionPrefetch
 	cfg.DMAIntervalCycles = o.DMAIntervalCycles
 	cfg.PerturbMaxCycles = o.PerturbCycles
-	if o.SimParallelism < 0 {
-		o.SimParallelism = 0
-	}
-	cfg.SimParallelism = o.SimParallelism
 	return cfg, o
 }
 
@@ -389,7 +368,6 @@ func RunContext(ctx context.Context, benchmark string, o Options) (*Result, erro
 		return nil, err
 	}
 	res := summarize(benchmark, o2, run)
-	res.PartitionEvents = system.PartitionEvents()
 	recordSpan(rec, PhaseAggregate, t2, time.Now())
 	return res, nil
 }
@@ -484,7 +462,6 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 		SnoopTagLookups:       run.SnoopTagLookups,
 		SnoopTagFiltered:      run.SnoopTagFiltered,
 		Upgrades:              run.Requests[coherence.ReqUpgrade],
-		SimParallelism:        o.SimParallelism,
 	}
 	var reqCat, avoidCat, bcastCat [stats.NCategories]uint64
 	for k := 0; k < coherence.NKinds; k++ {
@@ -568,10 +545,11 @@ func RunTrace(path string, o Options) (*Result, error) {
 		return nil, err
 	}
 	system.DebugChecks = o.DebugChecks
-	run := system.Run()
-	res := summarize(path, o2, run)
-	res.PartitionEvents = system.PartitionEvents()
-	return res, nil
+	run, err := system.RunContext(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	return summarize(path, o2, run), nil
 }
 
 // CompileTrace compiles a benchmark's workload into the columnar
@@ -607,14 +585,15 @@ func RunCompiledTrace(path string, o Options) (*Result, error) {
 		return nil, err
 	}
 	system.DebugChecks = o.DebugChecks
-	run := system.Run()
+	run, err := system.RunContext(context.Background())
+	if err != nil {
+		return nil, err
+	}
 	name := tr.Name
 	if name == "" {
 		name = path
 	}
-	res := summarize(name, o2, run)
-	res.PartitionEvents = system.PartitionEvents()
-	return res, nil
+	return summarize(name, o2, run), nil
 }
 
 // Comparison pairs a baseline run with a CGCT run of the same workload.

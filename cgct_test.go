@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"cgct"
+	"cgct/internal/faultinject"
 )
 
 // TestRunContextCancel: a cancelled context aborts the simulation instead
@@ -284,6 +285,33 @@ func TestSaveTraceErrors(t *testing.T) {
 	}
 	if err := cgct.SaveTrace("ocean", "/nonexistent-dir/x.bin", cgct.Options{OpsPerProc: 10}); err == nil {
 		t.Error("unwritable path accepted")
+	}
+}
+
+// TestRunErrorsReachCaller: a run that fails mid-simulation (here an
+// injected event-loop fault) must surface its error from every entry
+// point, trace replays included, instead of a partial result.
+func TestRunErrorsReachCaller(t *testing.T) {
+	dir := t.TempDir()
+	o := cgct.Options{OpsPerProc: 2_000, Seed: 3}
+	if err := cgct.SaveTrace("ocean", dir+"/t.bin", o); err != nil {
+		t.Fatal(err)
+	}
+	if err := cgct.CompileTrace("ocean", dir+"/t.cgct", o); err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.NewPlan(1)
+	plan.Arm(faultinject.PointSimEventLoop, faultinject.Spec{Mode: faultinject.ModeError, Probability: 1})
+	faultinject.Enable(plan)
+	defer faultinject.Disable()
+	for name, run := range map[string]func() (*cgct.Result, error){
+		"Run":              func() (*cgct.Result, error) { return cgct.Run("ocean", o) },
+		"RunTrace":         func() (*cgct.Result, error) { return cgct.RunTrace(dir+"/t.bin", o) },
+		"RunCompiledTrace": func() (*cgct.Result, error) { return cgct.RunCompiledTrace(dir+"/t.cgct", o) },
+	} {
+		if res, err := run(); !errors.Is(err, faultinject.ErrInjected) {
+			t.Errorf("%s: result %v, err %v; want the injected error", name, res, err)
+		}
 	}
 }
 

@@ -79,12 +79,6 @@ func configs() []benchConfig {
 		{Name: "cgct-tpcw", Benchmark: "tpc-w", Opts: cgct.Options{CGCT: true}},
 		{Name: "cgct-tpch", Benchmark: "tpc-h", Opts: cgct.Options{CGCT: true}},
 		{Name: "cgct-16proc-tpcb", Benchmark: "tpc-b", Opts: cgct.Options{Processors: 16, CGCT: true}},
-		// The pdes-* configs run one simulation under the intra-run
-		// (conservative PDES) engine; compare against cgct-ocean /
-		// cgct-16proc-tpcb for the windowed engine's speedup (or, on a
-		// single-core host, its coordination overhead).
-		{Name: "pdes-ocean", Benchmark: "ocean", Opts: cgct.Options{CGCT: true, SimParallelism: 4}},
-		{Name: "pdes-tpcb", Benchmark: "tpc-b", Opts: cgct.Options{Processors: 16, CGCT: true, SimParallelism: par}},
 		{Name: "sweep4-ocean-seq", Benchmark: "ocean", Variants: sweepVariants(), Parallelism: 1},
 		{Name: "sweep4-ocean-pool", Benchmark: "ocean", Variants: sweepVariants(), Parallelism: par},
 	}
@@ -119,13 +113,6 @@ type benchResult struct {
 	// worker count, on a single run they coincide.
 	WallNs int64 `json:"wall_ns"`
 	CPUNs  int64 `json:"cpu_ns"`
-	// SimParallelism is the intra-run (PDES) goroutine count the config
-	// requested (0/1 = sequential engine); PartitionEvents is the
-	// deterministic per-partition event split of one run — one slot per
-	// processor plus a final hub slot — present only when the windowed
-	// engine actually engaged.
-	SimParallelism  int      `json:"sim_parallelism"`
-	PartitionEvents []uint64 `json:"partition_events,omitempty"`
 }
 
 type benchFile struct {
@@ -210,24 +197,22 @@ func measure(c benchConfig, iters int) (benchResult, error) {
 		opsPerSec = float64(procs*opsPerProc*iters) / elapsed.Seconds()
 	}
 	return benchResult{
-		Name:            c.Name,
-		Benchmark:       c.Benchmark,
-		CGCT:            c.Opts.CGCT,
-		Processors:      procs,
-		Runs:            iters,
-		NsPerOp:         elapsed.Nanoseconds() / int64(iters),
-		TraceOpsSec:     opsPerSec,
-		AllocsPerOp:     int64((after.Mallocs - before.Mallocs) / uint64(iters)),
-		BytesPerOp:      int64((after.TotalAlloc - before.TotalAlloc) / uint64(iters)),
-		SimCycles:       cycles,
-		TraceGenNs:      genNs,
-		TraceCacheHits:  hits,
-		Parallelism:     1,
-		Variants:        1,
-		WallNs:          elapsed.Nanoseconds() / int64(iters),
-		CPUNs:           cpu.Nanoseconds() / int64(iters),
-		SimParallelism:  c.Opts.SimParallelism,
-		PartitionEvents: res.PartitionEvents,
+		Name:           c.Name,
+		Benchmark:      c.Benchmark,
+		CGCT:           c.Opts.CGCT,
+		Processors:     procs,
+		Runs:           iters,
+		NsPerOp:        elapsed.Nanoseconds() / int64(iters),
+		TraceOpsSec:    opsPerSec,
+		AllocsPerOp:    int64((after.Mallocs - before.Mallocs) / uint64(iters)),
+		BytesPerOp:     int64((after.TotalAlloc - before.TotalAlloc) / uint64(iters)),
+		SimCycles:      cycles,
+		TraceGenNs:     genNs,
+		TraceCacheHits: hits,
+		Parallelism:    1,
+		Variants:       1,
+		WallNs:         elapsed.Nanoseconds() / int64(iters),
+		CPUNs:          cpu.Nanoseconds() / int64(iters),
 	}, nil
 }
 
@@ -437,9 +422,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "cgctbench %s: %v\n", c.Name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("%-20s %12.0f trace-ops/s  %8d allocs/op  %11d ns/op  (par %d, simpar %d, cpu/wall %.2f)\n",
+		fmt.Printf("%-20s %12.0f trace-ops/s  %8d allocs/op  %11d ns/op  (par %d, cpu/wall %.2f)\n",
 			res.Name, res.TraceOpsSec, res.AllocsPerOp, res.NsPerOp,
-			res.Parallelism, res.SimParallelism, float64(res.CPUNs)/float64(res.WallNs))
+			res.Parallelism, float64(res.CPUNs)/float64(res.WallNs))
 		file.Results = append(file.Results, res)
 	}
 	if len(file.Results) == 0 {

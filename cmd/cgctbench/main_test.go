@@ -119,8 +119,8 @@ func TestBaselineSchemaTolerance(t *testing.T) {
 // wall-clock-derived trace-ops/s delta is withheld and only the
 // machine-shape-independent allocation delta prints.
 func TestCompareLinesSkipsWallClockAcrossHosts(t *testing.T) {
-	results := []benchResult{{Name: "pdes-ocean", TraceOpsSec: 150, AllocsPerOp: 10}}
-	baseline := []benchResult{{Name: "pdes-ocean", TraceOpsSec: 100, AllocsPerOp: 13}}
+	results := []benchResult{{Name: "cgct-ocean", TraceOpsSec: 150, AllocsPerOp: 10}}
+	baseline := []benchResult{{Name: "cgct-ocean", TraceOpsSec: 100, AllocsPerOp: 13}}
 	lines := compareLines(results, baseline, false)
 	if len(lines) != 1 {
 		t.Fatalf("got %d lines", len(lines))
@@ -134,9 +134,10 @@ func TestCompareLinesSkipsWallClockAcrossHosts(t *testing.T) {
 }
 
 // TestCommittedBaselineLoads: the committed BENCH_simcore.json predates
-// the sweep4-ocean-pool config and still carries the retired
-// variants_per_decode column; -baseline must load it, compare the
-// configs it has, and mark the new one "(no baseline)".
+// the sweep4-ocean-pool config and still carries retired columns
+// (variants_per_decode, sim_parallelism, partition_events) and the
+// retired pdes-* rows; -baseline must load it, compare the configs it
+// has, and mark the new one "(no baseline)".
 func TestCommittedBaselineLoads(t *testing.T) {
 	data, err := os.ReadFile("../../BENCH_simcore.json")
 	if err != nil {

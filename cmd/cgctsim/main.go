@@ -39,7 +39,6 @@ func main() {
 		ctrace  = flag.String("ctrace", "", "replay a compiled-trace file written by cgcttrace -compile instead of a benchmark")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		simPar  = flag.Int("simpar", 0, "goroutines for one run's node partitions (conservative PDES; 0/1 = sequential, results identical)")
 	)
 	flag.Parse()
 
@@ -72,7 +71,6 @@ func main() {
 		DirScheme:            *dscheme,
 		DirPointers:          *dptrs,
 		DirEntriesPerHome:    *dents,
-		SimParallelism:       *simPar,
 	}
 	var res *cgct.Result
 	if *ctrace != "" {
@@ -108,10 +106,6 @@ func main() {
 	}
 	if res.RegionProbes > 0 {
 		fmt.Printf("  region-state probes: %d\n", res.RegionProbes)
-	}
-	if res.PartitionEvents != nil {
-		fmt.Printf("  pdes partitions:     %d-way, events %v (last = hub)\n",
-			res.SimParallelism, res.PartitionEvents)
 	}
 	if res.Directory {
 		fmt.Printf("  directory messages:  %d (three-hop %d, invalidations %d, spurious %d)\n",

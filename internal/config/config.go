@@ -330,23 +330,17 @@ type Config struct {
 	// to each memory request's issue, the Alameldeen-style perturbation used
 	// to generate confidence intervals across seeds. Zero disables it.
 	PerturbMaxCycles uint64
-
-	// SimParallelism is the number of goroutines a single run may spread
-	// its node partitions across (conservative PDES with a
-	// latency-lookahead window). 0 or 1 runs sequentially. Results are
-	// bit-identical at every setting, so the field is an execution
-	// strategy, not part of the simulated machine — Hash() excludes it.
-	SimParallelism int
 }
 
-// PDESLookahead returns the conservative-PDES lookahead window in CPU
-// cycles: the minimum latency after which an event on one node partition
-// can first affect another partition. On the snooping fabric a
-// cross-node effect needs a bus grant plus the snoop latency, and a
-// direct request cannot deliver data before the direct-request floor
-// plus a DRAM access; the directory fabric's floor is a same-chip direct
-// request plus the home directory lookup.
-func (c Config) PDESLookahead() uint64 {
+// BatchHorizon returns how far (CPU cycles) a node may run ahead of
+// global time while hitting in its own caches: the minimum latency after
+// which an event on one node can first affect another. On the snooping
+// fabric a cross-node effect needs a bus grant plus the snoop latency,
+// and a direct request cannot deliver data before the direct-request
+// floor plus a DRAM access; the directory fabric's floor is a same-chip
+// direct request plus the home directory lookup. A zero horizon only
+// stops run-ahead: every node then yields after each op.
+func (c Config) BatchHorizon() uint64 {
 	if c.DirectoryEnabled() {
 		return c.Net.DirectReqSameChip + c.Net.DirectoryLatency
 	}
@@ -356,12 +350,6 @@ func (c Config) PDESLookahead() uint64 {
 	}
 	return direct
 }
-
-// BatchHorizon returns how far (CPU cycles) a node may run ahead of
-// global time while hitting in its own caches. It is derived from the
-// minimum fabric latency — the PDES lookahead — so a node's timing skew
-// never exceeds one conservative window; Validate enforces the bound.
-func (c Config) BatchHorizon() uint64 { return c.PDESLookahead() }
 
 // Default returns the Table 3 configuration: four processors, Fireplane-like
 // interconnect, 512 B regions, CGCT disabled (baseline).
@@ -468,16 +456,6 @@ func (c Config) Validate() error {
 	}
 	if c.Net.MemCtrlBanks <= 0 {
 		return fmt.Errorf("config: MemCtrlBanks must be positive")
-	}
-	if c.SimParallelism < 0 || c.SimParallelism > 1024 {
-		return fmt.Errorf("config: SimParallelism %d out of range [0, 1024]", c.SimParallelism)
-	}
-	if c.PDESLookahead() == 0 {
-		return fmt.Errorf("config: fabric latencies give a zero PDES lookahead window")
-	}
-	if c.BatchHorizon() > c.PDESLookahead() {
-		return fmt.Errorf("config: batch horizon %d exceeds the PDES lookahead %d",
-			c.BatchHorizon(), c.PDESLookahead())
 	}
 	if c.L2SectorBytes != 0 {
 		if !addr.IsPow2(c.L2SectorBytes) || c.L2SectorBytes < c.L2.LineBytes {

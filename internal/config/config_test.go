@@ -138,6 +138,24 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 
 // TestFabricDefaults pins the fabric normalization: an unset Fabric means
 // snooping, and the directory fabric composes with CGCT but not RegionScout.
+// TestBatchHorizon pins the node run-ahead horizon to the minimum
+// cross-node latency of each fabric (Table 3 values).
+func TestBatchHorizon(t *testing.T) {
+	if got, want := Default().BatchHorizon(), SysCycles(16); got != want {
+		t.Errorf("snoop horizon = %d, want the snoop latency %d", got, want)
+	}
+	dir := Default().WithDirectory(DirectoryParams{})
+	if got, want := dir.BatchHorizon(), uint64(21); got != want {
+		t.Errorf("directory horizon = %d, want same-chip request + directory lookup %d", got, want)
+	}
+	// A bus slower than a direct request plus DRAM leaves the direct floor.
+	slowBus := Default()
+	slowBus.Net.SnoopLatency = 10_000
+	if got, want := slowBus.BatchHorizon(), slowBus.Net.DirectReqSameChip+slowBus.Net.DRAMLatency; got != want {
+		t.Errorf("slow-bus horizon = %d, want the direct floor %d", got, want)
+	}
+}
+
 func TestFabricDefaults(t *testing.T) {
 	c := Default()
 	if c.FabricOrDefault() != FabricSnoop || c.DirectoryEnabled() {

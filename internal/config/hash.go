@@ -26,12 +26,8 @@ func (c Config) CanonicalJSON() []byte {
 
 // Hash returns the hex SHA-256 of the canonical JSON encoding — the
 // config's contribution to a content-addressed result-cache key. Two
-// configs hash equal iff they describe the same machine: SimParallelism
-// is an execution strategy whose results are bit-identical at every
-// setting, so it is canonically zeroed before hashing and runs that
-// differ only in intra-run parallelism share one cache entry.
+// configs hash equal iff they describe the same machine.
 func (c Config) Hash() string {
-	c.SimParallelism = 0
 	sum := sha256.Sum256(c.CanonicalJSON())
 	return hex.EncodeToString(sum[:])
 }

@@ -2,13 +2,9 @@
 // cycle clock and a time-ordered event queue with deterministic FIFO
 // tie-breaking.
 //
-// All times are CPU cycles. The queue itself is single-threaded by
-// design — every Schedule/Step/Drain call happens on one coordinating
-// goroutine. Parallelism within a run comes from the windowed primitives
-// (AdvanceTo, DrainWindow, AllocSeq): the conservative-PDES driver in
-// internal/sim drains a lookahead window of events, executes them on
-// partition goroutines, and replays their scheduling effects back into
-// the queue in exact global (time, seq) order.
+// All times are CPU cycles. The queue is single-threaded by design — the
+// whole timing simulation is deterministic and runs on one goroutine; the
+// benchmark harness parallelises across *runs*, not within a run.
 //
 // # Implementation
 //
@@ -317,84 +313,6 @@ func (q *Queue) Run() int {
 		n++
 	}
 	return n
-}
-
-// AllocSeq consumes and returns the next scheduling sequence number
-// without queuing anything. The windowed (PDES) replay uses it to keep
-// the sequence counter bit-identical to a sequential run: an event that
-// already executed inside a partition's window still consumes its slot
-// at the exact position the sequential run's Schedule call would have.
-func (q *Queue) AllocSeq() uint64 {
-	q.seq++
-	return q.seq
-}
-
-// Rec is one event drained out of the queue by DrainWindow, with its
-// global (At, Seq) ordering key preserved.
-type Rec struct {
-	At  Cycle
-	Seq uint64
-	U64 uint64
-	H   Handler
-	Fn  Func
-	U32 uint32
-	Op  uint8
-}
-
-// AdvanceTo moves the clock forward to t without executing events,
-// migrating heap events whose time enters the wheel window. t must not
-// exceed the earliest pending event's time (the wheel's bucket-per-cycle
-// invariant holds because no pending event precedes the new now).
-func (q *Queue) AdvanceTo(t Cycle) {
-	if t > q.now {
-		q.now = t
-		q.migrate()
-	}
-}
-
-// DrainWindow removes every pending event with time < limit, appending
-// them to buf in global (time, seq) order, without executing them or
-// advancing the clock. Requires limit <= now+wheelSize, so only wheel
-// buckets can hold in-window events (the heap's are all later); each
-// bucket holds one unique in-window cycle, its chain is in seq order,
-// and the circular bucket scan from now yields ascending cycles.
-func (q *Queue) DrainWindow(limit Cycle, buf []Rec) []Rec {
-	if limit > q.now+wheelSize {
-		panic("event: DrainWindow limit beyond the wheel window")
-	}
-	for q.wheelCount > 0 {
-		b := q.nextBucket()
-		idx := q.head[b]
-		if q.pool[idx].at >= limit {
-			break
-		}
-		for idx != 0 {
-			s := &q.pool[idx]
-			buf = append(buf, Rec{At: s.at, Seq: s.seq, U64: s.u64, H: s.h, Fn: s.fn, U32: s.u32, Op: s.op})
-			next := s.next
-			q.release(idx)
-			q.wheelCount--
-			idx = next
-		}
-		q.head[b] = 0
-		q.tail[b] = 0
-		if q.occupied[b>>6] &^= 1 << uint(b&63); q.occupied[b>>6] == 0 {
-			q.summary &^= 1 << uint(b>>6)
-		}
-	}
-	return buf
-}
-
-// PeekTime returns the time of the earliest pending event; ok is false when
-// the queue is empty.
-func (q *Queue) PeekTime() (at Cycle, ok bool) {
-	if q.wheelCount > 0 {
-		return q.pool[q.head[q.nextBucket()]].at, true
-	}
-	if len(q.heap) > 0 {
-		return q.pool[q.heap[0]].at, true
-	}
-	return 0, false
 }
 
 // Reset empties the queue and rewinds the clock to zero while keeping the

@@ -89,17 +89,6 @@ func TestRunUntilEmptyAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestPeekTime(t *testing.T) {
-	var q Queue
-	if _, ok := q.PeekTime(); ok {
-		t.Error("PeekTime on empty queue returned ok")
-	}
-	q.At(42, func(Cycle) {})
-	if at, ok := q.PeekTime(); !ok || at != 42 {
-		t.Errorf("PeekTime = %d,%v", at, ok)
-	}
-}
-
 func TestCascade(t *testing.T) {
 	// Events scheduling events: a chain of 1000.
 	var q Queue

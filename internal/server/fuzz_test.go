@@ -69,7 +69,6 @@ func TestNormalizeBounds(t *testing.T) {
 		{"negative timeout", `{"benchmark":"ocean","timeout_ms":-1}`},
 		{"huge dir pointers", `{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limited","DirPointers":4096}}`},
 		{"huge dir entries", `{"benchmark":"ocean","options":{"Directory":true,"DirEntriesPerHome":16777217}}`},
-		{"huge sim parallelism", `{"benchmark":"ocean","options":{"SimParallelism":65}}`},
 		{"unknown fabric", `{"benchmark":"ocean","options":{"Fabric":"mesh"}}`},
 		{"unknown dir scheme", `{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limitless"}}`},
 		{"experiment huge ops", `{"type":"experiment","experiment":"fig8","params":{"OpsPerProc":1099511627776}}`},
@@ -84,29 +83,6 @@ func TestNormalizeBounds(t *testing.T) {
 				t.Fatalf("normalize accepted %s", tc.raw)
 			}
 		})
-	}
-}
-
-// TestPartitionedCacheKeySharing: SimParallelism is an execution
-// strategy with bit-identical results, so requests differing only in it
-// must share one result-cache entry.
-func TestPartitionedCacheKeySharing(t *testing.T) {
-	seq := JobRequest{Benchmark: "ocean"}
-	par := JobRequest{Benchmark: "ocean"}
-	par.Options.SimParallelism = 8
-	seqKey, err := seq.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parKey, err := par.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqKey != parKey {
-		t.Error("SimParallelism changed the result-cache key")
-	}
-	if par.Options.SimParallelism != 8 {
-		t.Error("normalize must keep the requested parallelism for execution")
 	}
 }
 

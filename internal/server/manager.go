@@ -100,9 +100,6 @@ const (
 	// value fails at admission, not at config resolution).
 	maxReqDirPointers = 8
 	maxReqDirEntries  = 1 << 24
-	// Intra-run parallelism: each unit is a goroutine for the run's
-	// lifetime, so bound it far below config's own 1024 ceiling.
-	maxReqSimParallelism = 64
 )
 
 // boundRequest rejects oversized requests. Callers run it before resolving
@@ -134,9 +131,6 @@ func (r *JobRequest) boundRequest() error {
 		}
 		if o.DirEntriesPerHome > maxReqDirEntries {
 			return fmt.Errorf("dir_entries_per_home %d exceeds limit %d", o.DirEntriesPerHome, maxReqDirEntries)
-		}
-		if o.SimParallelism > maxReqSimParallelism {
-			return fmt.Errorf("sim_parallelism %d exceeds limit %d", o.SimParallelism, maxReqSimParallelism)
 		}
 	case TypeExperiment:
 		p := r.Params
@@ -176,11 +170,6 @@ func (r *JobRequest) normalize() (string, error) {
 			return "", err
 		}
 		r.Options = o2
-		// SimParallelism is an execution strategy, not part of the
-		// simulated machine (results are bit-identical at every setting) —
-		// zero it in the hashed copy so parallel and sequential requests
-		// for the same machine share one cache entry.
-		o2.SimParallelism = 0
 		fmt.Fprintf(h, "sim\x00%s\x00%s\x00%+v", r.Benchmark, cfg.Hash(), o2)
 	case TypeExperiment:
 		if !experiments.Known(r.Experiment) {
@@ -564,10 +553,6 @@ func (m *Manager) initMetrics() {
 	}
 	r.GaugeFunc("cgct_directory_entries", "live directory entries process-wide",
 		func() float64 { return float64(directory.LiveEntries()) })
-	r.CounterFunc("cgct_sim_window_stalls_total", "PDES windows degraded to a single sequential step by an imminent hub event",
-		func() float64 { return float64(sim.WindowStallsTotal()) })
-	r.GaugeFunc("cgct_sim_partitions_inflight", "node partitions currently executing a PDES time window",
-		func() float64 { return float64(sim.PartitionsInflight()) })
 }
 
 // countState counts retained job records in one lifecycle state.
@@ -1257,12 +1242,6 @@ type Metrics struct {
 	FabricMessages   map[string]uint64 `json:"fabric_messages"`
 	DirectoryEntries uint64            `json:"directory_entries"`
 
-	// Intra-run (PDES) engine: windows degraded to a single sequential
-	// step by an imminent hub event, and node partitions currently
-	// executing a time window, process-wide.
-	SimWindowStalls       uint64 `json:"sim_window_stalls"`
-	SimPartitionsInflight uint64 `json:"sim_partitions_inflight"`
-
 	// Replication intake on this node: replica PUTs accepted into the
 	// store, and ones refused (bad key, digest mismatch, invalid body).
 	// Push-side counts live under Cluster.
@@ -1319,10 +1298,6 @@ func (m *Manager) Metrics() Metrics {
 	b, d, l, dm := sim.FabricTraffic()
 	out.FabricMessages = map[string]uint64{"broadcast": b, "direct": d, "local": l, "directory": dm}
 	out.DirectoryEntries = directory.LiveEntries()
-	out.SimWindowStalls = sim.WindowStallsTotal()
-	if n := sim.PartitionsInflight(); n > 0 {
-		out.SimPartitionsInflight = uint64(n)
-	}
 	out.WorkerUtilization = float64(out.BusyWorkers) / float64(out.Workers)
 	if m.opts.Store != nil {
 		ss := m.opts.Store.Stats()

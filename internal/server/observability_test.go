@@ -96,8 +96,6 @@ func TestPrometheusAgreesWithJSON(t *testing.T) {
 		`cgct_fabric_messages_total{kind="local"}`:     float64(jsonM.FabricMessages["local"]),
 		`cgct_fabric_messages_total{kind="directory"}`: float64(jsonM.FabricMessages["directory"]),
 		"cgct_directory_entries":                       float64(jsonM.DirectoryEntries),
-		"cgct_sim_window_stalls_total":                 float64(jsonM.SimWindowStalls),
-		"cgct_sim_partitions_inflight":                 float64(jsonM.SimPartitionsInflight),
 	}
 	for series, v := range want {
 		got, ok := prom[series]

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -436,6 +437,18 @@ func TestValidationAndErrorPaths(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
+	}
+
+	// An option the API does not have is refused by name, not ignored.
+	resp, err = http.Post(hs.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"benchmark":"ocean","options":{"SimParallelism":4}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "SimParallelism") {
+		t.Errorf("unknown option: %d %s, want 400 naming the field", resp.StatusCode, body)
 	}
 
 	// Unknown job ID: 404 on status, result and cancel.

@@ -111,7 +111,7 @@ func (f *directoryFabric) issue(n *node, kind coherence.ReqKind, line addr.LineA
 		s.run.DirFastPaths++
 		s.run.DirMessages += 2 // request + reply, but no home-pipeline slot
 		n.outstanding++
-		arrive := n.applyDirectRoute(kind, line, region, home, t, forStore)
+		arrive := n.applyDirectRoute(kind, line, region, home, t)
 		f.recordFastGrant(d, n, kind, line, grantedLineState(kind, !regionExclusive))
 		s.queue.Schedule(arrive, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
 	default: // full home transaction

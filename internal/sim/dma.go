@@ -44,11 +44,9 @@ func newDMAAgent(s *System, targets []addr.Segment, interval uint64) *dmaAgent {
 	}
 }
 
-// start schedules the first write. DMA runs in hub context — the
-// parallel runner must know its event times to bound the time window.
+// start schedules the first write.
 func (d *dmaAgent) start() {
 	d.sys.queue.Schedule(d.interval, d, 0, 0, 0)
-	d.sys.hubScheduled(d.interval)
 }
 
 // tick performs one DMA buffer write and reschedules itself while any
@@ -59,7 +57,6 @@ func (d *dmaAgent) tick(now event.Cycle) {
 	}
 	d.writeBuffer(now)
 	d.sys.queue.ScheduleAfter(d.interval, d, 0, 0, 0)
-	d.sys.hubScheduled(now + d.interval)
 }
 
 // writeBuffer picks the next buffer target and hands the coherent write

@@ -95,11 +95,8 @@ func (n *node) applyLocalRoute(kind coherence.ReqKind, line addr.LineAddr, regio
 // applyDirectRoute performs a request on the direct path (no broadcast,
 // no home transaction): the cache and region state change at issue time;
 // the returned cycle is when the data (if any) arrives and the caller
-// schedules the completion. Inside a PDES window the memory-controller
-// and data-network legs defer to the partition log — the coordinator's
-// replay computes the arrival and schedules the completion itself, so
-// the returned cycle is then meaningless and the caller must not use it.
-func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, region addr.RegionAddr, mc int, t event.Cycle, forStore bool) event.Cycle {
+// schedules the completion.
+func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, region addr.RegionAddr, mc int, t event.Cycle) event.Cycle {
 	s := n.sys
 	prev := core.RegionInvalid
 	exclusiveRegion := true // RegionScout only routes direct in unshared regions
@@ -142,18 +139,9 @@ func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, regi
 		if granted == coherence.Modified {
 			s.trackWrite(n.id, line)
 		}
-		if ctx := n.exec; ctx != nil {
-			// The DRAM read, transfer and link delivery depend on shared
-			// bank/link booking state: replayed in global order, where the
-			// completion (always at least a DRAM access past the request —
-			// beyond the lookahead window) is scheduled too.
-			ctx.log = append(ctx.log, pAction{kind: aDirect, at: arrive, mc: uint16(mc), dist: uint8(dist),
-				u32: packReq(kind, forStore), u64: uint64(line)})
-		} else {
-			ready := s.mcs[mc].Read(arrive, true, 0)
-			ready += event.Cycle(s.cfg.Net.TransferLatency(dist))
-			arrive = s.dnet.Deliver(n.id, ready)
-		}
+		ready := s.mcs[mc].Read(arrive, true, 0)
+		ready += event.Cycle(s.cfg.Net.TransferLatency(dist))
+		arrive = s.dnet.Deliver(n.id, ready)
 		if n.rca != nil {
 			n.rca.SetState(region, n.protocol.AfterDirect(prev, kind, granted == coherence.Exclusive || granted == coherence.Modified))
 		}
@@ -168,22 +156,12 @@ func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, regi
 		}
 		if st := n.l2.Lookup(line); st.Valid() {
 			if st.Dirty() {
-				if ctx := n.exec; ctx != nil {
-					ctx.log = append(ctx.log, pAction{kind: aMCWrite, at: arrive, mc: uint16(mc), u32: 1})
-				} else {
-					s.mcs[mc].Write(arrive, true)
-				}
+				s.mcs[mc].Write(arrive, true)
 			}
 			n.l2.Invalidate(line)
 		}
 		if n.rca != nil {
 			n.rca.SetState(region, n.protocol.AfterDirect(prev, kind, false))
-		}
-		if n.exec != nil {
-			// A flush completes at the deterministic request latency — it
-			// may land inside the current window, so it takes the generic
-			// local-schedule path rather than riding the replayed data leg.
-			n.schedEvent(arrive, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
 		}
 	default:
 		panic(fmt.Sprintf("sim: kind %v cannot be routed direct", kind))

@@ -10,7 +10,6 @@ import (
 	"cgct/internal/event"
 	"cgct/internal/proc"
 	"cgct/internal/regionscout"
-	"cgct/internal/stats"
 	"cgct/internal/workload"
 )
 
@@ -67,12 +66,6 @@ type node struct {
 	haveOp          bool
 	finished        bool
 
-	// exec is the partition context while this node's events execute
-	// inside a conservative-PDES window (parallel.go): node-local state
-	// mutates inline, every shared-state operation is logged for the
-	// coordinator's ordered replay. Nil in sequential and hub contexts.
-	exec *partCtx
-
 	pending           map[addr.LineAddr]*mshr
 	mshrFree          *mshr // recycled mshrs
 	storeBufUsed      int
@@ -85,51 +78,13 @@ type node struct {
 }
 
 // now returns the node's best notion of current time: its own local clock
-// when running ahead, the executing event's time inside a PDES window
-// (where the shared clock is pinned at the window start), the global
-// clock otherwise. Used by cache hooks that fire from fabric context.
+// when running ahead of the global queue, the global clock otherwise. Used
+// by cache hooks that fire from fabric context.
 func (n *node) now() event.Cycle {
-	if ctx := n.exec; ctx != nil {
-		if ctx.execAt > n.localTime {
-			return ctx.execAt
-		}
-		return n.localTime
-	}
 	if g := n.sys.queue.Now(); g > n.localTime {
 		return g
 	}
 	return n.localTime
-}
-
-// runSink returns the statistics record node-context increments target:
-// the partition's shadow (folded at run end — these counters are pure
-// sums, so accumulation order is irrelevant) inside a PDES window, the
-// global record otherwise.
-func (n *node) runSink() *stats.Run {
-	if ctx := n.exec; ctx != nil {
-		return &ctx.run
-	}
-	return &n.sys.run
-}
-
-// schedEvent schedules an event on n, deferring through the partition
-// log inside a PDES window so the coordinator's replay consumes the
-// global sequence counter at the exact position a sequential run's
-// Schedule call would.
-func (n *node) schedEvent(at event.Cycle, op uint8, u32 uint32, u64 uint64) {
-	if ctx := n.exec; ctx != nil {
-		if at < ctx.execAt {
-			// Schedule's past-clamp, against the executing event's time
-			// (the sequential run's queue clock at this call).
-			at = ctx.execAt
-		}
-		ctx.log = append(ctx.log, pAction{kind: aSched, at: at, op: op, u32: u32, u64: u64})
-		if at < ctx.limit {
-			ctx.pushLocal(localEv{at: at, cls: clsCreated, ctr: ctx.nextCtr(), op: op, u32: u32, u64: u64})
-		}
-		return
-	}
-	n.sys.queue.Schedule(at, n, op, u32, u64)
 }
 
 func newNode(s *System, id int, src workload.Source) *node {
@@ -196,7 +151,7 @@ func (n *node) schedule(t event.Cycle) {
 		return
 	}
 	n.scheduled = true
-	n.schedEvent(t, nodeOpStep, 0, 0)
+	n.sys.queue.Schedule(t, n, nodeOpStep, 0, 0)
 }
 
 // step runs the processor until it stalls, runs ahead of the batch horizon,
@@ -233,9 +188,6 @@ func (n *node) step(now event.Cycle) {
 		}
 		n.instructions += uint64(n.curOp.Gap) + 1
 		n.haveOp = false
-		// now equals the queue clock in sequential context and the
-		// executing event's time inside a PDES window — identical values,
-		// so the yield cadence is bit-identical across modes.
 		if n.localTime > now+n.sys.horizon {
 			n.schedule(n.localTime)
 			return
@@ -324,7 +276,7 @@ func (n *node) demandMiss(kind coherence.ReqKind, line addr.LineAddr, t event.Cy
 		return false
 	}
 	n.outstandingDemand++
-	n.runSink().DemandMisses++
+	n.sys.run.DemandMisses++
 	n.issueRequest(kind, line, t, false)
 	if kind == coherence.ReqRead {
 		// The stream engine watches data accesses only (instruction pages
@@ -441,7 +393,7 @@ func (n *node) resumeIfWaiting(line addr.LineAddr, now event.Cycle) {
 	}
 	n.stalled = false
 	if now > n.demandStart {
-		n.runSink().DemandMissCycles += uint64(now - n.demandStart)
+		n.sys.run.DemandMissCycles += uint64(now - n.demandStart)
 	}
 	if n.localTime < now {
 		n.localTime = now
@@ -460,7 +412,7 @@ func (n *node) demandCompleted(now event.Cycle) {
 	if n.limitStalled {
 		n.limitStalled = false
 		if now > n.limitStallStart {
-			n.runSink().DemandMissCycles += uint64(now - n.limitStallStart)
+			n.sys.run.DemandMissCycles += uint64(now - n.limitStallStart)
 		}
 		if n.localTime < now {
 			n.localTime = now
@@ -586,12 +538,5 @@ func (n *node) maybeFinish() {
 		return
 	}
 	n.finished = true
-	finish := n.now()
-	if ctx := n.exec; ctx != nil {
-		// Deferred: the DMA agent's hub-context tick reads the completion
-		// count, so it must advance in exact global event order.
-		ctx.log = append(ctx.log, pAction{kind: aDone, at: finish})
-		return
-	}
-	n.sys.nodeDone(finish)
+	n.sys.nodeDone(n.now())
 }

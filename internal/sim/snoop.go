@@ -25,23 +25,18 @@ func newSnoopFabric(s *System) *snoopFabric {
 	return &snoopFabric{s: s, abus: bus.NewAddressBus(s.cfg.Net)}
 }
 
-// issue implements coherenceFabric. It runs in two contexts: node
-// context (misses, store upgrades, prefetches, evictions found while the
-// node executes — possibly inside a PDES window, where shared-state
-// operations defer to the partition log) and hub context (write-backs
-// forced by a broadcast's cache allocation, always immediate).
+// issue implements coherenceFabric.
 func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr, t event.Cycle, forStore bool) {
 	s := f.s
 	t = s.perturb(t)
-	rp := n.runSink()
-	rp.Requests[kind]++
+	s.run.Requests[kind]++
 
 	region := s.geom.RegionOfLine(line)
 	route := core.RouteBroadcast
 	regionMC := s.topo.HomeControllerRegion(region)
 	if n.rca != nil {
 		st := n.rca.Lookup(region)
-		rp.RegionStateAtLookup[st]++
+		s.run.RegionStateAtLookup[st]++
 		route = n.protocol.Route(st, kind)
 		if e := n.rca.Probe(region); e != nil {
 			regionMC = e.MemCtrl
@@ -59,10 +54,10 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 
 	if kind == coherence.ReqWriteback {
 		if route == core.RouteDirect {
-			rp.Directs[kind]++
+			s.run.Directs[kind]++
 			f.writebackToMC(n, line, regionMC, t, true)
 		} else {
-			rp.Broadcasts[kind]++
+			s.run.Broadcasts[kind]++
 			f.busSchedule(n, t, nodeOpWritebackBcast, 0, uint64(line))
 		}
 		return
@@ -70,22 +65,20 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 
 	switch route {
 	case core.RouteLocal:
-		rp.LocalDones[kind]++
+		s.run.LocalDones[kind]++
 		if s.DebugChecks {
 			s.checkNonBroadcastSafe(n, kind, line, t, "local")
 		}
 		n.applyLocalRoute(kind, line, region)
 		n.outstanding++
-		n.schedEvent(t, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
+		s.queue.Schedule(t, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
 	case core.RouteDirect:
-		rp.Directs[kind]++
+		s.run.Directs[kind]++
 		n.outstanding++
-		arrive := n.applyDirectRoute(kind, line, region, regionMC, t, forStore)
-		if n.exec == nil {
-			s.queue.Schedule(arrive, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
-		}
+		arrive := n.applyDirectRoute(kind, line, region, regionMC, t)
+		s.queue.Schedule(arrive, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
 	default: // broadcast
-		rp.Broadcasts[kind]++
+		s.run.Broadcasts[kind]++
 		n.outstanding++
 		if _, dup := n.pending[line]; !dup {
 			n.pending[line] = n.newMSHR()
@@ -99,21 +92,13 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 }
 
 // busSchedule arbitrates for the address bus and schedules the granted
-// hub event at grant+SnoopLatency — the cycle its snoop results become
-// visible system-wide, which is what lets every bus transaction clear
-// the conservative-PDES lookahead window. Inside a window the
-// arbitration itself is deferred to the coordinator's ordered replay.
+// event at grant+SnoopLatency — the cycle its snoop results become
+// visible system-wide.
 func (f *snoopFabric) busSchedule(n *node, t event.Cycle, op uint8, u32 uint32, u64 uint64) {
 	s := f.s
-	if ctx := n.exec; ctx != nil {
-		ctx.log = append(ctx.log, pAction{kind: aArb, at: t, op: op, u32: u32, u64: u64})
-		return
-	}
 	grant := f.abus.Arbitrate(t)
 	s.run.Windows.Record(grant)
-	at := grant + event.Cycle(s.cfg.Net.SnoopLatency)
-	s.queue.Schedule(at, n, op, u32, u64)
-	s.hubScheduled(at)
+	s.queue.Schedule(grant+event.Cycle(s.cfg.Net.SnoopLatency), n, op, u32, u64)
 }
 
 // writebackToMC sends dirty data to memory controller mc (direct path when
@@ -127,25 +112,16 @@ func (f *snoopFabric) writebackToMC(n *node, line addr.LineAddr, mc int, t event
 	} else {
 		lat = s.cfg.Net.SnoopLatency
 	}
-	at := t + event.Cycle(lat)
-	if ctx := n.exec; ctx != nil {
-		u32 := uint32(0)
-		if direct {
-			u32 = 1
-		}
-		ctx.log = append(ctx.log, pAction{kind: aMCWrite, at: at, mc: uint16(mc), u32: u32})
-		return
-	}
-	s.mcs[mc].Write(at, direct)
+	s.mcs[mc].Write(t+event.Cycle(lat), direct)
 }
 
 // flushWriteback implements coherenceFabric: the region-eviction flush
 // path goes direct to the victim entry's controller.
 func (f *snoopFabric) flushWriteback(n *node, line addr.LineAddr, mc int, t event.Cycle) {
-	rp := n.runSink()
-	rp.Requests[coherence.ReqWriteback]++
-	rp.Directs[coherence.ReqWriteback]++
-	f.writebackToMC(n, line, mc, f.s.perturb(t), true)
+	s := f.s
+	s.run.Requests[coherence.ReqWriteback]++
+	s.run.Directs[coherence.ReqWriteback]++
+	f.writebackToMC(n, line, mc, s.perturb(t), true)
 }
 
 // lineEvicted implements coherenceFabric: snooping needs no replacement

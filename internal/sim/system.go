@@ -41,14 +41,8 @@ type System struct {
 	r      *rng.Source // perturbation stream
 
 	// horizon bounds how far a node may run ahead of global time while it
-	// is only hitting in its caches (CPU cycles). Derived from the
-	// config's minimum fabric latency — the conservative-PDES lookahead —
-	// so timing skew never exceeds one parallel window.
+	// is only hitting in its caches (CPU cycles); see Config.BatchHorizon.
 	horizon event.Cycle
-
-	// par is the conservative-PDES window driver, non-nil only while an
-	// eligible run executes with SimParallelism >= 2 (see parallel.go).
-	par *parRunner
 
 	// DebugChecks enables the expensive global invariants (used by tests):
 	// every non-broadcast route is validated against the true global cache
@@ -126,7 +120,9 @@ func MustNew(cfg config.Config, w workload.Workload, seed uint64) *System {
 }
 
 // Run executes the workload to completion and returns the collected
-// statistics. It may be called once per System.
+// statistics. It may be called once per System. It discards RunContext's
+// error, so it is only for callers that set PanicOnViolation (cgctverify)
+// and for tests.
 func (s *System) Run() *stats.Run {
 	r, _ := s.RunContext(context.Background())
 	return r
@@ -164,14 +160,6 @@ func (s *System) RunContext(ctx context.Context) (run *stats.Run, err error) {
 	// Release fabric resources (process-wide gauges) on every exit path,
 	// including cancellation and recovered invariant violations.
 	defer s.fabric.close()
-	if s.parallelEligible() {
-		// The runner must exist before start(): the DMA agent's initial
-		// event registers with the hub-time heap.
-		s.par = newParRunner(s)
-		defer s.par.close()
-		s.start()
-		return s.runParallel(ctx)
-	}
 	s.start()
 	done := ctx.Done()
 	progress := ProgressFrom(ctx)
@@ -342,29 +330,6 @@ func (s *System) collect() {
 
 // Nodes returns the node count (diagnostics).
 func (s *System) Nodes() int { return len(s.nodes) }
-
-// PartitionEvents reports, after a parallel (PDES) run, how many events
-// each partition executed: one slot per node plus a final slot for the
-// hub partition (fabric, memory controllers, DMA — the events run
-// sequentially between windows). It returns nil for sequential runs.
-func (s *System) PartitionEvents() []uint64 {
-	if s.par == nil {
-		return nil
-	}
-	out := make([]uint64, len(s.par.partEvents))
-	copy(out, s.par.partEvents)
-	return out
-}
-
-// hubScheduled records, in parallel mode, that a hub-partition event
-// (bus-granted broadcast, write-back, region probe, or DMA tick) is
-// pending at cycle at; these times bound the conservative windows. A
-// no-op in sequential mode.
-func (s *System) hubScheduled(at event.Cycle) {
-	if s.par != nil {
-		s.par.hubPush(at)
-	}
-}
 
 // lineStateAnywhere reports whether any node other than exclude caches the
 // line, and whether any such copy is writable-capable (E/O/M). Used by the

@@ -27,7 +27,7 @@ type RunRequest struct {
 // RunAll executes every request on parallelism worker goroutines (<=0
 // means GOMAXPROCS). Workers claim requests longest-first (processors ×
 // ops per processor) so the tail of the schedule is short, and run each
-// through RunContext, which also honours a request's SimParallelism.
+// through RunContext.
 // Results align positionally with reqs and are bit-identical to calling
 // Run once per request, at any parallelism. The first error cancels the
 // remaining runs and is returned with nil results. A span recorder on
