@@ -19,8 +19,9 @@
 //	GET    /v1/jobs/{id}/result  full stats JSON
 //	DELETE /v1/jobs/{id}       cancel
 //	GET    /v1/results/{key}   result bytes by content address (peer fetching)
-//	GET    /v1/cluster         fleet membership, health and fetch stats
-//	GET    /v1/metrics         queue/worker/cache/latency metrics
+//	GET    /v1/cluster         fleet membership and peer health
+//	GET    /v1/metrics         every metrics series as JSON (series → value)
+//	GET    /metrics            the same series in Prometheus text format
 //	GET    /v1/healthz         liveness (503 while draining)
 //
 // On SIGTERM/SIGINT the server stops admitting work (503), drains running
@@ -45,6 +46,7 @@ import (
 
 	"cgct"
 	"cgct/internal/cluster"
+	"cgct/internal/metrics"
 	"cgct/internal/server"
 	"cgct/internal/server/client"
 	"cgct/internal/store"
@@ -209,7 +211,7 @@ func serve(addr string, opts server.Options, drainTimeout time.Duration, traceOu
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 	logger.Info("listening",
-		"addr", addr, "workers", s.Manager().Metrics().Workers,
+		"addr", addr, "workers", s.Manager().Registry().Snapshot()["cgct_workers"],
 		"queue", opts.QueueCapacity, "cache", opts.CacheEntries)
 
 	select {
@@ -283,12 +285,13 @@ func runSmoke(opts server.Options, drainTimeout time.Duration, traceOut string) 
 	if err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
-	if st2.State != server.StateDone || !st2.CacheHit || m.Cache.Misses != 1 {
-		return fmt.Errorf("resubmission not served at admission: state=%s cache_hit=%t misses=%d",
-			st2.State, st2.CacheHit, m.Cache.Misses)
+	misses := m["cgct_result_cache_misses_total"]
+	if st2.State != server.StateDone || !st2.CacheHit || misses != 1 {
+		return fmt.Errorf("resubmission not served at admission: state=%s cache_hit=%t misses=%v",
+			st2.State, st2.CacheHit, misses)
 	}
-	fmt.Printf("smoke: resubmission done at submit in %.3f ms (hit rate %.2f, p50 %.3f ms)\n",
-		float64(submitLat)/float64(time.Millisecond), m.CacheHitRate, m.LatencyMsP50)
+	fmt.Printf("smoke: resubmission done at submit in %.3f ms (cache hits %v, misses %v)\n",
+		float64(submitLat)/float64(time.Millisecond), m["cgct_result_cache_hits_total"], misses)
 
 	// The leader job must carry the phase breakdown of its run.
 	if len(st.Phases) == 0 {
@@ -298,16 +301,25 @@ func runSmoke(opts server.Options, drainTimeout time.Duration, traceOut string) 
 		fmt.Printf("smoke: phase %-13s %8.2f ms\n", p.Name, p.DurationMs)
 	}
 
-	// Prometheus exposition must be live and agree with the JSON snapshot.
+	// The Prometheus exposition must parse and expose the same series as
+	// the JSON rendering.
 	text, err := c.PrometheusMetrics(ctx)
 	if err != nil {
 		return fmt.Errorf("prometheus metrics: %w", err)
 	}
-	want := fmt.Sprintf("cgct_jobs_submitted_total %d", m.JobsSubmitted)
-	if !strings.Contains(text, want) {
-		return fmt.Errorf("/metrics missing %q", want)
+	prom, err := metrics.ParseText(strings.NewReader(text))
+	if err != nil {
+		return fmt.Errorf("/metrics does not parse: %w", err)
 	}
-	fmt.Println("smoke: /metrics exposition agrees with /v1/metrics")
+	if len(prom) != len(m) {
+		return fmt.Errorf("/metrics has %d series, /v1/metrics %d", len(prom), len(m))
+	}
+	for series := range m {
+		if _, ok := prom[series]; !ok {
+			return fmt.Errorf("/metrics lacks %s, which /v1/metrics has", series)
+		}
+	}
+	fmt.Printf("smoke: /metrics and /v1/metrics expose the same %d series\n", len(m))
 
 	dctx, dcancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer dcancel()

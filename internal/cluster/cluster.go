@@ -714,23 +714,24 @@ type PeerStatus struct {
 
 // Stats is the cluster's monotonic fetch/membership counters.
 type Stats struct {
-	FetchAttempts     uint64 `json:"fetch_attempts"`
-	FetchHits         uint64 `json:"fetch_hits"`
-	FetchMisses       uint64 `json:"fetch_misses"`
-	FetchErrors       uint64 `json:"fetch_errors"`
-	Evictions         uint64 `json:"evictions"`
-	Recoveries        uint64 `json:"recoveries"`
-	PeersAdded        uint64 `json:"peers_added"`
-	PeersRemoved      uint64 `json:"peers_removed"`
-	ReplicaPushes     uint64 `json:"replica_pushes"`
-	ReplicaPushErrors uint64 `json:"replica_push_errors"`
+	FetchAttempts     uint64
+	FetchHits         uint64
+	FetchMisses       uint64
+	FetchErrors       uint64
+	Evictions         uint64
+	Recoveries        uint64
+	PeersAdded        uint64
+	PeersRemoved      uint64
+	ReplicaPushes     uint64
+	ReplicaPushErrors uint64
 }
 
-// Status is the wire form of GET /v1/cluster.
+// Status is the wire form of GET /v1/cluster: membership only. The
+// counters are the cgct_peer_*, cgct_cluster_* and cgct_replication_push*
+// series registered by RegisterMetrics.
 type Status struct {
 	Self  string       `json:"self"`
 	Peers []PeerStatus `json:"peers"`
-	Stats Stats        `json:"stats"`
 }
 
 // Stats snapshots the counters.
@@ -750,10 +751,9 @@ func (c *Cluster) Stats() Stats {
 	}
 }
 
-// Status snapshots the full cluster view: membership with health, plus
-// the fetch counters.
+// Status snapshots the membership with each peer's health.
 func (c *Cluster) Status() Status {
-	st := Status{Self: c.cfg.Self, Stats: c.Stats()}
+	st := Status{Self: c.cfg.Self}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range c.ring.peers() {

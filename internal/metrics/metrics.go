@@ -227,9 +227,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return h
 }
 
-// snapshot returns the instruments sorted by (name, label signature) for
+// sorted returns the instruments sorted by (name, label signature) for
 // deterministic exposition, grouped so each family renders contiguously.
-func (r *Registry) snapshot() []*instrument {
+func (r *Registry) sorted() []*instrument {
 	r.mu.RLock()
 	out := append([]*instrument(nil), r.inst...)
 	r.mu.RUnlock()

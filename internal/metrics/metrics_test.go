@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -57,6 +58,9 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Errorf("%s = %v, want %v", k, m[k], v)
 		}
 	}
+	if snap := r.Snapshot(); !reflect.DeepEqual(snap, m) {
+		t.Errorf("Snapshot disagrees with the parsed exposition:\nsnapshot: %v\nparsed:   %v", snap, m)
+	}
 }
 
 func TestExpositionFormatAndFuncs(t *testing.T) {
@@ -90,8 +94,12 @@ func TestExpositionFormatAndFuncs(t *testing.T) {
 	if n := strings.Count(text, "# TYPE jobs gauge"); n != 1 {
 		t.Errorf("TYPE jobs emitted %d times, want 1", n)
 	}
-	if _, err := ParseText(strings.NewReader(text)); err != nil {
+	parsed, err := ParseText(strings.NewReader(text))
+	if err != nil {
 		t.Fatalf("ParseText rejects our own output: %v", err)
+	}
+	if snap := r.Snapshot(); !reflect.DeepEqual(snap, parsed) {
+		t.Errorf("Snapshot disagrees with the parsed exposition:\nsnapshot: %v\nparsed:   %v", snap, parsed)
 	}
 }
 

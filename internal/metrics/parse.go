@@ -10,10 +10,10 @@ import (
 
 // ParseText parses Prometheus text exposition into a flat map from series
 // (metric name plus rendered label set, exactly as exposed — e.g.
-// `cgct_jobs{state="done"}`) to value. It understands the subset this
-// package emits: # comments, and one `series value` sample per line. Tests
-// use it to assert that /metrics agrees with the JSON metrics snapshot;
-// it intentionally rejects anything malformed rather than guessing.
+// `cgct_jobs{state="done"}`) to value: for this package's own output, the
+// same map Registry.Snapshot returns. It understands the subset this
+// package emits: # comments, and one `series value` sample per line, and
+// intentionally rejects anything malformed rather than guessing.
 func ParseText(r io.Reader) (map[string]float64, error) {
 	out := make(map[string]float64)
 	sc := bufio.NewScanner(r)

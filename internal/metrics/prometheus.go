@@ -16,7 +16,7 @@ import (
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
 	lastFamily := ""
-	for _, in := range r.snapshot() {
+	for _, in := range r.sorted() {
 		if in.name != lastFamily {
 			if in.help != "" {
 				fmt.Fprintf(&b, "# HELP %s %s\n", in.name, escapeHelp(in.help))
@@ -24,48 +24,60 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# TYPE %s %s\n", in.name, in.kind)
 			lastFamily = in.name
 		}
-		switch {
-		case in.hist != nil:
-			writeHistogram(&b, in)
-		case in.fn != nil:
-			writeSample(&b, in.name, in.labels, in.fn())
-		case in.counter != nil:
-			writeSample(&b, in.name, in.labels, float64(in.counter.Value()))
-		default:
-			writeSample(&b, in.name, in.labels, float64(in.gauge.Value()))
-		}
+		in.samples(func(series string, v float64) {
+			b.WriteString(series)
+			b.WriteByte(' ')
+			b.WriteString(formatFloat(v))
+			b.WriteByte('\n')
+		})
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
 }
 
-// writeHistogram renders the cumulative bucket series, then _sum and
-// _count. Bucket counts are summed low-to-high so each le bucket reports
-// everything at or below its bound.
-func writeHistogram(b *strings.Builder, in *instrument) {
-	var cum uint64
-	for i, bound := range in.hist.bounds {
-		cum += in.hist.counts[i].Load()
-		writeSample(b, in.name+"_bucket", withLE(in.labels, formatFloat(bound)), float64(cum))
+// Snapshot returns every exposed series with its current value, keyed
+// exactly as WritePrometheus renders it: the metric name plus its label
+// set, e.g. `cgct_jobs{state="done"}` or
+// `cgct_job_latency_seconds_bucket{le="0.005"}`. Both renderings walk the
+// same samples, so ParseText of the exposition equals the snapshot.
+func (r *Registry) Snapshot() map[string]float64 {
+	out := make(map[string]float64)
+	for _, in := range r.sorted() {
+		in.samples(func(series string, v float64) { out[series] = v })
 	}
-	cum += in.hist.counts[len(in.hist.bounds)].Load()
-	writeSample(b, in.name+"_bucket", withLE(in.labels, "+Inf"), float64(cum))
-	writeSample(b, in.name+"_sum", in.labels, in.hist.Sum())
-	writeSample(b, in.name+"_count", in.labels, float64(in.hist.Count()))
+	return out
+}
+
+// samples calls emit once per series the instrument exposes, in
+// exposition order. A histogram yields its cumulative bucket series (each
+// le bucket counts everything at or below its bound), then _sum and
+// _count.
+func (in *instrument) samples(emit func(series string, v float64)) {
+	labels := renderLabels(in.labels)
+	switch {
+	case in.hist != nil:
+		var cum uint64
+		for i, bound := range in.hist.bounds {
+			cum += in.hist.counts[i].Load()
+			emit(in.name+"_bucket"+renderLabels(withLE(in.labels, formatFloat(bound))), float64(cum))
+		}
+		cum += in.hist.counts[len(in.hist.bounds)].Load()
+		emit(in.name+"_bucket"+renderLabels(withLE(in.labels, "+Inf")), float64(cum))
+		emit(in.name+"_sum"+labels, in.hist.Sum())
+		emit(in.name+"_count"+labels, float64(in.hist.Count()))
+	case in.fn != nil:
+		emit(in.name+labels, in.fn())
+	case in.counter != nil:
+		emit(in.name+labels, float64(in.counter.Value()))
+	default:
+		emit(in.name+labels, float64(in.gauge.Value()))
+	}
 }
 
 func withLE(labels []Label, le string) []Label {
 	out := make([]Label, 0, len(labels)+1)
 	out = append(out, labels...)
 	return append(out, Label{Key: "le", Value: le})
-}
-
-func writeSample(b *strings.Builder, name string, labels []Label, v float64) {
-	b.WriteString(name)
-	b.WriteString(renderLabels(labels))
-	b.WriteByte(' ')
-	b.WriteString(formatFloat(v))
-	b.WriteByte('\n')
 }
 
 // renderLabels renders {k="v",...} (empty string for no labels), escaping

@@ -77,22 +77,14 @@ type Cache[V any] struct {
 // resident-entry hits and singleflight joins (requests that waited on an
 // in-flight computation instead of starting their own).
 type Stats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	InFlight  int    `json:"in_flight"`
+	Hits      uint64
+	Misses    uint64
+	Evictions uint64
+	Entries   int
+	InFlight  int
 	// Bytes is the resident size of completed entries per the cache's
 	// weigher; always 0 when no weigher is configured.
-	Bytes int64 `json:"bytes"`
-}
-
-// HitRate returns Hits / (Hits + Misses), or 0 with no traffic.
-func (s Stats) HitRate() float64 {
-	if t := s.Hits + s.Misses; t > 0 {
-		return float64(s.Hits) / float64(t)
-	}
-	return 0
+	Bytes int64
 }
 
 // New builds a cache holding at most maxEntries completed results
@@ -293,8 +285,7 @@ func (c *Cache[V]) Wait(ctx context.Context, key string) (V, bool, error) {
 
 // RegisterMetrics registers the cache's behaviour into reg under the
 // given metric-name prefix (e.g. "cgct_result_cache"): hit/miss/eviction
-// counters and residency gauges, all read live from Stats at scrape time
-// so the exposition can never disagree with the JSON snapshot.
+// counters and residency gauges, all read live from Stats at scrape time.
 func (c *Cache[V]) RegisterMetrics(reg *metrics.Registry, prefix string, labels ...metrics.Label) {
 	reg.CounterFunc(prefix+"_hits_total", "cache hits, including singleflight joins",
 		func() float64 { return float64(c.Stats().Hits) }, labels...)

@@ -91,7 +91,7 @@ func TestAdmissionServesResidentKey(t *testing.T) {
 	if _, err := c.Result(ctx, first.ID, &want); err != nil {
 		t.Fatal(err)
 	}
-	missesBefore := s.Manager().Metrics().Cache.Misses
+	missesBefore := snap(s)["cgct_result_cache_misses_total"]
 
 	statusCalls.Store(0)
 	code, loc, st := postJob(t, hs.URL, tinySim(41))
@@ -120,9 +120,9 @@ func TestAdmissionServesResidentKey(t *testing.T) {
 	if n := statusCalls.Load(); n != 0 {
 		t.Errorf("%d status calls, want 0", n)
 	}
-	if m := s.Manager().Metrics(); m.Cache.Misses != missesBefore || m.JobsByState[server.StateDone] != 2 {
-		t.Fatalf("metrics after admission hit: misses %d -> %d, done %d",
-			missesBefore, m.Cache.Misses, m.JobsByState[server.StateDone])
+	if m := snap(s); m["cgct_result_cache_misses_total"] != missesBefore || m[`cgct_jobs{state="done"}`] != 2 {
+		t.Fatalf("metrics after admission hit: misses %v -> %v, done %v",
+			missesBefore, m["cgct_result_cache_misses_total"], m[`cgct_jobs{state="done"}`])
 	}
 
 	// The Go client sees the same: done straight from Submit.
@@ -132,8 +132,9 @@ func TestAdmissionServesResidentKey(t *testing.T) {
 	}
 }
 
-// TestMetricsLatencySubMillisecond: latency percentiles keep fractional
-// milliseconds, so jobs served at admission do not read as 0 ms.
+// TestMetricsLatencySubMillisecond: the latency histogram resolves below
+// a millisecond, so jobs served at admission land in its sub-millisecond
+// buckets instead of all reading as "under 1 ms".
 func TestMetricsLatencySubMillisecond(t *testing.T) {
 	s, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 4})
 	runToDone(t, c, tinySim(42))
@@ -142,12 +143,15 @@ func TestMetricsLatencySubMillisecond(t *testing.T) {
 			t.Fatalf("resident resubmission %d: %+v, %v", i, st, err)
 		}
 	}
-	m := s.Manager().Metrics()
-	if m.LatencySamples != 4 {
-		t.Fatalf("latency samples = %d, want 4", m.LatencySamples)
+	m := snap(s)
+	if n := m["cgct_job_latency_seconds_count"]; n != 4 {
+		t.Fatalf("latency samples = %v, want 4", n)
 	}
-	if m.LatencyMsP50 <= 0 {
-		t.Fatalf("latency p50 = %v ms, want > 0 for sub-millisecond jobs", m.LatencyMsP50)
+	if sum := m["cgct_job_latency_seconds_sum"]; sum <= 0 {
+		t.Fatalf("latency sum = %v s, want > 0", sum)
+	}
+	if n := m[`cgct_job_latency_seconds_bucket{le="0.001"}`]; n < 3 {
+		t.Fatalf("%v jobs at or below 1 ms, want the 3 served at admission", n)
 	}
 }
 
@@ -169,7 +173,7 @@ func TestAdmissionInFlightKeyQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, "the leader's computation to be in flight", func() bool {
-		return s.Manager().Metrics().Cache.InFlight == 1
+		return snap(s)["cgct_result_cache_in_flight"] == 1
 	})
 	follower, err := c.Submit(ctx, tinySim(43))
 	if err != nil {
@@ -188,8 +192,9 @@ func TestAdmissionInFlightKeyQueues(t *testing.T) {
 	if st, err := c.Wait(ctx, leader.ID, time.Millisecond); err != nil || st.ResultSource != "sim" {
 		t.Fatalf("leader: %+v, %v", st, err)
 	}
-	if m := s.Manager().Metrics().Cache; m.Misses != 1 || m.Hits != 1 {
-		t.Fatalf("cache = %+v, want 1 miss (the leader) / 1 hit (the follower's join)", m)
+	if m := snap(s); m["cgct_result_cache_misses_total"] != 1 || m["cgct_result_cache_hits_total"] != 1 {
+		t.Fatalf("cache misses %v / hits %v, want 1 miss (the leader) / 1 hit (the follower's join)",
+			m["cgct_result_cache_misses_total"], m["cgct_result_cache_hits_total"])
 	}
 }
 
@@ -248,7 +253,7 @@ func TestAdmissionDrainingRejectsResident(t *testing.T) {
 	t.Cleanup(hs.Close)
 	c := client.New(hs.URL, hs.Client())
 	runToDone(t, c, tinySim(47))
-	before := s.Manager().Metrics().Cache
+	before := snap(s)
 	if err := s.Manager().Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -258,8 +263,10 @@ func TestAdmissionDrainingRejectsResident(t *testing.T) {
 	if code, _, _ := postJob(t, hs.URL, tinySim(47)); code != http.StatusServiceUnavailable {
 		t.Fatalf("resident key while draining: HTTP %d, want 503", code)
 	}
-	if after := s.Manager().Metrics().Cache; after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Fatalf("draining submit touched the cache: %+v -> %+v", before, after)
+	for _, series := range []string{"cgct_result_cache_hits_total", "cgct_result_cache_misses_total"} {
+		if after := snap(s)[series]; after != before[series] {
+			t.Fatalf("draining submit touched the cache: %s %v -> %v", series, before[series], after)
+		}
 	}
 }
 
@@ -352,7 +359,7 @@ func TestAdmissionStoreReadsPerJob(t *testing.T) {
 		}
 	})
 	delta("second fresh key", 0, 1, func() { runToDone(t, c, tinySim(51)) }) // evicts 50
-	cacheBefore := s.Manager().Metrics().Cache
+	cacheBefore := snap(s)
 	delta("stored key", 1, 0, func() {
 		sub, err := s.Manager().Submit(tinySim(50))
 		if err != nil || sub.State != server.StateQueued {
@@ -371,7 +378,9 @@ func TestAdmissionStoreReadsPerJob(t *testing.T) {
 	})
 	// The result cache counts the store-served job's leader as a miss, and
 	// the resident one as a hit.
-	if cm := s.Manager().Metrics().Cache; cm.Misses != cacheBefore.Misses+1 || cm.Hits != cacheBefore.Hits+1 {
-		t.Fatalf("result cache %+v -> %+v, want +1 miss / +1 hit", cacheBefore, cm)
+	for _, series := range []string{"cgct_result_cache_hits_total", "cgct_result_cache_misses_total"} {
+		if after := snap(s)[series]; after != cacheBefore[series]+1 {
+			t.Errorf("%s %v -> %v, want +1", series, cacheBefore[series], after)
+		}
 	}
 }

@@ -80,7 +80,7 @@ func TestChaosServerSurvivesInjectedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("metrics: %v", err)
 		}
-		if m.PanicsRecovered >= wantPanics {
+		if m["cgct_panics_recovered_total"] >= wantPanics {
 			break
 		}
 	}
@@ -89,21 +89,22 @@ func TestChaosServerSurvivesInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if m.PanicsRecovered < wantPanics {
-		t.Fatalf("recovered %d panics across %d submissions, want >= %d",
-			m.PanicsRecovered, len(ids), wantPanics)
+	panics := m["cgct_panics_recovered_total"]
+	if panics < wantPanics {
+		t.Fatalf("recovered %v panics across %d submissions, want >= %d",
+			panics, len(ids), wantPanics)
 	}
-	if m.JobsCompleted != uint64(len(ids)) {
-		t.Errorf("jobs_completed = %d, want %d (every accepted job terminal)", m.JobsCompleted, len(ids))
+	if got := m["cgct_jobs_completed_total"]; got != float64(len(ids)) {
+		t.Errorf("jobs completed = %v, want %d (every accepted job terminal)", got, len(ids))
 	}
-	if m.QueueDepth != 0 || m.BusyWorkers != 0 {
-		t.Errorf("queue depth %d / busy %d after all jobs terminal, want 0/0", m.QueueDepth, m.BusyWorkers)
+	if m["cgct_queue_depth"] != 0 || m["cgct_busy_workers"] != 0 {
+		t.Errorf("queue depth %v / busy %v after all jobs terminal, want 0/0", m["cgct_queue_depth"], m["cgct_busy_workers"])
 	}
-	if got := m.JobsByState[server.StateQueued] + m.JobsByState[server.StateRunning]; got != 0 {
-		t.Errorf("%d jobs stuck non-terminal", got)
+	if got := m[`cgct_jobs{state="queued"}`] + m[`cgct_jobs{state="running"}`]; got != 0 {
+		t.Errorf("%v jobs stuck non-terminal", got)
 	}
-	t.Logf("chaos: %d submissions, %d panics recovered (worker fired %d, cache fired %d, simloop fired %d)",
-		len(ids), m.PanicsRecovered,
+	t.Logf("chaos: %d submissions, %v panics recovered (worker fired %d, cache fired %d, simloop fired %d)",
+		len(ids), panics,
 		plan.Fired(faultinject.PointWorker), plan.Fired(faultinject.PointCacheCompute),
 		plan.Fired(faultinject.PointSimEventLoop))
 

@@ -249,14 +249,15 @@ func (c *Client) Cancel(ctx context.Context, id string) (server.JobStatus, error
 	return st, err
 }
 
-// Metrics fetches the service metrics snapshot.
-func (c *Client) Metrics(ctx context.Context) (server.Metrics, error) {
-	var m server.Metrics
+// Metrics fetches /v1/metrics: every series the server's metrics
+// registry exposes (e.g. `cgct_jobs{state="done"}`) with its value.
+func (c *Client) Metrics(ctx context.Context) (map[string]float64, error) {
+	var m map[string]float64
 	err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, &m)
 	return m, err
 }
 
-// PrometheusMetrics fetches /metrics — the same registry as Metrics, in
+// PrometheusMetrics fetches /metrics — the same series as Metrics, in
 // Prometheus text exposition format — and returns the raw text.
 func (c *Client) PrometheusMetrics(ctx context.Context) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)

@@ -331,20 +331,19 @@ func TestClusterChaosPeerDeathMidSweep(t *testing.T) {
 	// The cluster actually clustered: fetch attempts were issued, and at
 	// least one result crossed the wire (wave 1 triples every config, so
 	// a zero here means the tier is dead code).
-	var attempts, hits uint64
+	var attempts, hits float64
 	for _, node := range nodes[:2] {
 		m, err := node.c.Metrics(ctx)
 		if err != nil {
 			t.Fatalf("metrics %s: %v", node.url, err)
 		}
-		if m.Cluster == nil {
-			t.Fatalf("node %s reports no cluster stats", node.url)
+		for _, series := range []string{"cgct_peer_fetch_attempts_total", "cgct_store_hits_total"} {
+			if _, ok := m[series]; !ok {
+				t.Fatalf("node %s does not expose %s", node.url, series)
+			}
 		}
-		if m.Store == nil {
-			t.Fatalf("node %s reports no store stats", node.url)
-		}
-		attempts += m.Cluster.FetchAttempts
-		hits += m.Cluster.FetchHits
+		attempts += m["cgct_peer_fetch_attempts_total"]
+		hits += m["cgct_peer_fetch_hits_total"]
 	}
 	if attempts == 0 {
 		t.Error("no peer-fetch attempts issued across the fleet")
@@ -454,8 +453,8 @@ func TestClusterChaosColdRestartWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
-	if m.Store == nil || m.Store.Hits == 0 {
-		t.Fatalf("store metrics show no hit after warm start: %+v", m.Store)
+	if m["cgct_store_hits_total"] == 0 {
+		t.Fatal("store metrics show no hit after warm start")
 	}
 }
 
@@ -506,8 +505,8 @@ func TestStoreBackedResultEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := before.JobsSubmitted; got != 0 {
-		t.Fatalf("result endpoint spawned %d jobs", got)
+	if got := before["cgct_jobs_submitted_total"]; got != 0 {
+		t.Fatalf("result endpoint spawned %v jobs", got)
 	}
 
 	// Compute something, then fetch it by key.
@@ -546,8 +545,8 @@ func TestStoreBackedResultEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.JobsSubmitted != 1 {
-		t.Fatalf("result endpoint changed job count: %d", after.JobsSubmitted)
+	if got := after["cgct_jobs_submitted_total"]; got != 1 {
+		t.Fatalf("result endpoint changed job count: %v", got)
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"cgct/internal/metrics"
 	"cgct/internal/runcache"
 	"cgct/internal/sim"
-	"cgct/internal/stats"
 	"cgct/internal/store"
 	"cgct/internal/trace"
 	"cgct/internal/workload"
@@ -320,9 +319,6 @@ type Options struct {
 	// JobHistory bounds how many terminal job records are retained for
 	// status queries, pruned oldest-first (default 4096).
 	JobHistory int
-	// LatencyWindow is how many recent job latencies feed the percentile
-	// metrics (default 1024).
-	LatencyWindow int
 	// DefaultTimeout is the per-job wall-clock deadline applied when a
 	// request does not set timeout_ms (0 = no deadline).
 	DefaultTimeout time.Duration
@@ -359,9 +355,6 @@ func (o Options) withDefaults() Options {
 	if o.JobHistory <= 0 {
 		o.JobHistory = 4096
 	}
-	if o.LatencyWindow <= 0 {
-		o.LatencyWindow = 1024
-	}
 	return o
 }
 
@@ -387,10 +380,10 @@ type Manager struct {
 	wg    sync.WaitGroup
 	log   *slog.Logger
 
-	// Observability registry and its instruments. Monotonic counts live in
-	// lock-free registry counters — the single source of truth read by both
-	// the JSON snapshot and the Prometheus exposition, so the two can never
-	// disagree. Point-in-time values (queue depth, busy workers, job
+	// Observability registry and its instruments: the only record of the
+	// manager's numbers, served as JSON on /v1/metrics and as Prometheus
+	// text on /metrics. Monotonic counts live in lock-free registry
+	// counters; point-in-time values (queue depth, busy workers, job
 	// states) are registered as funcs reading live manager state.
 	reg           *metrics.Registry
 	jobsSubmitted *metrics.Counter
@@ -408,14 +401,12 @@ type Manager struct {
 	replReceived *metrics.Counter // replica PUTs accepted and stored
 	replRejected *metrics.Counter // replica PUTs refused (bad key/digest/body)
 
-	mu        sync.Mutex
-	jobs      map[string]*job
-	finished  []string // terminal job IDs, oldest first, for history pruning
-	seq       uint64
-	draining  bool
-	busy      int
-	latencies []float64
-	latIdx    int
+	mu       sync.Mutex
+	jobs     map[string]*job
+	finished []string // terminal job IDs, oldest first, for history pruning
+	seq      uint64
+	draining bool
+	busy     int
 
 	// execute computes one job's result; swappable in tests to control
 	// timing without running real simulations.
@@ -423,10 +414,11 @@ type Manager struct {
 }
 
 // jobLatencyBuckets are the cgct_job_latency_seconds histogram bounds:
-// cached hits land in the millisecond buckets, real simulations in the
+// jobs served at admission land in the sub-millisecond buckets, other
+// cache hits in the millisecond ones, real simulations in the
 // seconds-to-minutes range, and the deadline/watchdog tail above that.
 var jobLatencyBuckets = []float64{
-	0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
+	0.0001, 0.00025, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300, 600,
 }
 
 // NewManager builds the manager and starts its worker pool.
@@ -569,7 +561,8 @@ func (m *Manager) countState(s JobState) int {
 }
 
 // Registry exposes the manager's metrics registry; the HTTP layer serves
-// it as Prometheus text on GET /metrics.
+// its Snapshot as JSON on GET /v1/metrics and its Prometheus text on
+// GET /metrics.
 func (m *Manager) Registry() *metrics.Registry { return m.reg }
 
 // SetExecutorForTest replaces the manager's compute function, bypassing
@@ -769,13 +762,6 @@ func (m *Manager) finishLocked(j *job, state JobState, failureKind, errMsg strin
 	j.finished = time.Now()
 	m.jobsCompleted.Inc()
 	if state == StateDone {
-		lat := float64(j.finished.Sub(j.submitted)) / float64(time.Millisecond)
-		if len(m.latencies) < m.opts.LatencyWindow {
-			m.latencies = append(m.latencies, lat)
-		} else {
-			m.latencies[m.latIdx] = lat
-			m.latIdx = (m.latIdx + 1) % m.opts.LatencyWindow
-		}
 		m.jobLatency.Observe(j.finished.Sub(j.submitted).Seconds())
 	}
 	m.finished = append(m.finished, j.id)
@@ -1203,111 +1189,6 @@ func runRequest(ctx context.Context, req JobRequest) (any, error) {
 	default:
 		return nil, fmt.Errorf("unknown job type %q", req.Type) // unreachable post-normalize
 	}
-}
-
-// Metrics is the wire form of GET /v1/metrics.
-type Metrics struct {
-	JobsByState   map[JobState]int `json:"jobs_by_state"`
-	JobsSubmitted uint64           `json:"jobs_submitted"`
-	JobsCompleted uint64           `json:"jobs_completed"`
-
-	QueueDepth    int `json:"queue_depth"`
-	QueueCapacity int `json:"queue_capacity"`
-
-	Workers           int     `json:"workers"`
-	BusyWorkers       int     `json:"busy_workers"`
-	WorkerUtilization float64 `json:"worker_utilization"`
-
-	Cache        runcache.Stats `json:"cache"`
-	CacheHitRate float64        `json:"cache_hit_rate"`
-
-	// TraceCache is the process-wide compiled-trace cache: singleflight
-	// hits/misses, compilations actually performed, and resident bytes.
-	TraceCache trace.Stats `json:"trace_cache"`
-
-	// Job latency (submit → done) percentiles over the recent window, ms.
-	LatencyMsP50   float64 `json:"latency_ms_p50"`
-	LatencyMsP95   float64 `json:"latency_ms_p95"`
-	LatencyMsP99   float64 `json:"latency_ms_p99"`
-	LatencySamples int     `json:"latency_samples"`
-
-	// Fault containment: panics converted to job failures, jobs failed by
-	// their wall-clock deadline, and jobs killed by the progress watchdog.
-	PanicsRecovered   uint64 `json:"panics_recovered"`
-	DeadlinesExceeded uint64 `json:"deadlines_exceeded"`
-	WatchdogKills     uint64 `json:"watchdog_kills"`
-
-	// Coherence-fabric traffic by message kind (process-wide, advanced at
-	// run completion) and live directory entries right now.
-	FabricMessages   map[string]uint64 `json:"fabric_messages"`
-	DirectoryEntries uint64            `json:"directory_entries"`
-
-	// Replication intake on this node: replica PUTs accepted into the
-	// store, and ones refused (bad key, digest mismatch, invalid body).
-	// Push-side counts live under Cluster.
-	ReplicationReceived uint64 `json:"replication_received"`
-	ReplicationRejected uint64 `json:"replication_rejected"`
-
-	// Store is the persistent-store snapshot (hits, writes, corruptions,
-	// pending write-behind entries); present only when a store is wired.
-	Store *store.Stats `json:"store,omitempty"`
-	// Cluster is the peer fetch/membership snapshot; present only when
-	// the node is clustered.
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
-
-	Draining bool `json:"draining"`
-}
-
-// Metrics snapshots service health: queue depth, worker utilization,
-// cache behaviour and job-latency percentiles.
-func (m *Manager) Metrics() Metrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byState := map[JobState]int{}
-	for _, j := range m.jobs {
-		byState[j.state]++
-	}
-	cs := m.cache.Stats()
-	// One copy-and-sort of the latency window serves all three
-	// percentiles (stats.Quantiles), instead of a sort per quantile.
-	qs := stats.Quantiles(m.latencies, 0.50, 0.95, 0.99)
-	out := Metrics{
-		JobsByState:       byState,
-		JobsSubmitted:     m.jobsSubmitted.Value(),
-		JobsCompleted:     m.jobsCompleted.Value(),
-		QueueDepth:        len(m.queue),
-		QueueCapacity:     m.opts.QueueCapacity,
-		Workers:           m.opts.Workers,
-		BusyWorkers:       m.busy,
-		Cache:             cs,
-		CacheHitRate:      cs.HitRate(),
-		TraceCache:        trace.SharedStats(),
-		LatencyMsP50:      qs[0],
-		LatencyMsP95:      qs[1],
-		LatencyMsP99:      qs[2],
-		LatencySamples:    len(m.latencies),
-		PanicsRecovered:   m.panics.Value(),
-		DeadlinesExceeded: m.deadlines.Value(),
-		WatchdogKills:     m.watchdogKills.Value(),
-
-		ReplicationReceived: m.replReceived.Value(),
-		ReplicationRejected: m.replRejected.Value(),
-
-		Draining: m.draining,
-	}
-	b, d, l, dm := sim.FabricTraffic()
-	out.FabricMessages = map[string]uint64{"broadcast": b, "direct": d, "local": l, "directory": dm}
-	out.DirectoryEntries = directory.LiveEntries()
-	out.WorkerUtilization = float64(out.BusyWorkers) / float64(out.Workers)
-	if m.opts.Store != nil {
-		ss := m.opts.Store.Stats()
-		out.Store = &ss
-	}
-	if m.opts.Cluster != nil {
-		cs := m.opts.Cluster.Stats()
-		out.Cluster = &cs
-	}
-	return out
 }
 
 // Draining reports whether the manager has begun shutting down.

@@ -40,8 +40,8 @@ func TestDeadlineFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.DeadlinesExceeded != 1 {
-		t.Errorf("deadlines_exceeded = %d, want 1", m.DeadlinesExceeded)
+	if got := m["cgct_deadlines_exceeded_total"]; got != 1 {
+		t.Errorf("deadlines exceeded = %v, want 1", got)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestWatchdogKillsStalledSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.WatchdogKills != 1 {
-		t.Errorf("watchdog_kills = %d, want 1", m.WatchdogKills)
+	if got := m["cgct_watchdog_kills_total"]; got != 1 {
+		t.Errorf("watchdog kills = %v, want 1", got)
 	}
 }
 
@@ -181,8 +181,8 @@ func TestPanicIsolatedToJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PanicsRecovered != 1 {
-		t.Errorf("panics_recovered = %d, want 1", m.PanicsRecovered)
+	if got := m["cgct_panics_recovered_total"]; got != 1 {
+		t.Errorf("panics recovered = %v, want 1", got)
 	}
 }
 
@@ -221,8 +221,8 @@ func TestCachePanicNotPoisoning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.PanicsRecovered != 1 {
-		t.Errorf("panics_recovered = %d, want 1 (leader-counted exactly once)", m.PanicsRecovered)
+	if got := m["cgct_panics_recovered_total"]; got != 1 {
+		t.Errorf("panics recovered = %v, want 1 (leader-counted exactly once)", got)
 	}
 }
 

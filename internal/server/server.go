@@ -22,9 +22,9 @@ import (
 //	                          ?wait=1 joins an in-flight computation; never computes)
 //	PUT    /v1/results/{key}  replica intake: a peer pushes a result it computed
 //	                          (key/digest validated; 503 on a storeless node)
-//	GET    /v1/cluster        this node's view of the fleet (membership, health, fetch stats)
+//	GET    /v1/cluster        this node's view of the fleet (membership and peer health)
 //	POST   /v1/cluster/join   admit a peer to the membership, answer the full peer list
-//	GET    /v1/metrics        queue/worker/cache/latency metrics (JSON)
+//	GET    /v1/metrics        the metrics registry as a JSON object, series → value
 //	GET    /metrics           the same registry in Prometheus text format
 //	GET    /v1/healthz        200 ok, 503 while draining
 type Server struct {
@@ -199,9 +199,10 @@ func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCluster serves this node's view of the fleet: membership with
-// per-peer health, plus the fetch/eviction counters. Standalone nodes
-// answer {"enabled": false} rather than 404, so operators can always
-// probe the same path.
+// per-peer health. Its counters are the cgct_peer_* / cgct_cluster_*
+// series on the metrics endpoints. Standalone nodes answer
+// {"enabled": false} rather than 404, so operators can always probe the
+// same path.
 func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.manager.ClusterStatus())
 }
@@ -215,13 +216,15 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleMetrics serves the observability registry as one flat JSON object
+// keyed by exactly the series GET /metrics exposes.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.manager.Metrics())
+	writeJSON(w, http.StatusOK, s.manager.Registry().Snapshot())
 }
 
 // handlePrometheus serves the observability registry in Prometheus text
-// exposition format — the scrape-friendly twin of the JSON /v1/metrics;
-// both read the same instruments, so they cannot disagree.
+// exposition format. It and handleMetrics render the same per-series
+// samples, so the two endpoints cannot disagree.
 func (s *Server) handlePrometheus(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.manager.Registry().WritePrometheus(w) // mid-body write errors are the client's problem

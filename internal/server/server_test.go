@@ -36,6 +36,10 @@ func newTestServer(t *testing.T, o server.Options) (*server.Server, *client.Clie
 	return s, client.New(hs.URL, hs.Client())
 }
 
+// snap reads every series of the manager's metrics registry — what
+// /v1/metrics and /metrics serve — keyed as exposed.
+func snap(s *server.Server) map[string]float64 { return s.Manager().Registry().Snapshot() }
+
 // waitState polls until job id reaches state (or the test times out).
 func waitState(t *testing.T, c *client.Client, id string, want server.JobState) server.JobStatus {
 	t.Helper()
@@ -96,7 +100,7 @@ func TestCacheHitNoSecondSimulation(t *testing.T) {
 	if st, _ := c.Wait(ctx, first.ID, time.Millisecond); st.State != server.StateDone {
 		t.Fatalf("first run: %+v", st)
 	}
-	missesAfterFirst := s.Manager().Metrics().Cache.Misses
+	missesAfterFirst := snap(s)["cgct_result_cache_misses_total"]
 
 	second, err := c.Submit(ctx, tinySim(7)) // identical config + seed
 	if err != nil {
@@ -109,12 +113,12 @@ func TestCacheHitNoSecondSimulation(t *testing.T) {
 	if !st.CacheHit {
 		t.Error("repeat of an identical config not marked cache_hit")
 	}
-	m := s.Manager().Metrics()
-	if m.Cache.Misses != missesAfterFirst {
-		t.Fatalf("second simulation ran: misses %d -> %d", missesAfterFirst, m.Cache.Misses)
+	m := snap(s)
+	if got := m["cgct_result_cache_misses_total"]; got != missesAfterFirst {
+		t.Fatalf("second simulation ran: misses %v -> %v", missesAfterFirst, got)
 	}
-	if m.Cache.Hits == 0 || m.CacheHitRate <= 0 {
-		t.Fatalf("no cache hit recorded: %+v", m.Cache)
+	if m["cgct_result_cache_hits_total"] == 0 {
+		t.Fatal("no cache hit recorded")
 	}
 
 	// A different seed is a different key: must miss.
@@ -125,8 +129,8 @@ func TestCacheHitNoSecondSimulation(t *testing.T) {
 	if st, _ := c.Wait(ctx, third.ID, time.Millisecond); st.State != server.StateDone {
 		t.Fatalf("third run: %+v", st)
 	}
-	if got := s.Manager().Metrics().Cache.Misses; got != missesAfterFirst+1 {
-		t.Fatalf("distinct config should miss: misses = %d, want %d", got, missesAfterFirst+1)
+	if got := snap(s)["cgct_result_cache_misses_total"]; got != missesAfterFirst+1 {
+		t.Fatalf("distinct config should miss: misses = %v, want %v", got, missesAfterFirst+1)
 	}
 }
 
@@ -195,8 +199,9 @@ func TestQueueOverflow429(t *testing.T) {
 	if st.State != server.StateQueued || st.QueuePosition == nil || *st.QueuePosition != 1 {
 		t.Fatalf("queued status = %+v, want queue_position 1", st)
 	}
-	if m := s.Manager().Metrics(); m.QueueDepth != 2 || m.BusyWorkers != 1 || m.WorkerUtilization != 1 {
-		t.Fatalf("metrics during saturation = %+v", m)
+	if m := snap(s); m["cgct_queue_depth"] != 2 || m["cgct_busy_workers"] != 1 || m["cgct_workers"] != 1 {
+		t.Fatalf("metrics during saturation: queue depth %v, busy %v of %v workers",
+			m["cgct_queue_depth"], m["cgct_busy_workers"], m["cgct_workers"])
 	}
 
 	// Release: everything accepted must finish.
@@ -321,7 +326,7 @@ func TestGracefulDrain(t *testing.T) {
 	if st.State != server.StateDone {
 		t.Fatalf("running job ended %q after drain, want done", st.State)
 	}
-	if m := s.Manager().Metrics(); !m.Draining {
+	if snap(s)["cgct_draining"] != 1 {
 		t.Error("metrics must report draining")
 	}
 }
@@ -366,22 +371,19 @@ func TestMetricsLatencyPercentiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.LatencySamples != 4 {
-		t.Fatalf("latency samples = %d, want 4", m.LatencySamples)
+	// Percentiles come from the latency histogram's buckets, which hold
+	// every done job.
+	if n, inf := m["cgct_job_latency_seconds_count"], m[`cgct_job_latency_seconds_bucket{le="+Inf"}`]; n != 4 || inf != 4 {
+		t.Fatalf("latency samples = %v, +Inf bucket = %v; want 4 each", n, inf)
 	}
-	if m.LatencyMsP50 < 0 || m.LatencyMsP50 > m.LatencyMsP95 || m.LatencyMsP95 > m.LatencyMsP99 {
-		t.Fatalf("percentiles not monotone: p50=%v p95=%v p99=%v", m.LatencyMsP50, m.LatencyMsP95, m.LatencyMsP99)
+	if m[`cgct_jobs{state="done"}`] != 4 || m["cgct_jobs_completed_total"] != 4 {
+		t.Fatalf("job accounting: done %v, completed %v", m[`cgct_jobs{state="done"}`], m["cgct_jobs_completed_total"])
 	}
-	if m.JobsByState[server.StateDone] != 4 || m.JobsCompleted != 4 {
-		t.Fatalf("job accounting: %+v", m)
+	if m["cgct_queue_depth"] != 0 || m["cgct_queue_capacity"] != 8 || m["cgct_workers"] != 2 || m["cgct_busy_workers"] != 0 {
+		t.Fatalf("pool accounting: depth %v cap %v workers %v busy %v",
+			m["cgct_queue_depth"], m["cgct_queue_capacity"], m["cgct_workers"], m["cgct_busy_workers"])
 	}
-	if m.QueueDepth != 0 || m.QueueCapacity != 8 || m.Workers != 2 || m.BusyWorkers != 0 {
-		t.Fatalf("pool accounting: %+v", m)
-	}
-	if m.CacheHitRate < 0 || m.CacheHitRate > 1 {
-		t.Fatalf("hit rate = %v", m.CacheHitRate)
-	}
-	if _, ok := s.Manager().Metrics().JobsByState[server.StateDone]; !ok {
+	if local := snap(s); local[`cgct_jobs{state="done"}`] != m[`cgct_jobs{state="done"}`] {
 		t.Fatal("manager metrics disagree with HTTP metrics")
 	}
 }
@@ -500,7 +502,7 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 			t.Fatalf("job %s: %+v", id, st)
 		}
 	}
-	if m := s.Manager().Metrics(); m.Cache.Misses != 1 {
-		t.Fatalf("%d identical jobs ran %d simulations, want 1", len(ids), m.Cache.Misses)
+	if got := snap(s)["cgct_result_cache_misses_total"]; got != 1 {
+		t.Fatalf("%d identical jobs ran %v simulations, want 1", len(ids), got)
 	}
 }

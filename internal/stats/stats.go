@@ -6,7 +6,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 
 	"cgct/internal/coherence"
 	"cgct/internal/event"
@@ -304,48 +303,6 @@ func Summarize(xs []float64) Sample {
 		t = tTable95[df]
 	}
 	return Sample{N: n, Mean: mean, CI95: t * sd / math.Sqrt(float64(n))}
-}
-
-// Quantile returns the q-quantile (q in [0, 1]) of xs using linear
-// interpolation between order statistics (the R-7 / numpy default). It
-// copies xs, so the input may be shared. An empty input yields 0.
-func Quantile(xs []float64, q float64) float64 {
-	return Quantiles(xs, q)[0]
-}
-
-// Quantiles returns the quantile for each q in qs, copying and sorting xs
-// exactly once — the job server asks for p50/p95/p99 of its latency
-// window on every metrics scrape, and three full sorts per scrape is
-// wasted work. An empty input yields zeros.
-func Quantiles(xs []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if len(xs) == 0 {
-		return out
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	for i, q := range qs {
-		out[i] = quantileSorted(s, q)
-	}
-	return out
-}
-
-// quantileSorted is the R-7 interpolation over an already-sorted,
-// non-empty slice.
-func quantileSorted(s []float64, q float64) float64 {
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[len(s)-1]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[lo]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
 }
 
 // SpeedupPct returns the percentage reduction in run time going from base

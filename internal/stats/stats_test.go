@@ -130,32 +130,6 @@ func TestSpeedupPct(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty input should yield 0")
-	}
-	if Quantile([]float64{7}, 0.99) != 7 {
-		t.Error("single sample")
-	}
-	xs := []float64{4, 1, 3, 2} // unsorted on purpose; Quantile must copy
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {1, 4}, {0.5, 2.5}, {0.25, 1.75}, {-1, 1}, {2, 4},
-	}
-	for _, c := range cases {
-		if got := Quantile(xs, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if xs[0] != 4 {
-		t.Error("Quantile mutated its input")
-	}
-	// Percentiles must be monotone in q.
-	big := []float64{9, 2, 5, 7, 1, 8, 3, 6, 4, 10}
-	if p50, p95, p99 := Quantile(big, .5), Quantile(big, .95), Quantile(big, .99); p50 > p95 || p95 > p99 {
-		t.Errorf("not monotone: %v %v %v", p50, p95, p99)
-	}
-}
-
 func TestTrafficWindowsHugeCycle(t *testing.T) {
 	// Regression: one op at an absurd cycle (a hostile or corrupt trace)
 	// used to append one element per window up to the cycle — an unbounded
@@ -199,24 +173,5 @@ func TestTrafficWindowsGeometricGrowth(t *testing.T) {
 	}
 	if w.AvgPer100K(100*WindowCycles) != 1 {
 		t.Fatalf("AvgPer100K = %v, want 1", w.AvgPer100K(100*WindowCycles))
-	}
-}
-
-func TestQuantilesSingleSort(t *testing.T) {
-	xs := []float64{9, 2, 5, 7, 1, 8, 3, 6, 4, 10}
-	got := Quantiles(xs, 0.50, 0.95, 0.99)
-	want := []float64{Quantile(xs, 0.50), Quantile(xs, 0.95), Quantile(xs, 0.99)}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("Quantiles[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if xs[0] != 9 {
-		t.Error("Quantiles mutated its input")
-	}
-	for i, v := range Quantiles(nil, 0.5, 0.99) {
-		if v != 0 {
-			t.Errorf("empty input: Quantiles[%d] = %v, want 0", i, v)
-		}
 	}
 }

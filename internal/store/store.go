@@ -195,21 +195,21 @@ type Store struct {
 
 // Stats is a point-in-time snapshot of store behaviour.
 type Stats struct {
-	Hits        uint64 `json:"hits"`
-	Misses      uint64 `json:"misses"`
-	ReadErrors  uint64 `json:"read_errors"`
-	Writes      uint64 `json:"writes"`
-	WriteErrors uint64 `json:"write_errors"`
-	Corruptions uint64 `json:"corruptions"`
-	Evictions   uint64 `json:"evictions"`
-	Scrubbed    uint64 `json:"scrubbed"`
+	Hits        uint64
+	Misses      uint64
+	ReadErrors  uint64
+	Writes      uint64
+	WriteErrors uint64
+	Corruptions uint64
+	Evictions   uint64
+	Scrubbed    uint64
 	// ScrubRepairs counts quarantined entries restored from a replica.
-	ScrubRepairs uint64 `json:"scrub_repairs"`
+	ScrubRepairs uint64
 	// Bytes is the indexed durable footprint (0 until the size index has
 	// been built — it is lazy).
-	Bytes int64 `json:"bytes"`
+	Bytes int64
 	// Pending counts entries accepted by Put but not yet durable.
-	Pending int `json:"pending"`
+	Pending int
 }
 
 // Open creates (or reopens) the store rooted at o.Dir and starts its
@@ -361,12 +361,16 @@ func (s *Store) persist(p pending) {
 	if cur, ok := s.dirty[p.key]; ok && cur.gen == p.gen {
 		delete(s.dirty, p.key)
 	}
+	// Drop the write reference in the same section that settles the
+	// entry, so a Flush that returns never leaves the key reading as
+	// busy to a scrub. The rename is done; a persist that takes a fresh
+	// writeState for the key from here on has nothing to race.
+	s.releaseWriteLocked(p.key, ws)
 	// Every settle wakes Flush: it waits on a drain generation, not on
 	// the map emptying, so sustained Puts cannot starve it.
 	s.idle.Broadcast()
 	s.mu.Unlock()
 	ws.mu.Unlock()
-	s.releaseWrite(p.key, ws)
 }
 
 // acquireWrite returns the key's refcounted persist lock, creating it on
@@ -388,6 +392,11 @@ func (s *Store) acquireWrite(key string) *writeState {
 func (s *Store) releaseWrite(key string, ws *writeState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.releaseWriteLocked(key, ws)
+}
+
+// releaseWriteLocked is releaseWrite for a caller holding s.mu.
+func (s *Store) releaseWriteLocked(key string, ws *writeState) {
 	if ws.refs--; ws.refs == 0 {
 		delete(s.writing, key)
 	}

@@ -311,6 +311,26 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// TestStoreFlushReleasesWriteState: once Flush returns, a flushed key no
+// longer reads as being written, so a scrub right after the flush
+// verifies it instead of skipping it as busy.
+func TestStoreFlushReleasesWriteState(t *testing.T) {
+	s := openTest(t, Options{})
+	key := keyOf("flush-release")
+	for round := 0; round < 2000; round++ {
+		if err := s.Put(key, []byte(fmt.Sprintf(`{"round":%d}`, round))); err != nil {
+			t.Fatalf("round %d: Put: %v", round, err)
+		}
+		s.Flush()
+		s.mu.Lock()
+		_, busy := s.writing[key]
+		s.mu.Unlock()
+		if busy {
+			t.Fatalf("round %d: key still being written after Flush returned", round)
+		}
+	}
+}
+
 func TestValidateKey(t *testing.T) {
 	good := keyOf("valid")
 	if err := ValidateKey(good); err != nil {

@@ -172,10 +172,10 @@ func Get(ctx context.Context, k Key) (*Trace, error) {
 // compilations actually performed process-wide.
 type Stats struct {
 	runcache.Stats
-	Compilations uint64 `json:"compilations"`
+	Compilations uint64
 	// StoreHits counts compilations avoided by loading the compiled slab
 	// from the persistent store (warm restarts and post-eviction reloads).
-	StoreHits uint64 `json:"store_hits"`
+	StoreHits uint64
 }
 
 // SharedStats snapshots the shared cache.
