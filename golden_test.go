@@ -36,6 +36,7 @@ type goldenCase struct {
 
 func goldenCases() []goldenCase {
 	const ops = 60_000
+	const ops16 = 20_000
 	const seed = 7
 	return []goldenCase{
 		{"ocean-baseline", "ocean", Options{OpsPerProc: ops, Seed: seed}},
@@ -48,6 +49,10 @@ func goldenCases() []goldenCase {
 		{"tpcw-dir-limited", "tpc-w", Options{OpsPerProc: ops, Seed: seed, Directory: true,
 			DirScheme: "limited", DirPointers: 2, DirEntriesPerHome: 2048}},
 		{"tpcw-scout-dma", "tpc-w", Options{OpsPerProc: ops, Seed: seed, RegionScout: true, DMAIntervalCycles: 3000}},
+		// 16 processors: the remote-scan filters skip the most nodes here.
+		{"tpcb16-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true}},
+		{"tpcb16-dir-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true, Fabric: "directory"}},
+		{"tpcb16-scout", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, RegionScout: true}},
 	}
 }
 
