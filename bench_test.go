@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"cgct"
+	"cgct/internal/config"
 	"cgct/internal/experiments"
 )
 
@@ -128,6 +129,10 @@ func BenchmarkEvictionStats(b *testing.B) {
 
 func benchmarkRun(b *testing.B, name string, opts cgct.Options) {
 	opts.OpsPerProc = 60_000
+	procs := opts.Processors
+	if procs == 0 {
+		procs = config.Default().Topology.Processors
+	}
 	b.ReportAllocs()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
@@ -138,7 +143,7 @@ func benchmarkRun(b *testing.B, name string, opts cgct.Options) {
 		}
 		cycles = res.Cycles
 	}
-	b.ReportMetric(float64(4*60_000*b.N)/b.Elapsed().Seconds(), "trace-ops/s")
+	b.ReportMetric(float64(procs*opts.OpsPerProc*b.N)/b.Elapsed().Seconds(), "trace-ops/s")
 	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 

@@ -6,6 +6,8 @@ import (
 
 	"cgct/internal/addr"
 	"cgct/internal/coherence"
+	"cgct/internal/config"
+	"cgct/internal/rng"
 )
 
 func small() *Cache { return New("t", 8*64*2, 2, 64) } // 8 sets, 2 ways
@@ -50,37 +52,32 @@ func TestAllocateUpdatesExisting(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := small()
+	var hooked []Line
+	c.OnEvict = func(l Line, wasEviction bool) {
+		if !wasEviction {
+			t.Errorf("capacity eviction of %x reported as an invalidation", uint64(l.Addr))
+		}
+		hooked = append(hooked, l)
+	}
 	a, b, d := line(2, 1), line(2, 2), line(2, 3)
 	c.Allocate(a, coherence.Shared)
-	c.Allocate(b, coherence.Shared)
+	c.Allocate(b, coherence.Modified)
+	if len(hooked) != 0 {
+		t.Errorf("allocation into free ways evicted %v", hooked)
+	}
 	c.Touch(a) // b is now LRU
 	ev := c.Allocate(d, coherence.Shared)
-	if ev.Addr != b || !ev.State.Valid() {
-		t.Errorf("evicted %x, want %x", uint64(ev.Addr), uint64(b))
+	if ev != (Line{Addr: b, State: coherence.Modified}) {
+		t.Errorf("evicted %+v, want %x in M", ev, uint64(b))
+	}
+	if len(hooked) != 1 || hooked[0] != ev {
+		t.Errorf("OnEvict saw %+v, want exactly the victim %+v", hooked, ev)
 	}
 	if c.Lookup(a) == coherence.Invalid || c.Lookup(d) == coherence.Invalid {
 		t.Error("survivors missing")
 	}
 	if c.Lookup(b) != coherence.Invalid {
 		t.Error("victim still present")
-	}
-}
-
-func TestVictimFor(t *testing.T) {
-	c := small()
-	a, b, d := line(4, 1), line(4, 2), line(4, 3)
-	if v := c.VictimFor(d); v.State.Valid() {
-		t.Error("victim in empty set")
-	}
-	c.Allocate(a, coherence.Shared)
-	c.Allocate(b, coherence.Modified)
-	v := c.VictimFor(d)
-	if v.Addr != a {
-		t.Errorf("victim = %x, want LRU %x", uint64(v.Addr), uint64(a))
-	}
-	// VictimFor must not modify the cache.
-	if c.CountValid() != 2 {
-		t.Error("VictimFor modified the cache")
 	}
 }
 
@@ -136,18 +133,15 @@ func TestInvalidateReturnsPrior(t *testing.T) {
 func TestAccessStats(t *testing.T) {
 	c := small()
 	l := line(7, 2)
-	if c.Access(l) != nil {
+	if c.Access(l).Valid() {
 		t.Error("hit on absent line")
 	}
 	c.Allocate(l, coherence.Shared)
-	if c.Access(l) == nil {
-		t.Error("miss on present line")
+	if st := c.Access(l); st != coherence.Shared {
+		t.Errorf("access to present line = %v, want S", st)
 	}
 	if c.Stats.Hits != 1 || c.Stats.Misses != 1 {
 		t.Errorf("stats = %+v", c.Stats)
-	}
-	if r := c.Stats.MissRatio(); r != 0.5 {
-		t.Errorf("miss ratio = %v", r)
 	}
 }
 
@@ -178,21 +172,6 @@ func TestRegionSnoop(t *testing.T) {
 	p, m = c.RegionSnoop(g, r)
 	if !p || !m {
 		t.Errorf("exclusive line: present=%v modifiable=%v", p, m)
-	}
-}
-
-func TestLinesInRegion(t *testing.T) {
-	c := New("t3", 1<<16, 2, 64)
-	g := addr.MustGeometry(64, 512)
-	r := g.Region(addr.Addr(0x20000))
-	c.Allocate(g.LineInRegion(r, 0), coherence.Shared)
-	c.Allocate(g.LineInRegion(r, 7), coherence.Modified)
-	lines := c.LinesInRegion(g, r)
-	if len(lines) != 2 {
-		t.Fatalf("LinesInRegion = %d entries", len(lines))
-	}
-	if lines[0].Addr != g.LineInRegion(r, 0) || lines[1].Addr != g.LineInRegion(r, 7) {
-		t.Error("wrong lines returned")
 	}
 }
 
@@ -241,7 +220,7 @@ func TestConservationProperty(t *testing.T) {
 			l := line(uint64(op)%8, uint64(op>>3)%16)
 			if op%4 == 0 {
 				c.Invalidate(l)
-			} else if c.Probe(l) == nil {
+			} else if !c.Lookup(l).Valid() {
 				c.Allocate(l, coherence.Shared)
 			}
 		}
@@ -249,5 +228,63 @@ func TestConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// fullL2 returns an L2 of the default machine's geometry, warmed by filling
+// it from random lines over four times its capacity, and a stream of 1<<16
+// random lines over the same footprint (a mix of hits and misses).
+func fullL2() (*Cache, []addr.LineAddr) {
+	p := config.Default().L2
+	c := New("l2", p.SizeBytes, p.Assoc, p.LineBytes)
+	footprint := 4 * p.SizeBytes / p.LineBytes
+	r := rng.New(1)
+	random := func() addr.LineAddr { return addr.LineAddr(r.Uint64n(footprint) * p.LineBytes) }
+	for i := uint64(0); i < 2*footprint; i++ {
+		c.Allocate(random(), coherence.Shared)
+	}
+	lines := make([]addr.LineAddr, 1<<16)
+	for i := range lines {
+		lines[i] = random()
+	}
+	return c, lines
+}
+
+// TestProbesDoNotAllocate gates the hot path: on a warm cache, lookups,
+// accesses and fills (with their evictions) allocate nothing. Each run
+// covers 64 lines, hits and misses alike, because AllocsPerRun rounds the
+// per-run average down.
+func TestProbesDoNotAllocate(t *testing.T) {
+	c, lines := fullL2()
+	i := 0
+	batch := func(f func(addr.LineAddr)) func() {
+		return func() {
+			for _, l := range lines[i : i+64] {
+				f(l)
+			}
+			i = (i + 64) % len(lines)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Lookup", batch(func(l addr.LineAddr) { c.Lookup(l) })},
+		{"Access", batch(func(l addr.LineAddr) { c.Access(l) })},
+		{"Allocate", batch(func(l addr.LineAddr) { c.Allocate(l, coherence.Modified) })},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("Cache.%s allocates %v times per 64 calls", tc.name, n)
+		}
+	}
+}
+
+var stateSink coherence.LineState
+
+func BenchmarkCacheLookup(b *testing.B) {
+	c, lines := fullL2()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stateSink = c.Lookup(lines[i&(len(lines)-1)])
 	}
 }

@@ -43,7 +43,7 @@ type Store interface {
 var _ Store = (*Cache)(nil)
 
 // AccessHit implements Store.
-func (c *Cache) AccessHit(l addr.LineAddr) bool { return c.Access(l) != nil }
+func (c *Cache) AccessHit(l addr.LineAddr) bool { return c.Access(l).Valid() }
 
 // SetHooks implements Store.
 func (c *Cache) SetHooks(onEvict func(Line, bool), onAllocate func(Line)) {

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"cgct/internal/addr"
+	"cgct/internal/config"
+	"cgct/internal/rng"
 )
 
 func testRCA() *RCA {
@@ -17,7 +19,7 @@ func regionInSet(set, i uint64) addr.RegionAddr {
 
 func TestLookupMiss(t *testing.T) {
 	r := testRCA()
-	if st := r.Lookup(regionInSet(0, 0)); st != RegionInvalid {
+	if st := r.Lookup(regionInSet(0, 0)).State; st != RegionInvalid {
 		t.Errorf("lookup on empty = %v", st)
 	}
 	if r.Stats.Misses != 1 {
@@ -29,10 +31,10 @@ func TestAllocateAndLookup(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(1, 0)
 	r.Allocate(reg, RegionCI, 1)
-	if st := r.Lookup(reg); st != RegionCI {
-		t.Errorf("lookup = %v", st)
+	if e := r.Lookup(reg); e.State != RegionCI || e.MemCtrl != 1 {
+		t.Errorf("lookup = %+v", e)
 	}
-	if e := r.Probe(reg); e == nil || e.MemCtrl != 1 {
+	if e := r.Probe(reg); e.State != RegionCI || e.MemCtrl != 1 {
 		t.Errorf("probe = %+v", e)
 	}
 	if r.Stats.Hits != 1 || r.Stats.Allocations != 1 {
@@ -64,15 +66,17 @@ func TestReplacementFavorsEmptyRegions(t *testing.T) {
 	r.Allocate(a, RegionDI, 0)
 	r.IncLineCount(a) // a has cached lines
 	r.Allocate(b, RegionCI, 0)
+	var victims []Entry
+	r.OnEvict = func(e Entry) { victims = append(victims, e) }
 	// b is empty; despite a being LRU, b must be the victim (§3.2).
-	if v := r.VictimFor(c); v.Region != b {
-		t.Errorf("victim = %x, want empty region %x", uint64(v.Region), uint64(b))
-	}
 	r.Allocate(c, RegionDI, 0)
-	if r.Probe(b) != nil {
+	if len(victims) != 1 || victims[0].Region != b {
+		t.Errorf("victims = %+v, want only empty region %x", victims, uint64(b))
+	}
+	if r.Probe(b).State.Valid() {
 		t.Error("empty region survived")
 	}
-	if r.Probe(a) == nil {
+	if !r.Probe(a).State.Valid() {
 		t.Error("non-empty region was evicted instead")
 	}
 	if r.Stats.EvictedByCount[0] != 1 {
@@ -89,7 +93,7 @@ func TestReplacementFallsBackToLRU(t *testing.T) {
 	r.IncLineCount(b)
 	r.Lookup(a) // refresh a; b becomes LRU
 	r.Allocate(c, RegionCI, 0)
-	if r.Probe(b) != nil {
+	if r.Probe(b).State.Valid() {
 		t.Error("LRU non-empty region should have been evicted")
 	}
 	if r.Stats.EvictedByCount[1] != 1 {
@@ -113,7 +117,7 @@ func TestOnEvictFiresWhileInstalled(t *testing.T) {
 			t.Error("victim lost its controller ID")
 		}
 		// The entry must still be probe-able during the flush.
-		if r.Probe(a) == nil {
+		if !r.Probe(a).State.Valid() {
 			t.Error("victim not installed during OnEvict")
 		}
 	}
@@ -121,7 +125,7 @@ func TestOnEvictFiresWhileInstalled(t *testing.T) {
 	if !fired {
 		t.Error("OnEvict did not fire")
 	}
-	if r.Probe(a) != nil {
+	if r.Probe(a).State.Valid() {
 		t.Error("victim still present after eviction")
 	}
 }
@@ -166,7 +170,7 @@ func TestSetStateInvalidClears(t *testing.T) {
 	reg := regionInSet(2, 1)
 	r.Allocate(reg, RegionDD, 0)
 	r.SetState(reg, RegionInvalid)
-	if r.Probe(reg) != nil {
+	if r.Probe(reg).State.Valid() {
 		t.Error("SetState(I) did not remove the entry")
 	}
 	// No-op when absent.
@@ -218,5 +222,65 @@ func TestGeometryAccessors(t *testing.T) {
 	}
 	if r.Geometry().RegionBytes != 512 {
 		t.Error("geometry lost")
+	}
+}
+
+// fullRCA returns an RCA of the default CGCT machine's geometry, warmed by
+// allocating random regions over four times its capacity, and a stream of
+// 1<<16 random regions over the same footprint (a mix of hits and misses).
+func fullRCA() (*RCA, []addr.RegionAddr) {
+	p := config.Default().WithCGCT(512).RCA
+	g := addr.MustGeometry(config.Default().L2.LineBytes, p.RegionBytes)
+	r := NewRCA(g, p.Sets, p.Assoc)
+	footprint := 4 * r.Entries()
+	src := rng.New(1)
+	random := func() addr.RegionAddr { return addr.RegionAddr(src.Uint64n(footprint) * p.RegionBytes) }
+	for i := uint64(0); i < 2*footprint; i++ {
+		r.Allocate(random(), RegionCI, 0)
+	}
+	regions := make([]addr.RegionAddr, 1<<16)
+	for i := range regions {
+		regions[i] = random()
+	}
+	return r, regions
+}
+
+// TestProbesDoNotAllocate gates the hot path: on a warm RCA, lookups,
+// probes and allocations (with their evictions) allocate nothing — in
+// particular the entries they return by value stay off the heap. Each run
+// covers 64 regions, hits and misses alike, because AllocsPerRun rounds the
+// per-run average down.
+func TestProbesDoNotAllocate(t *testing.T) {
+	r, regions := fullRCA()
+	i := 0
+	batch := func(f func(addr.RegionAddr)) func() {
+		return func() {
+			for _, reg := range regions[i : i+64] {
+				f(reg)
+			}
+			i = (i + 64) % len(regions)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Lookup", batch(func(reg addr.RegionAddr) { r.Lookup(reg) })},
+		{"Probe", batch(func(reg addr.RegionAddr) { r.Probe(reg) })},
+		{"Allocate", batch(func(reg addr.RegionAddr) { r.Allocate(reg, RegionDI, 1) })},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
+			t.Errorf("RCA.%s allocates %v times per 64 calls", tc.name, n)
+		}
+	}
+}
+
+var entrySink Entry
+
+func BenchmarkRCAProbe(b *testing.B) {
+	r, regions := fullRCA()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entrySink = r.Probe(regions[i&(len(regions)-1)])
 	}
 }

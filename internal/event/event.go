@@ -315,34 +315,6 @@ func (q *Queue) Run() int {
 	return n
 }
 
-// Reset empties the queue and rewinds the clock to zero while keeping the
-// slot pool and heap storage, so a pooled System re-running a workload does
-// not re-grow the queue's backing arrays.
-func (q *Queue) Reset() {
-	for w, word := range q.occupied {
-		for word != 0 {
-			b := w<<6 | bits.TrailingZeros64(word)
-			word &= word - 1
-			for idx := q.head[b]; idx != 0; {
-				next := q.pool[idx].next
-				q.release(idx)
-				idx = next
-			}
-			q.head[b] = 0
-			q.tail[b] = 0
-		}
-		q.occupied[w] = 0
-	}
-	q.summary = 0
-	q.wheelCount = 0
-	for _, idx := range q.heap {
-		q.release(idx)
-	}
-	q.heap = q.heap[:0]
-	q.seq = 0
-	q.now = 0
-}
-
 // less orders heap entries by time then by insertion sequence, giving
 // deterministic FIFO behaviour for events scheduled at the same cycle.
 func (q *Queue) less(i, j int) bool {

@@ -300,30 +300,3 @@ func TestQueueMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestQueueResetReuse: a Reset queue behaves exactly like a fresh one while
-// reusing its slot pool (no events from the previous run leak through).
-func TestQueueResetReuse(t *testing.T) {
-	var q Queue
-	runScenario(&q, 7, 100, 1000)
-
-	// Leave pending work behind, then Reset mid-flight.
-	q.At(10, func(Cycle) { t.Error("event survived Reset") })
-	q.Schedule(1e9, (*scriptedHandler)(nil), 0, 0, 0)
-	q.Reset()
-	if q.Len() != 0 || q.Now() != 0 {
-		t.Fatalf("after Reset: Len=%d Now=%d", q.Len(), q.Now())
-	}
-
-	got, want := runScenario(&q, 11, 150, 2000)
-	var fresh Queue
-	got2, _ := runScenario(&fresh, 11, 150, 2000)
-	if len(got) != len(want) || len(got) != len(got2) {
-		t.Fatalf("lengths diverge: reset=%d ref=%d fresh=%d", len(got), len(want), len(got2))
-	}
-	for i := range got {
-		if got[i] != want[i] || got[i] != got2[i] {
-			t.Fatalf("event %d: reset=%+v ref=%+v fresh=%+v", i, got[i], want[i], got2[i])
-		}
-	}
-}

@@ -68,7 +68,7 @@ func (f *directoryFabric) issue(n *node, kind coherence.ReqKind, line addr.LineA
 	route := core.RouteBroadcast
 	regionExclusive := false
 	if n.rca != nil {
-		st := n.rca.Lookup(region)
+		st := n.rca.Lookup(region).State
 		s.run.RegionStateAtLookup[st]++
 		route = n.protocol.Route(st, kind)
 		regionExclusive = st.Exclusive()

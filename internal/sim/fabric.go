@@ -181,7 +181,7 @@ func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind
 		return false
 	}
 	e := o.rca.Probe(region)
-	if e == nil {
+	if !e.State.Valid() {
 		return false
 	}
 	next, outcome := o.protocol.AfterExternal(e.State, kind, requesterExclusive, e.LineCount)
@@ -204,10 +204,7 @@ func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind
 // path share this one constructor so the response fields cannot drift.
 func (n *node) applyBroadcastResponse(region addr.RegionAddr, kind coherence.ReqKind, requesterExclusive, regionClean, regionDirty bool, owner int) bool {
 	resp := coherence.SnoopResponse{RegionClean: regionClean, RegionDirty: regionDirty, OwnerID: owner}
-	prev := core.RegionInvalid
-	if e := n.rca.Probe(region); e != nil {
-		prev = e.State
-	}
+	prev := n.rca.Probe(region).State
 	next := n.protocol.AfterBroadcast(prev, kind, requesterExclusive, resp)
 	if !next.Valid() {
 		return false
@@ -224,10 +221,19 @@ func (n *node) applyBroadcastResponse(region addr.RegionAddr, kind coherence.Req
 // but the requester: whether any remote cache holds clean lines of the
 // region, and whether any holds modifiable ones. Pure observation — used
 // by paths that have no fused snoop loop (region probes, the directory
-// fabric); it must run before any line action mutates the caches.
+// fabric); it must run before any line action mutates the caches. A node
+// whose RCA has no entry for the region, or an entry counting no lines,
+// caches none of its lines (RCA inclusion) and is skipped, as
+// performBroadcast's snoop filter does.
 func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regionClean, regionDirty bool) {
 	for _, o := range s.nodes {
 		if o.id == exclude {
+			continue
+		}
+		if o.rca != nil && o.rca.Probe(region).LineCount == 0 {
+			if s.DebugChecks {
+				s.checkSnoopFilter(o, region, s.queue.Now())
+			}
 			continue
 		}
 		p, m := o.l2.RegionSnoop(s.geom, region)
@@ -333,6 +339,19 @@ func (s *System) checkLineInvariants(line addr.LineAddr, cycle event.Cycle) {
 	}
 }
 
+// checkSnoopFilter asserts (tests only) the premise of the remote-scan
+// filters: a node skipped because its RCA has no entry for the region, an
+// entry counting no lines, or a cached-region-hash miss caches no line of
+// the region.
+func (s *System) checkSnoopFilter(o *node, region addr.RegionAddr, cycle event.Cycle) {
+	if p, _ := o.l2.RegionSnoop(s.geom, region); p {
+		coherence.Violate(coherence.InvariantError{
+			Check: "snoop-filter", Cycle: uint64(cycle), Region: uint64(region),
+			Detail: fmt.Sprintf("p%d skipped by the snoop filter but caches lines of the region", o.id),
+		})
+	}
+}
+
 // checkRegionExclusivity asserts (tests only) that no two processors hold
 // exclusive region states for the same region simultaneously.
 func (s *System) checkRegionExclusivity(region addr.RegionAddr, cycle event.Cycle) {
@@ -342,7 +361,7 @@ func (s *System) checkRegionExclusivity(region addr.RegionAddr, cycle event.Cycl
 			continue
 		}
 		e := o.rca.Probe(region)
-		if e == nil || !e.State.Exclusive() {
+		if !e.State.Exclusive() {
 			continue
 		}
 		if holder >= 0 {

@@ -93,7 +93,6 @@ func newNode(s *System, id int, src workload.Source) *node {
 		id:      id,
 		l1i:     cache.New(fmt.Sprintf("p%d.l1i", id), s.cfg.L1I.SizeBytes, s.cfg.L1I.Assoc, s.cfg.L1I.LineBytes),
 		l1d:     cache.New(fmt.Sprintf("p%d.l1d", id), s.cfg.L1D.SizeBytes, s.cfg.L1D.Assoc, s.cfg.L1D.LineBytes),
-		l2:      cache.New(fmt.Sprintf("p%d.l2", id), s.cfg.L2.SizeBytes, s.cfg.L2.Assoc, s.cfg.L2.LineBytes),
 		src:     src,
 		pending: make(map[addr.LineAddr]*mshr),
 	}
@@ -213,7 +212,7 @@ func (n *node) execOp(op workload.Op, t event.Cycle) bool {
 func (n *node) execLoad(op workload.Op, t event.Cycle) bool {
 	line := n.sys.geom.Line(op.Addr)
 	t += event.Cycle(n.sys.cfg.L1D.LatencyCy)
-	if n.l1d.Access(line) != nil {
+	if n.l1d.Access(line).Valid() {
 		if n.sys.DebugChecks {
 			n.sys.checkRead(n.id, line)
 		}
@@ -245,7 +244,7 @@ func (n *node) execLoad(op workload.Op, t event.Cycle) bool {
 func (n *node) execIFetch(op workload.Op, t event.Cycle) bool {
 	line := n.sys.geom.Line(op.Addr)
 	t += event.Cycle(n.sys.cfg.L1I.LatencyCy)
-	if n.l1i.Access(line) != nil {
+	if n.l1i.Access(line).Valid() {
 		n.localTime = t
 		return true
 	}
@@ -295,7 +294,7 @@ func (n *node) execStoreLike(op workload.Op, t event.Cycle) bool {
 	t += event.Cycle(n.sys.cfg.L1D.LatencyCy)
 	if op.Kind == workload.OpStore {
 		// Fast path: the line is writable in the L1D.
-		if e := n.l1d.Access(line); e != nil && e.State == coherence.Modified {
+		if n.l1d.Access(line) == coherence.Modified {
 			n.localTime = t
 			return true
 		}
@@ -441,7 +440,7 @@ func (n *node) firePrefetches(line addr.LineAddr, isStore, wasMiss bool, t event
 			// §6 extension: the region state identifies bad prefetch
 			// candidates — lines in externally dirty regions are likely
 			// cached modified elsewhere and would bounce.
-			if e := n.rca.Probe(n.sys.geom.RegionOfLine(h.Line)); e != nil && e.State.ExternallyDirty() {
+			if n.rca.Probe(n.sys.geom.RegionOfLine(h.Line)).State.ExternallyDirty() {
 				continue
 			}
 		}

@@ -146,7 +146,7 @@ func TestPostRunInclusionInvariants(t *testing.T) {
 		})
 		for region, want := range counts {
 			e := n.rca.Probe(region)
-			if e == nil {
+			if !e.State.Valid() {
 				t.Errorf("p%d: region %x has %d cached lines but no RCA entry", n.id, uint64(region), want)
 				continue
 			}
@@ -601,6 +601,52 @@ func TestDataVersionCheckerDetectsStaleReads(t *testing.T) {
 		}
 	}()
 	s.checkRead(0, victim)
+}
+
+// TestSnoopFilterCheckDetectsHiddenLines verifies the premise check of the
+// remote-scan filters: a line cached behind the RCA's back — in a region
+// the node has no entry for, or one whose entry counts no lines — must trip
+// "snoop-filter" where performBroadcast and observeRemoteRegion skip the
+// node (i.e. the filtered DebugChecks runs above actually prove something).
+func TestSnoopFilterCheckDetectsHiddenLines(t *testing.T) {
+	scans := []struct {
+		name string
+		scan func(s *System, line addr.LineAddr, region addr.RegionAddr)
+	}{
+		{"broadcast", func(s *System, line addr.LineAddr, region addr.RegionAddr) {
+			s.fabric.(*snoopFabric).performBroadcast(s.nodes[0], coherence.ReqRead, line, region, 0, false)
+		}},
+		{"region-snoop", func(s *System, _ addr.LineAddr, region addr.RegionAddr) {
+			s.observeRemoteRegion(0, region)
+		}},
+	}
+	for _, sc := range scans {
+		for _, withEntry := range []bool{false, true} {
+			name := sc.name + "/no-entry"
+			if withEntry {
+				name = sc.name + "/zero-count-entry"
+			}
+			t.Run(name, func(t *testing.T) {
+				s := MustNew(config.Default().WithCGCT(512), testWorkload(t, "ocean", 4, 1_000, 1), 1)
+				s.DebugChecks = true
+				region := addr.RegionAddr(0x40000)
+				line := s.geom.LineInRegion(region, 3)
+				o := s.nodes[1]
+				if withEntry {
+					o.rca.Allocate(region, core.RegionCI, 0)
+				}
+				o.l2.SetHooks(nil, nil) // the fill bypasses the RCA line count
+				o.l2.Allocate(line, coherence.Shared)
+				defer func() {
+					ie, ok := recover().(*coherence.InvariantError)
+					if !ok || ie.Check != "snoop-filter" {
+						t.Errorf("hidden line not detected (violation %+v)", ie)
+					}
+				}()
+				sc.scan(s, line, region)
+			})
+		}
+	}
 }
 
 // TestReadSharedAlternative reproduces the §3.1 design discussion: letting

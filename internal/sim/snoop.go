@@ -19,10 +19,24 @@ import (
 type snoopFabric struct {
 	s    *System
 	abus *bus.AddressBus
+
+	// snooped is performBroadcast's scratch list of the remote nodes its
+	// snoop phase did not filter, with their L2 state for the line.
+	snooped []snoopedNode
+}
+
+// snoopedNode is one remote node a broadcast's snoop phase visited.
+type snoopedNode struct {
+	o  *node
+	st coherence.LineState
 }
 
 func newSnoopFabric(s *System) *snoopFabric {
-	return &snoopFabric{s: s, abus: bus.NewAddressBus(s.cfg.Net)}
+	return &snoopFabric{
+		s:       s,
+		abus:    bus.NewAddressBus(s.cfg.Net),
+		snooped: make([]snoopedNode, 0, s.cfg.Topology.Processors),
+	}
 }
 
 // issue implements coherenceFabric.
@@ -35,10 +49,10 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 	route := core.RouteBroadcast
 	regionMC := s.topo.HomeControllerRegion(region)
 	if n.rca != nil {
-		st := n.rca.Lookup(region)
-		s.run.RegionStateAtLookup[st]++
-		route = n.protocol.Route(st, kind)
-		if e := n.rca.Probe(region); e != nil {
+		e := n.rca.Lookup(region)
+		s.run.RegionStateAtLookup[e.State]++
+		route = n.protocol.Route(e.State, kind)
+		if e.State.Valid() {
 			regionMC = e.MemCtrl
 		}
 	}
@@ -178,8 +192,9 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	owner := -1
 	regionClean, regionDirty := false, false
 	crhPresent := false
+	f.snooped = f.snooped[:0]
 	for _, o := range s.nodes {
-		if o.id == n.id {
+		if o == n {
 			continue
 		}
 		crhP := o.crh != nil && o.crh.Present(region)
@@ -193,30 +208,49 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 		// region absent need not probe its cache tags at all. The RCA tracks
 		// every region with cached lines and the hash never misses a present
 		// region, so the simulator exploits the same filter the hardware
-		// does and skips the tag scans outright.
-		if (o.rca != nil && o.rca.Probe(region) == nil) || (o.crh != nil && !crhP) {
+		// does: it skips the tag scans, and the action loop below skips the
+		// node too, since it holds no line or region entry to act on.
+		var e core.Entry
+		if o.rca != nil {
+			e = o.rca.Probe(region)
+		}
+		if (o.rca != nil && !e.State.Valid()) || (o.crh != nil && !crhP) {
 			s.run.SnoopTagFiltered++
+			if s.DebugChecks {
+				s.checkSnoopFilter(o, region, grant)
+			}
 			continue
 		}
 		s.run.SnoopTagLookups++
-		if st := o.l2.Lookup(line); st.Valid() {
-			remoteValid = true
-			if st.Dirty() || st == coherence.Exclusive {
-				remoteWritable = true
+		st := coherence.Invalid
+		if o.rca != nil && e.LineCount == 0 {
+			// The modelled hardware probes these tags, but an entry that
+			// counts no lines proves they hold nothing of the region.
+			if s.DebugChecks {
+				s.checkSnoopFilter(o, region, grant)
 			}
-			if st.Dirty() {
-				owner = o.id
+		} else {
+			st = o.l2.Lookup(line)
+			if st.Valid() {
+				remoteValid = true
+				if st.Dirty() || st == coherence.Exclusive {
+					remoteWritable = true
+				}
+				if st.Dirty() {
+					owner = o.id
+				}
+			}
+			if n.rca != nil {
+				p, m := o.l2.RegionSnoop(s.geom, region)
+				if p && !m {
+					regionClean = true
+				}
+				if m {
+					regionDirty = true
+				}
 			}
 		}
-		if n.rca != nil {
-			p, m := o.l2.RegionSnoop(s.geom, region)
-			if p && !m {
-				regionClean = true
-			}
-			if m {
-				regionDirty = true
-			}
-		}
+		f.snooped = append(f.snooped, snoopedNode{o, st})
 	}
 
 	// --- Oracle classification (Figure 2). ---
@@ -230,16 +264,15 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	granted := grantedLineState(kind, remoteValid)
 	requesterExclusive := granted == coherence.Exclusive || granted == coherence.Modified
 
-	// --- Conventional protocol actions on the other processors. ---
-	for _, o := range s.nodes {
-		if o.id == n.id {
-			continue
-		}
-		st := o.l2.Lookup(line)
-		if st.Valid() {
+	// --- Conventional protocol actions on the snooped processors. ---
+	// Each node's actions touch only its own caches and RCA, so the line
+	// state its snoop recorded is still current when its turn comes.
+	for _, h := range f.snooped {
+		o := h.o
+		if h.st.Valid() {
 			switch kind {
 			case coherence.ReqRead, coherence.ReqPrefetch, coherence.ReqIFetch:
-				switch st {
+				switch h.st {
 				case coherence.Modified:
 					o.l2.SetState(line, coherence.Owned)
 					o.l1d.SetState(line, coherence.Shared)
@@ -251,20 +284,24 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 				coherence.ReqDCBZ, coherence.ReqDCBI:
 				o.l2.Invalidate(line)
 			case coherence.ReqDCBF:
-				if st.Dirty() {
+				if h.st.Dirty() {
 					home := s.topo.HomeController(addr.Addr(line))
 					s.mcs[home].Write(grant+event.Cycle(s.cfg.Net.SnoopLatency), false)
 				}
 				o.l2.Invalidate(line)
 			}
 		}
-		// RegionScout: observing any external request for the region ends
-		// its not-shared status.
-		if o.nsrt != nil {
-			o.nsrt.Observe(region)
-		}
 		// Region protocol: external-request transitions (Figure 5).
 		applyExternalRegion(o, region, kind, requesterExclusive)
+	}
+	// RegionScout: observing any external request for the region ends its
+	// not-shared status at every other node, filtered or not.
+	if n.nsrt != nil {
+		for _, o := range s.nodes {
+			if o != n {
+				o.nsrt.Observe(region)
+			}
+		}
 	}
 
 	// --- Region protocol on the requester (Figures 3 and 4). ---
@@ -346,7 +383,7 @@ func (f *snoopFabric) maybeProbeNextRegion(n *node, region addr.RegionAddr, now 
 	rb := uint64(s.geom.RegionBytes)
 	prev := addr.RegionAddr(uint64(region) - rb)
 	next := addr.RegionAddr(uint64(region) + rb)
-	if uint64(region) < rb || n.rca.Probe(prev) == nil || n.rca.Probe(next) != nil {
+	if uint64(region) < rb || !n.rca.Probe(prev).State.Valid() || n.rca.Probe(next).State.Valid() {
 		return
 	}
 	f.busSchedule(n, now, nodeOpRegionProbe, 0, uint64(next))
@@ -356,7 +393,7 @@ func (f *snoopFabric) maybeProbeNextRegion(n *node, region addr.RegionAddr, now 
 // visible (grant+SnoopLatency).
 func (f *snoopFabric) performRegionProbe(n *node, region addr.RegionAddr, now event.Cycle) {
 	s := f.s
-	if n.rca == nil || n.rca.Probe(region) != nil {
+	if n.rca == nil || n.rca.Probe(region).State.Valid() {
 		return // raced with a demand allocation
 	}
 	regionClean, regionDirty := s.observeRemoteRegion(n.id, region)
