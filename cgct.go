@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"cgct/internal/coherence"
@@ -496,67 +495,12 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 	return r
 }
 
-// SaveTrace materialises a benchmark's memory trace and writes it to a
-// compact binary file, so it can be inspected or replayed with RunTrace.
-func SaveTrace(benchmark, path string, o Options) error {
-	_, o2 := buildConfig(o)
-	w, err := workload.Build(benchmark, workload.Params{
-		Processors: o2.Processors,
-		OpsPerProc: o2.OpsPerProc,
-		Seed:       o2.Seed,
-	})
-	if err != nil {
-		return err
-	}
-	limit := o2.OpsPerProc
-	if limit <= 0 {
-		limit = workload.DefaultOpsPerProc
-	}
-	procs := workload.Materialize(w, limit*2)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := workload.WriteTrace(f, procs); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// RunTrace replays a trace file saved by SaveTrace through the simulator.
-// The processor count is taken from the file; Options.Processors is
-// ignored.
-func RunTrace(path string, o Options) (*Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	procs, err := workload.ReadTrace(f)
-	if err != nil {
-		return nil, err
-	}
-	o.Processors = len(procs)
-	cfg, o2 := buildConfig(o)
-	w := workload.FromOps(path, procs, nil)
-	system, err := sim.New(cfg, w, o2.Seed)
-	if err != nil {
-		return nil, err
-	}
-	system.DebugChecks = o.DebugChecks
-	run, err := system.RunContext(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return summarize(path, o2, run), nil
-}
-
 // CompileTrace compiles a benchmark's workload into the columnar
 // compiled-trace format and writes it to path (see internal/trace). The
 // resulting file is versioned, integrity-checked, and replayable with
-// RunCompiledTrace; unlike SaveTrace it stores delta-encoded columns
-// rather than fixed-width records, and round-trips the think-time gaps.
+// RunCompiledTrace; it keeps the think-time gaps and the workload's DMA
+// target segments, so a replay under the same Options returns the same
+// Result as Run.
 func CompileTrace(benchmark, path string, o Options) error {
 	_, o2 := buildConfig(o)
 	tr, err := trace.Compile(context.Background(), benchmark, workload.Params{

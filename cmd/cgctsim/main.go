@@ -14,6 +14,7 @@ import (
 
 	"cgct"
 	"cgct/internal/profiling"
+	"cgct/internal/trace"
 )
 
 func main() {
@@ -35,7 +36,6 @@ func main() {
 		dscheme = flag.String("dirscheme", "full-map", "directory sharer tracking: full-map or limited")
 		dptrs   = flag.Int("dirpointers", 0, "limited-directory pointers per entry (1..8)")
 		dents   = flag.Uint64("direntries", 0, "sparse-directory entries per home (0 = unbounded)")
-		trace   = flag.String("trace", "", "replay a trace file saved by cgcttrace -save instead of a benchmark")
 		ctrace  = flag.String("ctrace", "", "replay a compiled-trace file written by cgcttrace -compile instead of a benchmark")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -74,9 +74,12 @@ func main() {
 	}
 	var res *cgct.Result
 	if *ctrace != "" {
-		res, err = cgct.RunCompiledTrace(*ctrace, opts)
-	} else if *trace != "" {
-		res, err = cgct.RunTrace(*trace, opts)
+		// A replay runs on as many processors as the file holds.
+		var tr *trace.Trace
+		if tr, err = trace.ReadFile(*ctrace); err == nil {
+			opts.Processors = len(tr.Procs)
+			res, err = cgct.RunCompiledTrace(*ctrace, opts)
+		}
 	} else {
 		res, err = cgct.Run(*bench, opts)
 	}
@@ -84,11 +87,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	_, resolved := cgct.ResolveConfig(opts)
 
 	fmt.Println(res)
 	fmt.Printf("  cycles:              %d\n", res.Cycles)
 	fmt.Printf("  instructions:        %d (IPC %.2f per processor)\n", res.Instructions,
-		float64(res.Instructions)/float64(res.Cycles)/4)
+		float64(res.Instructions)/float64(res.Cycles)/float64(resolved.Processors))
 	fmt.Printf("  fabric requests:     %d (data %d, wb %d, ifetch %d, dcb %d)\n",
 		res.Requests, res.RequestsByCat.Data, res.RequestsByCat.Writebacks,
 		res.RequestsByCat.IFetches, res.RequestsByCat.DCBOps)

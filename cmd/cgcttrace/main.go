@@ -29,7 +29,6 @@ func main() {
 		procs   = flag.Int("procs", 4, "processor count")
 		seed    = flag.Uint64("seed", 1, "deterministic seed")
 		summary = flag.Bool("summary", false, "print per-kind and per-region summary instead of a dump")
-		save    = flag.String("save", "", "write the full trace to this file (legacy fixed-width format) and exit")
 		compile = flag.String("compile", "", "compile the workload to this file (columnar compiled-trace format) and exit")
 		info    = flag.String("info", "", "print a compiled-trace file's summary and exit")
 	)
@@ -59,18 +58,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("compiled %s\n", tr)
-		return
-	}
-
-	if *save != "" {
-		err := cgct.SaveTrace(*bench, *save, cgct.Options{
-			Processors: *procs, OpsPerProc: *ops, Seed: *seed,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("saved %s trace (%d ops x %d processors) to %s\n", *bench, *ops, *procs, *save)
 		return
 	}
 

@@ -300,3 +300,70 @@ func TestQueueMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// countHandler counts the events dispatched to it.
+type countHandler struct{ n int }
+
+func (h *countHandler) HandleEvent(Cycle, uint8, uint32, uint64) { h.n++ }
+
+// TestScheduleDispatchDoesNotAllocate gates the package's steady-state
+// claim: once the slot pool is warm, scheduling onto a Handler, near
+// (timing wheel) and far (heap), and dispatching allocates nothing. Each
+// run schedules and dispatches 64 events, because AllocsPerRun rounds the
+// per-run average down.
+func TestScheduleDispatchDoesNotAllocate(t *testing.T) {
+	var q Queue
+	h := &countHandler{}
+	batch := func() {
+		for i := Cycle(0); i < 16; i++ {
+			q.Schedule(q.Now()+i, h, 0, 0, 0)
+			q.Schedule(q.Now()+wheelSize+97*i, h, 0, 0, 0)
+			q.ScheduleAfter(3*i, h, 0, 0, 0)
+			q.ScheduleAfter(2*wheelSize+i, h, 0, 0, 0)
+		}
+		for i := 0; i < 32; i++ {
+			q.Step()
+		}
+		q.RunUntil(q.Now() + 3*wheelSize)
+	}
+	batch() // grows the slot pool and the heap to their steady size
+	slots := len(q.pool)
+	if n := testing.AllocsPerRun(100, batch); n != 0 {
+		t.Errorf("64 schedules and dispatches allocate %v times", n)
+	}
+	// A slot that is not recycled costs an allocation only when the pool
+	// regrows, which the per-run average rounds away.
+	if len(q.pool) != slots {
+		t.Errorf("slot pool grew from %d to %d", slots, len(q.pool))
+	}
+	if q.Len() != 0 || h.n != 102*64 {
+		t.Fatalf("dispatched %d events with %d pending, want %d and 0", h.n, q.Len(), 102*64)
+	}
+}
+
+// BenchmarkQueueScheduleDispatch measures one schedule plus one dispatch
+// on a queue holding 1024 pending events, one in sixteen of them beyond
+// the wheel window.
+func BenchmarkQueueScheduleDispatch(b *testing.B) {
+	var q Queue
+	h := &countHandler{}
+	delta := func(i int) Cycle {
+		if i%16 == 0 {
+			return wheelSize + Cycle(i%251)
+		}
+		return Cycle(i % 251)
+	}
+	for i := 0; i < 1024; i++ {
+		q.ScheduleAfter(delta(i), h, 0, 0, 0)
+	}
+	for i := 0; i < 4096; i++ { // lets the heap reach its steady size
+		q.Step()
+		q.ScheduleAfter(delta(i), h, 0, 0, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Step()
+		q.ScheduleAfter(delta(i), h, 0, 0, 0)
+	}
+}

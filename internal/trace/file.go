@@ -18,11 +18,11 @@ import (
 //
 //	magic    [8]byte  "CGCTCPT1"
 //	nameLen  uint16 (≤ maxFileName) + name bytes
-//	procs    uint32 (1 .. workload.MaxTraceProcs)
+//	procs    uint32 (1 .. maxFileProcs)
 //	dmaCount uint32 (≤ maxFileDMASegments)
 //	dma      dmaCount × { base uint64, size uint64 }
 //	per processor:
-//	    count  uint64  ops (≤ workload.MaxTraceOpsPerProc)
+//	    count  uint64  ops (≤ maxFileOpsPerProc)
 //	    kgLen  uint64  bytes of the kind|gap column
 //	    kg     count × uvarint(gap<<3 | kind)
 //	    dLen   uint64  bytes of the address-delta column
@@ -43,7 +43,11 @@ var fileMagic = [8]byte{'C', 'G', 'C', 'T', 'C', 'P', 'T', '1'}
 
 const (
 	maxFileName        = 256
+	maxFileProcs       = 1024
 	maxFileDMASegments = 1024
+	// maxFileOpsPerProc bounds one processor's declared op count (64 Mi
+	// ops, far beyond any real trace).
+	maxFileOpsPerProc = 64 << 20
 	// colChunk caps each column-read allocation: growth tracks bytes
 	// actually read, so a lying length costs at most one chunk.
 	colChunk = 64 << 10
@@ -65,8 +69,8 @@ func (t *Trace) Write(w io.Writer) error {
 	if len(t.Name) > maxFileName {
 		return fmt.Errorf("trace: name %q too long to serialise (limit %d)", t.Name, maxFileName)
 	}
-	if len(t.Procs) == 0 || len(t.Procs) > workload.MaxTraceProcs {
-		return fmt.Errorf("trace: cannot serialise %d processors (limit %d)", len(t.Procs), workload.MaxTraceProcs)
+	if len(t.Procs) == 0 || len(t.Procs) > maxFileProcs {
+		return fmt.Errorf("trace: cannot serialise %d processors (limit %d)", len(t.Procs), maxFileProcs)
 	}
 	if len(t.DMATargets) > maxFileDMASegments {
 		return fmt.Errorf("trace: %d DMA segments exceed limit %d", len(t.DMATargets), maxFileDMASegments)
@@ -253,8 +257,8 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	procs := binary.LittleEndian.Uint32(b4[:])
-	if procs == 0 || procs > workload.MaxTraceProcs {
-		return nil, fmt.Errorf("trace: implausible processor count %d (limit %d)", procs, workload.MaxTraceProcs)
+	if procs == 0 || procs > maxFileProcs {
+		return nil, fmt.Errorf("trace: implausible processor count %d (limit %d)", procs, maxFileProcs)
 	}
 	if err := fr.full(b4[:], "DMA segment count"); err != nil {
 		return nil, err
@@ -273,8 +277,10 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if base > addr.PhysAddrMask {
-			return nil, fmt.Errorf("trace: DMA segment base %x out of range", base)
+		// The DMA agent writes anywhere in the segment, so its last byte
+		// must be a valid physical address too.
+		if base > addr.PhysAddrMask || size > addr.PhysAddrMask-base+1 {
+			return nil, fmt.Errorf("trace: DMA segment [%x, +%x) out of range", base, size)
 		}
 		t.DMATargets = append(t.DMATargets, addr.Segment{Base: addr.Addr(base), Size: size})
 	}
@@ -283,8 +289,8 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if count > workload.MaxTraceOpsPerProc {
-			return nil, fmt.Errorf("trace: p%d declares %d ops (limit %d)", p, count, workload.MaxTraceOpsPerProc)
+		if count > maxFileOpsPerProc {
+			return nil, fmt.Errorf("trace: p%d declares %d ops (limit %d)", p, count, maxFileOpsPerProc)
 		}
 		kgLen, err := fr.u64(fmt.Sprintf("p%d kind|gap length", p))
 		if err != nil {

@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
 
+	"cgct/internal/addr"
 	"cgct/internal/workload"
 )
 
-func compileSmall(t *testing.T) *Trace {
+func compileSmall(t testing.TB) *Trace {
 	t.Helper()
 	tr, err := Compile(context.Background(), "tpc-b", workload.Params{Processors: 4, OpsPerProc: 2_000, Seed: 9})
 	if err != nil {
@@ -116,9 +119,15 @@ func TestFileTruncated(t *testing.T) {
 //
 //	magic [0..8)  nameLen [8..10)  name [10..11)
 //	procs [11..15)  dmaCount [15..19)  p0 count [19..27)  p0 kgLen [27..35)
-func tinyTraceBytes(t *testing.T, pt ProcTrace) []byte {
+func tinyTraceBytes(t testing.TB, pt ProcTrace) []byte {
 	t.Helper()
-	tr := &Trace{Name: "t", Procs: []ProcTrace{pt}}
+	return traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{pt}})
+}
+
+// traceBytes serialises tr. Write checks sizes, not content, so a trace
+// with invalid content still gets a valid digest.
+func traceBytes(t testing.TB, tr *Trace) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -133,41 +142,40 @@ func validProcTrace() ProcTrace {
 	return e.pt
 }
 
-// TestFileHostileHeaders mutates header fields of a valid file: every lie
-// must fail with a descriptive error before large allocations — the
-// structural checks run while streaming, ahead of the digest.
-func TestFileHostileHeaders(t *testing.T) {
+// hostileHeader is a valid file with one header field mutated, and a
+// substring of the error Read must return for it.
+type hostileHeader struct {
+	name string
+	data []byte
+	want string
+}
+
+// hostileHeaders lists lies a header can tell. Every one must fail with a
+// descriptive error before large allocations: the structural checks run
+// while streaming, ahead of the digest.
+func hostileHeaders(t testing.TB) []hostileHeader {
 	base := tinyTraceBytes(t, validProcTrace())
 	mutate := func(off int, val []byte) []byte {
 		b := append([]byte(nil), base...)
 		copy(b[off:], val)
 		return b
 	}
-	le32 := func(v uint32) []byte {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return b[:]
-	}
-	le64 := func(v uint64) []byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return b[:]
-	}
-	cases := []struct {
-		name string
-		data []byte
-		want string // substring of the expected error
-	}{
+	le32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	le64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
+	return []hostileHeader{
 		{"bad magic", mutate(0, []byte{'X'}), "not a compiled CGCT trace"},
 		{"huge name length", mutate(8, []byte{0xff, 0xff}), "name length"},
 		{"zero procs", mutate(11, le32(0)), "processor count"},
-		{"too many procs", mutate(11, le32(workload.MaxTraceProcs+1)), "processor count"},
+		{"too many procs", mutate(11, le32(maxFileProcs+1)), "processor count"},
 		{"huge DMA count", mutate(15, le32(1<<30)), "DMA segment count"},
-		{"op count over limit", mutate(19, le64(workload.MaxTraceOpsPerProc+1)), "limit"},
+		{"op count over limit", mutate(19, le64(maxFileOpsPerProc+1)), "limit"},
 		{"column cannot hold ops", mutate(27, le64(1)), "cannot hold"},
 		{"column beyond input", mutate(27, le64(19)), "remain"},
 	}
-	for _, c := range cases {
+}
+
+func TestFileHostileHeaders(t *testing.T) {
+	for _, c := range hostileHeaders(t) {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Read(bytes.NewReader(c.data))
 			if err == nil {
@@ -175,6 +183,72 @@ func TestFileHostileHeaders(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %q, want substring %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestFileLyingCountUnsizedReader covers readers whose size is unknown
+// (no Len/Seek): a header declaring 32 Mi ops and a 32 MiB kind|gap
+// column, followed by nothing, must fail on truncation without
+// allocating the declared amount up front.
+func TestFileLyingCountUnsizedReader(t *testing.T) {
+	data := append([]byte(nil), fileMagic[:]...)
+	data = binary.LittleEndian.AppendUint16(data, 0)     // name length
+	data = binary.LittleEndian.AppendUint32(data, 1)     // processors
+	data = binary.LittleEndian.AppendUint32(data, 0)     // DMA segments
+	data = binary.LittleEndian.AppendUint64(data, 1<<25) // p0 op count
+	data = binary.LittleEndian.AppendUint64(data, 1<<25) // p0 kind|gap length
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Read(iotest.OneByteReader(bytes.NewReader(data)))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("err = %v, want a truncation error", err)
+	}
+	// Reading the declared column up front would take 32 MiB; the chunked
+	// reader stops after one 64 KiB chunk.
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 32<<20 {
+		t.Fatalf("reader allocated %d bytes for a lying count", grown)
+	}
+}
+
+// dmaTraceBytes serialises a one-processor trace with the given DMA
+// target segments.
+func dmaTraceBytes(t testing.TB, segs ...addr.Segment) []byte {
+	t.Helper()
+	return traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{validProcTrace()}, DMATargets: segs})
+}
+
+// outOfRangeDMA starts inside the 40-bit address space and runs far past
+// its end.
+var outOfRangeDMA = addr.Segment{Base: 0xFF_FFFF_F000, Size: 1 << 50}
+
+// TestFileRejectsOutOfRangeDMA: a DMA segment whose last byte lies above
+// addr.PhysAddrMask is rejected even when the file's digest is valid,
+// because the DMA agent would write to addresses that cannot exist.
+func TestFileRejectsOutOfRangeDMA(t *testing.T) {
+	top := addr.Addr(addr.PhysAddrMask + 1)
+	for _, c := range []struct {
+		name string
+		seg  addr.Segment
+		ok   bool
+	}{
+		{"runs far past the top", outOfRangeDMA, false},
+		{"ends at the top", addr.Segment{Base: top - 0x1000, Size: 0x1000}, true},
+		{"one byte past the top", addr.Segment{Base: top - 0x1000, Size: 0x1001}, false},
+		{"whole address space", addr.Segment{Base: 0, Size: uint64(top)}, true},
+		{"size wraps uint64", addr.Segment{Base: 0x1000, Size: math.MaxUint64}, false},
+		{"base past the top", addr.Segment{Base: top}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Read(bytes.NewReader(dmaTraceBytes(t, c.seg)))
+			if c.ok && err != nil {
+				t.Fatalf("in-range segment rejected: %v", err)
+			}
+			if !c.ok && (err == nil || !strings.Contains(err.Error(), "DMA segment")) {
+				t.Fatalf("err = %v, want an out-of-range DMA segment error", err)
 			}
 		})
 	}

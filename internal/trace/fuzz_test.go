@@ -1,0 +1,59 @@
+package trace
+
+import (
+	"bytes"
+	"context"
+	"testing"
+
+	"cgct/internal/addr"
+	"cgct/internal/workload"
+)
+
+// FuzzRead throws arbitrary bytes at the compiled-trace reader. Read must
+// either return an error or a trace that round-trips through Write and
+// Read unchanged, keeps every DMA segment inside the address space, and
+// replays only valid addresses. Random mutations rarely get past the
+// trailing digest, so the seeds carry the interesting inputs: a real
+// compiled trace with DMA segments, every hostile header, and a sealed
+// file whose DMA segment runs past the address space.
+func FuzzRead(f *testing.F) {
+	tr, err := Compile(context.Background(), "tpc-b", workload.Params{Processors: 2, OpsPerProc: 200, Seed: 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(traceBytes(f, tr))
+	for _, c := range hostileHeaders(f) {
+		f.Add(c.data)
+	}
+	f.Add(dmaTraceBytes(f, outOfRangeDMA))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		again, err := Read(bytes.NewReader(traceBytes(t, tr)))
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if again.ContentHash() != tr.ContentHash() {
+			t.Fatal("round trip changed the content hash")
+		}
+		for _, s := range tr.DMATargets {
+			if uint64(s.Base) > addr.PhysAddrMask || s.Size > addr.PhysAddrMask-uint64(s.Base)+1 {
+				t.Fatalf("DMA segment %v +%#x ends outside the address space", s.Base, s.Size)
+			}
+		}
+		var buf [256]workload.Op
+		for p := range tr.Procs {
+			c := tr.Procs[p].Cursor()
+			for n := c.Fill(buf[:]); n > 0; n = c.Fill(buf[:]) {
+				for _, op := range buf[:n] {
+					if uint64(op.Addr) > addr.PhysAddrMask {
+						t.Fatalf("p%d replays out-of-range address %v", p, op.Addr)
+					}
+				}
+			}
+		}
+	})
+}

@@ -64,6 +64,47 @@ func TestCursorFillSizes(t *testing.T) {
 	}
 }
 
+// TestCursorFillDoesNotAllocate gates the replay hot path: decoding into
+// a caller-owned buffer allocates nothing.
+func TestCursorFillDoesNotAllocate(t *testing.T) {
+	tr, err := Compile(context.Background(), "ocean", workload.Params{Processors: 1, OpsPerProc: 20_000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := tr.Procs[0].Cursor()
+	var buf [128]workload.Op
+	short := 0
+	if n := testing.AllocsPerRun(100, func() {
+		if c.Fill(buf[:]) != len(buf) {
+			short++
+		}
+	}); n != 0 {
+		t.Errorf("Cursor.Fill allocates %v times per %d ops", n, len(buf))
+	}
+	if short != 0 {
+		t.Fatalf("trace ran out after %d ops", tr.Procs[0].Len())
+	}
+}
+
+// BenchmarkCursorFill measures decoding one 128-op batch, the size the
+// simulator refills, rewinding at the end of the trace.
+func BenchmarkCursorFill(b *testing.B) {
+	tr, err := Compile(context.Background(), "ocean", workload.Params{Processors: 1, OpsPerProc: 100_000, Seed: 3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pt := &tr.Procs[0]
+	c := Cursor{t: pt}
+	var buf [128]workload.Op
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c.Fill(buf[:]) < len(buf) {
+			c = Cursor{t: pt}
+		}
+	}
+}
+
 // TestContentHashDeterministic: identical params hash identically; a
 // different seed produces different content and a different hash.
 func TestContentHashDeterministic(t *testing.T) {

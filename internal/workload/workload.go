@@ -77,8 +77,9 @@ type Source interface {
 }
 
 // GeneratorSource adapts a per-op Generator to the batched Source
-// interface, so user-supplied generators and replayed trace files run
-// through the same refill path as compiled traces.
+// interface, so live generators (hand-built ones, and benchmarks too large
+// for the compiled-trace cache) run through the same refill path as
+// compiled traces.
 type GeneratorSource struct{ G Generator }
 
 // Fill implements Source.
@@ -241,8 +242,8 @@ func MustBuild(name string, p Params) Workload {
 	return w
 }
 
-// SliceGenerator replays a fixed slice of operations (tests and the trace
-// inspection tool).
+// SliceGenerator replays a fixed slice of operations (tests, cgctverify
+// and the examples).
 type SliceGenerator struct {
 	Ops []Op
 	pos int
