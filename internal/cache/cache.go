@@ -57,6 +57,10 @@ type Cache struct {
 	OnEvict func(l Line, wasEviction bool)
 	// OnAllocate observes every line entering the cache.
 	OnAllocate func(l Line)
+	// OnStateChange observes a present line moving between two different
+	// valid states (Promote, SetState, Allocate of a present line). The
+	// RCA uses it to count each region's modifiable lines.
+	OnStateChange func(l addr.LineAddr, from, to coherence.LineState)
 
 	Stats Stats
 }
@@ -149,8 +153,18 @@ func (c *Cache) Promote(l addr.LineAddr, st coherence.LineState) {
 		panic(fmt.Sprintf("cache %s: Promote to invalid state", c.name))
 	}
 	if i := c.find(l); i >= 0 {
-		c.tags[i] = uint64(l) | uint64(st)
+		c.rewrite(i, l, st)
 		c.touch(i)
+	}
+}
+
+// rewrite stores state st in present way i, which holds l, and fires
+// OnStateChange when the state differs.
+func (c *Cache) rewrite(i int, l addr.LineAddr, st coherence.LineState) {
+	from := coherence.LineState(c.tags[i] & stateMask)
+	c.tags[i] = uint64(l) | uint64(st)
+	if from != st && c.OnStateChange != nil {
+		c.OnStateChange(l, from, st)
 	}
 }
 
@@ -166,7 +180,7 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 		panic(fmt.Sprintf("cache %s: %#x is not a line address", c.name, uint64(l)))
 	}
 	if i := c.find(l); i >= 0 {
-		c.tags[i] = uint64(l) | uint64(st)
+		c.rewrite(i, l, st)
 		c.touch(i)
 		return Line{}
 	}
@@ -211,7 +225,7 @@ func (c *Cache) SetState(l addr.LineAddr, st coherence.LineState) {
 		c.invalidateWay(i)
 		return
 	}
-	c.tags[i] = uint64(l) | uint64(st)
+	c.rewrite(i, l, st)
 }
 
 // Invalidate removes the line, returning its prior state (Invalid if it was
@@ -261,7 +275,9 @@ func (c *Cache) ForEachValid(fn func(Line)) {
 // (E, O or M). This is what a remote processor contributes to the region
 // snoop response. Exclusive counts as "dirty" for region purposes because
 // MOESI permits a silent E→M upgrade — a region containing a remote E line
-// cannot be treated as externally clean.
+// cannot be treated as externally clean. The simulator reads the response
+// from the RCA's line counts; this scan is the reference its debug checks
+// compare them against.
 func (c *Cache) RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, modifiable bool) {
 	for i := 0; i < g.LinesPerRegion(); i++ {
 		if st := c.Lookup(g.LineInRegion(r, i)); st.Valid() {

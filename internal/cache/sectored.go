@@ -27,14 +27,16 @@ type Store interface {
 	// position in one lookup — equivalent to SetState then Touch for a
 	// valid target state.
 	Promote(l addr.LineAddr, st coherence.LineState)
-	// RegionSnoop reports region presence and modifiable-capability.
+	// RegionSnoop reports region presence and modifiable-capability by
+	// scanning the region's lines (see Cache.RegionSnoop).
 	RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, modifiable bool)
 	// ForEachValid visits every valid line.
 	ForEachValid(fn func(Line))
 	// CountValid returns the number of valid lines.
 	CountValid() int
-	// SetHooks installs the eviction/allocation observers.
-	SetHooks(onEvict func(Line, bool), onAllocate func(Line))
+	// SetHooks installs the eviction, allocation and state-change
+	// observers (see Cache.OnEvict, OnAllocate and OnStateChange).
+	SetHooks(onEvict func(Line, bool), onAllocate func(Line), onStateChange func(l addr.LineAddr, from, to coherence.LineState))
 	// BaseStats exposes the hit/miss/eviction counters.
 	BaseStats() *Stats
 }
@@ -46,9 +48,10 @@ var _ Store = (*Cache)(nil)
 func (c *Cache) AccessHit(l addr.LineAddr) bool { return c.Access(l).Valid() }
 
 // SetHooks implements Store.
-func (c *Cache) SetHooks(onEvict func(Line, bool), onAllocate func(Line)) {
+func (c *Cache) SetHooks(onEvict func(Line, bool), onAllocate func(Line), onStateChange func(l addr.LineAddr, from, to coherence.LineState)) {
 	c.OnEvict = onEvict
 	c.OnAllocate = onAllocate
+	c.OnStateChange = onStateChange
 }
 
 // BaseStats implements Store.
@@ -80,8 +83,9 @@ type Sectored struct {
 	ways        []sector
 	lruTick     uint64
 
-	onEvict    func(Line, bool)
-	onAllocate func(Line)
+	onEvict       func(Line, bool)
+	onAllocate    func(Line)
+	onStateChange func(l addr.LineAddr, from, to coherence.LineState)
 
 	stats Stats
 }
@@ -209,12 +213,25 @@ func (s *Sectored) Allocate(l addr.LineAddr, st coherence.LineState) Line {
 	idx := s.lineIdx(l)
 	s.lruTick++
 	sec.lru = s.lruTick
-	fresh := !sec.states[idx].Valid()
+	if sec.states[idx].Valid() {
+		s.rewrite(sec, idx, l, st)
+		return Line{}
+	}
 	sec.states[idx] = st
-	if fresh && s.onAllocate != nil {
+	if s.onAllocate != nil {
 		s.onAllocate(Line{Addr: l, State: st})
 	}
 	return Line{}
+}
+
+// rewrite stores state st for the valid line l at index idx of sec and
+// fires the state-change observer when the state differs.
+func (s *Sectored) rewrite(sec *sector, idx int, l addr.LineAddr, st coherence.LineState) {
+	from := sec.states[idx]
+	sec.states[idx] = st
+	if from != st && s.onStateChange != nil {
+		s.onStateChange(l, from, st)
+	}
 }
 
 // SetState implements Store.
@@ -227,7 +244,7 @@ func (s *Sectored) SetState(l addr.LineAddr, st coherence.LineState) {
 		s.Invalidate(l)
 		return
 	}
-	sec.states[s.lineIdx(l)] = st
+	s.rewrite(sec, s.lineIdx(l), l, st)
 }
 
 // Invalidate implements Store.
@@ -269,7 +286,7 @@ func (s *Sectored) Promote(l addr.LineAddr, st coherence.LineState) {
 		return
 	}
 	if idx := s.lineIdx(l); sec.states[idx].Valid() {
-		sec.states[idx] = st
+		s.rewrite(sec, idx, l, st)
 	}
 	s.lruTick++
 	sec.lru = s.lruTick
@@ -312,9 +329,10 @@ func (s *Sectored) CountValid() int {
 }
 
 // SetHooks implements Store.
-func (s *Sectored) SetHooks(onEvict func(Line, bool), onAllocate func(Line)) {
+func (s *Sectored) SetHooks(onEvict func(Line, bool), onAllocate func(Line), onStateChange func(l addr.LineAddr, from, to coherence.LineState)) {
 	s.onEvict = onEvict
 	s.onAllocate = onAllocate
+	s.onStateChange = onStateChange
 }
 
 // BaseStats implements Store.

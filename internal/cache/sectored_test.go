@@ -48,7 +48,7 @@ func TestSectoredWholeSectorEviction(t *testing.T) {
 				dirty++
 			}
 		}
-	}, nil)
+	}, nil, nil)
 	// Fill both ways of set 0 (sectors 0 and 2 map to set 0; 512B sectors,
 	// 2 sets: set = sector index % 2).
 	c.Allocate(sline(0, 0), coherence.Modified)
@@ -140,12 +140,12 @@ func TestSectoredFragmentation(t *testing.T) {
 	sec := NewSectored("frag", 4*512, 1, 64, 512) // 4 sectors capacity
 	conv := New("conv", 4*512, 8, 64)             // 32 lines, enough ways for the sparse set
 	var secEvicted, convEvicted int
-	sec.SetHooks(func(Line, bool) { secEvicted++ }, nil)
+	sec.SetHooks(func(Line, bool) { secEvicted++ }, nil, nil)
 	conv.SetHooks(func(l Line, wasEviction bool) {
 		if wasEviction {
 			convEvicted++
 		}
-	}, nil)
+	}, nil, nil)
 	for i := uint64(0); i < 8; i++ {
 		sec.Allocate(sline(i, 0), coherence.Shared)
 		conv.Allocate(sline(i, 0), coherence.Shared)
@@ -155,5 +155,68 @@ func TestSectoredFragmentation(t *testing.T) {
 	}
 	if convEvicted != 0 {
 		t.Errorf("conventional cache evicted %d of 8 sparse lines", convEvicted)
+	}
+}
+
+// TestStateChangeObserver checks the third hook on both Store kinds: it
+// fires once per change between two different valid states, through
+// Allocate of a present line, Promote and SetState, and never for a fill,
+// a same-state rewrite, an invalidation, an eviction or an absent line.
+func TestStateChangeObserver(t *testing.T) {
+	type change struct {
+		l        addr.LineAddr
+		from, to coherence.LineState
+	}
+	for _, tc := range []struct {
+		name string
+		c    Store
+		// l and a sibling share a set (a sector); the fills then evict l.
+		l, sibling addr.LineAddr
+		fill       []addr.LineAddr
+	}{
+		{"cache", small(), line(3, 0), line(3, 1), []addr.LineAddr{line(3, 2), line(3, 3)}},
+		{"sectored", smallSectored(), sline(1, 0), sline(1, 1), []addr.LineAddr{sline(3, 0), sline(5, 0)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			var got []change
+			c.SetHooks(nil, nil, func(l addr.LineAddr, from, to coherence.LineState) {
+				got = append(got, change{l, from, to})
+			})
+			c.Promote(tc.l, coherence.Modified)  // absent
+			c.SetState(tc.l, coherence.Modified) // absent
+			c.Allocate(tc.l, coherence.Shared)   // fill
+			c.Allocate(tc.l, coherence.Shared)   // same state
+			c.Allocate(tc.l, coherence.Modified) // S→M
+			c.Promote(tc.l, coherence.Modified)  // same state
+			c.SetState(tc.l, coherence.Owned)    // M→O
+			c.SetState(tc.l, coherence.Owned)    // same state
+			c.Promote(tc.l, coherence.Modified)  // O→M
+			c.Promote(tc.sibling, coherence.Modified)
+			c.SetState(tc.sibling, coherence.Shared) // absent sibling
+			c.Allocate(tc.sibling, coherence.Exclusive)
+			c.SetState(tc.l, coherence.Invalid) // invalidation
+			c.Invalidate(tc.sibling)
+			c.Allocate(tc.l, coherence.Exclusive)
+			for _, f := range tc.fill {
+				c.Allocate(f, coherence.Shared)
+			}
+			if c.Lookup(tc.l).Valid() {
+				t.Fatal("the fills did not evict l")
+			}
+			want := []change{
+				{tc.l, coherence.Shared, coherence.Modified},
+				{tc.l, coherence.Modified, coherence.Owned},
+				{tc.l, coherence.Owned, coherence.Modified},
+			}
+			if len(got) != len(want) {
+				t.Fatalf("observed %v, want %v", got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("change %d = %v, want %v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }

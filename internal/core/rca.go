@@ -9,14 +9,27 @@ import (
 
 // Entry is one Region Coherence Array entry: the coarse-grain state of one
 // aligned region, plus the line count used for self-invalidation and
-// replacement, and the home memory-controller ID used to route direct
+// replacement, the count of those lines a snooper must treat as
+// modifiable, and the home memory-controller ID used to route direct
 // requests and write-backs. Probe and Lookup return entries by value; the
 // zero Entry (State RegionInvalid) means the region is absent.
+//
+// LineCount > 0 and ModLines > 0 are this processor's region snoop
+// response (RegionClean/RegionDirty's inputs, §3.1), read without
+// scanning the cache's tags.
 type Entry struct {
 	Region    addr.RegionAddr
 	State     RegionState
 	LineCount int // lines of this region currently cached by this processor
+	ModLines  int // of those, lines in E, O or M (see ModifiableLine)
 	MemCtrl   int // home memory controller ID
+}
+
+// ModifiableLine reports whether a cached line in state st makes its
+// region externally dirty to a snooper: O and M hold data memory lacks, and
+// MOESI permits a silent E→M upgrade, so E counts too.
+func ModifiableLine(st coherence.LineState) bool {
+	return st.Dirty() || st == coherence.Exclusive
 }
 
 // RCAStats counts RCA events.
@@ -53,11 +66,12 @@ const (
 // wayMeta is the per-way bookkeeping a tag compare never needs.
 type wayMeta struct {
 	lines   int32 // cached lines of the region
+	mod     int32 // of those, lines in E, O or M
 	memCtrl int32 // home memory controller ID
 }
 
 // RCA is a set-associative Region Coherence Array. The ways are one dense,
-// set-major array of tag words; LRU ticks and the line count and
+// set-major array of tag words; LRU ticks and the line counts and
 // controller ID sit in parallel arrays that only hits, fills and
 // evictions touch.
 type RCA struct {
@@ -67,7 +81,7 @@ type RCA struct {
 	setMask uint64
 	tags    []uint64  // sets * assoc tag words, set-major
 	lru     []uint64  // last-use tick of each way
-	meta    []wayMeta // line count and controller of each way
+	meta    []wayMeta // line counts and controller of each way
 	lruTick uint64
 
 	// OnEvict is called with the victim entry before it is replaced or
@@ -135,6 +149,7 @@ func (r *RCA) entry(i int) Entry {
 		Region:    addr.RegionAddr(w &^ stateMask),
 		State:     RegionState(w & stateMask),
 		LineCount: int(m.lines),
+		ModLines:  int(m.mod),
 		MemCtrl:   int(m.memCtrl),
 	}
 }
@@ -199,7 +214,7 @@ func (r *RCA) victim(base int) int {
 // Allocate installs region with the given state and home memory controller,
 // displacing a victim if needed. OnEvict fires for a valid victim before it
 // is removed. If the region is already present its state is updated in
-// place (LineCount preserved).
+// place (line counts preserved).
 func (r *RCA) Allocate(region addr.RegionAddr, st RegionState, memCtrl int) {
 	if !st.Valid() {
 		panic("core: allocating region in state I")
@@ -232,7 +247,7 @@ func (r *RCA) evictWay(v int) {
 		r.OnEvict(r.entry(v))
 	}
 	r.tags[v] = 0
-	r.meta[v].lines = 0
+	r.meta[v].lines, r.meta[v].mod = 0, 0
 }
 
 // SetState updates the state of a present region (no-op when absent).
@@ -245,16 +260,17 @@ func (r *RCA) SetState(region addr.RegionAddr, st RegionState) {
 	}
 	if !st.Valid() {
 		r.tags[i] = 0
-		r.meta[i].lines = 0
+		r.meta[i].lines, r.meta[i].mod = 0, 0
 		return
 	}
 	r.tags[i] = uint64(region) | uint64(st)
 }
 
-// IncLineCount notes that a line of region entered the cache. The region
-// must be present (inclusion invariant); the simulator allocates the entry
-// before filling lines.
-func (r *RCA) IncLineCount(region addr.RegionAddr) {
+// IncLineCount notes that a line of region entered the cache, and whether
+// it entered modifiable (ModifiableLine). The region must be present
+// (inclusion invariant); the simulator allocates the entry before filling
+// lines.
+func (r *RCA) IncLineCount(region addr.RegionAddr, modifiable bool) {
 	i := r.find(region)
 	if i < 0 {
 		coherence.Violate(coherence.InvariantError{
@@ -263,21 +279,51 @@ func (r *RCA) IncLineCount(region addr.RegionAddr) {
 		})
 	}
 	r.meta[i].lines++
+	if modifiable {
+		r.meta[i].mod++
+	}
 }
 
-// DecLineCount notes that a line of region left the cache. Tolerates a
-// missing entry (the region may be mid-eviction).
-func (r *RCA) DecLineCount(region addr.RegionAddr) {
+// DecLineCount notes that a line of region left the cache, and whether it
+// was modifiable when it left. Tolerates a missing entry (the region may
+// be mid-eviction).
+func (r *RCA) DecLineCount(region addr.RegionAddr, modifiable bool) {
 	i := r.find(region)
 	if i < 0 {
 		return
 	}
 	r.meta[i].lines--
-	if r.meta[i].lines < 0 {
+	if modifiable {
+		r.meta[i].mod--
+	}
+	if r.meta[i].lines < 0 || r.meta[i].mod < 0 {
 		coherence.Violate(coherence.InvariantError{
 			Check: "rca-line-count", Region: uint64(region),
 			States: RegionState(r.tags[i] & stateMask).String(),
 			Detail: "negative cached-line count",
+		})
+	}
+}
+
+// AdjustModLines notes that a cached line of region crossed the
+// modifiable boundary: it became modifiable (S→M, S→E) when modifiable is
+// true, and stopped being so (E→S, M→S) otherwise. Like DecLineCount it
+// tolerates a missing entry.
+func (r *RCA) AdjustModLines(region addr.RegionAddr, modifiable bool) {
+	i := r.find(region)
+	if i < 0 {
+		return
+	}
+	if modifiable {
+		r.meta[i].mod++
+		return
+	}
+	r.meta[i].mod--
+	if r.meta[i].mod < 0 {
+		coherence.Violate(coherence.InvariantError{
+			Check: "rca-line-count", Region: uint64(region),
+			States: RegionState(r.tags[i] & stateMask).String(),
+			Detail: "negative modifiable-line count",
 		})
 	}
 }

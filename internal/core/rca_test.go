@@ -46,7 +46,7 @@ func TestAllocateUpdatesInPlace(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(2, 0)
 	r.Allocate(reg, RegionCI, 0)
-	r.IncLineCount(reg)
+	r.IncLineCount(reg, false)
 	r.Allocate(reg, RegionDD, 1)
 	e := r.Probe(reg)
 	if e.State != RegionDD || e.MemCtrl != 1 {
@@ -64,7 +64,7 @@ func TestReplacementFavorsEmptyRegions(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(0, 0), regionInSet(0, 1), regionInSet(0, 2)
 	r.Allocate(a, RegionDI, 0)
-	r.IncLineCount(a) // a has cached lines
+	r.IncLineCount(a, false) // a has cached lines
 	r.Allocate(b, RegionCI, 0)
 	var victims []Entry
 	r.OnEvict = func(e Entry) { victims = append(victims, e) }
@@ -88,9 +88,9 @@ func TestReplacementFallsBackToLRU(t *testing.T) {
 	r := testRCA()
 	a, b, c := regionInSet(1, 0), regionInSet(1, 1), regionInSet(1, 2)
 	r.Allocate(a, RegionDI, 0)
-	r.IncLineCount(a)
+	r.IncLineCount(a, false)
 	r.Allocate(b, RegionDI, 0)
-	r.IncLineCount(b)
+	r.IncLineCount(b, false)
 	r.Lookup(a) // refresh a; b becomes LRU
 	r.Allocate(c, RegionCI, 0)
 	if r.Probe(b).State.Valid() {
@@ -106,7 +106,7 @@ func TestOnEvictFiresWhileInstalled(t *testing.T) {
 	a, b, c := regionInSet(3, 0), regionInSet(3, 1), regionInSet(3, 2)
 	r.Allocate(a, RegionDI, 2)
 	r.Allocate(b, RegionCI, 0)
-	r.IncLineCount(b)
+	r.IncLineCount(b, false)
 	fired := false
 	r.OnEvict = func(e Entry) {
 		fired = true
@@ -134,14 +134,83 @@ func TestLineCountTracking(t *testing.T) {
 	r := testRCA()
 	reg := regionInSet(0, 3)
 	r.Allocate(reg, RegionDI, 0)
-	r.IncLineCount(reg)
-	r.IncLineCount(reg)
-	r.DecLineCount(reg)
+	r.IncLineCount(reg, false)
+	r.IncLineCount(reg, false)
+	r.DecLineCount(reg, false)
 	if e := r.Probe(reg); e.LineCount != 1 {
 		t.Errorf("line count = %d", e.LineCount)
 	}
 	// Dec on a missing region is tolerated (mid-eviction).
-	r.DecLineCount(regionInSet(0, 5))
+	r.DecLineCount(regionInSet(0, 5), false)
+}
+
+// TestModLinesTracking follows the modifiable-line count through fills,
+// departures and boundary crossings, and checks that it resets with the
+// line count on eviction and on SetState(RegionInvalid).
+func TestModLinesTracking(t *testing.T) {
+	r := testRCA()
+	reg := regionInSet(1, 3)
+	r.Allocate(reg, RegionDI, 0)
+	r.IncLineCount(reg, true)  // E or M fill
+	r.IncLineCount(reg, true)  //
+	r.IncLineCount(reg, false) // S fill
+	r.DecLineCount(reg, true)  // a modifiable line leaves
+	r.AdjustModLines(reg, false)
+	r.AdjustModLines(reg, true)
+	r.AdjustModLines(reg, true)
+	if e := r.Probe(reg); e.LineCount != 2 || e.ModLines != 2 {
+		t.Errorf("counts = %d lines, %d modifiable; want 2, 2", e.LineCount, e.ModLines)
+	}
+	r.Allocate(reg, RegionDD, 1) // in place: counts kept
+	if e := r.Probe(reg); e.ModLines != 2 {
+		t.Errorf("in-place allocation changed the modifiable count to %d", e.ModLines)
+	}
+	r.AdjustModLines(regionInSet(1, 5), true) // absent: tolerated
+
+	r.SetState(reg, RegionInvalid)
+	r.Allocate(reg, RegionCI, 0)
+	if e := r.Probe(reg); e.LineCount != 0 || e.ModLines != 0 {
+		t.Errorf("after SetState(I): %d lines, %d modifiable", e.LineCount, e.ModLines)
+	}
+
+	// Eviction: evictWay clears the counts of the displaced way, which a
+	// new region then reuses.
+	r.IncLineCount(reg, true)
+	other := regionInSet(1, 4)
+	r.Allocate(other, RegionCI, 0)
+	r.IncLineCount(other, false)
+	var victim Entry
+	r.OnEvict = func(e Entry) { victim = e }
+	r.Allocate(regionInSet(1, 6), RegionCI, 0) // reg is LRU
+	if victim.Region != reg || victim.ModLines != 1 {
+		t.Errorf("victim = %+v, want region %x with 1 modifiable line", victim, uint64(reg))
+	}
+	if e := r.Probe(regionInSet(1, 6)); e.LineCount != 0 || e.ModLines != 0 {
+		t.Errorf("new entry inherited counts: %+v", e)
+	}
+}
+
+func TestNegativeModLinesPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   func(r *RCA, reg addr.RegionAddr)
+	}{
+		{"dec", func(r *RCA, reg addr.RegionAddr) { r.DecLineCount(reg, true) }},
+		{"adjust", func(r *RCA, reg addr.RegionAddr) { r.AdjustModLines(reg, false) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testRCA()
+			reg := regionInSet(0, 0)
+			r.Allocate(reg, RegionCI, 0)
+			r.IncLineCount(reg, false)
+			defer func() {
+				if recover() == nil {
+					t.Error("negative modifiable-line count did not panic")
+				}
+			}()
+			tc.fn(r, reg)
+		})
+	}
 }
 
 func TestIncLineCountWithoutEntryPanics(t *testing.T) {
@@ -150,7 +219,7 @@ func TestIncLineCountWithoutEntryPanics(t *testing.T) {
 			t.Error("IncLineCount without entry did not panic (inclusion violation)")
 		}
 	}()
-	testRCA().IncLineCount(regionInSet(0, 0))
+	testRCA().IncLineCount(regionInSet(0, 0), false)
 }
 
 func TestNegativeLineCountPanics(t *testing.T) {
@@ -162,7 +231,7 @@ func TestNegativeLineCountPanics(t *testing.T) {
 			t.Error("negative line count did not panic")
 		}
 	}()
-	r.DecLineCount(reg)
+	r.DecLineCount(reg, false)
 }
 
 func TestSetStateInvalidClears(t *testing.T) {

@@ -39,10 +39,14 @@ import (
 type directoryFabric struct {
 	s    *System
 	dirs []*directory.Directory
+
+	// holders is resolve's scratch list of the remote nodes holding an
+	// RCA entry for the line's region (observeRemoteRegion).
+	holders []*node
 }
 
 func newDirectoryFabric(s *System) *directoryFabric {
-	f := &directoryFabric{s: s}
+	f := &directoryFabric{s: s, holders: make([]*node, 0, s.cfg.Topology.Processors)}
 	for i := 0; i < s.topo.MemControllers(); i++ {
 		f.dirs = append(f.dirs, directory.New(i, s.cfg.Directory))
 	}
@@ -118,17 +122,13 @@ func (f *directoryFabric) issue(n *node, kind coherence.ReqKind, line addr.LineA
 		s.run.Directs[kind]++ // still a point-to-point message, never a broadcast
 		s.run.DirMessages++
 		n.outstanding++
-		if _, dup := n.pending[line]; !dup {
-			n.pending[line] = n.newMSHR()
-		}
+		n.mshrs.open(line)
 		reqLat := s.cfg.Net.DirectRequestLatency(s.topo.ProcToMem(n.id, home))
 		arriveHome := d.Admit(t+event.Cycle(reqLat), s.cfg.Net.DirectoryLatency) + event.Cycle(s.cfg.Net.DirectoryLatency)
 		s.queue.Schedule(arriveHome, n, nodeOpResolveDir, packReq(kind, forStore), uint64(line))
 		return
 	}
-	if _, dup := n.pending[line]; !dup {
-		n.pending[line] = n.newMSHR()
-	}
+	n.mshrs.open(line)
 }
 
 // recordFastGrant maintains the home's per-line record for a request that
@@ -262,7 +262,11 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	// would an omniscient protocol have needed this home transaction's
 	// coherence actions at all? Observed before any state changes.
 	cat := stats.CategoryOf(kind)
-	remoteValid, remoteWritable := s.lineStateAnywhere(n.id, line)
+	rec := d.Peek(line) // as the transaction finds it; Peek keeps the LRU order
+	remoteValid, remoteWritable := f.recordedLineState(rec, n.id, line)
+	if s.DebugChecks {
+		f.checkDirectoryOracle(n, line, remoteValid, remoteWritable, now)
+	}
 	if oracle.Unnecessary(kind, remoteValid, remoteWritable) {
 		s.run.OracleUnnecessary[cat]++
 	} else {
@@ -270,14 +274,16 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	}
 
 	// Region snoop response, gathered before invalidations mutate the
-	// caches (the directory learns it from the region notifications' acks).
+	// caches (the directory learns it from the region notifications' acks),
+	// with the remote RCA holders the notifications below go to.
+	reg := s.geom.RegionOfLine(line)
 	regionClean, regionDirty := false, false
 	if n.rca != nil {
-		regionClean, regionDirty = s.observeRemoteRegion(n.id, s.geom.RegionOfLine(line))
+		regionClean, regionDirty, f.holders = s.observeRemoteRegion(n.id, reg, f.holders[:0])
 	}
 	prevOwner := -1
-	if pe := d.Peek(line); pe != nil && pe.Owner != n.id {
-		prevOwner = pe.Owner
+	if rec != nil && rec.Owner != n.id {
+		prevOwner = rec.Owner
 	}
 
 	// transferFrom computes when data sourced at node src reaches the
@@ -430,25 +436,20 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	// self-invalidates exactly as a snooped broadcast would; the requester
 	// waits for those acks before its grant is final. The requester's
 	// region entry must exist before the line installs (RCA inclusion).
+	// The holders gathered above are still exact: the line actions since
+	// change remote line counts, never remote entries.
 	requesterExclusive := granted == coherence.Exclusive || granted == coherence.Modified
-	if s.cfg.CGCTEnabled {
-		reg := s.geom.RegionOfLine(line)
-		for _, o := range s.nodes {
-			if o.id == n.id {
-				continue
-			}
-			if applyExternalRegion(o, reg, kind, requesterExclusive) {
-				s.run.DirRegionNotifies++
-				s.run.DirMessages += 2 // notify + ack
-				rt := now + event.Cycle(2*s.cfg.Net.TransferLatency(s.topo.ProcToMem(o.id, home)))
-				if rt > arrive {
-					arrive = rt
-				}
+	if n.rca != nil {
+		for _, o := range f.holders {
+			applyExternalRegion(o, reg, kind, requesterExclusive)
+			s.run.DirRegionNotifies++
+			s.run.DirMessages += 2 // notify + ack
+			rt := now + event.Cycle(2*s.cfg.Net.TransferLatency(s.topo.ProcToMem(o.id, home)))
+			if rt > arrive {
+				arrive = rt
 			}
 		}
-		if n.rca != nil {
-			n.applyBroadcastResponse(reg, kind, requesterExclusive, regionClean, regionDirty, prevOwner)
-		}
+		n.applyBroadcastResponse(reg, kind, requesterExclusive, regionClean, regionDirty, prevOwner)
 	}
 
 	// Install the granted line (state change at the coherence point).
@@ -467,25 +468,50 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		s.checkLineInvariants(line, now)
 		f.checkDirectoryAgrees(line, home, now)
 		if s.cfg.CGCTEnabled {
-			s.checkRegionExclusivity(s.geom.RegionOfLine(line), now)
+			s.checkRegionExclusivity(reg, now)
 		}
 	}
 	s.queue.Schedule(arrive, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
 }
 
+// recordedLineState reports whether any node other than exclude caches
+// line, and whether any such copy is modifiable, reading the L2 only at the
+// nodes line's home record e implicates: its owner and sharers, or every
+// node once a limited-pointer record has overflowed (MustInvalidate). No
+// record (nil) means no node holds the line. The protocol already relies
+// on the record implicating every holder — invalidateSharers and dmaWrite
+// invalidate only those nodes, and checkDirectoryAgrees asserts it.
+func (f *directoryFabric) recordedLineState(e *directory.Entry, exclude int, line addr.LineAddr) (valid, writable bool) {
+	if e == nil {
+		return false, false
+	}
+	for _, o := range f.s.nodes {
+		if o.id == exclude || !e.MustInvalidate(o.id) {
+			continue
+		}
+		if st := o.l2.Lookup(line); st.Valid() {
+			valid = true
+			if core.ModifiableLine(st) {
+				writable = true
+			}
+		}
+	}
+	return valid, writable
+}
+
 // dmaWrite implements coherenceFabric: coherent I/O goes through the home
 // like any other writer — one home transaction per buffer, precise
 // invalidations from the directory records instead of a broadcast.
-func (f *directoryFabric) dmaWrite(d *dmaAgent, base addr.Addr, now event.Cycle) {
+func (f *directoryFabric) dmaWrite(base addr.Addr, n uint64, now event.Cycle) {
 	s := f.s
 	s.run.DMAWrites++
 	home := s.topo.HomeController(base)
 	s.run.DirMessages++ // the DMA request (data travels with it)
 	at := f.dirs[home].Admit(now, s.cfg.Net.DirectoryLatency) + event.Cycle(s.cfg.Net.DirectoryLatency)
 
-	lines := int(d.bufBytes / s.cfg.L2.LineBytes)
+	first, lines := s.dmaLines(base, n)
 	for i := 0; i < lines; i++ {
-		line := s.geom.Line(addr.Addr(uint64(base) + uint64(i)*s.cfg.L2.LineBytes))
+		line := first + addr.LineAddr(uint64(i)*s.cfg.L2.LineBytes)
 		reg := s.geom.RegionOfLine(line)
 		s.trackExternalWrite(line)
 		lh := s.topo.HomeController(addr.Addr(line))
@@ -538,6 +564,18 @@ func (f *directoryFabric) close() {
 		d.Close()
 	}
 	f.dirs = nil
+}
+
+// checkDirectoryOracle asserts (tests only) that the oracle's
+// record-filtered line state equals a scan of every node's cache.
+func (f *directoryFabric) checkDirectoryOracle(n *node, line addr.LineAddr, valid, writable bool, cycle event.Cycle) {
+	if wantValid, wantWritable := f.s.lineStateAnywhere(n.id, line); valid != wantValid || writable != wantWritable {
+		coherence.Violate(coherence.InvariantError{
+			Check: "directory-oracle", Cycle: uint64(cycle), Line: uint64(line),
+			Detail: fmt.Sprintf("p%d's home record reads valid=%v writable=%v, the caches valid=%v writable=%v",
+				n.id, valid, writable, wantValid, wantWritable),
+		})
+	}
 }
 
 // checkDirectoryAgrees asserts (tests only) that the directory entry for a

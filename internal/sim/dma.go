@@ -61,13 +61,27 @@ func (d *dmaAgent) tick(now event.Cycle) {
 
 // writeBuffer picks the next buffer target and hands the coherent write
 // to the fabric (broadcast on the bus, home transaction on the directory).
+// A write stops at the segment's end, so a segment whose size is not a
+// multiple of the buffer gets a short last write and a zero-size segment
+// gets none: the device never writes past its segment, nor past the top
+// of the address space a segment may end at.
 func (d *dmaAgent) writeBuffer(now event.Cycle) {
 	seg := d.targets[d.segIdx]
-	base := seg.At(d.offset)
+	off := d.offset
 	d.offset += d.bufBytes
 	if d.offset >= seg.Size {
 		d.offset = 0
 		d.segIdx = (d.segIdx + 1) % len(d.targets)
 	}
-	d.sys.fabric.dmaWrite(d, addr.Addr(base), now)
+	if off >= seg.Size {
+		return
+	}
+	d.sys.fabric.dmaWrite(seg.At(off), min(d.bufBytes, seg.Size-off), now)
+}
+
+// dmaLines returns the lines a DMA write of n > 0 bytes at base covers.
+func (s *System) dmaLines(base addr.Addr, n uint64) (first addr.LineAddr, lines int) {
+	first = s.geom.Line(base)
+	last := s.geom.Line(base + addr.Addr(n-1))
+	return first, int((uint64(last)-uint64(first))/s.cfg.L2.LineBytes) + 1
 }

@@ -33,8 +33,8 @@ type coherenceFabric interface {
 	// eviction or region-eviction flush). The snooping fabric ignores it;
 	// the directory fabric sends the home a replacement hint.
 	lineEvicted(n *node, line addr.LineAddr)
-	// dmaWrite performs one coherent DMA buffer write starting at base.
-	dmaWrite(d *dmaAgent, base addr.Addr, now event.Cycle)
+	// dmaWrite performs one coherent DMA write of n > 0 bytes at base.
+	dmaWrite(base addr.Addr, n uint64, now event.Cycle)
 	// handle dispatches the fabric-owned event op codes (see events.go).
 	handle(n *node, now event.Cycle, op uint8, u32 uint32, u64 uint64)
 	// collect folds fabric-internal statistics into the run record.
@@ -219,32 +219,42 @@ func (n *node) applyBroadcastResponse(region addr.RegionAddr, kind coherence.Req
 
 // observeRemoteRegion gathers the region snoop response from every node
 // but the requester: whether any remote cache holds clean lines of the
-// region, and whether any holds modifiable ones. Pure observation — used
-// by paths that have no fused snoop loop (region probes, the directory
-// fabric); it must run before any line action mutates the caches. A node
-// whose RCA has no entry for the region, or an entry counting no lines,
-// caches none of its lines (RCA inclusion) and is skipped, as
-// performBroadcast's snoop filter does.
-func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr) (regionClean, regionDirty bool) {
+// region, and whether any holds modifiable ones. Each remote RCA entry's
+// line counts are that node's response; a node with no entry, or one
+// counting no lines, caches none of the region (RCA inclusion). Every node
+// has an RCA here: only a requester with one gathers a region response,
+// and all nodes share one configuration.
+//
+// It appends the remote nodes holding an entry for the region to holders,
+// in node order, and returns the grown slice, so the caller's region
+// notifications visit exactly those nodes. Pure observation — used by
+// paths that have no fused snoop loop (region probes, the directory
+// fabric); it must run before any line action mutates the caches.
+func (s *System) observeRemoteRegion(exclude int, region addr.RegionAddr, holders []*node) (regionClean, regionDirty bool, _ []*node) {
 	for _, o := range s.nodes {
 		if o.id == exclude {
 			continue
 		}
-		if o.rca != nil && o.rca.Probe(region).LineCount == 0 {
+		e := o.rca.Probe(region)
+		if e.State.Valid() {
+			holders = append(holders, o)
+		}
+		if e.LineCount == 0 {
 			if s.DebugChecks {
 				s.checkSnoopFilter(o, region, s.queue.Now())
 			}
 			continue
 		}
-		p, m := o.l2.RegionSnoop(s.geom, region)
-		if p && !m {
+		if s.DebugChecks {
+			s.checkRegionCounts(o, e, s.queue.Now())
+		}
+		if e.ModLines > 0 {
+			regionDirty = true
+		} else {
 			regionClean = true
 		}
-		if m {
-			regionDirty = true
-		}
 	}
-	return regionClean, regionDirty
+	return regionClean, regionDirty, holders
 }
 
 // completeFill finishes a request: fill the L1s for demand kinds, release
@@ -271,14 +281,13 @@ func (n *node) completeFill(kind coherence.ReqKind, line addr.LineAddr, now even
 			n.fillL1D(line, true)
 		}
 	}
-	if m, ok := n.pending[line]; ok {
-		delete(n.pending, line)
-		// processStore may re-issue on the same line; that creates a fresh
+	if m := n.mshrs.take(line); m != nil {
+		// processStore may re-issue on the same line; that opens a fresh
 		// mshr, so iterating m.waiters while it happens is safe.
 		for _, se := range m.waiters {
 			n.processStore(se, now)
 		}
-		n.freeMSHR(m)
+		n.mshrs.release(m)
 	}
 	n.resumeIfWaiting(line, now)
 	if forStore {
@@ -348,6 +357,20 @@ func (s *System) checkSnoopFilter(o *node, region addr.RegionAddr, cycle event.C
 		coherence.Violate(coherence.InvariantError{
 			Check: "snoop-filter", Cycle: uint64(cycle), Region: uint64(region),
 			Detail: fmt.Sprintf("p%d skipped by the snoop filter but caches lines of the region", o.id),
+		})
+	}
+}
+
+// checkRegionCounts asserts (tests only) that o's RCA entry e, read in
+// place of a region snoop, gives the same response as a scan of o's cache:
+// lines present iff it counts lines, a modifiable line iff it counts one.
+func (s *System) checkRegionCounts(o *node, e core.Entry, cycle event.Cycle) {
+	if p, m := o.l2.RegionSnoop(s.geom, e.Region); p != (e.LineCount > 0) || m != (e.ModLines > 0) {
+		coherence.Violate(coherence.InvariantError{
+			Check: "region-counts", Cycle: uint64(cycle), Region: uint64(e.Region),
+			States: e.State.String(),
+			Detail: fmt.Sprintf("p%d counts %d lines, %d modifiable, but caches present=%v modifiable=%v",
+				o.id, e.LineCount, e.ModLines, p, m),
 		})
 	}
 }

@@ -14,13 +14,81 @@ import (
 )
 
 // mshr tracks one in-flight fill and the work waiting on it. mshrs are
-// pooled per node (see newMSHR/freeMSHR) so the miss path allocates nothing
-// in steady state.
+// pooled per node (see mshrFile) so the miss path allocates nothing in
+// steady state.
 type mshr struct {
 	// waiters are store-buffer entries retried when the fill completes
 	// (the stalled processor is resumed separately via demandLine).
 	waiters []storeEntry
-	free    *mshr // next entry in the node's free list
+	free    *mshr // next entry in the file's free list
+}
+
+// mshrFile is a node's miss status holding registers: the line addresses
+// of its in-flight fills in a dense slice, scanned linearly, beside their
+// pooled mshrs. In-flight fills bound it — DemandOverlap demand misses,
+// MaxOutstanding prefetches and StoreBufferSize store-buffer requests — so
+// it is sized once and never grows; a few live entries is typical. Nothing
+// iterates it in order, so swap-removal cannot reach the results.
+type mshrFile struct {
+	lines []addr.LineAddr
+	ents  []*mshr
+	free  *mshr // recycled mshrs
+}
+
+func newMSHRFile(capacity int) mshrFile {
+	return mshrFile{lines: make([]addr.LineAddr, 0, capacity), ents: make([]*mshr, 0, capacity)}
+}
+
+// find returns the in-flight entry for line, or nil.
+func (f *mshrFile) find(line addr.LineAddr) *mshr {
+	for i, l := range f.lines {
+		if l == line {
+			return f.ents[i]
+		}
+	}
+	return nil
+}
+
+// open gives line an entry, keeping an existing one: a line already in
+// flight keeps its waiters.
+func (f *mshrFile) open(line addr.LineAddr) {
+	if f.find(line) != nil {
+		return
+	}
+	m := f.free
+	if m != nil {
+		f.free = m.free
+		m.free = nil
+	} else {
+		m = &mshr{}
+	}
+	f.lines = append(f.lines, line)
+	f.ents = append(f.ents, m)
+}
+
+// take removes line's entry and returns it, or nil when the line is not in
+// flight. The caller may open a new entry for the same line while it still
+// reads the old one's waiters, and hands it back with release.
+func (f *mshrFile) take(line addr.LineAddr) *mshr {
+	for i, l := range f.lines {
+		if l != line {
+			continue
+		}
+		m := f.ents[i]
+		last := len(f.lines) - 1
+		f.lines[i], f.ents[i] = f.lines[last], f.ents[last]
+		f.ents[last] = nil
+		f.lines, f.ents = f.lines[:last], f.ents[:last]
+		return m
+	}
+	return nil
+}
+
+// release recycles a taken mshr, keeping its waiter storage.
+func (f *mshrFile) release(m *mshr) {
+	m.waiters = m.waiters[:0]
+	m.free = f.free
+	f.free = m
 }
 
 // storeEntry is one store-buffer slot.
@@ -66,8 +134,7 @@ type node struct {
 	haveOp          bool
 	finished        bool
 
-	pending           map[addr.LineAddr]*mshr
-	mshrFree          *mshr // recycled mshrs
+	mshrs             mshrFile // in-flight fills and their waiters
 	storeBufUsed      int
 	outstanding       int // in-flight fabric requests
 	outstandingDemand int // in-flight demand (load/ifetch) misses
@@ -89,12 +156,12 @@ func (n *node) now() event.Cycle {
 
 func newNode(s *System, id int, src workload.Source) *node {
 	n := &node{
-		sys:     s,
-		id:      id,
-		l1i:     cache.New(fmt.Sprintf("p%d.l1i", id), s.cfg.L1I.SizeBytes, s.cfg.L1I.Assoc, s.cfg.L1I.LineBytes),
-		l1d:     cache.New(fmt.Sprintf("p%d.l1d", id), s.cfg.L1D.SizeBytes, s.cfg.L1D.Assoc, s.cfg.L1D.LineBytes),
-		src:     src,
-		pending: make(map[addr.LineAddr]*mshr),
+		sys:   s,
+		id:    id,
+		l1i:   cache.New(fmt.Sprintf("p%d.l1i", id), s.cfg.L1I.SizeBytes, s.cfg.L1I.Assoc, s.cfg.L1I.LineBytes),
+		l1d:   cache.New(fmt.Sprintf("p%d.l1d", id), s.cfg.L1D.SizeBytes, s.cfg.L1D.Assoc, s.cfg.L1D.LineBytes),
+		src:   src,
+		mshrs: newMSHRFile(s.cfg.Proc.DemandOverlap + s.cfg.Proc.MaxOutstanding + s.cfg.Proc.StoreBufferSize),
 	}
 	if s.cfg.L2SectorBytes > 0 {
 		n.l2 = cache.NewSectored(fmt.Sprintf("p%d.l2", id), s.cfg.L2.SizeBytes, s.cfg.L2.Assoc,
@@ -123,25 +190,8 @@ func newNode(s *System, id int, src workload.Source) *node {
 	}
 	// Inclusion hooks: L2 evictions/invalidations back-invalidate the L1s,
 	// maintain the RCA line counts, and generate write-backs.
-	n.l2.SetHooks(n.onL2Evict, n.onL2Allocate)
+	n.l2.SetHooks(n.onL2Evict, n.onL2Allocate, n.onL2StateChange)
 	return n
-}
-
-// newMSHR takes an mshr from the node's pool.
-func (n *node) newMSHR() *mshr {
-	if m := n.mshrFree; m != nil {
-		n.mshrFree = m.free
-		m.free = nil
-		return m
-	}
-	return &mshr{}
-}
-
-// freeMSHR recycles an mshr, keeping its waiter storage.
-func (n *node) freeMSHR(m *mshr) {
-	m.waiters = m.waiters[:0]
-	m.free = n.mshrFree
-	n.mshrFree = m
 }
 
 // schedule queues a run continuation at time t (no-op if one is pending).
@@ -222,7 +272,7 @@ func (n *node) execLoad(op workload.Op, t event.Cycle) bool {
 	// The line may be architecturally present (installed at the request's
 	// coherence point) while its data is still in flight; dependent
 	// accesses wait for the data to arrive.
-	if _, busy := n.pending[line]; busy {
+	if n.mshrs.find(line) != nil {
 		n.stallOn(line, t)
 		return false
 	}
@@ -248,7 +298,7 @@ func (n *node) execIFetch(op workload.Op, t event.Cycle) bool {
 		n.localTime = t
 		return true
 	}
-	if _, busy := n.pending[line]; busy {
+	if n.mshrs.find(line) != nil {
 		n.stallOn(line, t)
 		return false
 	}
@@ -314,7 +364,7 @@ func (n *node) execStoreLike(op workload.Op, t event.Cycle) bool {
 // processStore advances one store-buffer entry at time t. Entries complete
 // in the background; completion frees the slot.
 func (n *node) processStore(se storeEntry, t event.Cycle) {
-	if m, busy := n.pending[se.line]; busy {
+	if m := n.mshrs.find(se.line); m != nil {
 		m.waiters = append(m.waiters, se)
 		return
 	}
@@ -430,7 +480,7 @@ func (n *node) firePrefetches(line addr.LineAddr, isStore, wasMiss bool, t event
 		if n.outstandingPf >= n.sys.cfg.Proc.MaxOutstanding {
 			return
 		}
-		if _, busy := n.pending[h.Line]; busy {
+		if n.mshrs.find(h.Line) != nil {
 			continue
 		}
 		if n.l2.Lookup(h.Line).Valid() {
@@ -464,12 +514,12 @@ func (n *node) fillL1D(line addr.LineAddr, modified bool) {
 	n.l1d.Allocate(line, st)
 }
 
-// onL2Allocate maintains the RCA line count (inclusion between region
+// onL2Allocate maintains the RCA line counts (inclusion between region
 // state and cache contents).
 func (n *node) onL2Allocate(l cache.Line) {
 	n.sys.trackFill(n.id, l.Addr)
 	if n.rca != nil {
-		n.rca.IncLineCount(n.sys.geom.RegionOfLine(l.Addr))
+		n.rca.IncLineCount(n.sys.geom.RegionOfLine(l.Addr), core.ModifiableLine(l.State))
 	}
 	if n.crh != nil {
 		n.crh.Inc(n.sys.geom.RegionOfLine(l.Addr))
@@ -486,7 +536,7 @@ func (n *node) onL2Evict(l cache.Line, wasEviction bool) {
 	n.l1i.Invalidate(l.Addr)
 	n.l1d.Invalidate(l.Addr)
 	if n.rca != nil {
-		n.rca.DecLineCount(n.sys.geom.RegionOfLine(l.Addr))
+		n.rca.DecLineCount(n.sys.geom.RegionOfLine(l.Addr), core.ModifiableLine(l.State))
 	}
 	if n.crh != nil {
 		n.crh.Dec(n.sys.geom.RegionOfLine(l.Addr))
@@ -498,6 +548,14 @@ func (n *node) onL2Evict(l cache.Line, wasEviction bool) {
 		// hint so it never believes we still hold the line; the snooping
 		// fabric ignores it.
 		n.sys.fabric.lineEvicted(n, l.Addr)
+	}
+}
+
+// onL2StateChange keeps the RCA's modifiable-line count when a cached
+// line crosses the E/O/M boundary (E→S and S→M do; E→M and M→O do not).
+func (n *node) onL2StateChange(line addr.LineAddr, from, to coherence.LineState) {
+	if n.rca != nil && core.ModifiableLine(from) != core.ModifiableLine(to) {
+		n.rca.AdjustModLines(n.sys.geom.RegionOfLine(line), core.ModifiableLine(to))
 	}
 }
 

@@ -121,12 +121,21 @@ func TestCGCTNeverSlower(t *testing.T) {
 // TestPostRunInclusionInvariants checks, after a full CGCT run, that the
 // structural invariants hold in the final state: the L1s are subsets of
 // the L2, every cached line has a region entry, the region line counts
-// equal the cached-line counts, and no region is exclusive at two nodes.
+// and modifiable-line counts equal the cached-line counts, and no region
+// is exclusive at two nodes. It runs on the conventional L2 and on a
+// sectored one, whose state-change hook feeds the modifiable counts too.
 func TestPostRunInclusionInvariants(t *testing.T) {
-	cfg := config.Default().WithCGCT(512)
-	s := MustNew(cfg, testWorkload(t, "specweb99", 4, 30_000, 2), 2)
-	s.Run()
+	for _, sectorBytes := range []uint64{0, 512} {
+		cfg := config.Default().WithCGCT(512)
+		cfg.L2SectorBytes = sectorBytes
+		s := MustNew(cfg, testWorkload(t, "specweb99", 4, 30_000, 2), 2)
+		s.Run()
+		checkPostRunInclusion(t, s)
+	}
+}
 
+func checkPostRunInclusion(t *testing.T, s *System) {
+	t.Helper()
 	for _, n := range s.nodes {
 		// L1D/L1I ⊆ L2 (inclusion).
 		n.l1d.ForEachValid(func(l cache.Line) {
@@ -141,8 +150,12 @@ func TestPostRunInclusionInvariants(t *testing.T) {
 		})
 		// Cached line => region entry present, and counts match.
 		counts := map[addr.RegionAddr]int{}
+		mods := map[addr.RegionAddr]int{}
 		n.l2.ForEachValid(func(l cache.Line) {
 			counts[s.geom.RegionOfLine(l.Addr)]++
+			if core.ModifiableLine(l.State) {
+				mods[s.geom.RegionOfLine(l.Addr)]++
+			}
 		})
 		for region, want := range counts {
 			e := n.rca.Probe(region)
@@ -158,6 +171,9 @@ func TestPostRunInclusionInvariants(t *testing.T) {
 		n.rca.ForEachValid(func(e core.Entry) {
 			if e.LineCount != counts[e.Region] {
 				t.Errorf("p%d: region %x count %d, cached %d", n.id, uint64(e.Region), e.LineCount, counts[e.Region])
+			}
+			if e.ModLines != mods[e.Region] {
+				t.Errorf("p%d: region %x modifiable count %d, cached %d", n.id, uint64(e.Region), e.ModLines, mods[e.Region])
 			}
 		})
 	}
@@ -455,32 +471,53 @@ func TestDirectoryMode(t *testing.T) {
 	}
 }
 
+// TestDirectoryStress runs the contention stress trace on the directory
+// fabric with every check armed: on the full map, and on a 2-pointer,
+// 16-entry-per-home directory with and without CGCT, whose overflowed
+// records the oracle must read as implicating every node and whose sparse
+// victims invalidate their holders.
 func TestDirectoryStress(t *testing.T) {
-	// The contention stress trace, directory flavour.
-	r := rng.New(77)
-	gens := make([]workload.Generator, 4)
-	for p := range gens {
-		pr := r.Split()
-		ops := make([]workload.Op, 3_000)
-		for i := range ops {
-			a := uint64(0x500000) + pr.Uint64n(6*512)
-			kind := workload.OpLoad
-			switch pr.Uint64n(8) {
-			case 0, 1:
-				kind = workload.OpStore
-			case 2:
-				kind = workload.OpDCBZ
+	gens := func() []workload.Generator {
+		r := rng.New(77)
+		gens := make([]workload.Generator, 4)
+		for p := range gens {
+			pr := r.Split()
+			ops := make([]workload.Op, 3_000)
+			for i := range ops {
+				a := uint64(0x500000) + pr.Uint64n(6*512)
+				kind := workload.OpLoad
+				switch pr.Uint64n(8) {
+				case 0, 1:
+					kind = workload.OpStore
+				case 2:
+					kind = workload.OpDCBZ
+				}
+				ops[i] = workload.Op{Kind: kind, Addr: addr.Addr(a &^ 63), Gap: uint32(pr.Uint64n(16))}
 			}
-			ops[i] = workload.Op{Kind: kind, Addr: addr.Addr(a &^ 63), Gap: uint32(pr.Uint64n(16))}
+			gens[p] = &workload.SliceGenerator{Ops: ops}
 		}
-		gens[p] = &workload.SliceGenerator{Ops: ops}
+		return gens
 	}
 	cfg := config.Default().WithDirectory(config.DirectoryParams{})
-	s := MustNew(cfg, workload.Workload{Name: "dir-stress", Generators: gens}, 77)
+	s := MustNew(cfg, workload.Workload{Name: "dir-stress", Generators: gens()}, 77)
 	s.DebugChecks = true
 	run := s.Run()
 	if run.ThreeHops == 0 {
 		t.Error("contended trace produced no three-hop transfers")
+	}
+
+	limited := config.DirectoryParams{Scheme: config.DirSchemeLimited, Pointers: 2, MaxEntriesPerHome: 16}
+	for _, cfg := range []config.Config{
+		config.Default().WithDirectory(limited),
+		config.Default().WithCGCT(512).WithDirectory(limited),
+	} {
+		s := MustNew(cfg, workload.Workload{Name: "dir-stress", Generators: gens()}, 77)
+		s.DebugChecks = true
+		run := s.Run()
+		if run.DirPtrOverflows == 0 || run.DirEntriesEvicted == 0 {
+			t.Errorf("cgct=%v: limited sparse directory never overflowed (%d) or evicted (%d)",
+				cfg.CGCTEnabled, run.DirPtrOverflows, run.DirEntriesEvicted)
+		}
 	}
 }
 
@@ -617,7 +654,7 @@ func TestSnoopFilterCheckDetectsHiddenLines(t *testing.T) {
 			s.fabric.(*snoopFabric).performBroadcast(s.nodes[0], coherence.ReqRead, line, region, 0, false)
 		}},
 		{"region-snoop", func(s *System, _ addr.LineAddr, region addr.RegionAddr) {
-			s.observeRemoteRegion(0, region)
+			s.observeRemoteRegion(0, region, nil)
 		}},
 	}
 	for _, sc := range scans {
@@ -635,7 +672,7 @@ func TestSnoopFilterCheckDetectsHiddenLines(t *testing.T) {
 				if withEntry {
 					o.rca.Allocate(region, core.RegionCI, 0)
 				}
-				o.l2.SetHooks(nil, nil) // the fill bypasses the RCA line count
+				o.l2.SetHooks(nil, nil, nil) // the fill bypasses the RCA line count
 				o.l2.Allocate(line, coherence.Shared)
 				defer func() {
 					ie, ok := recover().(*coherence.InvariantError)
@@ -645,6 +682,197 @@ func TestSnoopFilterCheckDetectsHiddenLines(t *testing.T) {
 				}()
 				sc.scan(s, line, region)
 			})
+		}
+	}
+}
+
+// TestRegionCountsCheckDetectsDrift verifies the check behind region
+// responses read from RCA counts: a remote entry whose modifiable-line
+// count disagrees with its cache — here a region holding only a Shared
+// line, counted modifiable — must trip "region-counts" where
+// performBroadcast and observeRemoteRegion read the counts.
+func TestRegionCountsCheckDetectsDrift(t *testing.T) {
+	for _, sc := range []struct {
+		name string
+		scan func(s *System, line addr.LineAddr, region addr.RegionAddr)
+	}{
+		{"broadcast", func(s *System, line addr.LineAddr, region addr.RegionAddr) {
+			s.fabric.(*snoopFabric).performBroadcast(s.nodes[0], coherence.ReqRead, line, region, 0, false)
+		}},
+		{"region-snoop", func(s *System, _ addr.LineAddr, region addr.RegionAddr) {
+			s.observeRemoteRegion(0, region, nil)
+		}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			s := MustNew(config.Default().WithCGCT(512), testWorkload(t, "ocean", 4, 1_000, 1), 1)
+			s.DebugChecks = true
+			region := addr.RegionAddr(0x40000)
+			o := s.nodes[1]
+			o.rca.Allocate(region, core.RegionCI, 0)
+			o.l2.Allocate(s.geom.LineInRegion(region, 5), coherence.Shared) // counted by the hooks
+			o.rca.AdjustModLines(region, true)
+			defer func() {
+				ie, ok := recover().(*coherence.InvariantError)
+				if !ok || ie.Check != "region-counts" {
+					t.Errorf("count drift not detected (violation %+v)", ie)
+				}
+			}()
+			sc.scan(s, s.geom.LineInRegion(region, 3), region)
+		})
+	}
+}
+
+// TestDirectoryOracleCheckDetectsMissingHolder verifies the check behind
+// the record-filtered oracle: when a line's home record drops the node
+// that holds it, the oracle reads the line as uncached and must trip
+// "directory-oracle".
+func TestDirectoryOracleCheckDetectsMissingHolder(t *testing.T) {
+	s := MustNew(config.Default().WithDirectory(config.DirectoryParams{}), testWorkload(t, "ocean", 4, 1_000, 1), 1)
+	s.DebugChecks = true
+	f := s.fabric.(*directoryFabric)
+	line := addr.LineAddr(0x40000)
+	home := s.topo.HomeController(addr.Addr(line))
+	f.resolve(s.nodes[1], coherence.ReqRead, line, home, 0, false)
+	if st := s.nodes[1].l2.Lookup(line); st != coherence.Exclusive {
+		t.Fatalf("p1 holds the line in %v, want E", st)
+	}
+	f.dirs[home].Peek(line).Owner = -1
+	defer func() {
+		ie, ok := recover().(*coherence.InvariantError)
+		if !ok || ie.Check != "directory-oracle" {
+			t.Errorf("missing holder not detected (violation %+v)", ie)
+		}
+	}()
+	f.resolve(s.nodes[0], coherence.ReqRead, line, home, 0, false)
+}
+
+// TestMSHRFile checks the node's in-flight fill registers: a duplicate
+// issue keeps the line's one entry and its waiters, the first completion
+// removes it, and a line re-opened while the removed entry's waiters are
+// still being read gets a fresh entry.
+func TestMSHRFile(t *testing.T) {
+	f := newMSHRFile(2)
+	a, b, c := addr.LineAddr(0x1000), addr.LineAddr(0x2000), addr.LineAddr(0x3000)
+	f.open(a)
+	f.open(b)
+	ma := f.find(a)
+	ma.waiters = append(ma.waiters, storeEntry{line: a})
+	f.open(a)
+	if len(f.lines) != 2 || f.find(a) != ma || len(ma.waiters) != 1 {
+		t.Fatalf("duplicate open: %d entries, waiters %v", len(f.lines), f.find(a).waiters)
+	}
+	f.open(c) // past the preallocated size: still correct
+	if m := f.take(a); m != ma {
+		t.Fatal("take returned another entry")
+	}
+	if f.find(a) != nil || f.take(a) != nil {
+		t.Error("a second completion found the removed entry")
+	}
+	if f.find(b) == nil || f.find(c) == nil {
+		t.Error("swap-removal lost another line")
+	}
+	f.open(a)
+	if f.find(a) == ma {
+		t.Error("re-opened line reuses an entry still being read")
+	}
+	f.release(ma)
+	f.take(b)
+	f.open(b)
+	if f.find(b) != ma || len(ma.waiters) != 0 {
+		t.Error("released entry not recycled empty")
+	}
+}
+
+// TestCompleteFillRetriesWaiters drives the MSHR file through the node:
+// duplicate issues of one line share an entry until the first fill
+// completes, and every store waiting on a completed fill is retried — the
+// first retry re-issues for the line and opens a fresh entry, and the
+// others wait on it.
+func TestCompleteFillRetriesWaiters(t *testing.T) {
+	s := MustNew(config.Default(), testWorkload(t, "ocean", 4, 1_000, 1), 1)
+	n := s.nodes[0]
+	line := addr.LineAddr(0x40000)
+	n.outstandingDemand = 2
+	s.fabric.issue(n, coherence.ReqRead, line, 0, false)
+	s.fabric.issue(n, coherence.ReqRead, line, 0, false)
+	if len(n.mshrs.lines) != 1 || n.outstanding != 2 {
+		t.Fatalf("two issues: %d entries, %d outstanding", len(n.mshrs.lines), n.outstanding)
+	}
+	for s.queue.Step() {
+	}
+	if len(n.mshrs.lines) != 0 || n.outstanding != 0 || n.outstandingDemand != 0 {
+		t.Fatalf("after both fills: %d entries, %d outstanding, %d demand",
+			len(n.mshrs.lines), n.outstanding, n.outstandingDemand)
+	}
+
+	// Three stores wait on a read of a line that arrives Shared.
+	other := s.nodes[1]
+	other.l2.Allocate(line, coherence.Shared)
+	n.l2.Invalidate(line)
+	n.outstandingDemand = 1
+	s.fabric.issue(n, coherence.ReqRead, line, 0, false)
+	m := n.mshrs.find(line)
+	for i := 0; i < 3; i++ {
+		m.waiters = append(m.waiters, storeEntry{line: line, kind: workload.OpStore})
+	}
+	n.storeBufUsed = 3
+	upgrades := s.run.Requests[coherence.ReqUpgrade]
+	for s.queue.Step() {
+	}
+	if got := s.run.Requests[coherence.ReqUpgrade] - upgrades; got != 1 {
+		t.Errorf("%d upgrades for three waiting stores, want 1", got)
+	}
+	if n.storeBufUsed != 0 || len(n.mshrs.lines) != 0 || n.outstanding != 0 {
+		t.Errorf("stores not all retired: %d buffered, %d entries, %d outstanding",
+			n.storeBufUsed, len(n.mshrs.lines), n.outstanding)
+	}
+	if st := n.l2.Lookup(line); st != coherence.Modified {
+		t.Errorf("line ends %v after the stores, want M", st)
+	}
+}
+
+// TestDMAStaysInsideItsSegment runs the DMA agent, on both fabrics, against
+// a segment whose last byte is the top of the 40-bit address space but
+// which is smaller than the buffer, and against a zero-size segment just
+// below the top. Every line the device writes — the data-version
+// checker's record of external writes — must lie inside the segment, so
+// none lies above addr.PhysAddrMask.
+func TestDMAStaysInsideItsSegment(t *testing.T) {
+	top := addr.PhysAddrMask + 1
+	for _, cfg := range []config.Config{
+		config.Default().WithCGCT(512),
+		config.Default().WithCGCT(512).WithDirectory(config.DirectoryParams{}),
+	} {
+		for _, seg := range []addr.Segment{
+			{Base: addr.Addr(top - 256), Size: 256},
+			{Base: addr.Addr(top - 64), Size: 0},
+		} {
+			cfg.DMAIntervalCycles = 2_000
+			w := testWorkload(t, "ocean", 4, 4_000, 1)
+			w.DMATargets = []addr.Segment{seg}
+			s := MustNew(cfg, w, 1)
+			s.DebugChecks = true
+			run := s.Run()
+			for line := range s.verGlobal {
+				if uint64(line) > addr.PhysAddrMask {
+					t.Errorf("%s, segment %+v: DMA wrote line %#x above the address space",
+						cfg.FabricOrDefault(), seg, uint64(line))
+				}
+			}
+			if seg.Size == 0 {
+				if run.DMAWrites != 0 {
+					t.Errorf("%s: %d writes to a zero-size segment", cfg.FabricOrDefault(), run.DMAWrites)
+				}
+				continue
+			}
+			if run.DMAWrites == 0 {
+				t.Errorf("%s: the DMA agent never fired", cfg.FabricOrDefault())
+			}
+			for a := uint64(seg.Base); a < uint64(seg.End()); a += cfg.L2.LineBytes {
+				if _, ok := s.verGlobal[addr.LineAddr(a)]; !ok {
+					t.Errorf("%s: segment line %#x never written", cfg.FabricOrDefault(), a)
+				}
+			}
 		}
 	}
 }

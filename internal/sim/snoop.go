@@ -23,6 +23,9 @@ type snoopFabric struct {
 	// snooped is performBroadcast's scratch list of the remote nodes its
 	// snoop phase did not filter, with their L2 state for the line.
 	snooped []snoopedNode
+	// holders is performRegionProbe's scratch list of the remote nodes
+	// holding an RCA entry for the probed region (observeRemoteRegion).
+	holders []*node
 }
 
 // snoopedNode is one remote node a broadcast's snoop phase visited.
@@ -36,6 +39,7 @@ func newSnoopFabric(s *System) *snoopFabric {
 		s:       s,
 		abus:    bus.NewAddressBus(s.cfg.Net),
 		snooped: make([]snoopedNode, 0, s.cfg.Topology.Processors),
+		holders: make([]*node, 0, s.cfg.Topology.Processors),
 	}
 }
 
@@ -94,15 +98,11 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 	default: // broadcast
 		s.run.Broadcasts[kind]++
 		n.outstanding++
-		if _, dup := n.pending[line]; !dup {
-			n.pending[line] = n.newMSHR()
-		}
+		n.mshrs.open(line)
 		f.busSchedule(n, t, nodeOpBroadcast, packReq(kind, forStore), uint64(line))
 		return
 	}
-	if _, dup := n.pending[line]; !dup {
-		n.pending[line] = n.newMSHR()
-	}
+	n.mshrs.open(line)
 }
 
 // busSchedule arbitrates for the address bus and schedules the granted
@@ -241,12 +241,15 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 				}
 			}
 			if n.rca != nil {
-				p, m := o.l2.RegionSnoop(s.geom, region)
-				if p && !m {
-					regionClean = true
+				// Every node has an RCA when the requester does, and this
+				// entry counts lines: its counts are o's region response.
+				if s.DebugChecks {
+					s.checkRegionCounts(o, e, grant)
 				}
-				if m {
+				if e.ModLines > 0 {
 					regionDirty = true
+				} else {
+					regionClean = true
 				}
 			}
 		}
@@ -396,11 +399,9 @@ func (f *snoopFabric) performRegionProbe(n *node, region addr.RegionAddr, now ev
 	if n.rca == nil || n.rca.Probe(region).State.Valid() {
 		return // raced with a demand allocation
 	}
-	regionClean, regionDirty := s.observeRemoteRegion(n.id, region)
-	for _, o := range s.nodes {
-		if o.id == n.id {
-			continue
-		}
+	var regionClean, regionDirty bool
+	regionClean, regionDirty, f.holders = s.observeRemoteRegion(n.id, region, f.holders[:0])
+	for _, o := range f.holders {
 		// The probe behaves like an external shared read: remote
 		// exclusives downgrade (or self-invalidate when empty) so
 		// that no silent upgrades can invalidate the prober's view.
@@ -419,15 +420,15 @@ func (f *snoopFabric) performRegionProbe(n *node, region addr.RegionAddr, now ev
 // applies to it. Every processor invalidates its copies of the buffer's
 // lines, and the region entries covering the buffer downgrade or
 // self-invalidate.
-func (f *snoopFabric) dmaWrite(d *dmaAgent, base addr.Addr, now event.Cycle) {
+func (f *snoopFabric) dmaWrite(base addr.Addr, n uint64, now event.Cycle) {
 	s := f.s
 	grant := f.abus.Arbitrate(now)
 	s.run.Windows.Record(grant)
 	s.run.DMAWrites++
 
-	lines := int(d.bufBytes / s.cfg.L2.LineBytes)
+	first, lines := s.dmaLines(base, n)
 	for i := 0; i < lines; i++ {
-		line := s.geom.Line(addr.Addr(uint64(base) + uint64(i)*s.cfg.L2.LineBytes))
+		line := first + addr.LineAddr(uint64(i)*s.cfg.L2.LineBytes)
 		region := s.geom.RegionOfLine(line)
 		s.trackExternalWrite(line)
 		for _, o := range s.nodes {

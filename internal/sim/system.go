@@ -332,8 +332,9 @@ func (s *System) collect() {
 func (s *System) Nodes() int { return len(s.nodes) }
 
 // lineStateAnywhere reports whether any node other than exclude caches the
-// line, and whether any such copy is writable-capable (E/O/M). Used by the
-// oracle and the debug invariants.
+// line, and whether any such copy is writable-capable (E/O/M), by scanning
+// every node: the reference the debug invariants check routes and the
+// directory's record-filtered oracle against.
 func (s *System) lineStateAnywhere(exclude int, l addr.LineAddr) (valid, writable bool) {
 	for _, n := range s.nodes {
 		if n.id == exclude {
