@@ -255,6 +255,23 @@ func TestDirectoryOption(t *testing.T) {
 	}
 }
 
+// TestDirectoryProcessorLimit: the directory's sharer mask tracks at most
+// 128 processors, so a larger directory machine — with or without CGCT —
+// is a configuration error, not an index-out-of-range panic mid-run.
+func TestDirectoryProcessorLimit(t *testing.T) {
+	for _, withCGCT := range []bool{false, true} {
+		o := cgct.Options{Processors: 129, Directory: true, CGCT: withCGCT, OpsPerProc: 300, Seed: 1}
+		_, err := cgct.Run("tpc-b", o)
+		if err == nil || !strings.Contains(err.Error(), "128") {
+			t.Errorf("CGCT=%v, 129 processors: err = %v, want an error naming the 128-processor limit", withCGCT, err)
+		}
+		o.Processors = 128
+		if _, err := cgct.Run("tpc-b", o); err != nil {
+			t.Errorf("CGCT=%v, 128 processors: %v", withCGCT, err)
+		}
+	}
+}
+
 // TestSaveAndRunTrace: replaying a file written by CompileTrace returns
 // exactly the Result of Run under the same options, DMA traffic included,
 // and a missing file fails instead of replaying.

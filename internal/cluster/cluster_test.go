@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -120,7 +121,7 @@ func TestParsePeers(t *testing.T) {
 
 // newTestCluster builds a two-node cluster whose one remote peer is the
 // given handler.
-func newTestCluster(t *testing.T, peer http.Handler, cfg Config) (*Cluster, string) {
+func newTestCluster(t testing.TB, peer http.Handler, cfg Config) (*Cluster, string) {
 	t.Helper()
 	hs := httptest.NewServer(peer)
 	t.Cleanup(hs.Close)
@@ -158,6 +159,28 @@ func TestFetchRoundTrip(t *testing.T) {
 	st := c.Stats()
 	if st.FetchHits != 1 || st.FetchMisses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+}
+
+// BenchmarkClusterFetch measures one peer fetch of a 4 KiB result over
+// loopback HTTP: this node's Cluster against a peer serving its results
+// endpoint.
+func BenchmarkClusterFetch(b *testing.B) {
+	payload := bytes.Repeat([]byte{'x'}, 4<<10)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/results/{key}", func(w http.ResponseWriter, r *http.Request) {
+		w.Write(payload)
+	})
+	c, peerURL := newTestCluster(b, mux, Config{})
+	key := keyOf("fetched")
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body, err := c.Fetch(ctx, peerURL, key)
+		if err != nil || len(body) != len(payload) {
+			b.Fatalf("Fetch: %d bytes, %v", len(body), err)
+		}
 	}
 }
 

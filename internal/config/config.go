@@ -136,6 +136,11 @@ type DirectoryParams struct {
 // pointers the scheme stops being "limited" and a full map is cheaper.
 const maxDirPointers = 8
 
+// MaxDirectoryProcessors is the largest machine the directory fabric
+// models: its full-map sharer mask (internal/directory) holds one bit per
+// processor and is sized from this bound.
+const MaxDirectoryProcessors = 128
+
 // MaxDirEntriesPerHome bounds configurable sparse-directory storage
 // (16M entries per home is already far beyond any simulated working set).
 const MaxDirEntriesPerHome = 1 << 24
@@ -338,8 +343,14 @@ type Config struct {
 // fabric a cross-node effect needs a bus grant plus the snoop latency,
 // and a direct request cannot deliver data before the direct-request
 // floor plus a DRAM access; the directory fabric's floor is a same-chip
-// direct request plus the home directory lookup. A zero horizon only
-// stops run-ahead: every node then yields after each op.
+// direct request plus the home directory lookup. A zero horizon stops
+// run-ahead: every node then yields after each op.
+//
+// The horizon does change results. The bus, memory-controller banks and
+// data links are busy-until counters served in call order, so a node
+// running ahead reserves them at future times and an earlier request
+// called later queues behind it; horizon 0 gives different Fig 8
+// numbers than the default (see DESIGN §5).
 func (c Config) BatchHorizon() uint64 {
 	if c.DirectoryEnabled() {
 		return c.Net.DirectReqSameChip + c.Net.DirectoryLatency
@@ -465,6 +476,9 @@ func (c Config) Validate() error {
 	switch c.FabricOrDefault() {
 	case FabricSnoop:
 	case FabricDirectory:
+		if c.Topology.Processors > MaxDirectoryProcessors {
+			return fmt.Errorf("config: the directory fabric tracks at most %d processors, got %d", MaxDirectoryProcessors, c.Topology.Processors)
+		}
 		if err := c.Directory.Validate(); err != nil {
 			return err
 		}

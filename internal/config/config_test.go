@@ -126,6 +126,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { *c = c.WithDirectory(DirectoryParams{MaxEntriesPerHome: 1 << 30}) },            // absurd bound
 		func(c *Config) { *c = c.WithDirectory(DirectoryParams{}); c.Proc.RegionPrefetch = true },
 		func(c *Config) { *c = c.WithRegionScout(512).WithDirectory(DirectoryParams{}) },
+		func(c *Config) {
+			*c = c.WithDirectory(DirectoryParams{})
+			c.Topology.Processors = MaxDirectoryProcessors + 1
+		},
 	}
 	for i, mutate := range cases {
 		c := Default()

@@ -23,13 +23,10 @@ import (
 	"cgct/internal/event"
 )
 
-// maskWords sizes the full-map sharer bitmask. Two 64-bit words cover the
-// serving layer's 128-processor admission bound; a plain uint64 would
-// silently drop sharers above processor 63 (1<<id is 0 for id >= 64).
-const maskWords = 2
-
-// MaxProcessors is the largest processor count the sharer mask can track.
-const MaxProcessors = maskWords * 64
+// maskWords sizes the full-map sharer bitmask to cover every processor a
+// valid directory configuration can have; a plain uint64 would silently
+// drop sharers above processor 63 (1<<id is 0 for id >= 64).
+const maskWords = (config.MaxDirectoryProcessors + 63) / 64
 
 // Entry is one line's directory state at its home controller.
 type Entry struct {

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -83,6 +85,41 @@ func TestNormalizeBounds(t *testing.T) {
 				t.Fatalf("normalize accepted %s", tc.raw)
 			}
 		})
+	}
+}
+
+// TestAdmissionBoundsRCAFootprint: the RCA allocates every way up front,
+// one array per processor, so admission bounds processors × rca_sets
+// with CGCT on. The worst case stays the largest single-array request
+// admitted before (4 × 2^22 sets), and the paper's 8192-set RCA stays
+// admissible at every admitted processor count.
+func TestAdmissionBoundsRCAFootprint(t *testing.T) {
+	// Drain first: admission bounds run before the draining check, so the
+	// bound answers 400 and a request it wrongly admits gets 503 instead
+	// of allocating its RCA.
+	s := New(Options{Workers: 1, QueueCapacity: 1})
+	if err := s.manager.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body := `{"benchmark":"ocean","options":{"Processors":128,"RCASets":4194304,"CGCT":true}}`
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "rca_sets") {
+		t.Fatalf("128 processors × 2^22 RCA sets: %d %s, want 400 naming rca_sets", rec.Code, rec.Body)
+	}
+	for _, raw := range []string{
+		`{"benchmark":"ocean","options":{"Processors":4,"RCASets":4194304,"CGCT":true}}`,
+		`{"benchmark":"ocean","options":{"RCASets":4194304,"CGCT":true}}`,
+		`{"benchmark":"ocean","options":{"Processors":128,"CGCT":true}}`,
+		`{"benchmark":"ocean","options":{"Processors":128,"RCASets":4194304}}`, // no RCA without CGCT
+	} {
+		var req JobRequest
+		if err := json.Unmarshal([]byte(raw), &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.normalize(); err != nil {
+			t.Errorf("%s rejected: %v", raw, err)
+		}
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 
 	"cgct"
 	"cgct/internal/cluster"
+	"cgct/internal/config"
 	"cgct/internal/directory"
 	"cgct/internal/experiments"
 	"cgct/internal/faultinject"
@@ -92,9 +93,13 @@ const (
 	maxReqProcessors = 128
 	maxReqOpsPerProc = 20_000_000
 	maxReqRCASets    = 1 << 22
-	maxReqBytesParam = 1 << 20 // RegionBytes, L2SectorBytes
-	maxReqSeeds      = 64
-	maxReqBenchmarks = 64
+	// maxReqRCATotalSets bounds processors × rca_sets with CGCT on: every
+	// processor's RCA allocates all its ways up front (28 bytes each), so
+	// the bound keeps one request's RCAs under about 900 MiB.
+	maxReqRCATotalSets = 1 << 24
+	maxReqBytesParam   = 1 << 20 // RegionBytes, L2SectorBytes
+	maxReqSeeds        = 64
+	maxReqBenchmarks   = 64
 	// Directory fabric knobs (mirror config's own ceilings so a hostile
 	// value fails at admission, not at config resolution).
 	maxReqDirPointers = 8
@@ -118,6 +123,19 @@ func (r *JobRequest) boundRequest() error {
 		}
 		if o.RCASets > maxReqRCASets {
 			return fmt.Errorf("rca_sets %d exceeds limit %d", o.RCASets, maxReqRCASets)
+		}
+		if o.CGCT {
+			def := config.Default()
+			procs, sets := uint64(def.Topology.Processors), def.RCA.Sets
+			if o.Processors > 0 {
+				procs = uint64(o.Processors)
+			}
+			if o.RCASets > 0 {
+				sets = o.RCASets
+			}
+			if procs*sets > maxReqRCATotalSets {
+				return fmt.Errorf("processors × rca_sets = %d × %d exceeds limit %d", procs, sets, maxReqRCATotalSets)
+			}
 		}
 		if o.RegionBytes > maxReqBytesParam {
 			return fmt.Errorf("region_bytes %d exceeds limit %d", o.RegionBytes, maxReqBytesParam)

@@ -351,3 +351,49 @@ func TestValidateKey(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStorePut measures one durable write: Put of a 4 KiB payload
+// under a fresh key, then Flush until it is on disk (fsync and rename
+// included).
+func BenchmarkStorePut(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	payload := bytes.Repeat([]byte{'x'}, 4<<10)
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = keyOf(fmt.Sprintf("put-%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(keys[i], payload); err != nil {
+			b.Fatal(err)
+		}
+		s.Flush()
+	}
+}
+
+// BenchmarkStoreGet measures reading one durable 4 KiB entry back from
+// disk, envelope and digest checks included.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	key := keyOf("get")
+	if err := s.Put(key, bytes.Repeat([]byte{'x'}, 4<<10)); err != nil {
+		b.Fatal(err)
+	}
+	s.Flush()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(key); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -53,14 +53,30 @@ const (
 	colChunk = 64 << 10
 )
 
-// uvarintLen returns the encoded size of x, for the length-prefix pass.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
+// appendKindGaps appends p's on-disk kind|gap column to b:
+// uvarint(gap<<3 | kind) per op, escaped gaps restored.
+func (p *ProcTrace) appendKindGaps(b []byte) []byte {
+	big := p.bigGaps
+	for _, w := range p.ops {
+		gap := w >> kindBits & gapEscape
+		if gap == gapEscape {
+			gap, big = uint64(big[0]), big[1:]
+		}
+		b = binary.AppendUvarint(b, gap<<3|w&kindMask)
 	}
-	return n
+	return b
+}
+
+// appendDeltas appends p's on-disk address column to b: zigzag-varint of
+// each op's address minus the previous op's (starting from 0).
+func (p *ProcTrace) appendDeltas(b []byte) []byte {
+	var prev uint64
+	for _, w := range p.ops {
+		a := w >> addrShift
+		b = binary.AppendVarint(b, int64(a-prev))
+		prev = a
+	}
+	return b
 }
 
 // Write serialises the trace. The stream ends with a sha256 of everything
@@ -79,7 +95,7 @@ func (t *Trace) Write(w io.Writer) error {
 	h := sha256.New()
 	mw := io.MultiWriter(bw, h)
 
-	var scratch [binary.MaxVarintLen64]byte
+	var scratch [8]byte
 	w64 := func(v uint64) error {
 		binary.LittleEndian.PutUint64(scratch[:8], v)
 		_, err := mw.Write(scratch[:8])
@@ -111,29 +127,27 @@ func (t *Trace) Write(w io.Writer) error {
 			return err
 		}
 	}
+	// Each column is encoded whole into col, reused across processors, and
+	// written behind its length in one call.
+	col := make([]byte, 0, colChunk)
+	writeCol := func() error {
+		if err := w64(uint64(len(col))); err != nil {
+			return err
+		}
+		_, err := mw.Write(col)
+		return err
+	}
 	for i := range t.Procs {
 		pt := &t.Procs[i]
-		if err := w64(uint64(len(pt.kindGap))); err != nil {
+		if err := w64(uint64(len(pt.ops))); err != nil {
 			return err
 		}
-		// Length-prefix pass, then the column itself.
-		var kgLen uint64
-		for _, word := range pt.kindGap {
-			kgLen += uint64(uvarintLen(word))
-		}
-		if err := w64(kgLen); err != nil {
+		col = pt.appendKindGaps(col[:0])
+		if err := writeCol(); err != nil {
 			return err
 		}
-		for _, word := range pt.kindGap {
-			n := binary.PutUvarint(scratch[:], word)
-			if _, err := mw.Write(scratch[:n]); err != nil {
-				return err
-			}
-		}
-		if err := w64(uint64(len(pt.deltas))); err != nil {
-			return err
-		}
-		if _, err := mw.Write(pt.deltas); err != nil {
+		col = pt.appendDeltas(col[:0])
+		if err := writeCol(); err != nil {
 			return err
 		}
 	}
@@ -304,8 +318,8 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		words, err := decodeKindGap(kg, count, p)
-		if err != nil {
+		pt := &t.Procs[p]
+		if err := pt.decodeKindGaps(kg, count, p); err != nil {
 			return nil, err
 		}
 		dLen, err := fr.u64(fmt.Sprintf("p%d delta length", p))
@@ -319,10 +333,9 @@ func Read(r io.Reader) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := validateDeltas(deltas, count, p); err != nil {
+		if err := pt.decodeDeltas(deltas, p); err != nil {
 			return nil, err
 		}
-		t.Procs[p] = ProcTrace{kindGap: words, deltas: deltas}
 	}
 	want := fr.h.Sum(nil)
 	var got [sha256.Size]byte
@@ -336,39 +349,42 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// decodeKindGap unpacks a kind|gap column into words, validating kinds
-// and gap range. count ≤ len(kg) is already established, so the word
-// slice allocation is backed by bytes actually read.
-func decodeKindGap(kg []byte, count uint64, p uint32) ([]uint64, error) {
-	words := make([]uint64, 0, count)
+// decodeKindGaps unpacks a kind|gap column into the kind and gap bits of
+// pt's words, validating kinds and gap range. count ≤ len(kg) is already
+// established, so the word slice allocation is backed by bytes actually
+// read.
+func (pt *ProcTrace) decodeKindGaps(kg []byte, count uint64, p uint32) error {
+	pt.ops = make([]uint64, 0, count)
 	off := 0
 	for i := uint64(0); i < count; i++ {
-		w, n := binary.Uvarint(kg[off:])
+		v, n := binary.Uvarint(kg[off:])
 		if n <= 0 {
-			return nil, fmt.Errorf("trace: corrupt kind|gap varint at p%d[%d]", p, i)
+			return fmt.Errorf("trace: corrupt kind|gap varint at p%d[%d]", p, i)
 		}
 		off += n
-		if workload.OpKind(w&7) >= workload.NOpKinds {
-			return nil, fmt.Errorf("trace: invalid op kind %d at p%d[%d]", w&7, p, i)
+		kind, gap := v&7, v>>3
+		if workload.OpKind(kind) >= workload.NOpKinds {
+			return fmt.Errorf("trace: invalid op kind %d at p%d[%d]", kind, p, i)
 		}
-		if w>>3 > math.MaxUint32 {
-			return nil, fmt.Errorf("trace: gap %d out of range at p%d[%d]", w>>3, p, i)
+		if gap > math.MaxUint32 {
+			return fmt.Errorf("trace: gap %d out of range at p%d[%d]", gap, p, i)
 		}
-		words = append(words, w)
+		pt.ops = append(pt.ops, pt.lowBits(kind, uint32(gap)))
 	}
 	if off != len(kg) {
-		return nil, fmt.Errorf("trace: p%d kind|gap column has %d trailing bytes", p, len(kg)-off)
+		return fmt.Errorf("trace: p%d kind|gap column has %d trailing bytes", p, len(kg)-off)
 	}
-	return words, nil
+	return nil
 }
 
-// validateDeltas walks the delta column, checking it holds exactly count
-// varints whose running sum stays a valid physical address — cursors can
-// then replay without per-op error paths.
-func validateDeltas(deltas []byte, count uint64, p uint32) error {
+// decodeDeltas fills in the address bits of pt's words from the delta
+// column, checking it holds exactly one varint per op and that the
+// running sum stays a valid physical address — cursors can then replay
+// without per-op error paths.
+func (pt *ProcTrace) decodeDeltas(deltas []byte, p uint32) error {
 	off := 0
 	var cur int64
-	for i := uint64(0); i < count; i++ {
+	for i := range pt.ops {
 		d, n := binary.Varint(deltas[off:])
 		if n <= 0 {
 			return fmt.Errorf("trace: corrupt address varint at p%d[%d]", p, i)
@@ -378,6 +394,7 @@ func validateDeltas(deltas []byte, count uint64, p uint32) error {
 		if cur < 0 || uint64(cur) > addr.PhysAddrMask {
 			return fmt.Errorf("trace: address %x out of range at p%d[%d]", uint64(cur), p, i)
 		}
+		pt.ops[i] |= uint64(cur) << addrShift
 	}
 	if off != len(deltas) {
 		return fmt.Errorf("trace: p%d delta column has %d trailing bytes", p, len(deltas)-off)

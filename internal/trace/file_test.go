@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -124,8 +126,7 @@ func tinyTraceBytes(t testing.TB, pt ProcTrace) []byte {
 	return traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{pt}})
 }
 
-// traceBytes serialises tr. Write checks sizes, not content, so a trace
-// with invalid content still gets a valid digest.
+// traceBytes serialises tr.
 func traceBytes(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -136,10 +137,56 @@ func traceBytes(t testing.TB, tr *Trace) []byte {
 }
 
 func validProcTrace() ProcTrace {
-	e := newEncoder(2)
-	e.add(workload.Op{Kind: workload.OpLoad, Addr: 64, Gap: 3})
-	e.add(workload.Op{Kind: workload.OpStore, Addr: 128, Gap: 1})
-	return e.pt
+	var pt ProcTrace
+	for _, op := range []workload.Op{
+		{Kind: workload.OpLoad, Addr: 64, Gap: 3},
+		{Kind: workload.OpStore, Addr: 128, Gap: 1},
+	} {
+		if err := pt.add(op); err != nil {
+			panic(err)
+		}
+	}
+	return pt
+}
+
+// rawProc is one processor's on-disk columns, byte for byte.
+type rawProc struct {
+	count uint64
+	kg, d []byte
+}
+
+// rawColumns encodes ops into on-disk columns the way the format
+// specifies, independently of ProcTrace.
+func rawColumns(ops ...workload.Op) rawProc {
+	r := rawProc{count: uint64(len(ops))}
+	var prev int64
+	for _, op := range ops {
+		r.kg = binary.AppendUvarint(r.kg, uint64(op.Gap)<<3|uint64(op.Kind))
+		r.d = binary.AppendVarint(r.d, int64(op.Addr)-prev)
+		prev = int64(op.Addr)
+	}
+	return r
+}
+
+// sealRaw builds a complete file named "t" with no DMA segments around
+// raw column bytes and seals it with a valid digest, so a test can store
+// content the encoder would never produce.
+func sealRaw(procs ...rawProc) []byte {
+	le := binary.LittleEndian
+	b := append([]byte(nil), fileMagic[:]...)
+	b = le.AppendUint16(b, 1)
+	b = append(b, 't')
+	b = le.AppendUint32(b, uint32(len(procs)))
+	b = le.AppendUint32(b, 0)
+	for _, p := range procs {
+		b = le.AppendUint64(b, p.count)
+		b = le.AppendUint64(b, uint64(len(p.kg)))
+		b = append(b, p.kg...)
+		b = le.AppendUint64(b, uint64(len(p.d)))
+		b = append(b, p.d...)
+	}
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
 }
 
 // hostileHeader is a valid file with one header field mutated, and a
@@ -258,31 +305,21 @@ func TestFileRejectsOutOfRangeDMA(t *testing.T) {
 // payloads (bad kind, oversized gap, out-of-range address, trailing
 // bytes) are rejected even though lengths and counts agree.
 func TestFileRejectsInvalidContent(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	zz := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	cases := []struct {
 		name string
-		pt   ProcTrace
+		raw  rawProc
 		want string
 	}{
-		{"invalid kind", ProcTrace{
-			kindGap: []uint64{uint64(workload.NOpKinds)},
-			deltas:  binary.AppendVarint(nil, 64),
-		}, "op kind"},
-		{"gap out of range", ProcTrace{
-			kindGap: []uint64{uint64(1) << 40 << 3},
-			deltas:  binary.AppendVarint(nil, 64),
-		}, "gap"},
-		{"negative address", ProcTrace{
-			kindGap: []uint64{0},
-			deltas:  binary.AppendVarint(nil, -1),
-		}, "address"},
-		{"delta trailing bytes", ProcTrace{
-			kindGap: []uint64{0},
-			deltas:  append(binary.AppendVarint(nil, 64), 0),
-		}, "trailing"},
+		{"invalid kind", rawProc{1, uv(uint64(workload.NOpKinds)), zz(64)}, "op kind"},
+		{"gap out of range", rawProc{1, uv(uint64(1) << 40 << 3), zz(64)}, "gap"},
+		{"negative address", rawProc{1, uv(0), zz(-1)}, "address"},
+		{"delta trailing bytes", rawProc{1, uv(0), append(zz(64), 0)}, "trailing"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(tinyTraceBytes(t, c.pt)))
+			_, err := Read(bytes.NewReader(sealRaw(c.raw)))
 			if err == nil {
 				t.Fatal("invalid content accepted")
 			}
@@ -290,6 +327,86 @@ func TestFileRejectsInvalidContent(t *testing.T) {
 				t.Fatalf("err = %q, want substring %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestFileEdgeOpsRoundTrip: ops at the edges of the packed word — a gap
+// one below the escape marker, the marker itself, the largest gap the
+// format allows, and the highest physical address — read, replay and
+// write back unchanged, byte for byte.
+func TestFileEdgeOpsRoundTrip(t *testing.T) {
+	p0 := []workload.Op{
+		{Kind: workload.OpLoad, Addr: 64, Gap: gapEscape - 1},
+		{Kind: workload.OpStore, Addr: addr.Addr(addr.PhysAddrMask), Gap: gapEscape},
+		{Kind: workload.OpIFetch, Addr: 0, Gap: math.MaxUint32},
+		{Kind: workload.OpDCBF, Addr: 4096, Gap: 7},
+	}
+	p1 := []workload.Op{
+		{Kind: workload.OpDCBZ, Addr: 1 << 30, Gap: math.MaxUint32 - 1},
+		{Kind: workload.OpLoad, Addr: 1<<30 + 128, Gap: 0},
+	}
+	raw := sealRaw(rawColumns(p0...), rawColumns(p1...))
+	tr, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range [][]workload.Op{p0, p1} {
+		if got := collectProc(t, &tr.Procs[p], 3); !reflect.DeepEqual(got, want) {
+			t.Fatalf("p%d replays %+v, want %+v", p, got, want)
+		}
+	}
+	// Two of p0's gaps and p1's one take the escape column.
+	if got := [2]int{len(tr.Procs[0].bigGaps), len(tr.Procs[1].bigGaps)}; got != [2]int{2, 1} {
+		t.Fatalf("escaped gaps per processor = %v, want [2 1]", got)
+	}
+	if !bytes.Equal(traceBytes(t, tr), raw) {
+		t.Fatal("Write does not reproduce the file it read")
+	}
+}
+
+// TestWriteMatchesPinnedBytes pins the CGCTCPT1 bytes Write produces for
+// two paper benchmarks, one with a single DMA segment (tpc-b) and one
+// with four (tpc-h), so a change to the in-memory encoding cannot
+// silently change the disk format.
+func TestWriteMatchesPinnedBytes(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		size  int
+		sum   string
+	}{
+		{"tpc-b", 105_550, "5035698817b781b15e2ccbc62f2da645db17b925a8835182a268aa8ae02e4be1"},
+		{"tpc-h", 106_146, "66453f29dce167ca81af1d69b3cee1d928cc21102f381f63350a200720b2a394"},
+	} {
+		tr, err := Compile(context.Background(), c.bench, workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := traceBytes(t, tr)
+		if sum := sha256.Sum256(raw); len(raw) != c.size || hex.EncodeToString(sum[:]) != c.sum {
+			t.Errorf("%s: wrote %d bytes with sha256 %x, want %d bytes with %s", c.bench, len(raw), sum, c.size, c.sum)
+		}
+	}
+}
+
+// BenchmarkTraceWriteRead measures writing and reading back a 4-proc ×
+// 5K-op tpc-b trace, the size the serving tier spills to its store and
+// reloads.
+func BenchmarkTraceWriteRead(b *testing.B) {
+	tr, err := Compile(context.Background(), "tpc-b", workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := tr.Write(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -1,23 +1,23 @@
 // Package trace is the compiled trace engine: it materialises a
 // workload's per-processor operation streams exactly once into a compact,
-// immutable, columnar encoding and replays them through batched cursors,
-// so a figures sweep that simulates the same (benchmark, processors, ops,
+// immutable encoding and replays them through batched cursors, so a
+// figures sweep that simulates the same (benchmark, processors, ops,
 // seed) trace under many machine configurations pays trace synthesis once
 // instead of once per variant, and the simulator's hot path refills a
 // small op buffer from a contiguous slab instead of making one interface
 // call per operation.
 //
-// Encoding: one slab per processor, two columns.
+// Encoding: one slab per processor, one 8-byte word per op,
 //
-//   - kindGap: one uint64 per op, gap<<3 | kind (the op kind needs 3
-//     bits; the instruction gap rides in the upper bits).
-//   - deltas: one zigzag-varint per op of the address delta from the
-//     previous op's address (starting from 0). Workload generators have
-//     strong spatial locality, so deltas are small and the column
-//     averages a few bytes per op — roughly half the footprint of the
-//     equivalent []workload.Op.
+//	addr<<24 | gap<<3 | kind
 //
-// Traces are identified by a content hash over the encoded columns; the
+// holding the 40-bit physical address, a 21-bit instruction gap and the
+// 3-bit op kind — half the footprint of the equivalent []workload.Op, and
+// a replay that is a shift and a mask per field. A gap too large for its
+// field stores gapEscape instead; the real gap goes, in op order, into the
+// processor's escape column. Generated workloads never reach it.
+//
+// Traces are identified by a content hash over both columns; the
 // process-wide shared cache (Get) and the versioned on-disk format
 // (WriteFile / ReadFile) both build on it.
 package trace
@@ -33,49 +33,63 @@ import (
 	"cgct/internal/workload"
 )
 
+// Word layout of one compiled op: addr<<addrShift | gap<<kindBits | kind.
+// The address field is the top addr.PhysAddrBits (40) bits.
+const (
+	kindBits  = 3
+	gapBits   = 21
+	addrShift = kindBits + gapBits
+	kindMask  = 1<<kindBits - 1
+	// gapEscape is the largest gap field value. A word holding it takes
+	// its real gap from the processor's escape column.
+	gapEscape = 1<<gapBits - 1
+)
+
 // ProcTrace is one processor's compiled op stream. It is immutable after
 // compilation; any number of Cursors may replay it concurrently.
 type ProcTrace struct {
-	kindGap []uint64
-	deltas  []byte
+	ops     []uint64 // one packed word per op
+	bigGaps []uint32 // the gaps of words holding gapEscape, in op order
 }
 
 // Len returns the op count.
-func (p *ProcTrace) Len() int { return len(p.kindGap) }
+func (p *ProcTrace) Len() int { return len(p.ops) }
 
 // Bytes returns the resident size of the two columns.
 func (p *ProcTrace) Bytes() int64 {
-	return int64(len(p.kindGap))*8 + int64(len(p.deltas))
+	return int64(len(p.ops))*8 + int64(len(p.bigGaps))*4
 }
 
-// encoder appends ops to a ProcTrace under construction.
-type encoder struct {
-	pt   ProcTrace
-	prev uint64
-}
-
-func newEncoder(opsHint int) *encoder {
-	e := &encoder{}
-	if opsHint > 0 {
-		e.pt.kindGap = make([]uint64, 0, opsHint)
-		e.pt.deltas = make([]byte, 0, 3*opsHint)
+// lowBits packs a kind and gap into a word's low bits, moving a gap too
+// large for its field to the escape column.
+func (p *ProcTrace) lowBits(kind uint64, gap uint32) uint64 {
+	if gap >= gapEscape {
+		p.bigGaps = append(p.bigGaps, gap)
+		return gapEscape<<kindBits | kind
 	}
-	return e
+	return uint64(gap)<<kindBits | kind
 }
 
-func (e *encoder) add(op workload.Op) {
-	e.pt.kindGap = append(e.pt.kindGap, uint64(op.Gap)<<3|uint64(op.Kind))
-	e.pt.deltas = binary.AppendVarint(e.pt.deltas, int64(uint64(op.Addr))-int64(e.prev))
-	e.prev = uint64(op.Addr)
+// add appends op to a ProcTrace under construction. An op the word cannot
+// hold (an address beyond the physical address space, an unknown kind) is
+// an error rather than a silently truncated field.
+func (p *ProcTrace) add(op workload.Op) error {
+	if uint64(op.Addr) > addr.PhysAddrMask {
+		return fmt.Errorf("address %#x exceeds the %d-bit physical address space", uint64(op.Addr), addr.PhysAddrBits)
+	}
+	if op.Kind >= workload.NOpKinds {
+		return fmt.Errorf("invalid op kind %d", op.Kind)
+	}
+	p.ops = append(p.ops, uint64(op.Addr)<<addrShift|p.lowBits(uint64(op.Kind), op.Gap))
+	return nil
 }
 
 // Cursor replays one ProcTrace as a workload.Source. The zero Cursor is
 // not usable; obtain one from ProcTrace.Cursor.
 type Cursor struct {
-	t    *ProcTrace
-	pos  int    // next op index
-	off  int    // byte offset into the delta column
-	prev uint64 // accumulated address
+	t   *ProcTrace
+	pos int // next op index
+	big int // next escape-column index
 }
 
 // Cursor returns a fresh replay cursor positioned at the first op.
@@ -84,22 +98,25 @@ func (p *ProcTrace) Cursor() *Cursor { return &Cursor{t: p} }
 // Fill implements workload.Source: it decodes up to len(dst) ops and
 // returns how many it wrote (0 once the trace is exhausted).
 func (c *Cursor) Fill(dst []workload.Op) int {
-	kg, deltas := c.t.kindGap, c.t.deltas
-	n := 0
-	for n < len(dst) && c.pos < len(kg) {
-		w := kg[c.pos]
-		d, sz := binary.Varint(deltas[c.off:])
-		c.off += sz
-		c.prev = uint64(int64(c.prev) + d)
-		dst[n] = workload.Op{
-			Kind: workload.OpKind(w & 7),
-			Gap:  uint32(w >> 3),
-			Addr: addr.Addr(c.prev),
-		}
-		c.pos++
-		n++
+	ops := c.t.ops[c.pos:]
+	if len(ops) > len(dst) {
+		ops = ops[:len(dst)]
 	}
-	return n
+	dst = dst[:len(ops)]
+	for i, w := range ops {
+		gap := uint32(w>>kindBits) & gapEscape
+		if gap == gapEscape {
+			gap = c.t.bigGaps[c.big]
+			c.big++
+		}
+		dst[i] = workload.Op{
+			Kind: workload.OpKind(w & kindMask),
+			Addr: addr.Addr(w >> addrShift),
+			Gap:  gap,
+		}
+	}
+	c.pos += len(ops)
+	return len(ops)
 }
 
 // Trace is a compiled workload: one immutable slab per processor plus the
@@ -148,10 +165,14 @@ func (t *Trace) Workload() workload.Workload {
 
 // compileBatch is the generator drain granularity during compilation;
 // ctxCheckBatches paces context checks so a cancelled caller aborts a
-// large compile within ~64K ops.
+// large compile within ~64K ops. Generators finish the activity block
+// they are in, so a stream overshoots its ops hint by up to a few hundred
+// ops; compileSlack sizes the column for that, where growing it would
+// leave a quarter of it unused.
 const (
 	compileBatch    = 1024
 	ctxCheckBatches = 64
+	compileSlack    = 512
 )
 
 type progressCtxKey struct{}
@@ -197,7 +218,8 @@ func FromWorkload(ctx context.Context, w workload.Workload, opsHint int) (*Trace
 	var buf [compileBatch]workload.Op
 	for i := range t.Procs {
 		src := w.Source(i)
-		enc := newEncoder(opsHint)
+		pt := &t.Procs[i]
+		pt.ops = make([]uint64, 0, max(opsHint, 0)+compileSlack)
 		for batch := 0; ; batch++ {
 			if batch%ctxCheckBatches == 0 {
 				if err := ctx.Err(); err != nil {
@@ -209,53 +231,55 @@ func FromWorkload(ctx context.Context, w workload.Workload, opsHint int) (*Trace
 				break
 			}
 			for _, op := range buf[:n] {
-				enc.add(op)
+				if err := pt.add(op); err != nil {
+					return nil, fmt.Errorf("trace: p%d[%d]: %w", i, pt.Len(), err)
+				}
 			}
 			if progress != nil {
 				progress(n)
 			}
 		}
-		t.Procs[i] = enc.pt
 	}
 	t.hash = computeHash(t)
 	return t, nil
 }
 
-// computeHash hashes the encoded columns and DMA targets. The kindGap
-// words are folded through a fixed-size buffer so hashing stays cheap on
-// multi-million-op traces.
+// computeHash hashes both columns of every processor and the DMA
+// targets. Words are folded through a fixed-size buffer so hashing stays
+// cheap on multi-million-op traces.
 func computeHash(t *Trace) string {
 	h := sha256.New()
-	var scratch [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		h.Write(scratch[:])
-	}
-	h.Write([]byte("cgct.trace.v1"))
-	w64(uint64(len(t.Procs)))
 	buf := make([]byte, 0, 8192)
-	for i := range t.Procs {
-		pt := &t.Procs[i]
-		w64(uint64(len(pt.kindGap)))
-		for _, w := range pt.kindGap {
-			buf = binary.LittleEndian.AppendUint64(buf, w)
-			if len(buf) >= 8192 {
-				h.Write(buf)
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
+	room := func(n int) {
+		if len(buf)+n > cap(buf) {
 			h.Write(buf)
 			buf = buf[:0]
 		}
-		w64(uint64(len(pt.deltas)))
-		h.Write(pt.deltas)
 	}
-	w64(uint64(len(t.DMATargets)))
+	put64 := func(v uint64) {
+		room(8)
+		buf = binary.LittleEndian.AppendUint64(buf, v)
+	}
+	buf = append(buf, "cgct.trace.v2"...)
+	put64(uint64(len(t.Procs)))
+	for i := range t.Procs {
+		pt := &t.Procs[i]
+		put64(uint64(len(pt.ops)))
+		for _, w := range pt.ops {
+			put64(w)
+		}
+		put64(uint64(len(pt.bigGaps)))
+		for _, g := range pt.bigGaps {
+			room(4)
+			buf = binary.LittleEndian.AppendUint32(buf, g)
+		}
+	}
+	put64(uint64(len(t.DMATargets)))
 	for _, s := range t.DMATargets {
-		w64(uint64(s.Base))
-		w64(s.Size)
+		put64(uint64(s.Base))
+		put64(s.Size)
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -3,8 +3,10 @@ package trace
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
+	"cgct/internal/addr"
 	"cgct/internal/workload"
 )
 
@@ -44,6 +46,51 @@ func TestCompileMatchesGenerators(t *testing.T) {
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("p%d[%d]: %+v != %+v", i, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestEncoderRejectsUnpackableOps: an address above addr.PhysAddrMask or
+// an unknown kind does not fit the packed word, so the encoder refuses it
+// and Compile fails rather than replaying a truncated op.
+func TestEncoderRejectsUnpackableOps(t *testing.T) {
+	var pt ProcTrace
+	if err := pt.add(workload.Op{Addr: addr.Addr(addr.PhysAddrMask)}); err != nil {
+		t.Fatalf("highest physical address rejected: %v", err)
+	}
+	for _, op := range []workload.Op{
+		{Addr: addr.Addr(addr.PhysAddrMask + 1)},
+		{Addr: addr.Addr(1) << 63},
+		{Kind: workload.NOpKinds},
+	} {
+		if err := pt.add(op); err == nil {
+			t.Errorf("add(%+v) accepted", op)
+		}
+	}
+	if pt.Len() != 1 {
+		t.Fatalf("rejected ops were stored: %d ops", pt.Len())
+	}
+	bad := workload.Workload{Name: "bad", Generators: []workload.Generator{&workload.SliceGenerator{
+		Ops: []workload.Op{{Addr: 64}, {Addr: addr.Addr(addr.PhysAddrMask + 1)}},
+	}}}
+	_, err := FromWorkload(context.Background(), bad, 0)
+	if err == nil || !strings.Contains(err.Error(), "p0[1]") || !strings.Contains(err.Error(), "physical address space") {
+		t.Fatalf("err = %v, want an out-of-range address at p0[1]", err)
+	}
+}
+
+// TestCompiledOpIsOneWord: every paper benchmark's compiled trace costs
+// exactly one 8-byte word per op — no generator reaches the gap escape.
+func TestCompiledOpIsOneWord(t *testing.T) {
+	for _, b := range workload.PaperNames() {
+		tr, err := Compile(context.Background(), b, workload.Params{Processors: 2, OpsPerProc: 5_000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range tr.Procs {
+			if pt := &tr.Procs[p]; pt.Bytes() != 8*int64(pt.Len()) {
+				t.Errorf("%s p%d: %d bytes for %d ops", b, p, pt.Bytes(), pt.Len())
 			}
 		}
 	}

@@ -1,6 +1,6 @@
 package cgct
 
-// Compiled-trace equivalence: replaying a workload through the columnar
+// Compiled-trace equivalence: replaying a workload through the
 // compiled-trace engine (internal/trace) must be invisible to the
 // simulator — every stats.Run counter bit-identical to the live per-op
 // generator path, for every registered benchmark. This is the contract
