@@ -7,7 +7,8 @@
 //	cgctexperiments -experiment fig2 -benchmarks tpc-w,tpc-h
 //
 // Experiments: table1, table2, fig2, fig6, fig7, fig8, fig9, fig10,
-// evictions, all.
+// evictions, ablation, fabric, energy, sectoring, all. With -csv DIR, each
+// experiment's rows are also written to DIR/<name>.csv.
 package main
 
 import (
@@ -311,8 +312,7 @@ func printEnergy(p experiments.Params) {
 			fmt.Sprintf("%.2f", r.OverheadShare),
 		})
 	}
-	fmt.Println(experiments.Render(
-		[]string{"benchmark", "base (k)", "cgct (k)", "save%", "net saved", "tag saved", "rca cost", "cost/gross"}, out))
+	emit("energy", []string{"benchmark", "base (k)", "cgct (k)", "save%", "net saved", "tag saved", "rca cost", "cost/gross"}, out)
 	fmt.Println("(§6: network, tag-lookup and DRAM energy can be saved; the RCA's own")
 	fmt.Println(" lookups cancel part of it — the cost/gross column quantifies how much)")
 	fmt.Println()
@@ -330,8 +330,7 @@ func printSectoring(p experiments.Params) {
 			fmt.Sprintf("%.4f (%+.1f%%)", r.CGCT512, r.CGCTPct),
 		})
 	}
-	fmt.Println(experiments.Render(
-		[]string{"benchmark", "baseline", "sectored 512B", "sectored 1KB", "CGCT 512B"}, out))
+	emit("sectoring", []string{"benchmark", "baseline", "sectored 512B", "sectored 1KB", "CGCT 512B"}, out)
 	fmt.Println("(§2: sector fragmentation raises miss ratios; CGCT tracks regions beside")
 	fmt.Println(" the cache and leaves the miss ratio essentially unchanged)")
 	fmt.Println()

@@ -9,9 +9,9 @@
 // # Implementation
 //
 // The queue is allocation-free in steady state. Events live in a pooled
-// slot array recycled through a free list, and are dispatched either to a
-// Handler (an interface carrying a small op-code and payload — the hot
-// path, no closure capture) or to a plain Func (the convenience path).
+// slot array recycled through a free list, and each is dispatched to a
+// Handler: an interface receiving a small op-code and payload, so no event
+// captures a closure.
 //
 // Ordering uses a hierarchical timing wheel: a ring of wheelSize
 // one-cycle buckets covers the near-future window [now, now+wheelSize),
@@ -28,9 +28,6 @@ import "math/bits"
 
 // Cycle is a point in simulated time, in CPU cycles.
 type Cycle uint64
-
-// Func is a scheduled action. It runs exactly once at its scheduled cycle.
-type Func func(now Cycle)
 
 // Handler receives pooled events. The (op, u32, u64) triple is opaque to
 // the queue; the scheduler and the handler agree on its meaning. Scheduling
@@ -54,7 +51,6 @@ type slot struct {
 	seq  uint64
 	u64  uint64
 	h    Handler
-	fn   Func
 	next int32 // bucket FIFO chain / free-list link (0 = none)
 	u32  uint32
 	op   uint8
@@ -82,8 +78,7 @@ type Queue struct {
 	now Cycle
 }
 
-// Now returns the current simulated time (the time of the last event run,
-// or the last Advance).
+// Now returns the current simulated time: the time of the last event run.
 func (q *Queue) Now() Cycle { return q.now }
 
 // Len returns the number of pending events.
@@ -103,12 +98,11 @@ func (q *Queue) alloc() int32 {
 	return int32(len(q.pool) - 1)
 }
 
-// release returns a slot to the free list, dropping reference-typed fields
-// so the pool does not retain handlers or closures.
+// release returns a slot to the free list, dropping its handler so the
+// pool does not retain it.
 func (q *Queue) release(idx int32) {
 	s := &q.pool[idx]
 	s.h = nil
-	s.fn = nil
 	s.next = q.free
 	q.free = idx
 }
@@ -148,7 +142,6 @@ func (q *Queue) Schedule(at Cycle, h Handler, op uint8, u32 uint32, u64 uint64) 
 	s.at = at
 	s.seq = q.seq
 	s.h = h
-	s.fn = nil
 	s.op = op
 	s.u32 = u32
 	s.u64 = u64
@@ -159,26 +152,6 @@ func (q *Queue) Schedule(at Cycle, h Handler, op uint8, u32 uint32, u64 uint64) 
 func (q *Queue) ScheduleAfter(delta Cycle, h Handler, op uint8, u32 uint32, u64 uint64) {
 	q.Schedule(q.now+delta, h, op, u32, u64)
 }
-
-// At schedules fn at absolute cycle at, with the same past-clamping rule as
-// Schedule. The closure itself is the only allocation; the event record is
-// pooled.
-func (q *Queue) At(at Cycle, fn Func) {
-	if at < q.now {
-		at = q.now
-	}
-	q.seq++
-	idx := q.alloc()
-	s := &q.pool[idx]
-	s.at = at
-	s.seq = q.seq
-	s.h = nil
-	s.fn = fn
-	q.insert(idx)
-}
-
-// After schedules fn delta cycles from now.
-func (q *Queue) After(delta Cycle, fn Func) { q.At(q.now+delta, fn) }
 
 // nextBucket returns the first non-empty bucket at or (circularly) after
 // the cursor position now&wheelMask. Must only be called with
@@ -224,19 +197,15 @@ func (q *Queue) migrate() {
 }
 
 // pop removes and returns the earliest pending event, advancing the clock
-// to its time, or 0 if the queue is empty or the earliest event is after
-// limit. The returned slot stays valid until the next alloc; callers copy
-// what they need and release it.
-func (q *Queue) pop(limit Cycle) int32 {
+// to its time, or 0 if the queue is empty. The returned slot stays valid
+// until the next alloc; callers copy what they need and release it.
+func (q *Queue) pop() int32 {
 	var idx int32
 	if q.wheelCount > 0 {
 		// The wheel covers [now, now+wheelSize); the heap only holds later
 		// events, so a non-empty wheel always contains the minimum.
 		b := q.nextBucket()
 		idx = q.head[b]
-		if q.pool[idx].at > limit {
-			return 0
-		}
 		if q.head[b] = q.pool[idx].next; q.head[b] == 0 {
 			q.tail[b] = 0
 			if q.occupied[b>>6] &^= 1 << uint(b&63); q.occupied[b>>6] == 0 {
@@ -249,9 +218,6 @@ func (q *Queue) pop(limit Cycle) int32 {
 			return 0
 		}
 		idx = q.heap[0]
-		if q.pool[idx].at > limit {
-			return 0
-		}
 		n := len(q.heap) - 1
 		q.heap[0] = q.heap[n]
 		q.heap = q.heap[:n]
@@ -264,55 +230,19 @@ func (q *Queue) pop(limit Cycle) int32 {
 	return idx
 }
 
-// exec dispatches one popped event and recycles its slot (before the
-// callback runs, so callbacks can schedule into the freed slot).
-func (q *Queue) exec(idx int32) {
-	s := &q.pool[idx]
-	h, fn, op, u32, u64 := s.h, s.fn, s.op, s.u32, s.u64
-	q.release(idx)
-	if h != nil {
-		h.HandleEvent(q.now, op, u32, u64)
-	} else {
-		fn(q.now)
-	}
-}
-
 // Step runs the earliest pending event, advancing the clock to its time.
-// It returns false if the queue is empty.
+// It returns false if the queue is empty. The event's slot is recycled
+// before its handler runs, so the handler can schedule into it.
 func (q *Queue) Step() bool {
-	idx := q.pop(^Cycle(0))
+	idx := q.pop()
 	if idx == 0 {
 		return false
 	}
-	q.exec(idx)
+	s := &q.pool[idx]
+	h, op, u32, u64 := s.h, s.op, s.u32, s.u64
+	q.release(idx)
+	h.HandleEvent(q.now, op, u32, u64)
 	return true
-}
-
-// RunUntil runs events until the queue is empty or the next event is after
-// limit. It returns the number of events executed.
-func (q *Queue) RunUntil(limit Cycle) int {
-	n := 0
-	for {
-		idx := q.pop(limit)
-		if idx == 0 {
-			break
-		}
-		q.exec(idx)
-		n++
-	}
-	if q.now < limit && q.Len() == 0 {
-		q.now = limit
-	}
-	return n
-}
-
-// Run drains the queue completely, returning the number of events executed.
-func (q *Queue) Run() int {
-	n := 0
-	for q.Step() {
-		n++
-	}
-	return n
 }
 
 // less orders heap entries by time then by insertion sequence, giving

@@ -4,15 +4,36 @@ import (
 	"testing"
 )
 
+// handlerFunc adapts a function to Handler.
+type handlerFunc func(now Cycle, op uint8, u32 uint32, u64 uint64)
+
+func (f handlerFunc) HandleEvent(now Cycle, op uint8, u32 uint32, u64 uint64) {
+	f(now, op, u32, u64)
+}
+
+// recorder logs the payload and time of every event dispatched to it.
+type recorder struct{ log []logEntry }
+
+func (r *recorder) HandleEvent(now Cycle, _ uint8, _ uint32, u64 uint64) {
+	r.log = append(r.log, logEntry{int(u64), now})
+}
+
+// drain steps q until it is empty.
+func drain(q *Queue) {
+	for q.Step() {
+	}
+}
+
 func TestOrdering(t *testing.T) {
 	var q Queue
-	var got []int
-	q.At(30, func(Cycle) { got = append(got, 3) })
-	q.At(10, func(Cycle) { got = append(got, 1) })
-	q.At(20, func(Cycle) { got = append(got, 2) })
-	q.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("order = %v", got)
+	r := &recorder{}
+	q.Schedule(30, r, 0, 0, 3)
+	q.Schedule(10, r, 0, 0, 1)
+	q.Schedule(20, r, 0, 0, 2)
+	drain(&q)
+	want := []logEntry{{1, 10}, {2, 20}, {3, 30}}
+	if len(r.log) != 3 || r.log[0] != want[0] || r.log[1] != want[1] || r.log[2] != want[2] {
+		t.Fatalf("order = %v, want %v", r.log, want)
 	}
 	if q.Now() != 30 {
 		t.Errorf("Now = %d, want 30", q.Now())
@@ -21,15 +42,14 @@ func TestOrdering(t *testing.T) {
 
 func TestFIFOTieBreak(t *testing.T) {
 	var q Queue
-	var got []int
+	r := &recorder{}
 	for i := 0; i < 100; i++ {
-		i := i
-		q.At(5, func(Cycle) { got = append(got, i) })
+		q.Schedule(5, r, 0, 0, uint64(i))
 	}
-	q.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-cycle events not FIFO at %d: %v", i, got[:i+1])
+	drain(&q)
+	for i, e := range r.log {
+		if e.id != i {
+			t.Fatalf("same-cycle events not FIFO at %d: %v", i, r.log[:i+1])
 		}
 	}
 }
@@ -37,10 +57,16 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestPastSchedulingClamps(t *testing.T) {
 	var q Queue
 	var at Cycle
-	q.At(100, func(now Cycle) {
-		q.At(50, func(now2 Cycle) { at = now2 }) // in the past
-	})
-	q.Run()
+	var h handlerFunc
+	h = func(now Cycle, op uint8, _ uint32, _ uint64) {
+		if op == 0 {
+			q.Schedule(50, h, 1, 0, 0) // in the past
+			return
+		}
+		at = now
+	}
+	q.Schedule(100, h, 0, 0, 0)
+	drain(&q)
 	if at != 100 {
 		t.Errorf("past event ran at %d, want clamped to 100", at)
 	}
@@ -49,43 +75,18 @@ func TestPastSchedulingClamps(t *testing.T) {
 func TestAfter(t *testing.T) {
 	var q Queue
 	var at Cycle
-	q.At(10, func(now Cycle) {
-		q.After(5, func(now2 Cycle) { at = now2 })
-	})
-	q.Run()
+	var h handlerFunc
+	h = func(now Cycle, op uint8, _ uint32, _ uint64) {
+		if op == 0 {
+			q.ScheduleAfter(5, h, 1, 0, 0)
+			return
+		}
+		at = now
+	}
+	q.Schedule(10, h, 0, 0, 0)
+	drain(&q)
 	if at != 15 {
-		t.Errorf("After event ran at %d, want 15", at)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	var q Queue
-	count := 0
-	for _, c := range []Cycle{5, 10, 15, 20} {
-		q.At(c, func(Cycle) { count++ })
-	}
-	n := q.RunUntil(12)
-	if n != 2 || count != 2 {
-		t.Fatalf("RunUntil ran %d events (count %d), want 2", n, count)
-	}
-	if q.Len() != 2 {
-		t.Errorf("pending = %d, want 2", q.Len())
-	}
-	// Time does not jump past pending events.
-	if q.Now() != 10 {
-		t.Errorf("Now = %d, want 10", q.Now())
-	}
-	q.Run()
-	if count != 4 {
-		t.Errorf("final count = %d", count)
-	}
-}
-
-func TestRunUntilEmptyAdvancesClock(t *testing.T) {
-	var q Queue
-	q.RunUntil(500)
-	if q.Now() != 500 {
-		t.Errorf("Now = %d, want 500 on empty queue", q.Now())
+		t.Errorf("ScheduleAfter event ran at %d, want 15", at)
 	}
 }
 
@@ -93,15 +94,15 @@ func TestCascade(t *testing.T) {
 	// Events scheduling events: a chain of 1000.
 	var q Queue
 	count := 0
-	var chain func(now Cycle)
-	chain = func(now Cycle) {
+	var chain handlerFunc
+	chain = func(Cycle, uint8, uint32, uint64) {
 		count++
 		if count < 1000 {
-			q.After(1, chain)
+			q.ScheduleAfter(1, chain, 0, 0, 0)
 		}
 	}
-	q.At(0, chain)
-	q.Run()
+	q.Schedule(0, chain, 0, 0, 0)
+	drain(&q)
 	if count != 1000 {
 		t.Errorf("chain ran %d times", count)
 	}
@@ -122,18 +123,20 @@ func TestInterleavedHeapStress(t *testing.T) {
 	}
 	var last Cycle
 	ok := true
-	for i := 0; i < 500; i++ {
-		q.At(Cycle(next()%10000), func(now Cycle) {
-			if now < last {
-				ok = false
-			}
-			last = now
-			if now%3 == 0 {
-				q.After(Cycle(next()%100), func(Cycle) {})
-			}
-		})
+	var h handlerFunc
+	h = func(now Cycle, op uint8, _ uint32, _ uint64) {
+		if now < last {
+			ok = false
+		}
+		last = now
+		if op == 0 && now%3 == 0 {
+			q.ScheduleAfter(Cycle(next()%100), h, 1, 0, 0)
+		}
 	}
-	q.Run()
+	for i := 0; i < 500; i++ {
+		q.Schedule(Cycle(next()%10000), h, 0, 0, 0)
+	}
+	drain(&q)
 	if !ok {
 		t.Error("events ran out of time order")
 	}
@@ -244,24 +247,16 @@ func (h *scriptedHandler) HandleEvent(now Cycle, _ uint8, _ uint32, u64 uint64) 
 }
 
 // runScenario drives one seeded random schedule through q and through the
-// reference, returning both execution logs. Every third initial event goes
-// through the legacy closure path (At) to pin the shared sequence counter
-// across both scheduling APIs.
+// reference, returning both execution logs.
 func runScenario(q *Queue, seed uint64, initial, maxEvents int) (got, want []logEntry) {
 	real := &scenario{state: seed, nextID: 0, maxID: maxEvents}
 	h := &scriptedHandler{q: q, sc: real}
 	for i := 0; i < initial; i++ {
 		at := Cycle(real.next() % (5 * wheelSize))
-		id := real.nextID
+		q.Schedule(at, h, 0, 0, uint64(real.nextID))
 		real.nextID++
-		if i%3 == 0 {
-			id := id
-			q.At(at, func(now Cycle) { h.HandleEvent(now, 0, 0, uint64(id)) })
-		} else {
-			q.Schedule(at, h, 0, 0, uint64(id))
-		}
 	}
-	q.Run()
+	drain(q)
 
 	ref := &scenario{state: seed, nextID: 0, maxID: maxEvents}
 	var r refQueue
@@ -321,10 +316,7 @@ func TestScheduleDispatchDoesNotAllocate(t *testing.T) {
 			q.ScheduleAfter(3*i, h, 0, 0, 0)
 			q.ScheduleAfter(2*wheelSize+i, h, 0, 0, 0)
 		}
-		for i := 0; i < 32; i++ {
-			q.Step()
-		}
-		q.RunUntil(q.Now() + 3*wheelSize)
+		drain(&q)
 	}
 	batch() // grows the slot pool and the heap to their steady size
 	slots := len(q.pool)

@@ -18,49 +18,22 @@ type AblationRow struct {
 // region-guided prefetch filter adds.
 func Ablation(p Params) []AblationRow {
 	p = p.withDefaults()
-	r := newRunner(p)
-	const region = 512
-
-	// The scaled-back and filtered configurations are not part of the
-	// shared runKey space (they would collide with the full-protocol
-	// runs), so run them directly.
-	type res = cgct.Result
-	runVariant := func(b string, seed uint64, scaled, filter, regionPf bool) *res {
-		out, err := cgct.Run(b, cgct.Options{
-			OpsPerProc:           p.OpsPerProc,
-			Seed:                 seed,
-			CGCT:                 true,
-			RegionBytes:          region,
-			ScaledBack:           scaled,
-			PrefetchRegionFilter: filter,
-			RegionPrefetch:       regionPf,
-			PerturbCycles:        40,
-		})
-		if err != nil {
-			panic(err)
-		}
-		return out
-	}
-
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys,
-				runKey{bench: b, seed: s},
-				runKey{bench: b, seed: s, cgctOn: true, region: region})
-		}
-	}
-	r.prefetchAll(keys)
+	fullCfg := cgctAt(512)
+	scaledCfg, filterCfg, regionPfCfg := fullCfg, fullCfg, fullCfg
+	scaledCfg.ScaledBack = true
+	filterCfg.PrefetchRegionFilter = true
+	regionPfCfg.RegionPrefetch = true
+	runs := p.runAll(p.sweep(p.Seeds, cgct.Options{}, fullCfg, scaledCfg, filterCfg, regionPfCfg))
 
 	var rows []AblationRow
 	for _, b := range p.sortedBenchmarks() {
 		var full, scaled, filtered, regionPf, fullAv, scaledAv []float64
 		for _, s := range p.Seeds {
-			base := r.get(runKey{bench: b, seed: s})
-			f := r.get(runKey{bench: b, seed: s, cgctOn: true, region: region})
-			sc := runVariant(b, s, true, false, false)
-			fl := runVariant(b, s, false, true, false)
-			rp := runVariant(b, s, false, false, true)
+			base := runs[p.request(b, s, cgct.Options{})]
+			f := runs[p.request(b, s, fullCfg)]
+			sc := runs[p.request(b, s, scaledCfg)]
+			fl := runs[p.request(b, s, filterCfg)]
+			rp := runs[p.request(b, s, regionPfCfg)]
 			red := func(c uint64) float64 {
 				return 100 * (float64(base.Cycles) - float64(c)) / float64(base.Cycles)
 			}

@@ -1,5 +1,7 @@
 package experiments
 
+import "cgct"
+
 // EnergyRow quantifies the §6 power discussion for one benchmark: where
 // CGCT saves energy (address network, remote tag probes) and what the
 // Region Coherence Array's own lookups cost.
@@ -21,23 +23,13 @@ type EnergyRow struct {
 // Energy runs the baseline/CGCT energy comparison at 512 B regions.
 func Energy(p Params) []EnergyRow {
 	p = p.withDefaults()
-	r := newRunner(p)
-	const region = 512
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys,
-				runKey{bench: b, seed: s},
-				runKey{bench: b, seed: s, cgctOn: true, region: region})
-		}
-	}
-	r.prefetchAll(keys)
+	runs := p.runAll(p.sweep(p.Seeds, cgct.Options{}, cgctAt(512)))
 	var rows []EnergyRow
 	for _, b := range p.sortedBenchmarks() {
 		var baseTot, cgTot, netSave, tagSave, regOvh []float64
 		for _, s := range p.Seeds {
-			base := r.get(runKey{bench: b, seed: s})
-			cg := r.get(runKey{bench: b, seed: s, cgctOn: true, region: region})
+			base := runs[p.request(b, s, cgct.Options{})]
+			cg := runs[p.request(b, s, cgctAt(512))]
 			baseTot = append(baseTot, base.Energy.Total)
 			cgTot = append(cgTot, cg.Energy.Total)
 			netSave = append(netSave, base.Energy.Network-cg.Energy.Network)

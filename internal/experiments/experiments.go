@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each Figure*/Table* function runs the required simulations
-// (in parallel across independent runs) and returns printable rows; the
-// cmd/cgctexperiments binary and the repository benchmarks drive them.
+// evaluation. Each experiment lists its simulations, runs them as one
+// cgct.RunAll pool of Params.Parallel workers, and returns printable rows;
+// the cmd/cgctexperiments binary and the repository benchmarks drive them.
 //
 // The harness is built on the public cgct API, exercising the library the
 // way a downstream user would.
@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"cgct"
-	"cgct/internal/runcache"
 )
 
 // Params tunes experiment cost. Zero values select the defaults used for
@@ -43,101 +42,50 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// runKey identifies one simulation in the result cache.
-type runKey struct {
-	bench   string
-	cgctOn  bool
-	region  uint64
-	rcaSets uint64
-	seed    uint64
+// perturbCycles is the Alameldeen-style timing perturbation every seeded
+// run gets, so that seeds give distinct runs and a figure can report a
+// confidence interval over them.
+const perturbCycles = 40
+
+// request is one run of benchmark b at seed, on the machine o describes,
+// with the sweep's trace length and the seed perturbation filled in.
+func (p Params) request(b string, seed uint64, o cgct.Options) cgct.RunRequest {
+	o.OpsPerProc = p.OpsPerProc
+	o.Seed = seed
+	o.PerturbCycles = perturbCycles
+	return cgct.RunRequest{Benchmark: b, Options: o}
 }
 
-// String renders the canonical cache key.
-func (k runKey) String() string {
-	return fmt.Sprintf("%s|cgct=%t|region=%d|sets=%d|seed=%d", k.bench, k.cgctOn, k.region, k.rcaSets, k.seed)
+// cgctAt is the machine with CGCT on at the given region size.
+func cgctAt(region uint64) cgct.Options {
+	return cgct.Options{CGCT: true, RegionBytes: region}
 }
 
-// runner executes and caches simulation runs. The cache is singleflight:
-// N concurrent get() calls on the same key cost exactly one simulation
-// (previously both checked the map, missed, and ran the full simulation
-// twice).
-type runner struct {
-	p     Params
-	cache *runcache.Cache[*cgct.Result]
-	run   func(k runKey) (*cgct.Result, error) // swappable in tests
-}
-
-func newRunner(p Params) *runner {
-	r := &runner{p: p, cache: runcache.New[*cgct.Result](0, p.Parallel)}
-	r.run = r.simulate
-	return r
-}
-
-// options maps a run key to the public API options. get and prefetchAll
-// must agree on this mapping exactly: the pooled path and the per-key
-// path fill the same cache entries.
-func (r *runner) options(k runKey) cgct.Options {
-	return cgct.Options{
-		OpsPerProc:    r.p.OpsPerProc,
-		Seed:          k.seed,
-		CGCT:          k.cgctOn,
-		RegionBytes:   k.region,
-		RCASets:       k.rcaSets,
-		PerturbCycles: 40, // Alameldeen-style perturbation for CIs
-	}
-}
-
-func (r *runner) simulate(k runKey) (*cgct.Result, error) {
-	return cgct.Run(k.bench, r.options(k))
-}
-
-func (r *runner) simulateBatch(keys []runKey) ([]*cgct.Result, error) {
-	reqs := make([]cgct.RunRequest, len(keys))
-	for i, k := range keys {
-		reqs[i] = cgct.RunRequest{Benchmark: k.bench, Options: r.options(k)}
-	}
-	return cgct.RunAll(context.Background(), reqs, r.p.Parallel)
-}
-
-// get runs (or fetches) one simulation.
-func (r *runner) get(k runKey) *cgct.Result {
-	res, err := r.cache.Do(context.Background(), k.String(), func(context.Context) (*cgct.Result, error) {
-		return r.run(k)
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err)) // static inputs; cannot fail
-	}
-	return res
-}
-
-// prefetchAll warms the cache for a set of keys: every key missing from
-// the cache is submitted to cgct.RunAll as one pool of p.Parallel
-// workers. Results land in the same singleflight cache get() reads, so
-// the figure code is unchanged.
-func (r *runner) prefetchAll(keys []runKey) {
-	seen := make(map[runKey]bool, len(keys))
-	var want []runKey
-	for _, k := range keys {
-		if !seen[k] && !r.cache.Contains(k.String()) {
-			seen[k] = true
-			want = append(want, k)
+// sweep lists a run of every benchmark at each of seeds on each machine.
+func (p Params) sweep(seeds []uint64, machines ...cgct.Options) []cgct.RunRequest {
+	var reqs []cgct.RunRequest
+	for _, b := range p.sortedBenchmarks() {
+		for _, s := range seeds {
+			for _, o := range machines {
+				reqs = append(reqs, p.request(b, s, o))
+			}
 		}
 	}
-	if len(want) == 0 {
-		return
-	}
-	results, err := r.simulateBatch(want)
+	return reqs
+}
+
+// runAll simulates an experiment's runs as one cgct.RunAll pool of
+// p.Parallel workers and returns each result under its request.
+func (p Params) runAll(reqs []cgct.RunRequest) map[cgct.RunRequest]*cgct.Result {
+	results, err := cgct.RunAll(context.Background(), reqs, p.Parallel)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err)) // static inputs; cannot fail
 	}
-	for i, k := range want {
-		res := results[i]
-		// Seed the singleflight cache; a racing get() either computed it
-		// first (identical by determinism) or reads this entry.
-		r.cache.Do(context.Background(), k.String(), func(context.Context) (*cgct.Result, error) {
-			return res, nil
-		})
+	byReq := make(map[cgct.RunRequest]*cgct.Result, len(reqs))
+	for i, rq := range reqs {
+		byReq[rq] = results[i]
 	}
+	return byReq
 }
 
 func mean(xs []float64) float64 {

@@ -4,10 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"cgct"
 	"cgct/internal/trace"
@@ -159,53 +156,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestRunnerCaches(t *testing.T) {
-	p := Params{OpsPerProc: 3_000, Seeds: []uint64{1}, Benchmarks: []string{"ocean"}}.withDefaults()
-	r := newRunner(p)
-	k := runKey{bench: "ocean", seed: 1}
-	a := r.get(k)
-	b := r.get(k)
-	if a != b {
-		t.Error("runner did not cache")
-	}
-}
-
-// TestRunnerSingleflight pins the duplicate-work fix: N concurrent get()
-// calls on one key must run exactly one simulation, not N.
-func TestRunnerSingleflight(t *testing.T) {
-	p := Params{OpsPerProc: 3_000, Seeds: []uint64{1}, Benchmarks: []string{"ocean"}}.withDefaults()
-	r := newRunner(p)
-	var execs atomic.Int32
-	release := make(chan struct{})
-	r.run = func(k runKey) (*cgct.Result, error) {
-		execs.Add(1)
-		<-release // hold every would-be duplicate in the race window
-		return &cgct.Result{Benchmark: k.bench, Seed: k.seed}, nil
-	}
-	const n = 16
-	k := runKey{bench: "ocean", seed: 1}
-	results := make([]*cgct.Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = r.get(k)
-		}(i)
-	}
-	time.Sleep(20 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if got := execs.Load(); got != 1 {
-		t.Fatalf("%d concurrent get() calls ran the simulation %d times, want exactly 1", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
-			t.Fatal("concurrent callers got different result pointers")
-		}
-	}
-}
-
 func TestRunByName(t *testing.T) {
 	rows, err := RunByName("table1", Params{})
 	if err != nil {
@@ -321,6 +271,111 @@ func TestFabricHonoursParallel(t *testing.T) {
 	}
 }
 
+// TestPooledExperimentsHonourParallel: Figure 9, Evictions, Ablation and
+// Sectoring each run their grid as one pool of p.Parallel workers; the
+// rows must not depend on that width. Ablation's and Sectoring's rows must
+// also equal rows rebuilt from sequential cgct.Run calls, which pins the
+// options every run is simulated under.
+func TestPooledExperimentsHonourParallel(t *testing.T) {
+	p := quickParams()
+	rows := map[string]any{}
+	for _, name := range []string{"fig9", "evictions", "ablation", "sectoring"} {
+		p.Parallel = 1
+		one, err := RunByName(name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Parallel = 4
+		four, err := RunByName(name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(one, four) {
+			t.Errorf("%s: rows differ between Parallel 1 and 4:\n%+v\n%+v", name, one, four)
+		}
+		rows[name] = one
+	}
+	if want := sequentialAblation(t, p); !reflect.DeepEqual(rows["ablation"], want) {
+		t.Errorf("pooled ablation rows differ from sequential runs:\n%+v\n%+v", rows["ablation"], want)
+	}
+	if want := sequentialSectoring(t, p); !reflect.DeepEqual(rows["sectoring"], want) {
+		t.Errorf("pooled sectoring rows differ from sequential runs:\n%+v\n%+v", rows["sectoring"], want)
+	}
+}
+
+// sequentialRun simulates one run through cgct.Run, outside any pool.
+func sequentialRun(t *testing.T, b string, o cgct.Options) *cgct.Result {
+	t.Helper()
+	r, err := cgct.Run(b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// sequentialAblation rebuilds Ablation's rows one cgct.Run at a time.
+func sequentialAblation(t *testing.T, p Params) []AblationRow {
+	var rows []AblationRow
+	for _, b := range p.withDefaults().sortedBenchmarks() {
+		var full, scaled, filtered, regionPf, fullAv, scaledAv []float64
+		for _, s := range p.Seeds {
+			run := func(o cgct.Options) *cgct.Result {
+				o.OpsPerProc, o.Seed, o.PerturbCycles = p.OpsPerProc, s, 40
+				return sequentialRun(t, b, o)
+			}
+			base := run(cgct.Options{})
+			f := run(cgct.Options{CGCT: true, RegionBytes: 512})
+			sc := run(cgct.Options{CGCT: true, RegionBytes: 512, ScaledBack: true})
+			fl := run(cgct.Options{CGCT: true, RegionBytes: 512, PrefetchRegionFilter: true})
+			rp := run(cgct.Options{CGCT: true, RegionBytes: 512, RegionPrefetch: true})
+			red := func(r *cgct.Result) float64 {
+				return 100 * (float64(base.Cycles) - float64(r.Cycles)) / float64(base.Cycles)
+			}
+			full = append(full, red(f))
+			scaled = append(scaled, red(sc))
+			filtered = append(filtered, red(fl))
+			regionPf = append(regionPf, red(rp))
+			fullAv = append(fullAv, 100*f.AvoidedFraction())
+			scaledAv = append(scaledAv, 100*sc.AvoidedFraction())
+		}
+		rows = append(rows, AblationRow{
+			Benchmark: b,
+			Full:      mean(full), Scaled: mean(scaled),
+			FullWithFilter: mean(filtered), FullWithRegionPf: mean(regionPf),
+			FullAvoided: mean(fullAv), ScaledAvoided: mean(scaledAv),
+		})
+	}
+	return rows
+}
+
+// sequentialSectoring rebuilds Sectoring's rows one cgct.Run at a time,
+// with no seed perturbation.
+func sequentialSectoring(t *testing.T, p Params) []SectoringRow {
+	var rows []SectoringRow
+	for _, b := range p.withDefaults().sortedBenchmarks() {
+		var base, s512, s1k, cg []float64
+		for _, s := range p.Seeds {
+			missRatio := func(o cgct.Options) float64 {
+				o.OpsPerProc, o.Seed = p.OpsPerProc, s
+				return sequentialRun(t, b, o).L2MissRatio
+			}
+			base = append(base, missRatio(cgct.Options{}))
+			s512 = append(s512, missRatio(cgct.Options{L2SectorBytes: 512}))
+			s1k = append(s1k, missRatio(cgct.Options{L2SectorBytes: 1024}))
+			cg = append(cg, missRatio(cgct.Options{CGCT: true, RegionBytes: 512}))
+		}
+		row := SectoringRow{
+			Benchmark: b,
+			Baseline:  mean(base), Sector512: mean(s512), Sector1K: mean(s1k), CGCT512: mean(cg),
+		}
+		row.Sector512Pct = 100 * (row.Sector512 - row.Baseline) / row.Baseline
+		row.Sector1KPct = 100 * (row.Sector1K - row.Baseline) / row.Baseline
+		row.CGCTPct = 100 * (row.CGCT512 - row.Baseline) / row.Baseline
+		rows = append(rows, row)
+	}
+	return rows
+}
+
 func TestEnergy(t *testing.T) {
 	rows := Energy(Params{
 		OpsPerProc: 6_000,
@@ -373,21 +428,16 @@ func TestSectoring(t *testing.T) {
 func TestSweepCompilesEachTraceOnce(t *testing.T) {
 	// Distinctive ops/seeds so no other test has already cached these.
 	p := Params{OpsPerProc: 2_002, Seeds: []uint64{771, 772}, Benchmarks: []string{"ocean", "tpc-b"}}.withDefaults()
-	r := newRunner(p)
-	before := trace.SharedStats().Compilations
-	runs := 0
-	for _, bench := range p.Benchmarks {
-		for _, seed := range p.Seeds {
-			for _, region := range []uint64{256, 512, 1024} {
-				for _, on := range []bool{false, true} {
-					r.get(runKey{bench: bench, cgctOn: on, region: region, seed: seed})
-					runs++
-				}
-			}
+	var machines []cgct.Options
+	for _, region := range []uint64{256, 512, 1024} {
+		for _, on := range []bool{false, true} {
+			machines = append(machines, cgct.Options{CGCT: on, RegionBytes: region})
 		}
 	}
+	before := trace.SharedStats().Compilations
+	runs := p.runAll(p.sweep(p.Seeds, machines...))
 	distinct := len(p.Benchmarks) * len(p.Seeds)
 	if got := trace.SharedStats().Compilations - before; got != uint64(distinct) {
-		t.Fatalf("%d sweep runs compiled %d traces, want exactly %d (one per distinct workload)", runs, got, distinct)
+		t.Fatalf("%d sweep runs compiled %d traces, want exactly %d (one per distinct workload)", len(runs), got, distinct)
 	}
 }

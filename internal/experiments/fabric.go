@@ -76,7 +76,7 @@ func fabricVariants(opsPerProc, procs int, seed uint64) [5]cgct.Options {
 		OpsPerProc:    opsPerProc,
 		Seed:          seed,
 		Processors:    procs,
-		PerturbCycles: 40,
+		PerturbCycles: perturbCycles,
 	}
 	v := [5]cgct.Options{base, base, base, base, base}
 	v[1].CGCT, v[1].RegionBytes = true, 512

@@ -4,12 +4,23 @@ import (
 	"fmt"
 	"strings"
 
+	"cgct"
 	"cgct/internal/config"
 	"cgct/internal/core"
 )
 
 // RegionSizes are the region sizes evaluated in the paper.
 var RegionSizes = []uint64{256, 512, 1024}
+
+// regionSweep lists the runs of Figures 7 and 8: the baseline and CGCT at
+// every region size.
+func regionSweep(p Params) []cgct.RunRequest {
+	machines := []cgct.Options{{}}
+	for _, rb := range RegionSizes {
+		machines = append(machines, cgctAt(rb))
+	}
+	return p.sweep(p.Seeds, machines...)
+}
 
 // ---------------------------------------------------------------------------
 // Figure 2 — unnecessary broadcasts in the baseline system
@@ -30,20 +41,13 @@ type Figure2Row struct {
 // Figure2 reproduces Figure 2 on the baseline system (averaged over seeds).
 func Figure2(p Params) []Figure2Row {
 	p = p.withDefaults()
-	r := newRunner(p)
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys, runKey{bench: b, seed: s})
-		}
-	}
-	r.prefetchAll(keys)
+	runs := p.runAll(p.sweep(p.Seeds, cgct.Options{}))
 	var rows []Figure2Row
 	for _, b := range p.sortedBenchmarks() {
 		var data, wb, ifetch, dcb, tot []float64
 		var bcasts uint64
 		for _, s := range p.Seeds {
-			res := r.get(runKey{bench: b, seed: s})
+			res := runs[p.request(b, s, cgct.Options{})]
 			den := float64(res.Broadcasts)
 			if den == 0 {
 				continue
@@ -142,17 +146,7 @@ type Figure7Row struct {
 // Figure7 reproduces Figure 7.
 func Figure7(p Params) []Figure7Row {
 	p = p.withDefaults()
-	r := newRunner(p)
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys, runKey{bench: b, seed: s})
-			for _, rb := range RegionSizes {
-				keys = append(keys, runKey{bench: b, seed: s, cgctOn: true, region: rb})
-			}
-		}
-	}
-	r.prefetchAll(keys)
+	runs := p.runAll(regionSweep(p))
 	var rows []Figure7Row
 	for _, b := range p.sortedBenchmarks() {
 		row := Figure7Row{
@@ -163,14 +157,14 @@ func Figure7(p Params) []Figure7Row {
 		}
 		var oracle []float64
 		for _, s := range p.Seeds {
-			res := r.get(runKey{bench: b, seed: s})
+			res := runs[p.request(b, s, cgct.Options{})]
 			oracle = append(oracle, 100*res.UnnecessaryFraction())
 		}
 		row.OraclePct = mean(oracle)
 		for _, rb := range RegionSizes {
 			var av, avWB []float64
 			for _, s := range p.Seeds {
-				res := r.get(runKey{bench: b, seed: s, cgctOn: true, region: rb})
+				res := runs[p.request(b, s, cgctAt(rb))]
 				av = append(av, 100*res.AvoidedFraction())
 				avWB = append(avWB, 100*float64(res.AvoidedByCat.Writebacks)/float64(res.Requests))
 			}
@@ -204,25 +198,15 @@ type Figure8Row struct {
 // Figure8 reproduces Figure 8 (run-time reduction with 95% CIs over seeds).
 func Figure8(p Params) []Figure8Row {
 	p = p.withDefaults()
-	r := newRunner(p)
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys, runKey{bench: b, seed: s})
-			for _, rb := range RegionSizes {
-				keys = append(keys, runKey{bench: b, seed: s, cgctOn: true, region: rb})
-			}
-		}
-	}
-	r.prefetchAll(keys)
+	runs := p.runAll(regionSweep(p))
 	var rows []Figure8Row
 	for _, b := range p.sortedBenchmarks() {
 		row := Figure8Row{Benchmark: b, Reduction: map[uint64]Sample{}}
 		for _, rb := range RegionSizes {
 			var red []float64
 			for _, s := range p.Seeds {
-				base := r.get(runKey{bench: b, seed: s})
-				cg := r.get(runKey{bench: b, seed: s, cgctOn: true, region: rb})
+				base := runs[p.request(b, s, cgct.Options{})]
+				cg := runs[p.request(b, s, cgctAt(rb))]
 				red = append(red, 100*(float64(base.Cycles)-float64(cg.Cycles))/float64(base.Cycles))
 			}
 			row.Reduction[rb] = Sample{Mean: mean(red), CI95: ci95(red)}
@@ -265,25 +249,16 @@ type Figure9Row struct {
 // Figure9 reproduces Figure 9.
 func Figure9(p Params) []Figure9Row {
 	p = p.withDefaults()
-	r := newRunner(p)
-	const region = 512
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys,
-				runKey{bench: b, seed: s},
-				runKey{bench: b, seed: s, cgctOn: true, region: region},
-				runKey{bench: b, seed: s, cgctOn: true, region: region, rcaSets: 4096})
-		}
-	}
-	r.prefetchAll(keys)
+	halfRCA := cgctAt(512)
+	halfRCA.RCASets = 4096
+	runs := p.runAll(p.sweep(p.Seeds, cgct.Options{}, cgctAt(512), halfRCA))
 	var rows []Figure9Row
 	for _, b := range p.sortedBenchmarks() {
 		var full, half []float64
 		for _, s := range p.Seeds {
-			base := r.get(runKey{bench: b, seed: s})
-			f := r.get(runKey{bench: b, seed: s, cgctOn: true, region: region})
-			h := r.get(runKey{bench: b, seed: s, cgctOn: true, region: region, rcaSets: 4096})
+			base := runs[p.request(b, s, cgct.Options{})]
+			f := runs[p.request(b, s, cgctAt(512))]
+			h := runs[p.request(b, s, halfRCA)]
 			full = append(full, 100*(float64(base.Cycles)-float64(f.Cycles))/float64(base.Cycles))
 			half = append(half, 100*(float64(base.Cycles)-float64(h.Cycles))/float64(base.Cycles))
 		}
@@ -312,23 +287,13 @@ type Figure10Row struct {
 // Figure10 reproduces Figure 10.
 func Figure10(p Params) []Figure10Row {
 	p = p.withDefaults()
-	r := newRunner(p)
-	const region = 512
-	var keys []runKey
-	for _, b := range p.sortedBenchmarks() {
-		for _, s := range p.Seeds {
-			keys = append(keys,
-				runKey{bench: b, seed: s},
-				runKey{bench: b, seed: s, cgctOn: true, region: region})
-		}
-	}
-	r.prefetchAll(keys)
+	runs := p.runAll(p.sweep(p.Seeds, cgct.Options{}, cgctAt(512)))
 	var rows []Figure10Row
 	for _, b := range p.sortedBenchmarks() {
 		var ba, ca, bp, cp []float64
 		for _, s := range p.Seeds {
-			base := r.get(runKey{bench: b, seed: s})
-			cg := r.get(runKey{bench: b, seed: s, cgctOn: true, region: region})
+			base := runs[p.request(b, s, cgct.Options{})]
+			cg := runs[p.request(b, s, cgctAt(512))]
 			ba = append(ba, base.AvgBroadcastsPer100K)
 			ca = append(ca, cg.AvgBroadcastsPer100K)
 			bp = append(bp, float64(base.PeakBroadcastsPer100K))
@@ -370,12 +335,12 @@ type EvictionRow struct {
 // Evictions reproduces the §3.2 statistics at 512 B regions.
 func Evictions(p Params) []EvictionRow {
 	p = p.withDefaults()
-	r := newRunner(p)
+	s := p.Seeds[0]
+	runs := p.runAll(p.sweep(p.Seeds[:1], cgct.Options{}, cgctAt(512)))
 	var rows []EvictionRow
 	for _, b := range p.sortedBenchmarks() {
-		s := p.Seeds[0]
-		base := r.get(runKey{bench: b, seed: s})
-		cg := r.get(runKey{bench: b, seed: s, cgctOn: true, region: 512})
+		base := runs[p.request(b, s, cgct.Options{})]
+		cg := runs[p.request(b, s, cgctAt(512))]
 		rows = append(rows, EvictionRow{
 			Benchmark:      b,
 			EmptyPct:       100 * cg.RCAEmptyEvictFrac,

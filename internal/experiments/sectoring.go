@@ -18,25 +18,31 @@ type SectoringRow struct {
 // CGCT configurations.
 func Sectoring(p Params) []SectoringRow {
 	p = p.withDefaults()
-	run := func(b string, seed uint64, mut func(*cgct.Options)) *cgct.Result {
-		o := cgct.Options{OpsPerProc: p.OpsPerProc, Seed: seed}
-		if mut != nil {
-			mut(&o)
-		}
-		res, err := cgct.Run(b, o)
-		if err != nil {
-			panic(err)
-		}
-		return res
+	sector512 := cgct.Options{L2SectorBytes: 512}
+	sector1K := cgct.Options{L2SectorBytes: 1024}
+	// Miss ratios report no confidence interval, so these runs go without
+	// the seed perturbation the timing figures need.
+	req := func(b string, seed uint64, o cgct.Options) cgct.RunRequest {
+		rq := p.request(b, seed, o)
+		rq.Options.PerturbCycles = 0
+		return rq
 	}
+	var reqs []cgct.RunRequest
+	for _, b := range p.sortedBenchmarks() {
+		for _, seed := range p.Seeds {
+			reqs = append(reqs, req(b, seed, cgct.Options{}), req(b, seed, sector512),
+				req(b, seed, sector1K), req(b, seed, cgctAt(512)))
+		}
+	}
+	runs := p.runAll(reqs)
 	var rows []SectoringRow
 	for _, b := range p.sortedBenchmarks() {
 		var base, s512, s1k, cg []float64
 		for _, seed := range p.Seeds {
-			base = append(base, run(b, seed, nil).L2MissRatio)
-			s512 = append(s512, run(b, seed, func(o *cgct.Options) { o.L2SectorBytes = 512 }).L2MissRatio)
-			s1k = append(s1k, run(b, seed, func(o *cgct.Options) { o.L2SectorBytes = 1024 }).L2MissRatio)
-			cg = append(cg, run(b, seed, func(o *cgct.Options) { o.CGCT = true; o.RegionBytes = 512 }).L2MissRatio)
+			base = append(base, runs[req(b, seed, cgct.Options{})].L2MissRatio)
+			s512 = append(s512, runs[req(b, seed, sector512)].L2MissRatio)
+			s1k = append(s1k, runs[req(b, seed, sector1K)].L2MissRatio)
+			cg = append(cg, runs[req(b, seed, cgctAt(512))].L2MissRatio)
 		}
 		row := SectoringRow{
 			Benchmark: b,

@@ -16,7 +16,7 @@ import (
 // live outside the LRU list, so eviction pressure from other keys
 // completing must not be able to touch them.
 func TestEvictionRacingInflightLeaders(t *testing.T) {
-	c := New[string](2, 0) // 2-entry bound: almost every completion evicts
+	c := New[string](2) // 2-entry bound: almost every completion evicts
 	const (
 		keys       = 16
 		goroutines = 8
@@ -83,7 +83,7 @@ func TestEvictionRacingInflightLeaders(t *testing.T) {
 // TestPeek: resident values are visible without becoming a leader or
 // perturbing LRU order / counters; in-flight and absent keys are not.
 func TestPeek(t *testing.T) {
-	c := New[int](2, 0)
+	c := New[int](2)
 	if _, ok := c.Peek("absent"); ok {
 		t.Fatal("Peek(absent) = ok")
 	}
@@ -121,7 +121,7 @@ func TestPeek(t *testing.T) {
 // in-flight computations without ever starting one, and reports absent
 // keys as not-found.
 func TestWaitJoinsWithoutLeading(t *testing.T) {
-	c := New[int](4, 0)
+	c := New[int](4)
 	ctx := context.Background()
 
 	if _, ok, err := c.Wait(ctx, "absent"); ok || err != nil {

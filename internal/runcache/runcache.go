@@ -1,8 +1,7 @@
-// Package runcache is the shared simulation-result engine behind both the
-// experiments harness and the HTTP job server: a content-addressed result
-// cache with singleflight deduplication (N concurrent requests for the
-// same key cost one computation), an LRU bound on resident entries, and an
-// optional concurrency limit on the compute function.
+// Package runcache is the content-addressed cache behind the HTTP job
+// server's results and the process-wide compiled-trace cache: singleflight
+// deduplication (N concurrent requests for the same key cost one
+// computation) and LRU bounds on resident entries and bytes.
 //
 // Keys are opaque strings; callers derive them from a canonical encoding
 // of everything that determines the result (machine config, workload,
@@ -63,8 +62,7 @@ type Cache[V any] struct {
 	mu      sync.Mutex
 	max     int // max resident entries; <= 0 means unbounded
 	entries map[string]*entry[V]
-	lru     *list.List    // of string keys; front = most recently used
-	sem     chan struct{} // nil = unlimited compute concurrency
+	lru     *list.List // of string keys; front = most recently used
 
 	weigher  func(V) int64 // nil = no byte accounting
 	maxBytes int64         // evict LRU while resident bytes exceed; <= 0 off
@@ -88,18 +86,13 @@ type Stats struct {
 }
 
 // New builds a cache holding at most maxEntries completed results
-// (<= 0: unbounded) and running at most parallel compute functions at once
-// (<= 0: unlimited).
-func New[V any](maxEntries, parallel int) *Cache[V] {
-	c := &Cache[V]{
+// (<= 0: unbounded).
+func New[V any](maxEntries int) *Cache[V] {
+	return &Cache[V]{
 		max:     maxEntries,
 		entries: make(map[string]*entry[V]),
 		lru:     list.New(),
 	}
-	if parallel > 0 {
-		c.sem = make(chan struct{}, parallel)
-	}
-	return c
 }
 
 // SetWeigher configures byte accounting: fn reports the resident size of
@@ -116,7 +109,7 @@ func (c *Cache[V]) SetWeigher(maxBytes int64, fn func(V) int64) {
 
 // Do returns the cached value for key, joins an in-flight computation for
 // it, or — as the singleflight leader — runs fn to produce it. The leader
-// runs fn under the cache's concurrency limit with the leader's ctx; a
+// runs fn with the leader's ctx, unless that ctx is already done; a
 // follower whose ctx is cancelled while waiting returns ctx.Err() without
 // disturbing the leader. fn's error is returned to the leader and every
 // current follower, then forgotten. A panic in fn is contained: it is
@@ -165,15 +158,6 @@ func (c *Cache[V]) Do(ctx context.Context, key string, fn func(ctx context.Conte
 		return val, err
 	}
 
-	if c.sem != nil {
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			return finish(zero, ctx.Err())
-		}
-		defer func() { <-c.sem }()
-	}
-	// Re-check ctx after (possibly) queueing for a compute slot.
 	if err := ctx.Err(); err != nil {
 		return finish(zero, err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestSingleflightOneExecution(t *testing.T) {
-	c := New[int](0, 0)
+	c := New[int](0)
 	var execs atomic.Int32
 	release := make(chan struct{})
 	const n = 32
@@ -51,7 +51,7 @@ func TestSingleflightOneExecution(t *testing.T) {
 }
 
 func TestErrorsNotCached(t *testing.T) {
-	c := New[int](0, 0)
+	c := New[int](0)
 	boom := errors.New("boom")
 	calls := 0
 	fail := func(context.Context) (int, error) { calls++; return 0, boom }
@@ -71,7 +71,7 @@ func TestErrorsNotCached(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int](2, 0)
+	c := New[int](2)
 	ctx := context.Background()
 	mk := func(i int) func(context.Context) (int, error) {
 		return func(context.Context) (int, error) { return i, nil }
@@ -98,7 +98,7 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRUTouchOnHit(t *testing.T) {
-	c := New[int](2, 0)
+	c := New[int](2)
 	ctx := context.Background()
 	set := func(k string, v int) {
 		t.Helper()
@@ -122,7 +122,7 @@ func TestLRUTouchOnHit(t *testing.T) {
 }
 
 func TestFollowerCancellation(t *testing.T) {
-	c := New[int](0, 0)
+	c := New[int](0)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
@@ -141,36 +141,8 @@ func TestFollowerCancellation(t *testing.T) {
 	close(release)
 }
 
-func TestConcurrencyLimit(t *testing.T) {
-	c := New[int](0, 2)
-	var cur, peak atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _ = c.Do(context.Background(), fmt.Sprintf("k%d", i), func(context.Context) (int, error) {
-				n := cur.Add(1)
-				for {
-					p := peak.Load()
-					if n <= p || peak.CompareAndSwap(p, n) {
-						break
-					}
-				}
-				time.Sleep(5 * time.Millisecond)
-				cur.Add(-1)
-				return i, nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	if p := peak.Load(); p > 2 {
-		t.Fatalf("observed %d concurrent computations, limit 2", p)
-	}
-}
-
 func TestLeaderPanicReleasesFollowers(t *testing.T) {
-	c := New[int](0, 0)
+	c := New[int](0)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	const followers = 8
@@ -238,7 +210,7 @@ func TestPanicErrorStackTruncated(t *testing.T) {
 		}
 		deep(n - 1)
 	}
-	c := New[int](0, 0)
+	c := New[int](0)
 	_, err := c.Do(context.Background(), "k", func(context.Context) (int, error) {
 		deep(200)
 		return 0, nil
@@ -256,7 +228,7 @@ func TestPanicErrorStackTruncated(t *testing.T) {
 // resident bytes and evicts LRU-first past the byte cap — but never the
 // entry it just admitted, so one oversized value still caches.
 func TestWeigherBytesAndEviction(t *testing.T) {
-	c := New[[]byte](0, 0)
+	c := New[[]byte](0)
 	c.SetWeigher(100, func(v []byte) int64 { return int64(len(v)) })
 	ctx := context.Background()
 	put := func(k string, n int) {
@@ -292,7 +264,7 @@ func TestWeigherBytesAndEviction(t *testing.T) {
 // TestGetCountsHitsOnlyForResident: Get serves and counts resident values
 // only; an absent or in-flight key is neither counted nor joined.
 func TestGetCountsHitsOnlyForResident(t *testing.T) {
-	c := New[int](0, 0)
+	c := New[int](0)
 	ctx := context.Background()
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("Get on an empty cache reported a value")
@@ -329,7 +301,7 @@ func TestGetCountsHitsOnlyForResident(t *testing.T) {
 // TestGetRefreshesLRU: a Get touches its entry, so the other one is
 // evicted first.
 func TestGetRefreshesLRU(t *testing.T) {
-	c := New[int](2, 0)
+	c := New[int](2)
 	put := func(key string, v int) {
 		if _, err := c.Do(context.Background(), key, func(context.Context) (int, error) { return v, nil }); err != nil {
 			t.Fatal(err)
@@ -351,7 +323,7 @@ func TestGetRefreshesLRU(t *testing.T) {
 // miss, and every successful Get one hit, so the counters must add up;
 // resident bytes must match the surviving entries.
 func TestConcurrentGetDoAccounting(t *testing.T) {
-	c := New[[]byte](4, 0)
+	c := New[[]byte](4)
 	c.SetWeigher(64, func(v []byte) int64 { return int64(len(v)) })
 	const goroutines, ops = 8, 400
 	var counted atomic.Uint64
@@ -401,7 +373,7 @@ func TestConcurrentGetDoAccounting(t *testing.T) {
 // TestWeigherComposesWithEntryCap: the entry cap and the byte cap evict
 // independently; bytes stay consistent through entry-cap evictions.
 func TestWeigherComposesWithEntryCap(t *testing.T) {
-	c := New[[]byte](2, 0)
+	c := New[[]byte](2)
 	c.SetWeigher(1<<20, func(v []byte) int64 { return int64(len(v)) })
 	ctx := context.Background()
 	for i, k := range []string{"a", "b", "c"} {

@@ -444,7 +444,7 @@ func NewManager(o Options) *Manager {
 	o = o.withDefaults()
 	m := &Manager{
 		opts:  o,
-		cache: runcache.New[any](o.CacheEntries, 0), // concurrency is bounded by the pool
+		cache: runcache.New[any](o.CacheEntries),
 		queue: make(chan *job, o.QueueCapacity),
 		stop:  make(chan struct{}),
 		jobs:  make(map[string]*job),
@@ -485,20 +485,31 @@ func (m *Manager) refetchFromPeers(key string) ([]byte, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	var lastErr error = cluster.ErrNoResult
-	for _, peer := range c.Owners(key, 0) {
-		if peer == c.Self() {
+	payload, _, err := fetchFromOwners(ctx, c, key)
+	return payload, err
+}
+
+// fetchFromOwners asks key's ring owners other than this node — the
+// owner first, then the replica holders in clockwise order — for its
+// result. It returns the first payload that is valid JSON, so a garbled
+// body cannot poison a cache, with the peer that served it; otherwise the
+// last fetch error, or cluster.ErrNoResult when no fetch failed outright.
+// An authoritative miss on the owner may still hit a replica.
+func fetchFromOwners(ctx context.Context, c *cluster.Cluster, key string) (payload []byte, peer string, err error) {
+	err = cluster.ErrNoResult
+	for _, p := range c.Owners(key, 0) {
+		if p == c.Self() {
 			continue
 		}
-		payload, err := c.Fetch(ctx, peer, key)
-		if err == nil && json.Valid(payload) {
-			return payload, nil
+		b, ferr := c.Fetch(ctx, p, key)
+		if ferr == nil && json.Valid(b) {
+			return b, p, nil
 		}
-		if err != nil {
-			lastErr = err
+		if ferr != nil {
+			err = ferr
 		}
 	}
-	return nil, lastErr
+	return nil, "", err
 }
 
 // initMetrics builds the manager's registry: its own counters and the
@@ -997,31 +1008,23 @@ func (m *Manager) storeSpill(key string, payload []byte) {
 	}
 }
 
-// peerFetch asks the key's ring owners — the owner first, then the
-// replica holders in clockwise order — for the result, so a freshly dead
-// owner costs a fetch against its replica, not a re-simulation. Reports
-// !ok — and the caller simulates locally — when the node is standalone,
-// every listed owner is this node itself, nobody has the key, or every
-// fetch fails outright (peer death, timeout, injected fault). The
-// returned payload is validated as JSON so a garbled body cannot poison
-// the result cache.
+// peerFetch asks the key's ring owners for the result (fetchFromOwners),
+// so a freshly dead owner costs a fetch against its replica, not a
+// re-simulation. Reports !ok — and the caller simulates locally — when
+// the node is standalone, every listed owner is this node itself, nobody
+// has the key, or every fetch fails outright (peer death, timeout,
+// injected fault).
 func (m *Manager) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 	c := m.opts.Cluster
 	if c == nil {
 		return nil, false
 	}
-	for _, owner := range c.Owners(key, 0) {
-		if owner == c.Self() {
-			continue
-		}
-		payload, err := c.Fetch(ctx, owner, key)
-		if err != nil || !json.Valid(payload) {
-			continue // an authoritative miss on the owner may still hit a replica
-		}
-		m.log.Info("result fetched from peer", "config_hash", shortHash(key), "owner", owner, "bytes", len(payload))
-		return payload, true
+	payload, owner, err := fetchFromOwners(ctx, c, key)
+	if err != nil {
+		return nil, false
 	}
-	return nil, false
+	m.log.Info("result fetched from peer", "config_hash", shortHash(key), "owner", owner, "bytes", len(payload))
+	return payload, true
 }
 
 // replicate pushes a freshly simulated result to the other R−1 ring

@@ -11,16 +11,28 @@ import (
 	"cgct/internal/event"
 )
 
-// scheduleViolation arms a system so that the very first event raises a
-// coherence invariant violation, as the DebugChecks machinery would.
-func scheduleViolation(s *System) {
-	s.queue.At(0, func(now event.Cycle) {
-		coherence.Violate(coherence.InvariantError{
-			Check: "line-owners", Cycle: uint64(now), Line: 0x40,
-			States: "p0=M p1=M", Detail: "2 owners",
-		})
+// violator raises a coherence invariant violation from an event, as the
+// DebugChecks machinery would.
+type violator struct{}
+
+func (violator) HandleEvent(now event.Cycle, _ uint8, _ uint32, _ uint64) {
+	coherence.Violate(coherence.InvariantError{
+		Check: "line-owners", Cycle: uint64(now), Line: 0x40,
+		States: "p0=M p1=M", Detail: "2 owners",
 	})
 }
+
+// scheduleViolation arms a system so that the very first event raises a
+// coherence invariant violation.
+func scheduleViolation(s *System) {
+	s.queue.Schedule(0, violator{}, 0, 0, 0)
+}
+
+// bugPanicker panics from an event with a value that is not an invariant
+// violation.
+type bugPanicker struct{}
+
+func (bugPanicker) HandleEvent(event.Cycle, uint8, uint32, uint64) { panic("unrelated bug") }
 
 func TestRunContextConvertsViolationToError(t *testing.T) {
 	cfg := config.Default()
@@ -65,7 +77,7 @@ func TestRunContextPanicOnViolationMode(t *testing.T) {
 func TestRunContextOtherPanicsPropagate(t *testing.T) {
 	cfg := config.Default()
 	s := MustNew(cfg, testWorkload(t, "ocean", 4, 1_000, 3), 3)
-	s.queue.At(0, func(event.Cycle) { panic("unrelated bug") })
+	s.queue.Schedule(0, bugPanicker{}, 0, 0, 0)
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -59,7 +59,7 @@ const (
 var ErrTooLarge = errors.New("trace: workload too large for the shared compiled-trace cache")
 
 var (
-	shared       = runcache.New[*Trace](maxSharedEntries, 0)
+	shared       = runcache.New[*Trace](maxSharedEntries)
 	compilations atomic.Uint64
 	storeHits    atomic.Uint64
 )
