@@ -16,6 +16,15 @@ const PhysAddrBits = 40
 // PhysAddrMask masks a uint64 down to a valid physical address.
 const PhysAddrMask = (uint64(1) << PhysAddrBits) - 1
 
+// The tag words of the simulated caches and RCAs keep a way's last-use
+// tick in the 24 bits above the physical address. TickMax is the largest
+// tick a word can hold; a structure whose counter reaches it renumbers
+// its ticks.
+const (
+	TickShift = PhysAddrBits
+	TickMax   = uint64(1)<<(64-TickShift) - 1
+)
+
 // Addr is a physical byte address.
 type Addr uint64
 

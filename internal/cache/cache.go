@@ -32,24 +32,26 @@ type Stats struct {
 
 // A tag word holds one way: the line address with the coherence state in
 // its low stateBits bits, which are always zero in a line address (lines
-// are at least 8 bytes). An invalid way is the zero word.
+// are at least 8 bytes), and the way's last-use tick above
+// addr.PhysAddrBits. A way is invalid when its state bits are zero; its
+// tick may then be stale.
 const (
 	stateBits = 3
 	stateMask = 1<<stateBits - 1
+	addrMask  = addr.PhysAddrMask &^ stateMask
 )
 
 // Cache is a set-associative cache keyed by line address. The ways are
 // one dense, set-major array of tag words, so a probe reads assoc
-// consecutive 8-byte words; LRU ticks sit in a parallel array that only
-// hits and fills touch.
+// consecutive 8-byte words and a hit refreshes its LRU tick in the word it
+// already read.
 type Cache struct {
 	name      string
 	assoc     int
 	lineShift uint
 	setMask   uint64
 	tags      []uint64 // numSets * assoc tag words, set-major
-	lru       []uint64 // last-use tick of each way
-	lruTick   uint64
+	lruTick   uint64   // last tick handed out, at most addr.TickMax
 
 	// OnEvict, when set, observes every valid line leaving the cache
 	// (capacity eviction or invalidation). The RCA uses it to maintain
@@ -75,14 +77,12 @@ func New(name string, sizeBytes uint64, assoc int, lineBytes uint64) *Cache {
 	if numSets == 0 || !addr.IsPow2(numSets) {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, numSets))
 	}
-	ways := numSets * uint64(assoc)
 	return &Cache{
 		name:      name,
 		assoc:     assoc,
 		lineShift: addr.Log2(lineBytes),
 		setMask:   numSets - 1,
-		tags:      make([]uint64, ways),
-		lru:       make([]uint64, ways),
+		tags:      make([]uint64, numSets*uint64(assoc)),
 	}
 }
 
@@ -97,22 +97,52 @@ func (c *Cache) find(l addr.LineAddr) int {
 	key := uint64(l)
 	for i, w := range c.tags[base : base+c.assoc] {
 		// The address compare rejects most ways; the state test only
-		// matters for line 0, whose key equals an invalid way's word.
-		if w&^stateMask == key && w&stateMask != 0 {
+		// matters for line 0, whose key equals an invalid way's address
+		// bits.
+		if w&addrMask == key && w&stateMask != 0 {
 			return base + i
 		}
 	}
 	return -1
 }
 
-// touch makes way i the most recently used.
-func (c *Cache) touch(i int) {
+// touch makes the way whose tag word is w the most recently used. It
+// takes the word's address, not its index, so that it stays small enough
+// to inline.
+func (c *Cache) touch(w *uint64) {
+	if c.lruTick == addr.TickMax {
+		c.renumber()
+	}
 	c.lruTick++
-	c.lru[i] = c.lruTick
+	*w = *w&addr.PhysAddrMask | c.lruTick<<addr.TickShift
+}
+
+// renumber replaces every way's tick with its rank, 1..assoc, among the
+// ticks of its set, and continues counting above the ranks. Ticks are only
+// compared within a set, so every later victim is the one the old ticks
+// would have chosen. Only empty ways, whose ticks are zero, share a tick;
+// they rank in way order.
+func (c *Cache) renumber() {
+	rank := make([]uint64, c.assoc)
+	for base := 0; base < len(c.tags); base += c.assoc {
+		set := c.tags[base : base+c.assoc]
+		for i := range set {
+			rank[i] = 1
+			for j := range set {
+				if t, u := set[j]>>addr.TickShift, set[i]>>addr.TickShift; t < u || t == u && j < i {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i] = set[i]&addr.PhysAddrMask | rank[i]<<addr.TickShift
+		}
+	}
+	c.lruTick = uint64(c.assoc)
 }
 
 func lineAt(w uint64) Line {
-	return Line{Addr: addr.LineAddr(w &^ stateMask), State: coherence.LineState(w & stateMask)}
+	return Line{Addr: addr.LineAddr(w & addrMask), State: coherence.LineState(w & stateMask)}
 }
 
 // Lookup returns the line's state without touching LRU or stats. Invalid
@@ -133,14 +163,14 @@ func (c *Cache) Access(l addr.LineAddr) coherence.LineState {
 		return coherence.Invalid
 	}
 	c.Stats.Hits++
-	c.touch(i)
+	c.touch(&c.tags[i])
 	return coherence.LineState(c.tags[i] & stateMask)
 }
 
 // Touch refreshes the line's LRU position without counting a hit.
 func (c *Cache) Touch(l addr.LineAddr) {
 	if i := c.find(l); i >= 0 {
-		c.touch(i)
+		c.touch(&c.tags[i])
 	}
 }
 
@@ -154,7 +184,7 @@ func (c *Cache) Promote(l addr.LineAddr, st coherence.LineState) {
 	}
 	if i := c.find(l); i >= 0 {
 		c.rewrite(i, l, st)
-		c.touch(i)
+		c.touch(&c.tags[i])
 	}
 }
 
@@ -162,7 +192,7 @@ func (c *Cache) Promote(l addr.LineAddr, st coherence.LineState) {
 // OnStateChange when the state differs.
 func (c *Cache) rewrite(i int, l addr.LineAddr, st coherence.LineState) {
 	from := coherence.LineState(c.tags[i] & stateMask)
-	c.tags[i] = uint64(l) | uint64(st)
+	c.tags[i] = c.tags[i]&^stateMask | uint64(st)
 	if from != st && c.OnStateChange != nil {
 		c.OnStateChange(l, from, st)
 	}
@@ -176,27 +206,27 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 	if !st.Valid() {
 		panic(fmt.Sprintf("cache %s: allocating %v in state I", c.name, l))
 	}
-	if uint64(l)&stateMask != 0 {
-		panic(fmt.Sprintf("cache %s: %#x is not a line address", c.name, uint64(l)))
+	if uint64(l)&^addrMask != 0 {
+		panic(fmt.Sprintf("cache %s: %#x is not a line address below 2^%d", c.name, uint64(l), addr.PhysAddrBits))
 	}
 	if i := c.find(l); i >= 0 {
 		c.rewrite(i, l, st)
-		c.touch(i)
+		c.touch(&c.tags[i])
 		return Line{}
 	}
 	// Victim: the first free way, else the least recently used one.
 	base := c.setBase(l)
 	slot := -1
 	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == 0 {
+		if c.tags[i]&stateMask == 0 {
 			slot = i
 			break
 		}
-		if slot < 0 || c.lru[i] < c.lru[slot] {
+		if slot < 0 || c.tags[i]>>addr.TickShift < c.tags[slot]>>addr.TickShift {
 			slot = i
 		}
 	}
-	if c.tags[slot] != 0 {
+	if c.tags[slot]&stateMask != 0 {
 		evicted = lineAt(c.tags[slot])
 		c.Stats.Evictions++
 		if evicted.State.Dirty() {
@@ -207,7 +237,7 @@ func (c *Cache) Allocate(l addr.LineAddr, st coherence.LineState) (evicted Line)
 		}
 	}
 	c.tags[slot] = uint64(l) | uint64(st)
-	c.touch(slot)
+	c.touch(&c.tags[slot])
 	if c.OnAllocate != nil {
 		c.OnAllocate(Line{Addr: l, State: st})
 	}
@@ -253,7 +283,7 @@ func (c *Cache) invalidateWay(i int) Line {
 func (c *Cache) CountValid() int {
 	n := 0
 	for _, w := range c.tags {
-		if w != 0 {
+		if w&stateMask != 0 {
 			n++
 		}
 	}
@@ -264,7 +294,7 @@ func (c *Cache) CountValid() int {
 // for tests and final-state checks, not hot paths.
 func (c *Cache) ForEachValid(fn func(Line)) {
 	for _, w := range c.tags {
-		if w != 0 {
+		if w&stateMask != 0 {
 			fn(lineAt(w))
 		}
 	}

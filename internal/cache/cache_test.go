@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,183 @@ func TestAllocateInvalidPanics(t *testing.T) {
 		}
 	}()
 	small().Allocate(line(0, 0), coherence.Invalid)
+}
+
+// TestAllocateAddressGuard checks that Allocate refuses an address that is
+// not a line address below 2^addr.PhysAddrBits: a misaligned one would
+// alias the state bits and one above addr.PhysAddrMask the tick bits.
+func TestAllocateAddressGuard(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		l    addr.LineAddr
+	}{
+		{"misaligned", 4},
+		{"above PhysAddrMask", addr.LineAddr(addr.PhysAddrMask + 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("allocating %#x did not panic", uint64(tc.l))
+				}
+			}()
+			small().Allocate(tc.l, coherence.Shared)
+		})
+	}
+}
+
+// refCache is the reference model of a Cache's contents and replacement:
+// each way's line beside a separate uint64 last-use tick that never runs
+// out, and a fill that takes the first free way, else the way with the
+// smallest tick.
+type refCache struct {
+	sets, assoc int
+	ways        []Line
+	lru         []uint64
+	tick        uint64
+}
+
+func newRefCache(sets, assoc int) *refCache {
+	return &refCache{sets: sets, assoc: assoc, ways: make([]Line, sets*assoc), lru: make([]uint64, sets*assoc)}
+}
+
+func (m *refCache) base(l addr.LineAddr) int { return int(uint64(l)/64) % m.sets * m.assoc }
+
+func (m *refCache) find(l addr.LineAddr) int {
+	for i := m.base(l); i < m.base(l)+m.assoc; i++ {
+		if m.ways[i].State.Valid() && m.ways[i].Addr == l {
+			return i
+		}
+	}
+	return -1
+}
+
+func (m *refCache) touch(i int) {
+	m.tick++
+	m.lru[i] = m.tick
+}
+
+func (m *refCache) allocate(l addr.LineAddr, st coherence.LineState) Line {
+	if i := m.find(l); i >= 0 {
+		m.ways[i].State = st
+		m.touch(i)
+		return Line{}
+	}
+	slot := -1
+	for i := m.base(l); i < m.base(l)+m.assoc; i++ {
+		if !m.ways[i].State.Valid() {
+			slot = i
+			break
+		}
+		if slot < 0 || m.lru[i] < m.lru[slot] {
+			slot = i
+		}
+	}
+	var evicted Line
+	if m.ways[slot].State.Valid() {
+		evicted = m.ways[slot]
+	}
+	m.ways[slot] = Line{Addr: l, State: st}
+	m.touch(slot)
+	return evicted
+}
+
+// TestLRUMatchesReference runs a seeded random sequence of every operation
+// that reads or moves a line on a 4-set, 4-way cache and on refCache, and
+// requires the same returned states and evicted lines and the same ways
+// after every step. The "renumbered" run starts the tick counter just
+// below addr.TickMax, so the ticks are renumbered mid-sequence. The lines
+// include line 0, whose address bits equal an invalid way's, and lines
+// just below 2^addr.PhysAddrBits, whose high address bits sit next to the
+// tick bits.
+func TestLRUMatchesReference(t *testing.T) {
+	const sets, assoc, steps = 4, 4, 20_000
+	var lines []addr.LineAddr
+	for set := uint64(0); set < sets; set++ {
+		for k := uint64(1); k <= 6; k++ {
+			lines = append(lines,
+				addr.LineAddr(((k-1)*sets+set)*64),
+				addr.LineAddr(addr.PhysAddrMask+1-k*sets*64+set*64))
+		}
+	}
+	valid := []coherence.LineState{coherence.Shared, coherence.Exclusive, coherence.Owned, coherence.Modified}
+	for _, start := range []struct {
+		name string
+		tick uint64
+	}{{"fresh", 0}, {"renumbered", addr.TickMax - steps/8}} {
+		t.Run(start.name, func(t *testing.T) {
+			c := New("t", sets*assoc*64, assoc, 64)
+			c.lruTick = start.tick
+			m := newRefCache(sets, assoc)
+			r := rng.New(3)
+			for step := 0; step < steps; step++ {
+				l := lines[r.Uint64n(uint64(len(lines)))]
+				st := valid[r.Uint64n(uint64(len(valid)))]
+				i := m.find(l)
+				prior := coherence.Invalid
+				if i >= 0 {
+					prior = m.ways[i].State
+				}
+				var op string
+				var got, want any
+				switch r.Uint64n(7) {
+				case 0:
+					op, got, want = "Access", c.Access(l), prior
+					if i >= 0 {
+						m.touch(i)
+					}
+				case 1:
+					op, got, want = "Lookup", c.Lookup(l), prior
+				case 2, 3:
+					op, got, want = "Allocate", c.Allocate(l, st), m.allocate(l, st)
+				case 4:
+					op = "Promote"
+					c.Promote(l, st)
+					if i >= 0 {
+						m.ways[i].State = st
+						m.touch(i)
+					}
+				case 5:
+					if r.Uint64n(2) == 0 {
+						st = coherence.Invalid
+					}
+					op = "SetState"
+					c.SetState(l, st)
+					if i >= 0 {
+						m.ways[i].State = st
+					}
+				default:
+					if r.Uint64n(2) == 0 {
+						op, got, want = "Invalidate", c.Invalidate(l), prior
+						if i >= 0 {
+							m.ways[i] = Line{}
+						}
+					} else {
+						op = "Touch"
+						c.Touch(l)
+						if i >= 0 {
+							m.touch(i)
+						}
+					}
+				}
+				if got != want {
+					t.Fatalf("step %d: %s(%#x) = %+v, reference %+v", step, op, uint64(l), got, want)
+				}
+				var have, ref []Line
+				c.ForEachValid(func(l Line) { have = append(have, l) })
+				for _, w := range m.ways {
+					if w.State.Valid() {
+						ref = append(ref, w)
+					}
+				}
+				if !slices.Equal(have, ref) {
+					t.Fatalf("step %d: after %s(%#x) the cache holds %+v, reference %+v", step, op, uint64(l), have, ref)
+				}
+			}
+			if start.tick > 0 && c.lruTick >= start.tick {
+				t.Errorf("tick counter at %d never ran out", c.lruTick)
+			}
+		})
+	}
 }
 
 func TestRegionSnoop(t *testing.T) {

@@ -9,10 +9,12 @@ import (
 
 // Entry is one Region Coherence Array entry: the coarse-grain state of one
 // aligned region, plus the line count used for self-invalidation and
-// replacement, the count of those lines a snooper must treat as
-// modifiable, and the home memory-controller ID used to route direct
-// requests and write-backs. Probe and Lookup return entries by value; the
-// zero Entry (State RegionInvalid) means the region is absent.
+// replacement and the count of those lines a snooper must treat as
+// modifiable. The modelled entry also holds the home memory-controller ID
+// (storage.go counts its bits); the simulator computes it from the region
+// with topology.HomeControllerRegion instead of storing it. Probe and
+// Lookup return entries by value; the zero Entry (State RegionInvalid)
+// means the region is absent.
 //
 // LineCount > 0 and ModLines > 0 are this processor's region snoop
 // response (RegionClean/RegionDirty's inputs, §3.1), read without
@@ -22,7 +24,6 @@ type Entry struct {
 	State     RegionState
 	LineCount int // lines of this region currently cached by this processor
 	ModLines  int // of those, lines in E, O or M (see ModifiableLine)
-	MemCtrl   int // home memory controller ID
 }
 
 // ModifiableLine reports whether a cached line in state st makes its
@@ -34,16 +35,13 @@ func ModifiableLine(st coherence.LineState) bool {
 
 // RCAStats counts RCA events.
 type RCAStats struct {
-	Hits             uint64
-	Misses           uint64
-	Allocations      uint64
-	Evictions        uint64
-	SelfInvals       uint64    // entries dropped by line-count-zero self-invalidation
-	EvictedByCount   [4]uint64 // evictions with 0, 1, 2, 3+ cached lines (§3.2)
-	LineSumAtEvict   uint64    // sum of line counts at eviction (avg lines/region)
-	DowngradeExt     uint64    // external requests that downgraded the entry
-	UpgradeFromResp  uint64    // broadcast responses that upgraded the external component
-	LocalCompletions uint64    // requests completed with no external request
+	Hits           uint64
+	Misses         uint64
+	Allocations    uint64
+	Evictions      uint64
+	SelfInvals     uint64    // entries dropped by line-count-zero self-invalidation
+	EvictedByCount [4]uint64 // evictions with 0, 1, 2, 3+ cached lines (§3.2)
+	LineSumAtEvict uint64    // sum of line counts at eviction (avg lines/region)
 }
 
 // EmptyEvictFraction returns the fraction of evicted regions that held no
@@ -55,34 +53,35 @@ func (s RCAStats) EmptyEvictFraction() float64 {
 	return float64(s.EvictedByCount[0]) / float64(s.Evictions)
 }
 
-// A tag word holds one way: the region address with the region state in
-// its low stateBits bits, which are always zero in a region address. An
-// invalid way is the zero word.
+// A tag word holds the region address with the region state in its low
+// stateBits bits, which are always zero in a region address, and the
+// way's last-use tick above addr.PhysAddrBits. A way is invalid when its
+// state bits are zero; its tick may then be stale.
 const (
 	stateBits = 3
 	stateMask = 1<<stateBits - 1
+	addrMask  = addr.PhysAddrMask &^ stateMask
 )
 
-// wayMeta is the per-way bookkeeping a tag compare never needs.
-type wayMeta struct {
-	lines   int32 // cached lines of the region
-	mod     int32 // of those, lines in E, O or M
-	memCtrl int32 // home memory controller ID
+// way is one RCA way: 16 bytes, so a 2-way set fills half a host cache
+// line.
+type way struct {
+	tag   uint64
+	lines int32 // cached lines of the region
+	mod   int32 // of those, lines in E, O or M
 }
 
 // RCA is a set-associative Region Coherence Array. The ways are one dense,
-// set-major array of tag words; LRU ticks and the line counts and
-// controller ID sit in parallel arrays that only hits, fills and
-// evictions touch.
+// set-major array, so a probe reads assoc consecutive records and a hit
+// refreshes its LRU tick and reads its counts from the record it already
+// compared.
 type RCA struct {
 	geom    addr.Geometry
 	sets    uint64
 	assoc   int
 	setMask uint64
-	tags    []uint64  // sets * assoc tag words, set-major
-	lru     []uint64  // last-use tick of each way
-	meta    []wayMeta // line counts and controller of each way
-	lruTick uint64
+	ways    []way  // sets * assoc ways, set-major
+	lruTick uint64 // last tick handed out, at most addr.TickMax
 
 	// OnEvict is called with the victim entry before it is replaced or
 	// invalidated, while it is still installed. The simulator uses it to
@@ -99,15 +98,12 @@ func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
 	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 {
 		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways)", sets, assoc))
 	}
-	ways := sets * uint64(assoc)
 	return &RCA{
 		geom:    geom,
 		sets:    sets,
 		assoc:   assoc,
 		setMask: sets - 1,
-		tags:    make([]uint64, ways),
-		lru:     make([]uint64, ways),
-		meta:    make([]wayMeta, ways),
+		ways:    make([]way, sets*uint64(assoc)),
 	}
 }
 
@@ -132,10 +128,12 @@ func (r *RCA) setBase(region addr.RegionAddr) int {
 func (r *RCA) find(region addr.RegionAddr) int {
 	base := r.setBase(region)
 	key := uint64(region)
-	for i, w := range r.tags[base : base+r.assoc] {
+	set := r.ways[base : base+r.assoc]
+	for i := range set {
 		// The address compare rejects most ways; the state test only
-		// matters for region 0, whose key equals an invalid way's word.
-		if w&^stateMask == key && w&stateMask != 0 {
+		// matters for region 0, whose key equals an invalid way's address
+		// bits.
+		if w := set[i].tag; w&addrMask == key && w&stateMask != 0 {
 			return base + i
 		}
 	}
@@ -144,20 +142,51 @@ func (r *RCA) find(region addr.RegionAddr) int {
 
 // entry assembles way i's entry.
 func (r *RCA) entry(i int) Entry {
-	w, m := r.tags[i], r.meta[i]
+	w := &r.ways[i]
 	return Entry{
-		Region:    addr.RegionAddr(w &^ stateMask),
-		State:     RegionState(w & stateMask),
-		LineCount: int(m.lines),
-		ModLines:  int(m.mod),
-		MemCtrl:   int(m.memCtrl),
+		Region:    addr.RegionAddr(w.tag & addrMask),
+		State:     RegionState(w.tag & stateMask),
+		LineCount: int(w.lines),
+		ModLines:  int(w.mod),
 	}
 }
 
-// touch makes way i the most recently used.
-func (r *RCA) touch(i int) {
+// touch makes the way whose tag word is w the most recently used. It
+// takes the word's address, not its index, so that it stays small enough
+// to inline.
+func (r *RCA) touch(w *uint64) {
+	if r.lruTick == addr.TickMax {
+		r.renumber()
+	}
 	r.lruTick++
-	r.lru[i] = r.lruTick
+	*w = *w&addr.PhysAddrMask | r.lruTick<<addr.TickShift
+}
+
+// tick returns way i's last-use tick.
+func (r *RCA) tick(i int) uint64 { return r.ways[i].tag >> addr.TickShift }
+
+// renumber replaces every way's tick with its rank, 1..assoc, among the
+// ticks of its set, and continues counting above the ranks. Ticks are only
+// compared within a set, so every later victim is the one the old ticks
+// would have chosen. Only empty ways, whose ticks are zero, share a tick;
+// they rank in way order.
+func (r *RCA) renumber() {
+	rank := make([]uint64, r.assoc)
+	for base := 0; base < len(r.ways); base += r.assoc {
+		set := r.ways[base : base+r.assoc]
+		for i := range set {
+			rank[i] = 1
+			for j := range set {
+				if t, u := set[j].tag>>addr.TickShift, set[i].tag>>addr.TickShift; t < u || t == u && j < i {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i].tag = set[i].tag&addr.PhysAddrMask | rank[i]<<addr.TickShift
+		}
+	}
+	r.lruTick = uint64(r.assoc)
 }
 
 // Probe returns the entry for region, or the zero Entry when it is
@@ -178,7 +207,7 @@ func (r *RCA) Lookup(region addr.RegionAddr) Entry {
 		return Entry{}
 	}
 	r.Stats.Hits++
-	r.touch(i)
+	r.touch(&r.ways[i].tag)
 	return r.entry(i)
 }
 
@@ -189,16 +218,16 @@ func (r *RCA) Lookup(region addr.RegionAddr) Entry {
 func (r *RCA) victim(base int) int {
 	free, emptyLRU, anyLRU := -1, -1, -1
 	for i := base; i < base+r.assoc; i++ {
-		if r.tags[i] == 0 {
+		if r.ways[i].tag&stateMask == 0 {
 			if free < 0 {
 				free = i
 			}
 			continue
 		}
-		if r.meta[i].lines == 0 && (emptyLRU < 0 || r.lru[i] < r.lru[emptyLRU]) {
+		if r.ways[i].lines == 0 && (emptyLRU < 0 || r.tick(i) < r.tick(emptyLRU)) {
 			emptyLRU = i
 		}
-		if anyLRU < 0 || r.lru[i] < r.lru[anyLRU] {
+		if anyLRU < 0 || r.tick(i) < r.tick(anyLRU) {
 			anyLRU = i
 		}
 	}
@@ -211,43 +240,45 @@ func (r *RCA) victim(base int) int {
 	return anyLRU
 }
 
-// Allocate installs region with the given state and home memory controller,
-// displacing a victim if needed. OnEvict fires for a valid victim before it
-// is removed. If the region is already present its state is updated in
-// place (line counts preserved).
-func (r *RCA) Allocate(region addr.RegionAddr, st RegionState, memCtrl int) {
+// Allocate installs region with the given state, displacing a victim if
+// needed. OnEvict fires for a valid victim before it is removed. If the
+// region is already present its state is updated in place (line counts
+// preserved).
+func (r *RCA) Allocate(region addr.RegionAddr, st RegionState) {
 	if !st.Valid() {
 		panic("core: allocating region in state I")
 	}
-	if uint64(region)&stateMask != 0 {
-		panic(fmt.Sprintf("core: %#x is not a region address", uint64(region)))
+	if uint64(region)&^addrMask != 0 {
+		panic(fmt.Sprintf("core: %#x is not a region address below 2^%d", uint64(region), addr.PhysAddrBits))
 	}
 	if i := r.find(region); i >= 0 {
-		r.tags[i] = uint64(region) | uint64(st)
-		r.meta[i].memCtrl = int32(memCtrl)
-		r.touch(i)
+		r.setState(i, st)
+		r.touch(&r.ways[i].tag)
 		return
 	}
 	v := r.victim(r.setBase(region))
-	if r.tags[v] != 0 {
+	if r.ways[v].tag&stateMask != 0 {
 		r.evictWay(v)
 	}
 	r.Stats.Allocations++
-	r.tags[v] = uint64(region) | uint64(st)
-	r.meta[v] = wayMeta{memCtrl: int32(memCtrl)}
-	r.touch(v)
+	r.ways[v] = way{tag: uint64(region) | uint64(st)}
+	r.touch(&r.ways[v].tag)
 }
 
 func (r *RCA) evictWay(v int) {
 	r.Stats.Evictions++
-	lines := int(r.meta[v].lines)
+	lines := int(r.ways[v].lines)
 	r.Stats.EvictedByCount[min(lines, 3)]++
 	r.Stats.LineSumAtEvict += uint64(lines)
 	if r.OnEvict != nil {
 		r.OnEvict(r.entry(v))
 	}
-	r.tags[v] = 0
-	r.meta[v].lines, r.meta[v].mod = 0, 0
+	r.ways[v] = way{}
+}
+
+// setState stores valid state st in present way i.
+func (r *RCA) setState(i int, st RegionState) {
+	r.ways[i].tag = r.ways[i].tag&^stateMask | uint64(st)
 }
 
 // SetState updates the state of a present region (no-op when absent).
@@ -259,11 +290,10 @@ func (r *RCA) SetState(region addr.RegionAddr, st RegionState) {
 		return
 	}
 	if !st.Valid() {
-		r.tags[i] = 0
-		r.meta[i].lines, r.meta[i].mod = 0, 0
+		r.ways[i] = way{}
 		return
 	}
-	r.tags[i] = uint64(region) | uint64(st)
+	r.setState(i, st)
 }
 
 // IncLineCount notes that a line of region entered the cache, and whether
@@ -278,9 +308,9 @@ func (r *RCA) IncLineCount(region addr.RegionAddr, modifiable bool) {
 			Detail: "line fill for a region with no RCA entry",
 		})
 	}
-	r.meta[i].lines++
+	r.ways[i].lines++
 	if modifiable {
-		r.meta[i].mod++
+		r.ways[i].mod++
 	}
 }
 
@@ -292,14 +322,15 @@ func (r *RCA) DecLineCount(region addr.RegionAddr, modifiable bool) {
 	if i < 0 {
 		return
 	}
-	r.meta[i].lines--
+	w := &r.ways[i]
+	w.lines--
 	if modifiable {
-		r.meta[i].mod--
+		w.mod--
 	}
-	if r.meta[i].lines < 0 || r.meta[i].mod < 0 {
+	if w.lines < 0 || w.mod < 0 {
 		coherence.Violate(coherence.InvariantError{
 			Check: "rca-line-count", Region: uint64(region),
-			States: RegionState(r.tags[i] & stateMask).String(),
+			States: RegionState(w.tag & stateMask).String(),
 			Detail: "negative cached-line count",
 		})
 	}
@@ -314,15 +345,16 @@ func (r *RCA) AdjustModLines(region addr.RegionAddr, modifiable bool) {
 	if i < 0 {
 		return
 	}
+	w := &r.ways[i]
 	if modifiable {
-		r.meta[i].mod++
+		w.mod++
 		return
 	}
-	r.meta[i].mod--
-	if r.meta[i].mod < 0 {
+	w.mod--
+	if w.mod < 0 {
 		coherence.Violate(coherence.InvariantError{
 			Check: "rca-line-count", Region: uint64(region),
-			States: RegionState(r.tags[i] & stateMask).String(),
+			States: RegionState(w.tag & stateMask).String(),
 			Detail: "negative modifiable-line count",
 		})
 	}
@@ -330,8 +362,8 @@ func (r *RCA) AdjustModLines(region addr.RegionAddr, modifiable bool) {
 
 // ForEachValid visits all valid entries (diagnostics/tests).
 func (r *RCA) ForEachValid(fn func(Entry)) {
-	for i, w := range r.tags {
-		if w != 0 {
+	for i := range r.ways {
+		if r.ways[i].tag&stateMask != 0 {
 			fn(r.entry(i))
 		}
 	}
@@ -340,8 +372,8 @@ func (r *RCA) ForEachValid(fn func(Entry)) {
 // CountValid returns the number of valid entries.
 func (r *RCA) CountValid() int {
 	n := 0
-	for _, w := range r.tags {
-		if w != 0 {
+	for i := range r.ways {
+		if r.ways[i].tag&stateMask != 0 {
 			n++
 		}
 	}

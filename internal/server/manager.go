@@ -94,8 +94,8 @@ const (
 	maxReqOpsPerProc = 20_000_000
 	maxReqRCASets    = 1 << 22
 	// maxReqRCATotalSets bounds processors × rca_sets with CGCT on: every
-	// processor's RCA allocates all its ways up front (28 bytes each), so
-	// the bound keeps one request's RCAs under about 900 MiB.
+	// processor's RCA allocates all its ways up front (16 bytes each, two
+	// ways a set), so the bound keeps one request's RCAs under 512 MiB.
 	maxReqRCATotalSets = 1 << 24
 	maxReqBytesParam   = 1 << 20 // RegionBytes, L2SectorBytes
 	maxReqSeeds        = 64

@@ -54,6 +54,55 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 	}
 }
 
+// bigCGCT returns cfg with CGCT on and 16 processors, and a tpc-b
+// workload for it.
+func bigCGCT(tb testing.TB, cfg config.Config) (config.Config, workload.Workload) {
+	tb.Helper()
+	cfg = cfg.WithCGCT(512)
+	cfg.Topology.Processors = 16
+	w, err := workload.Build("tpc-b", workload.Params{Processors: 16, OpsPerProc: 20_000, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cfg, w
+}
+
+// footprintBudget bounds the heap New allocates for the default
+// 16-processor CGCT machine. Most of it is tag state: per node, one 8-byte
+// word per L1 and L2 way and one 16-byte record per RCA way, 396 KiB.
+const footprintBudget = 7 << 20
+
+// TestSystemFootprint gates the host memory of a simulated machine: New
+// for the default 16-processor CGCT machine allocates at most
+// footprintBudget bytes of heap.
+func TestSystemFootprint(t *testing.T) {
+	cfg, w := bigCGCT(t, config.Default())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := MustNew(cfg, w, 7)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("New allocated %.2f MiB", float64(got)/(1<<20))
+	if got > footprintBudget {
+		t.Errorf("New allocated %.2f MiB for a 16-processor CGCT machine, budget %.2f MiB",
+			float64(got)/(1<<20), float64(footprintBudget)/(1<<20))
+	}
+}
+
+var systemSink *System
+
+// BenchmarkNewSystem builds the machine TestSystemFootprint measures; run
+// it with -benchmem for its bytes per build.
+func BenchmarkNewSystem(b *testing.B) {
+	cfg, w := bigCGCT(b, config.Default())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		systemSink = MustNew(cfg, w, 7)
+	}
+}
+
 // warmTransactionSystem returns a 16-processor tpc-b CGCT system on the
 // given fabric, warmed by simulating the workload to completion, and the
 // lines its L2s then hold, sorted, an odd number of them so that a
@@ -62,12 +111,7 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 // fabric; the caller closes it.
 func warmTransactionSystem(b *testing.B, cfg config.Config) (*System, []addr.LineAddr) {
 	b.Helper()
-	cfg = cfg.WithCGCT(512)
-	cfg.Topology.Processors = 16
-	w, err := workload.Build("tpc-b", workload.Params{Processors: 16, OpsPerProc: 20_000, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cfg, w := bigCGCT(b, cfg)
 	s := MustNew(cfg, w, 7)
 	s.start()
 	for {

@@ -88,7 +88,6 @@ func (n *node) applyLocalRoute(kind coherence.ReqKind, line addr.LineAddr, regio
 	if n.rca != nil {
 		prev := n.rca.Probe(region).State
 		n.rca.SetState(region, n.protocol.AfterDirect(prev, kind, true))
-		n.rca.Stats.LocalCompletions++
 	}
 }
 
@@ -189,7 +188,6 @@ func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind
 		o.rca.Stats.SelfInvals++
 		o.rca.SetState(region, core.RegionInvalid)
 	} else if next != e.State {
-		o.rca.Stats.DowngradeExt++
 		o.rca.SetState(region, next)
 	}
 	return true
@@ -213,7 +211,7 @@ func (n *node) applyBroadcastResponse(region addr.RegionAddr, kind coherence.Req
 		n.rca.SetState(region, next)
 		return false
 	}
-	n.rca.Allocate(region, next, n.sys.topo.HomeControllerRegion(region))
+	n.rca.Allocate(region, next)
 	return true
 }
 

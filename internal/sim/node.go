@@ -561,8 +561,7 @@ func (n *node) onL2StateChange(line addr.LineAddr, from, to coherence.LineState)
 
 // onRegionEvict enforces RCA/cache inclusion: before a region entry is
 // displaced, every cached line of the region is flushed (dirty ones are
-// written back directly to the region's home controller — the entry still
-// holds the controller ID).
+// written back directly to the region's home controller).
 func (n *node) onRegionEvict(e core.Entry) {
 	g := n.sys.geom
 	for i := 0; i < g.LinesPerRegion(); i++ {
@@ -572,7 +571,7 @@ func (n *node) onRegionEvict(e core.Entry) {
 			continue
 		}
 		if st.Dirty() {
-			n.sys.fabric.flushWriteback(n, line, e.MemCtrl, n.now())
+			n.sys.fabric.flushWriteback(n, line, n.sys.topo.HomeControllerRegion(e.Region), n.now())
 		} else {
 			// Clean lines leave silently; the directory fabric still needs
 			// the replacement hint (no-op on the snooping fabric).

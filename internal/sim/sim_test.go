@@ -670,7 +670,7 @@ func TestSnoopFilterCheckDetectsHiddenLines(t *testing.T) {
 				line := s.geom.LineInRegion(region, 3)
 				o := s.nodes[1]
 				if withEntry {
-					o.rca.Allocate(region, core.RegionCI, 0)
+					o.rca.Allocate(region, core.RegionCI)
 				}
 				o.l2.SetHooks(nil, nil, nil) // the fill bypasses the RCA line count
 				o.l2.Allocate(line, coherence.Shared)
@@ -708,7 +708,7 @@ func TestRegionCountsCheckDetectsDrift(t *testing.T) {
 			s.DebugChecks = true
 			region := addr.RegionAddr(0x40000)
 			o := s.nodes[1]
-			o.rca.Allocate(region, core.RegionCI, 0)
+			o.rca.Allocate(region, core.RegionCI)
 			o.l2.Allocate(s.geom.LineInRegion(region, 5), coherence.Shared) // counted by the hooks
 			o.rca.AdjustModLines(region, true)
 			defer func() {

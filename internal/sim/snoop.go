@@ -56,9 +56,6 @@ func (f *snoopFabric) issue(n *node, kind coherence.ReqKind, line addr.LineAddr,
 		e := n.rca.Lookup(region)
 		s.run.RegionStateAtLookup[e.State]++
 		route = n.protocol.Route(e.State, kind)
-		if e.State.Valid() {
-			regionMC = e.MemCtrl
-		}
 	}
 	if n.nsrt != nil && kind != coherence.ReqWriteback && n.nsrt.Lookup(region) {
 		// RegionScout: the region is recorded globally unshared.
