@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
+	"cgct"
 	"cgct/internal/experiments"
 	"cgct/internal/profiling"
 )
@@ -70,6 +72,11 @@ func main() {
 		memProf    = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	)
 	flag.Parse()
+	p, err := sweepParams(*ops, *seeds, *benchmarks, *parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -81,14 +88,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-	}
-
-	p := experiments.Params{OpsPerProc: *ops, Parallel: *parallel}
-	for i := 0; i < *seeds; i++ {
-		p.Seeds = append(p.Seeds, uint64(i+1))
-	}
-	if *benchmarks != "" {
-		p.Benchmarks = strings.Split(*benchmarks, ",")
 	}
 
 	known := map[string]func(experiments.Params){
@@ -125,6 +124,36 @@ func main() {
 	if csvFailed {
 		os.Exit(1)
 	}
+}
+
+// sweepParams builds the experiments' parameters from the command-line
+// flags, rejecting what no sweep can run: a name not in cgct.Benchmarks()
+// (" tpc-h", with its space, included) and fewer than one seed or op.
+func sweepParams(ops, seeds int, benchmarks string, parallel int) (experiments.Params, error) {
+	if ops < 1 {
+		return experiments.Params{}, fmt.Errorf("-ops %d: need at least 1 op per processor", ops)
+	}
+	if seeds < 1 {
+		return experiments.Params{}, fmt.Errorf("-seeds %d: need at least 1 seed", seeds)
+	}
+	p := experiments.Params{OpsPerProc: ops, Parallel: parallel}
+	for i := 0; i < seeds; i++ {
+		p.Seeds = append(p.Seeds, uint64(i+1))
+	}
+	if benchmarks == "" {
+		return p, nil
+	}
+	var names []string
+	for _, b := range cgct.Benchmarks() {
+		names = append(names, b.Name)
+	}
+	p.Benchmarks = strings.Split(benchmarks, ",")
+	for _, b := range p.Benchmarks {
+		if !slices.Contains(names, b) {
+			return experiments.Params{}, fmt.Errorf("-benchmarks: unknown benchmark %q (known: %s)", b, strings.Join(names, ","))
+		}
+	}
+	return p, nil
 }
 
 func printTable1() {

@@ -4,6 +4,8 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"cgct/internal/experiments"
@@ -33,5 +35,36 @@ func TestEnergyAndSectoringWriteCSV(t *testing.T) {
 		if len(records) != 2 || records[1][0] != "ocean" {
 			t.Errorf("%s.csv = %q, want a header and one ocean row", name, records)
 		}
+	}
+}
+
+// TestSweepParamsRejectsInvalidFlags: a benchmark name the registry does
+// not know, or fewer than one seed or op, is a usage error before any
+// sweep starts — not a panic inside one, and not a silent default.
+func TestSweepParamsRejectsInvalidFlags(t *testing.T) {
+	for _, tc := range []struct {
+		ops, seeds int
+		benchmarks string
+		want       string
+	}{
+		{400, 1, "ocean,nope", `"nope"`},
+		{400, 1, "ocean, tpc-h", `" tpc-h"`},
+		{400, 1, "ocean,", `""`},
+		{400, 0, "", "-seeds 0"},
+		{400, -2, "ocean", "-seeds -2"},
+		{0, 1, "", "-ops 0"},
+	} {
+		_, err := sweepParams(tc.ops, tc.seeds, tc.benchmarks, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("sweepParams(%d, %d, %q) error = %v, want one naming %s", tc.ops, tc.seeds, tc.benchmarks, err, tc.want)
+		}
+	}
+	p, err := sweepParams(2_000, 2, "ocean,tpc-h,micro-private", 3)
+	want := experiments.Params{OpsPerProc: 2_000, Seeds: []uint64{1, 2}, Benchmarks: []string{"ocean", "tpc-h", "micro-private"}, Parallel: 3}
+	if err != nil || !reflect.DeepEqual(p, want) {
+		t.Fatalf("sweepParams = %+v, %v; want %+v", p, err, want)
+	}
+	if p, err := sweepParams(1, 1, "", 0); err != nil || p.Benchmarks != nil {
+		t.Fatalf("empty -benchmarks: %+v, %v; want the default set", p, err)
 	}
 }

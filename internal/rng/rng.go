@@ -111,27 +111,41 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with mean `mean`
-// (number of failures before success, >= 0). Used for instruction gaps and
-// run lengths.
-func (r *Source) Geometric(mean float64) uint64 {
-	if mean <= 0 {
+// Geometric samples a geometric distribution of fixed mean (the number of
+// failures before a success, >= 0); the workload generators draw
+// instruction gaps from it. NewGeometric takes the distribution's
+// logarithm once, so each Sample costs one Log1p.
+type Geometric struct {
+	mean float64
+	logQ float64 // log(1-p) for success probability p = 1/(mean+1)
+}
+
+// NewGeometric builds a sampler of the given mean. A mean <= 0 always
+// samples 0.
+func NewGeometric(mean float64) Geometric {
+	p := 1.0 / (mean + 1.0)
+	return Geometric{mean: mean, logQ: math.Log1p(-p)}
+}
+
+// Sample draws one value using r: exactly one Float64 when the mean is
+// positive, none otherwise.
+func (g Geometric) Sample(r *Source) uint64 {
+	if g.mean <= 0 {
 		return 0
 	}
-	p := 1.0 / (mean + 1.0)
 	u := r.Float64()
 	// Inverse CDF; clamp to avoid log(0).
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	g := math.Floor(math.Log1p(-u) / math.Log1p(-p))
-	if g < 0 {
+	x := math.Floor(math.Log1p(-u) / g.logQ)
+	if x < 0 {
 		return 0
 	}
-	if g > 1e9 {
-		g = 1e9
+	if x > 1e9 {
+		x = 1e9
 	}
-	return uint64(g)
+	return uint64(x)
 }
 
 // Zipf samples values in [0, n) with a Zipfian distribution of exponent s

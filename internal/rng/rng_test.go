@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -114,19 +115,63 @@ func TestBoolFraction(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	r := New(17)
 	const draws = 200000
+	g := NewGeometric(8)
 	var sum uint64
 	for i := 0; i < draws; i++ {
-		sum += r.Geometric(8)
+		sum += g.Sample(r)
 	}
 	m := float64(sum) / draws
 	if m < 7.5 || m > 8.5 {
 		t.Errorf("Geometric(8) mean = %.2f", m)
 	}
-	if r.Geometric(0) != 0 {
+	if NewGeometric(0).Sample(r) != 0 {
 		t.Error("Geometric(0) should be 0")
 	}
-	if r.Geometric(-1) != 0 {
+	if NewGeometric(-1).Sample(r) != 0 {
 		t.Error("Geometric(-1) should be 0")
+	}
+}
+
+// referenceGeometric is the sampler Geometric replaced, which took both
+// logarithms on every call. Every workload's instruction gaps, and so
+// every simulated number, depends on the two agreeing bit for bit.
+func referenceGeometric(r *Source, mean float64) uint64 {
+	if mean <= 0 {
+		return 0
+	}
+	p := 1.0 / (mean + 1.0)
+	u := r.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	g := math.Floor(math.Log1p(-u) / math.Log1p(-p))
+	if g < 0 {
+		return 0
+	}
+	if g > 1e9 {
+		g = 1e9
+	}
+	return uint64(g)
+}
+
+// TestGeometricMatchesReference: NewGeometric(m).Sample returns exactly
+// the reference's values at every mean the generators use and at the
+// edges. Both sources end in the same state, so it also draws as the
+// reference does: one Float64 per sample, none when the mean is not
+// positive.
+func TestGeometricMatchesReference(t *testing.T) {
+	means := []float64{-1, 0, 0.5, 10, 14, 20, 24, 26, 30, 40, 42, 48, 1e6}
+	for _, mean := range means {
+		g := NewGeometric(mean)
+		got, want := New(41), New(41)
+		for i := 0; i < 100_000; i++ {
+			if a, b := g.Sample(got), referenceGeometric(want, mean); a != b {
+				t.Fatalf("mean %v draw %d: %d, reference %d", mean, i, a, b)
+			}
+		}
+		if got.s != want.s {
+			t.Errorf("mean %v: source state diverged from the reference's", mean)
+		}
 	}
 }
 

@@ -345,7 +345,6 @@ func Read(r io.Reader) (*Trace, error) {
 	if [sha256.Size]byte(want) != got {
 		return nil, fmt.Errorf("trace: digest mismatch — file corrupt")
 	}
-	t.hash = computeHash(t)
 	return t, nil
 }
 

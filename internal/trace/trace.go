@@ -17,9 +17,11 @@
 // field stores gapEscape instead; the real gap goes, in op order, into the
 // processor's escape column. Generated workloads never reach it.
 //
-// Traces are identified by a content hash over both columns; the
-// process-wide shared cache (Get) and the versioned on-disk format
-// (WriteFile / ReadFile) both build on it.
+// Compilation drains the processors' streams concurrently, one column
+// per worker. Traces carry a content hash over both columns, computed on
+// demand; the process-wide shared cache (Get) keys traces by their
+// parameters, and the versioned on-disk format (WriteFile / ReadFile)
+// seals files with its own digest.
 package trace
 
 import (
@@ -28,6 +30,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"cgct/internal/addr"
 	"cgct/internal/workload"
@@ -126,13 +131,7 @@ type Trace struct {
 	Name       string
 	Procs      []ProcTrace
 	DMATargets []addr.Segment
-
-	hash string // content hash over the encoded columns, hex
 }
-
-// ContentHash returns the hex sha256 identity of the trace content
-// (columns + DMA targets; independent of the benchmark name).
-func (t *Trace) ContentHash() string { return t.hash }
 
 // Bytes returns the total resident size of the compiled columns.
 func (t *Trace) Bytes() int64 {
@@ -178,9 +177,10 @@ const (
 type progressCtxKey struct{}
 
 // WithProgress returns a context that makes FromWorkload report the
-// number of ops encoded, batch by batch, to fn. Liveness watchdogs hook
-// this so a job compiling a large trace is distinguishable from a
-// stalled one before its first simulation event.
+// number of ops encoded, batch by batch, to fn. Processors compile
+// concurrently, so fn may be called from several goroutines at once.
+// Liveness watchdogs hook this so a job compiling a large trace is
+// distinguishable from a stalled one before its first simulation event.
 func WithProgress(ctx context.Context, fn func(ops int)) context.Context {
 	return context.WithValue(ctx, progressCtxKey{}, fn)
 }
@@ -208,6 +208,11 @@ func Compile(ctx context.Context, benchmark string, p workload.Params) (*Trace, 
 // FromWorkload drains a workload's op streams into a compiled trace
 // (the workload's generators are consumed). opsHint sizes the per-
 // processor columns; 0 means unknown.
+//
+// Processors drain concurrently on min(GOMAXPROCS, processors) workers,
+// each filling only its own column, so the workload's streams must share
+// no mutable state (see workload.Workload). When several processors
+// fail, the error is the lowest-indexed one's, whatever the schedule.
 func FromWorkload(ctx context.Context, w workload.Workload, opsHint int) (*Trace, error) {
 	t := &Trace{
 		Name:       w.Name,
@@ -215,39 +220,67 @@ func FromWorkload(ctx context.Context, w workload.Workload, opsHint int) (*Trace
 		DMATargets: w.DMATargets,
 	}
 	progress := progressFrom(ctx)
-	var buf [compileBatch]workload.Op
-	for i := range t.Procs {
-		src := w.Source(i)
-		pt := &t.Procs[i]
-		pt.ops = make([]uint64, 0, max(opsHint, 0)+compileSlack)
-		for batch := 0; ; batch++ {
-			if batch%ctxCheckBatches == 0 {
-				if err := ctx.Err(); err != nil {
-					return nil, err
+	errs := make([]error, len(t.Procs))
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for n := min(runtime.GOMAXPROCS(0), len(t.Procs)); n > 0; n-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf [compileBatch]workload.Op
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(t.Procs) {
+					return
 				}
+				t.Procs[i], errs[i] = drain(ctx, i, w.Source(i), opsHint, buf[:], progress)
 			}
-			n := src.Fill(buf[:])
-			if n == 0 {
-				break
-			}
-			for _, op := range buf[:n] {
-				if err := pt.add(op); err != nil {
-					return nil, fmt.Errorf("trace: p%d[%d]: %w", i, pt.Len(), err)
-				}
-			}
-			if progress != nil {
-				progress(n)
-			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	t.hash = computeHash(t)
 	return t, nil
 }
 
-// computeHash hashes both columns of every processor and the DMA
-// targets. Words are folded through a fixed-size buffer so hashing stays
-// cheap on multi-million-op traces.
-func computeHash(t *Trace) string {
+// drain compiles processor i's op stream src, len(buf) ops at a time,
+// checking ctx every ctxCheckBatches batches and reporting each batch to
+// progress (nil for none). The column grows in a local ProcTrace: the
+// workers' entries of Trace.Procs share cache lines, and writing a slice
+// header there on every op would make the workers contend for them.
+func drain(ctx context.Context, i int, src workload.Source, opsHint int, buf []workload.Op, progress func(ops int)) (ProcTrace, error) {
+	pt := ProcTrace{ops: make([]uint64, 0, max(opsHint, 0)+compileSlack)}
+	for batch := 0; ; batch++ {
+		if batch%ctxCheckBatches == 0 {
+			if err := ctx.Err(); err != nil {
+				return ProcTrace{}, err
+			}
+		}
+		n := src.Fill(buf)
+		if n == 0 {
+			return pt, nil
+		}
+		for _, op := range buf[:n] {
+			if err := pt.add(op); err != nil {
+				return ProcTrace{}, fmt.Errorf("trace: p%d[%d]: %w", i, pt.Len(), err)
+			}
+		}
+		if progress != nil {
+			progress(n)
+		}
+	}
+}
+
+// ContentHash returns the hex sha256 identity of the trace content
+// (columns + DMA targets; independent of the benchmark name). It hashes
+// every column on each call; words are folded through a fixed-size
+// buffer so hashing stays cheap on multi-million-op traces.
+func (t *Trace) ContentHash() string {
 	h := sha256.New()
 	buf := make([]byte, 0, 8192)
 	room := func(n int) {
@@ -286,5 +319,5 @@ func computeHash(t *Trace) string {
 // String summarises the trace for tooling.
 func (t *Trace) String() string {
 	return fmt.Sprintf("%s: %d procs, %d ops, %d bytes compiled, hash %.12s",
-		t.Name, len(t.Procs), t.Ops(), t.Bytes(), t.hash)
+		t.Name, len(t.Procs), t.Ops(), t.Bytes(), t.ContentHash())
 }

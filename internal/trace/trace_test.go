@@ -2,8 +2,11 @@ package trace
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cgct/internal/addr"
@@ -25,27 +28,37 @@ func collectProc(t *testing.T, pt *ProcTrace, batch int) []workload.Op {
 	}
 }
 
-// TestCompileMatchesGenerators: the compiled columns must replay the exact
-// op sequence the live generators produce — kind, address and gap.
+// TestCompileMatchesGenerators: for every registered workload, the
+// compiled columns must replay the exact op sequence — kind, address and
+// gap — each processor's live generator produces when drained alone.
+// Eight processors keep several concurrent drains overlapping even at
+// GOMAXPROCS 2, so under -race this also checks that no two of a
+// workload's streams share mutable state.
 func TestCompileMatchesGenerators(t *testing.T) {
-	p := workload.Params{Processors: 4, OpsPerProc: 3_000, Seed: 11}
-	tr, err := Compile(context.Background(), "tpc-b", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Procs) != p.Processors {
-		t.Fatalf("procs = %d, want %d", len(tr.Procs), p.Processors)
-	}
-	live := workload.MustBuild("tpc-b", p)
-	for i := range tr.Procs {
-		want := workload.Collect(live.Generators[i], p.OpsPerProc*2)
-		got := collectProc(t, &tr.Procs[i], 256)
-		if len(got) != len(want) {
-			t.Fatalf("p%d: %d ops, want %d", i, len(got), len(want))
+	p := workload.Params{Processors: 8, OpsPerProc: 3_000, Seed: 11}
+	for _, name := range workload.Names() {
+		tr, err := Compile(context.Background(), name, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("p%d[%d]: %+v != %+v", i, j, got[j], want[j])
+		if len(tr.Procs) != p.Processors {
+			t.Fatalf("%s: procs = %d, want %d", name, len(tr.Procs), p.Processors)
+		}
+		live := workload.MustBuild(name, p)
+		for i := range tr.Procs {
+			g := live.Generators[i]
+			want := workload.Collect(g, p.OpsPerProc*2)
+			if _, more := g.Next(); more {
+				t.Fatalf("%s p%d: live stream longer than %d ops", name, i, len(want))
+			}
+			got := collectProc(t, &tr.Procs[i], 256)
+			if len(got) != len(want) {
+				t.Fatalf("%s p%d: %d ops, want %d", name, i, len(got), len(want))
+			}
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("%s p%d[%d]: %+v != %+v", name, i, j, got[j], want[j])
+				}
 			}
 		}
 	}
@@ -152,6 +165,23 @@ func BenchmarkCursorFill(b *testing.B) {
 	}
 }
 
+// BenchmarkCompile measures compiling tpc-w at 4 processors × 60K ops —
+// generation, packing and the concurrent drain — and reports the cost
+// per compiled op.
+func BenchmarkCompile(b *testing.B) {
+	p := workload.Params{Processors: 4, OpsPerProc: 60_000, Seed: 7}
+	var ops int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, err := Compile(context.Background(), "tpc-w", p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ops += tr.Ops()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(ops), "ns/trace-op")
+}
+
 // TestContentHashDeterministic: identical params hash identically; a
 // different seed produces different content and a different hash.
 func TestContentHashDeterministic(t *testing.T) {
@@ -215,6 +245,51 @@ func TestCompileCancellation(t *testing.T) {
 	cancel()
 	if _, err := Compile(ctx, "ocean", workload.Params{Processors: 4, OpsPerProc: 400_000, Seed: 1}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCompileReportsLowestFailingProcessor: when several processors'
+// streams fail, the error names the lowest-indexed one whatever order the
+// concurrent drains finish in — here p3 fails on its first op, long
+// before p1 reaches its bad one.
+func TestCompileReportsLowestFailingProcessor(t *testing.T) {
+	bad := workload.Op{Addr: addr.Addr(addr.PhysAddrMask + 1)}
+	long := make([]workload.Op, 20_000)
+	for i := range long {
+		long[i] = workload.Op{Addr: addr.Addr(64 * i)}
+	}
+	build := func() workload.Workload {
+		gens := make([]workload.Generator, 4)
+		for i := range gens {
+			gens[i] = &workload.SliceGenerator{Ops: long}
+		}
+		gens[1] = &workload.SliceGenerator{Ops: append(long[:len(long):len(long)], bad)}
+		gens[3] = &workload.SliceGenerator{Ops: []workload.Op{bad}}
+		return workload.Workload{Name: "bad", Generators: gens}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 20; rep++ {
+			_, err := FromWorkload(context.Background(), build(), 0)
+			if err == nil || !strings.HasPrefix(err.Error(), fmt.Sprintf("trace: p1[%d]:", len(long))) {
+				t.Fatalf("GOMAXPROCS %d, repeat %d: err = %v, want p1's error", procs, rep, err)
+			}
+		}
+	}
+}
+
+// TestCompileProgressCountsEveryOp: the progress callback, called from
+// the concurrent drains, is told about every op exactly once.
+func TestCompileProgressCountsEveryOp(t *testing.T) {
+	var total atomic.Int64
+	ctx := WithProgress(context.Background(), func(ops int) { total.Add(int64(ops)) })
+	tr, err := Compile(ctx, "tpc-w", workload.Params{Processors: 8, OpsPerProc: 5_000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := total.Load(); got != tr.Ops() {
+		t.Fatalf("progress reported %d ops, trace holds %d", got, tr.Ops())
 	}
 }
 

@@ -77,18 +77,18 @@ type engine struct {
 	queue     []Op
 	qHead     int
 	code      codeWalker
-	meanGap   float64 // mean non-memory instructions between data ops
-	pendGap   uint64  // instruction budget not yet attributed to an op
+	gap       rng.Geometric // non-memory instructions between data ops
 }
 
-// newEngine builds an engine for opsPerProc operations.
+// newEngine builds an engine for opsPerProc operations whose data ops are
+// separated by meanGap non-memory instructions on average.
 func newEngine(r *rng.Source, opsPerProc int, meanGap float64, code codeWalker, phases []phase) *engine {
 	e := &engine{
 		r:         r,
 		remaining: opsPerProc,
 		phases:    phases,
 		code:      code,
-		meanGap:   meanGap,
+		gap:       rng.NewGeometric(meanGap),
 	}
 	for i := range e.phases {
 		var tot float64
@@ -112,7 +112,7 @@ func newEngine(r *rng.Source, opsPerProc int, meanGap float64, code codeWalker, 
 
 // push queues a data op, attaching a geometric instruction gap.
 func (e *engine) push(kind OpKind, a addr.Addr) {
-	gap := e.r.Geometric(e.meanGap)
+	gap := e.gap.Sample(e.r)
 	e.queue = append(e.queue, Op{Kind: kind, Addr: a, Gap: uint32(gap)})
 }
 
@@ -195,7 +195,6 @@ type streamer struct {
 	storeProb float64
 	reuseProb float64 // probability of re-reading a recently touched line
 	accPerLn  int     // accesses per line (loads)
-	gap       float64 // overrides engine mean gap when > 0
 }
 
 func (s *streamer) emit(e *engine) {

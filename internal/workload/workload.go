@@ -8,7 +8,11 @@
 // zeroing.
 //
 // Generators are deterministic functions of (benchmark, processor, seed),
-// so simulations are exactly reproducible.
+// so simulations are exactly reproducible. One workload's generators must
+// share no mutable state, because trace compilation drains them
+// concurrently: each processor gets its own rng stream and its own
+// activity instances, and processors share only read-only segments and
+// Zipf samplers.
 package workload
 
 import (
@@ -96,7 +100,9 @@ func (s GeneratorSource) Fill(dst []Op) int {
 	return n
 }
 
-// Workload is a set of per-processor generators plus metadata.
+// Workload is a set of per-processor generators plus metadata. Its
+// generators (and sources) must share no mutable state: trace
+// compilation drains them on concurrent goroutines.
 type Workload struct {
 	Name       string
 	Generators []Generator
