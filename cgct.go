@@ -359,6 +359,7 @@ func RunContext(ctx context.Context, benchmark string, o Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	defer system.Release()
 	system.DebugChecks = o.DebugChecks
 	run, err := system.RunContext(ctx)
 	t2 := time.Now()
@@ -528,6 +529,7 @@ func RunCompiledTrace(path string, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer system.Release()
 	system.DebugChecks = o.DebugChecks
 	run, err := system.RunContext(context.Background())
 	if err != nil {

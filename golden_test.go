@@ -16,6 +16,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cgct/internal/sim"
@@ -56,8 +57,10 @@ func goldenCases() []goldenCase {
 	}
 }
 
-// runStats executes one golden case and returns the raw counters.
-func runStats(t *testing.T, c goldenCase) *stats.Run {
+// runStats executes one golden case and returns its flattened counters.
+// It releases the machine once they are read, so the next machine New
+// builds starts on this one's recycled tag storage.
+func runStats(t *testing.T, c goldenCase) map[string]uint64 {
 	t.Helper()
 	cfg, o := buildConfig(c.Opts)
 	w, err := workload.Build(c.Benchmark, workload.Params{
@@ -72,7 +75,8 @@ func runStats(t *testing.T, c goldenCase) *stats.Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return system.Run()
+	defer system.Release()
+	return flatten(system.Run())
 }
 
 // flatten renders every exported counter of a stats.Run into a flat
@@ -108,16 +112,29 @@ func itoa(i int) string {
 
 func goldenPath() string { return filepath.Join("testdata", "golden_runs.json") }
 
+// runGolden runs the cases in the given order and returns their counters
+// by case name.
+func runGolden(t *testing.T, cases []goldenCase) map[string]map[string]uint64 {
+	t.Helper()
+	got := make(map[string]map[string]uint64)
+	for _, c := range cases {
+		got[c.Name] = runStats(t, c)
+	}
+	return got
+}
+
+// TestGoldenRuns runs the cases twice and matches both passes against the
+// fixtures. Every machine but the first starts on tag storage its
+// predecessor released; in the reverse pass that predecessor has another
+// shape — 16 processors before 4, directory before snooping, CGCT before
+// the baseline — so storage not cleared on reuse shows as a mismatch.
 func TestGoldenRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs are full simulations")
 	}
-	got := make(map[string]map[string]uint64)
-	for _, c := range goldenCases() {
-		got[c.Name] = flatten(runStats(t, c))
-	}
+	cases := goldenCases()
 	if *updateGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
+		data, err := json.MarshalIndent(runGolden(t, cases), "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,20 +155,28 @@ func TestGoldenRuns(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	for name, wc := range want {
-		gc, ok := got[name]
-		if !ok {
-			t.Errorf("%s: golden case no longer runs", name)
-			continue
-		}
-		for counter, wv := range wc {
-			if gv := gc[counter]; gv != wv {
-				t.Errorf("%s: %s = %d, want %d", name, counter, gv, wv)
+	reversed := slices.Clone(cases)
+	slices.Reverse(reversed)
+	for _, pass := range []struct {
+		name  string
+		cases []goldenCase
+	}{{"forward", cases}, {"reverse", reversed}} {
+		got := runGolden(t, pass.cases)
+		for name, wc := range want {
+			gc, ok := got[name]
+			if !ok {
+				t.Errorf("%s pass, %s: golden case no longer runs", pass.name, name)
+				continue
 			}
-		}
-		for counter := range gc {
-			if _, ok := wc[counter]; !ok {
-				t.Errorf("%s: counter %s missing from fixtures (re-run -update-golden?)", name, counter)
+			for counter, wv := range wc {
+				if gv := gc[counter]; gv != wv {
+					t.Errorf("%s pass, %s: %s = %d, want %d", pass.name, name, counter, gv, wv)
+				}
+			}
+			for counter := range gc {
+				if _, ok := wc[counter]; !ok {
+					t.Errorf("%s pass, %s: counter %s missing from fixtures (re-run -update-golden?)", pass.name, name, counter)
+				}
 			}
 		}
 	}
@@ -161,8 +186,8 @@ func TestGoldenRuns(t *testing.T) {
 // the same process are identical — the engine keeps no hidden global state.
 func TestGoldenRepeatable(t *testing.T) {
 	c := goldenCase{"tpcw-cgct", "tpc-w", Options{OpsPerProc: 30_000, Seed: 9, CGCT: true}}
-	a := flatten(runStats(t, c))
-	b := flatten(runStats(t, c))
+	a := runStats(t, c)
+	b := runStats(t, c)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical runs produced different statistics")
 	}

@@ -12,6 +12,7 @@ import (
 
 	"cgct/internal/addr"
 	"cgct/internal/coherence"
+	"cgct/internal/recycle"
 )
 
 // Line is one cache line's address and coherence state, as the eviction
@@ -67,8 +68,12 @@ type Cache struct {
 	Stats Stats
 }
 
+// tagPool recycles tag arrays from released caches into new ones.
+var tagPool recycle.Pool[uint64]
+
 // New builds a cache of sizeBytes with the given associativity and line
 // size. Panics on invalid geometry (configuration is validated upstream).
+// Its tag array may be one a released cache handed back, zeroed.
 func New(name string, sizeBytes uint64, assoc int, lineBytes uint64) *Cache {
 	if assoc <= 0 || !addr.IsPow2(lineBytes) || lineBytes <= stateMask {
 		panic(fmt.Sprintf("cache %s: bad geometry", name))
@@ -82,7 +87,17 @@ func New(name string, sizeBytes uint64, assoc int, lineBytes uint64) *Cache {
 		assoc:     assoc,
 		lineShift: addr.Log2(lineBytes),
 		setMask:   numSets - 1,
-		tags:      make([]uint64, numSets*uint64(assoc)),
+		tags:      tagPool.Get(int(numSets) * assoc),
+	}
+}
+
+// Release hands the tag array back for a later New to reuse. Every later
+// probe or update of c then panics instead of reading ways another cache
+// may own; the statistics stay readable. A second Release does nothing.
+func (c *Cache) Release() {
+	if c.tags != nil {
+		tagPool.Put(c.tags)
+		c.tags = nil
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"cgct/internal/addr"
 	"cgct/internal/coherence"
+	"cgct/internal/recycle"
 )
 
 // Store is the interface the simulator's nodes use for their L2, satisfied
@@ -39,6 +40,8 @@ type Store interface {
 	SetHooks(onEvict func(Line, bool), onAllocate func(Line), onStateChange func(l addr.LineAddr, from, to coherence.LineState))
 	// BaseStats exposes the hit/miss/eviction counters.
 	BaseStats() *Stats
+	// Release hands the storage back for reuse (see Cache.Release).
+	Release()
 }
 
 // Interface conformance for the conventional cache (adapter methods below).
@@ -57,13 +60,12 @@ func (c *Cache) SetHooks(onEvict func(Line, bool), onAllocate func(Line), onStat
 // BaseStats implements Store.
 func (c *Cache) BaseStats() *Stats { return &c.Stats }
 
-// sector is one sectored-cache entry: a single tag covering several lines,
-// each with its own coherence state.
+// sector is one sectored-cache entry: a single tag covering several lines.
+// The lines' coherence states live in the cache's states array.
 type sector struct {
-	base   addr.LineAddr // sector-aligned address
-	valid  bool
-	lru    uint64
-	states []coherence.LineState
+	base  addr.LineAddr // sector-aligned address
+	valid bool
+	lru   uint64
 }
 
 // Sectored is a sectored (sub-blocked) cache: one tag per sector of
@@ -75,12 +77,12 @@ type sector struct {
 type Sectored struct {
 	name        string
 	assoc       int
-	numSets     uint64
 	lineShift   uint
 	sectorShift uint
 	linesPerSec int
 	setMask     uint64
-	ways        []sector
+	ways        []sector              // numSets * assoc sectors, set-major
+	states      []coherence.LineState // linesPerSec line states per way, in way order
 	lruTick     uint64
 
 	onEvict       func(Line, bool)
@@ -89,6 +91,13 @@ type Sectored struct {
 
 	stats Stats
 }
+
+// sectorPool and statePool recycle the storage of released sectored
+// caches into new ones.
+var (
+	sectorPool recycle.Pool[sector]
+	statePool  recycle.Pool[coherence.LineState]
+)
 
 // NewSectored builds a sectored cache of sizeBytes data capacity: each of
 // the sizeBytes/(sectorBytes*assoc) sets holds assoc sectors of
@@ -101,76 +110,95 @@ func NewSectored(name string, sizeBytes uint64, assoc int, lineBytes, sectorByte
 	if numSets == 0 || !addr.IsPow2(numSets) {
 		panic(fmt.Sprintf("cache %s: sectored set count %d not a power of two", name, numSets))
 	}
-	s := &Sectored{
+	ways := int(numSets) * assoc
+	linesPerSec := int(sectorBytes / lineBytes)
+	return &Sectored{
 		name:        name,
 		assoc:       assoc,
-		numSets:     numSets,
 		lineShift:   addr.Log2(lineBytes),
 		sectorShift: addr.Log2(sectorBytes),
-		linesPerSec: int(sectorBytes / lineBytes),
+		linesPerSec: linesPerSec,
 		setMask:     numSets - 1,
-		ways:        make([]sector, numSets*uint64(assoc)),
+		ways:        sectorPool.Get(ways),
+		states:      statePool.Get(ways * linesPerSec),
 	}
-	for i := range s.ways {
-		s.ways[i].states = make([]coherence.LineState, s.linesPerSec)
+}
+
+// Release implements Store: it hands the sectors and line states back for
+// a later NewSectored to reuse (see Cache.Release).
+func (s *Sectored) Release() {
+	if s.ways != nil {
+		sectorPool.Put(s.ways)
+		statePool.Put(s.states)
+		s.ways, s.states = nil, nil
 	}
-	return s
 }
 
 func (s *Sectored) sectorOf(l addr.LineAddr) addr.LineAddr {
 	return addr.LineAddr(uint64(l) >> s.sectorShift << s.sectorShift)
 }
 
-func (s *Sectored) lineIdx(l addr.LineAddr) int {
-	return int((uint64(l) >> s.lineShift) & uint64(s.linesPerSec-1))
+// setBase returns the index of the first sector of l's set.
+func (s *Sectored) setBase(l addr.LineAddr) int {
+	return int((uint64(l)>>s.sectorShift)&s.setMask) * s.assoc
 }
 
-func (s *Sectored) set(l addr.LineAddr) []sector {
-	idx := (uint64(l) >> s.sectorShift) & s.setMask
-	i := idx * uint64(s.assoc)
-	return s.ways[i : i+uint64(s.assoc)]
-}
-
-func (s *Sectored) find(l addr.LineAddr) *sector {
-	base := s.sectorOf(l)
-	ws := s.set(l)
-	for i := range ws {
-		if ws[i].valid && ws[i].base == base {
-			return &ws[i]
+// find returns the index of l's sector, or -1 when it is absent.
+func (s *Sectored) find(l addr.LineAddr) int {
+	base, key := s.setBase(l), s.sectorOf(l)
+	for i, sec := range s.ways[base : base+s.assoc] {
+		if sec.valid && sec.base == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
+}
+
+// lines returns sector w's line states.
+func (s *Sectored) lines(w int) []coherence.LineState {
+	return s.states[w*s.linesPerSec : (w+1)*s.linesPerSec]
+}
+
+// slot returns the index in states of line l in sector w.
+func (s *Sectored) slot(w int, l addr.LineAddr) int {
+	return w*s.linesPerSec + int((uint64(l)>>s.lineShift)&uint64(s.linesPerSec-1))
+}
+
+// touch makes sector w the most recently used.
+func (s *Sectored) touch(w int) {
+	s.lruTick++
+	s.ways[w].lru = s.lruTick
 }
 
 // Lookup implements Store.
 func (s *Sectored) Lookup(l addr.LineAddr) coherence.LineState {
-	if sec := s.find(l); sec != nil {
-		return sec.states[s.lineIdx(l)]
+	if w := s.find(l); w >= 0 {
+		return s.states[s.slot(w, l)]
 	}
 	return coherence.Invalid
 }
 
 // AccessHit implements Store.
 func (s *Sectored) AccessHit(l addr.LineAddr) bool {
-	sec := s.find(l)
-	if sec == nil || !sec.states[s.lineIdx(l)].Valid() {
+	w := s.find(l)
+	if w < 0 || !s.states[s.slot(w, l)].Valid() {
 		s.stats.Misses++
 		return false
 	}
 	s.stats.Hits++
-	s.lruTick++
-	sec.lru = s.lruTick
+	s.touch(w)
 	return true
 }
 
-// evictSector flushes every valid line of the victim (firing the eviction
+// evictSector flushes every valid line of sector w (firing the eviction
 // hook per line, so dirty lines are written back) and frees the entry.
-func (s *Sectored) evictSector(sec *sector) {
-	for i, st := range sec.states {
+func (s *Sectored) evictSector(w int) {
+	states := s.lines(w)
+	for i, st := range states {
 		if !st.Valid() {
 			continue
 		}
-		line := addr.LineAddr(uint64(sec.base) + uint64(i)<<s.lineShift)
+		line := addr.LineAddr(uint64(s.ways[w].base) + uint64(i)<<s.lineShift)
 		s.stats.Evictions++
 		if st.Dirty() {
 			s.stats.DirtyEvicts++
@@ -178,9 +206,9 @@ func (s *Sectored) evictSector(sec *sector) {
 		if s.onEvict != nil {
 			s.onEvict(Line{Addr: line, State: st}, true)
 		}
-		sec.states[i] = coherence.Invalid
+		states[i] = coherence.Invalid
 	}
-	sec.valid = false
+	s.ways[w].valid = false
 }
 
 // Allocate implements Store. Allocating a line whose sector is absent
@@ -190,45 +218,43 @@ func (s *Sectored) Allocate(l addr.LineAddr, st coherence.LineState) Line {
 	if !st.Valid() {
 		panic(fmt.Sprintf("cache %s: allocating %v in state I", s.name, l))
 	}
-	sec := s.find(l)
-	if sec == nil {
-		ws := s.set(l)
-		var victim *sector
-		for i := range ws {
-			if !ws[i].valid {
-				victim = &ws[i]
+	w := s.find(l)
+	if w < 0 {
+		// Victim: the first free sector, else the least recently used one.
+		base := s.setBase(l)
+		for i := base; i < base+s.assoc; i++ {
+			if !s.ways[i].valid {
+				w = i
 				break
 			}
-			if victim == nil || ws[i].lru < victim.lru {
-				victim = &ws[i]
+			if w < 0 || s.ways[i].lru < s.ways[w].lru {
+				w = i
 			}
 		}
-		if victim.valid {
-			s.evictSector(victim)
+		if s.ways[w].valid {
+			s.evictSector(w)
 		}
-		victim.valid = true
-		victim.base = s.sectorOf(l)
-		sec = victim
+		s.ways[w].valid = true
+		s.ways[w].base = s.sectorOf(l)
 	}
-	idx := s.lineIdx(l)
-	s.lruTick++
-	sec.lru = s.lruTick
-	if sec.states[idx].Valid() {
-		s.rewrite(sec, idx, l, st)
+	i := s.slot(w, l)
+	s.touch(w)
+	if s.states[i].Valid() {
+		s.rewrite(i, l, st)
 		return Line{}
 	}
-	sec.states[idx] = st
+	s.states[i] = st
 	if s.onAllocate != nil {
 		s.onAllocate(Line{Addr: l, State: st})
 	}
 	return Line{}
 }
 
-// rewrite stores state st for the valid line l at index idx of sec and
+// rewrite stores state st in states[i], which holds the valid line l, and
 // fires the state-change observer when the state differs.
-func (s *Sectored) rewrite(sec *sector, idx int, l addr.LineAddr, st coherence.LineState) {
-	from := sec.states[idx]
-	sec.states[idx] = st
+func (s *Sectored) rewrite(i int, l addr.LineAddr, st coherence.LineState) {
+	from := s.states[i]
+	s.states[i] = st
 	if from != st && s.onStateChange != nil {
 		s.onStateChange(l, from, st)
 	}
@@ -236,29 +262,29 @@ func (s *Sectored) rewrite(sec *sector, idx int, l addr.LineAddr, st coherence.L
 
 // SetState implements Store.
 func (s *Sectored) SetState(l addr.LineAddr, st coherence.LineState) {
-	sec := s.find(l)
-	if sec == nil || !sec.states[s.lineIdx(l)].Valid() {
+	w := s.find(l)
+	if w < 0 || !s.states[s.slot(w, l)].Valid() {
 		return
 	}
 	if !st.Valid() {
 		s.Invalidate(l)
 		return
 	}
-	s.rewrite(sec, s.lineIdx(l), l, st)
+	s.rewrite(s.slot(w, l), l, st)
 }
 
 // Invalidate implements Store.
 func (s *Sectored) Invalidate(l addr.LineAddr) coherence.LineState {
-	sec := s.find(l)
-	if sec == nil {
+	w := s.find(l)
+	if w < 0 {
 		return coherence.Invalid
 	}
-	idx := s.lineIdx(l)
-	prior := sec.states[idx]
+	i := s.slot(w, l)
+	prior := s.states[i]
 	if !prior.Valid() {
 		return coherence.Invalid
 	}
-	sec.states[idx] = coherence.Invalid
+	s.states[i] = coherence.Invalid
 	s.stats.Invals++
 	if s.onEvict != nil {
 		s.onEvict(Line{Addr: l, State: prior}, false)
@@ -268,9 +294,8 @@ func (s *Sectored) Invalidate(l addr.LineAddr) coherence.LineState {
 
 // Touch implements Store.
 func (s *Sectored) Touch(l addr.LineAddr) {
-	if sec := s.find(l); sec != nil {
-		s.lruTick++
-		sec.lru = s.lruTick
+	if w := s.find(l); w >= 0 {
+		s.touch(w)
 	}
 }
 
@@ -281,15 +306,14 @@ func (s *Sectored) Promote(l addr.LineAddr, st coherence.LineState) {
 	if !st.Valid() {
 		panic(fmt.Sprintf("cache %s: Promote to invalid state", s.name))
 	}
-	sec := s.find(l)
-	if sec == nil {
+	w := s.find(l)
+	if w < 0 {
 		return
 	}
-	if idx := s.lineIdx(l); sec.states[idx].Valid() {
-		s.rewrite(sec, idx, l, st)
+	if i := s.slot(w, l); s.states[i].Valid() {
+		s.rewrite(i, l, st)
 	}
-	s.lruTick++
-	sec.lru = s.lruTick
+	s.touch(w)
 }
 
 // RegionSnoop implements Store.
@@ -309,13 +333,12 @@ func (s *Sectored) RegionSnoop(g addr.Geometry, r addr.RegionAddr) (present, mod
 // ForEachValid implements Store.
 func (s *Sectored) ForEachValid(fn func(Line)) {
 	for w := range s.ways {
-		sec := &s.ways[w]
-		if !sec.valid {
+		if !s.ways[w].valid {
 			continue
 		}
-		for i, st := range sec.states {
+		for i, st := range s.lines(w) {
 			if st.Valid() {
-				fn(Line{Addr: addr.LineAddr(uint64(sec.base) + uint64(i)<<s.lineShift), State: st})
+				fn(Line{Addr: addr.LineAddr(uint64(s.ways[w].base) + uint64(i)<<s.lineShift), State: st})
 			}
 		}
 	}

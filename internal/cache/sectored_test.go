@@ -220,3 +220,49 @@ func TestStateChangeObserver(t *testing.T) {
 		})
 	}
 }
+
+// TestReleasedStorePanics checks Release on both Store kinds: a second
+// Release does nothing, every probe or update of a released store panics
+// rather than read storage another cache may now own, and a new store of
+// the same geometry, which may reuse that storage, starts empty.
+func TestReleasedStorePanics(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func() Store
+		l     addr.LineAddr
+	}{
+		{"cache", func() Store { return small() }, line(3, 1)},
+		{"sectored", func() Store { return smallSectored() }, sline(1, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build()
+			c.Allocate(tc.l, coherence.Modified)
+			c.Release()
+			c.Release()
+			for _, op := range []struct {
+				name string
+				do   func()
+			}{
+				{"Lookup", func() { c.Lookup(tc.l) }},
+				{"AccessHit", func() { c.AccessHit(tc.l) }},
+				{"Allocate", func() { c.Allocate(tc.l, coherence.Shared) }},
+				{"SetState", func() { c.SetState(tc.l, coherence.Shared) }},
+				{"Invalidate", func() { c.Invalidate(tc.l) }},
+				{"Touch", func() { c.Touch(tc.l) }},
+				{"Promote", func() { c.Promote(tc.l, coherence.Modified) }},
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s on a released store did not panic", op.name)
+						}
+					}()
+					op.do()
+				}()
+			}
+			if fresh := tc.build(); fresh.CountValid() != 0 || fresh.Lookup(tc.l).Valid() {
+				t.Error("a store built after Release holds lines")
+			}
+		})
+	}
+}

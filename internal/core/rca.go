@@ -5,6 +5,7 @@ import (
 
 	"cgct/internal/addr"
 	"cgct/internal/coherence"
+	"cgct/internal/recycle"
 )
 
 // Entry is one Region Coherence Array entry: the coarse-grain state of one
@@ -92,8 +93,11 @@ type RCA struct {
 	Stats RCAStats
 }
 
+// wayPool recycles way arrays from released RCAs into new ones.
+var wayPool recycle.Pool[way]
+
 // NewRCA builds an RCA with the given geometry. sets must be a power of
-// two.
+// two. Its way array may be one a released RCA handed back, zeroed.
 func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
 	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 {
 		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways)", sets, assoc))
@@ -103,7 +107,18 @@ func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
 		sets:    sets,
 		assoc:   assoc,
 		setMask: sets - 1,
-		ways:    make([]way, sets*uint64(assoc)),
+		ways:    wayPool.Get(int(sets) * assoc),
+	}
+}
+
+// Release hands the way array back for a later NewRCA to reuse. Every
+// later probe or update of r then panics instead of reading ways another
+// RCA may own; the statistics stay readable. A second Release does
+// nothing.
+func (r *RCA) Release() {
+	if r.ways != nil {
+		wayPool.Put(r.ways)
+		r.ways = nil
 	}
 }
 

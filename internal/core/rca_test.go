@@ -549,3 +549,40 @@ func BenchmarkRCAProbe(b *testing.B) {
 		entrySink = r.Probe(regions[i&(len(regions)-1)])
 	}
 }
+
+// TestReleasedRCAPanics: a second Release does nothing, every probe or
+// update of a released RCA panics rather than read ways another RCA may
+// now own, and a new RCA of the same geometry, which may reuse them,
+// starts empty.
+func TestReleasedRCAPanics(t *testing.T) {
+	r := testRCA()
+	reg := regionInSet(1, 1)
+	r.Allocate(reg, RegionDD)
+	r.IncLineCount(reg, true)
+	r.Release()
+	r.Release()
+	for _, op := range []struct {
+		name string
+		do   func()
+	}{
+		{"Probe", func() { r.Probe(reg) }},
+		{"Lookup", func() { r.Lookup(reg) }},
+		{"Allocate", func() { r.Allocate(reg, RegionCI) }},
+		{"SetState", func() { r.SetState(reg, RegionCC) }},
+		{"IncLineCount", func() { r.IncLineCount(reg, false) }},
+		{"DecLineCount", func() { r.DecLineCount(reg, false) }},
+		{"AdjustModLines", func() { r.AdjustModLines(reg, false) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released RCA did not panic", op.name)
+				}
+			}()
+			op.do()
+		}()
+	}
+	if fresh := testRCA(); fresh.CountValid() != 0 || fresh.Probe(reg).State.Valid() {
+		t.Error("an RCA built after Release holds entries")
+	}
+}

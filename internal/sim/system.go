@@ -328,6 +328,23 @@ func (s *System) collect() {
 	}
 }
 
+// Release hands every node's L1I, L1D and L2 tag storage and RCA back for
+// the next machines New builds. Call it only once the run's statistics
+// have been read, as cgct's summarize does when it copies every counter:
+// afterwards, running or probing s panics. Callers that inspect a System
+// after its run, such as tests and cgctverify, do not release it. A second
+// Release does nothing.
+func (s *System) Release() {
+	for _, n := range s.nodes {
+		n.l1i.Release()
+		n.l1d.Release()
+		n.l2.Release()
+		if n.rca != nil {
+			n.rca.Release()
+		}
+	}
+}
+
 // Nodes returns the node count (diagnostics).
 func (s *System) Nodes() int { return len(s.nodes) }
 

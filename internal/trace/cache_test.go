@@ -4,15 +4,24 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cgct/internal/workload"
 )
 
+// coldSeeds counts the seeds coldSeed has handed out.
+var coldSeeds atomic.Uint64
+
+// coldSeed returns a seed no other key in this process has used, so a test
+// that needs its key cold in the process-wide cache still finds it cold
+// when the test runs again in the same process (go test -count=N).
+func coldSeed() uint64 { return 1<<48 + coldSeeds.Add(1) }
+
 // TestGetSingleflight: concurrent Gets of one key cost exactly one
 // compilation and share one slab.
 func TestGetSingleflight(t *testing.T) {
-	k := Key{Benchmark: "ocean", Processors: 4, OpsPerProc: 1_717, Seed: 991}
+	k := Key{Benchmark: "ocean", Processors: 4, OpsPerProc: 1_717, Seed: coldSeed()}
 	before := SharedStats().Compilations
 	const n = 16
 	results := make([]*Trace, n)

@@ -10,9 +10,9 @@ import (
 
 // TestPersistentTraceSpillAndWarmLoad: a compiled trace spills to the
 // persistent store, and a key pre-seeded on disk is served from the
-// store without a compilation — the warm-restart path. Uses seeds no
-// other test touches, so the process-wide shared cache starts cold for
-// these keys.
+// store without a compilation — the warm-restart path. Both keys take
+// fresh seeds (coldSeed), so the process-wide shared cache starts cold for
+// them on every run of the test.
 func TestPersistentTraceSpillAndWarmLoad(t *testing.T) {
 	s, err := store.Open(store.Options{Dir: t.TempDir()})
 	if err != nil {
@@ -24,7 +24,7 @@ func TestPersistentTraceSpillAndWarmLoad(t *testing.T) {
 	ctx := context.Background()
 
 	// Cold key: Get compiles and spills.
-	cold := Key{Benchmark: "ocean", Processors: 2, OpsPerProc: 1_500, Seed: 0xC01DC01D}
+	cold := Key{Benchmark: "ocean", Processors: 2, OpsPerProc: 1_500, Seed: coldSeed()}
 	before := SharedStats()
 	tr, err := Get(ctx, cold)
 	if err != nil {
@@ -41,7 +41,7 @@ func TestPersistentTraceSpillAndWarmLoad(t *testing.T) {
 
 	// Warm key: pre-seed the store out of band (simulating a previous
 	// process), then Get must load it with zero compilations.
-	warm := Key{Benchmark: "ocean", Processors: 2, OpsPerProc: 1_500, Seed: 0x3A3A3A3A}.normalize()
+	warm := Key{Benchmark: "ocean", Processors: 2, OpsPerProc: 1_500, Seed: coldSeed()}.normalize()
 	pre, err := Compile(ctx, warm.Benchmark, workload.Params{
 		Processors: warm.Processors, OpsPerProc: warm.OpsPerProc, Seed: warm.Seed,
 	})

@@ -13,20 +13,22 @@ import (
 	"testing"
 
 	"cgct/internal/sim"
-	"cgct/internal/stats"
 	"cgct/internal/trace"
 	"cgct/internal/workload"
 )
 
-// runPath simulates one configuration with the given workload.
-func runPath(t *testing.T, o Options, w workload.Workload, seed uint64) *stats.Run {
+// runPath simulates one configuration with the given workload and returns
+// its flattened counters. It releases the machine once they are read, so
+// the compiled-trace run starts on the live run's recycled tag storage.
+func runPath(t *testing.T, o Options, w workload.Workload, seed uint64) map[string]uint64 {
 	t.Helper()
 	cfg, _ := buildConfig(o)
 	system, err := sim.New(cfg, w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return system.Run()
+	defer system.Release()
+	return flatten(system.Run())
 }
 
 func TestCompiledTraceEquivalence(t *testing.T) {
@@ -56,10 +58,9 @@ func TestCompiledTraceEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			compiled := runPath(t, o, tr.Workload(), seed)
-			if !reflect.DeepEqual(flatten(live), flatten(compiled)) {
-				lf, cf := flatten(live), flatten(compiled)
-				for k, lv := range lf {
-					if cv := cf[k]; cv != lv {
+			if !reflect.DeepEqual(live, compiled) {
+				for k, lv := range live {
+					if cv := compiled[k]; cv != lv {
 						t.Errorf("%s %s: %s = %d compiled, %d live", bench, v.name, k, cv, lv)
 					}
 				}
@@ -75,7 +76,7 @@ func TestCompiledTraceEquivalence(t *testing.T) {
 // repeat.
 func TestRunUsesCompiledPath(t *testing.T) {
 	c := goldenCase{"tpcw-cgct", "tpc-w", Options{OpsPerProc: 30_000, Seed: 9, CGCT: true}}
-	live := flatten(runStats(t, c))
+	live := runStats(t, c)
 
 	res, err := Run(c.Benchmark, c.Opts)
 	if err != nil {
