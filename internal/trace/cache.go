@@ -41,8 +41,9 @@ func (k Key) String() string {
 	return fmt.Sprintf("trace|%s|procs=%d|ops=%d|seed=%d", k.Benchmark, k.Processors, k.OpsPerProc, k.Seed)
 }
 
-// Shared-cache bounds. Compiled traces are 8 bytes per op; the byte cap,
-// not the entry cap, is the real bound on resident memory.
+// Shared-cache bounds. Compiled traces are a little over 4 bytes per op
+// (Trace.Bytes); the byte cap, not the entry cap, is the real bound on
+// resident memory.
 const (
 	// MaxSharedOps is the largest workload (processors × ops each) the
 	// shared cache will compile; bigger requests get ErrTooLarge and the

@@ -53,30 +53,24 @@ const (
 	colChunk = 64 << 10
 )
 
-// appendKindGaps appends p's on-disk kind|gap column to b:
-// uvarint(gap<<3 | kind) per op, escaped gaps restored.
-func (p *ProcTrace) appendKindGaps(b []byte) []byte {
-	big := p.bigGaps
-	for _, w := range p.ops {
-		gap := w >> kindBits & gapEscape
-		if gap == gapEscape {
-			gap, big = uint64(big[0]), big[1:]
+// appendColumns appends p's two on-disk columns, derived in one decoding
+// pass: uvarint(gap<<3 | kind) per op to kg, and to d the zigzag-varint
+// of each op's address minus the previous op's (starting from 0),
+// whatever their classes.
+func (p *ProcTrace) appendColumns(kg, d []byte) ([]byte, []byte) {
+	var (
+		batch [128]workload.Op
+		prev  uint64
+	)
+	c := Cursor{t: p}
+	for n := c.Fill(batch[:]); n > 0; n = c.Fill(batch[:]) {
+		for _, op := range batch[:n] {
+			kg = binary.AppendUvarint(kg, uint64(op.Gap)<<3|uint64(op.Kind))
+			d = binary.AppendVarint(d, int64(uint64(op.Addr)-prev))
+			prev = uint64(op.Addr)
 		}
-		b = binary.AppendUvarint(b, gap<<3|w&kindMask)
 	}
-	return b
-}
-
-// appendDeltas appends p's on-disk address column to b: zigzag-varint of
-// each op's address minus the previous op's (starting from 0).
-func (p *ProcTrace) appendDeltas(b []byte) []byte {
-	var prev uint64
-	for _, w := range p.ops {
-		a := w >> addrShift
-		b = binary.AppendVarint(b, int64(a-prev))
-		prev = a
-	}
-	return b
+	return kg, d
 }
 
 // Write serialises the trace. The stream ends with a sha256 of everything
@@ -127,10 +121,10 @@ func (t *Trace) Write(w io.Writer) error {
 			return err
 		}
 	}
-	// Each column is encoded whole into col, reused across processors, and
-	// written behind its length in one call.
-	col := make([]byte, 0, colChunk)
-	writeCol := func() error {
+	// Each processor's two columns are encoded whole into kg and d, reused
+	// across processors, and each is written behind its length in one call.
+	kg, d := make([]byte, 0, colChunk), make([]byte, 0, colChunk)
+	writeCol := func(col []byte) error {
 		if err := w64(uint64(len(col))); err != nil {
 			return err
 		}
@@ -139,15 +133,14 @@ func (t *Trace) Write(w io.Writer) error {
 	}
 	for i := range t.Procs {
 		pt := &t.Procs[i]
-		if err := w64(uint64(len(pt.ops))); err != nil {
+		if err := w64(uint64(pt.Len())); err != nil {
 			return err
 		}
-		col = pt.appendKindGaps(col[:0])
-		if err := writeCol(); err != nil {
+		kg, d = pt.appendColumns(kg[:0], d[:0])
+		if err := writeCol(kg); err != nil {
 			return err
 		}
-		col = pt.appendDeltas(col[:0])
-		if err := writeCol(); err != nil {
+		if err := writeCol(d); err != nil {
 			return err
 		}
 	}
@@ -171,20 +164,32 @@ func (t *Trace) WriteFile(path string) error {
 }
 
 // fileReader threads the pieces Read's helpers need: the hashed stream,
-// the running digest, and the remaining-input bound (-1 = unknown).
+// the running digest, the remaining-input bound (-1 = unknown), and the
+// processor whose columns are being read (-1 in the header), which error
+// messages name, so a read need not format its description up front.
 type fileReader struct {
 	r         io.Reader // tee through the digest
 	raw       *bufio.Reader
 	h         hash.Hash
 	remaining int64
+	proc      int
+	b8        [8]byte // u64's buffer
+}
+
+// name describes what is being read for an error message.
+func (fr *fileReader) name(what string) string {
+	if fr.proc < 0 {
+		return what
+	}
+	return fmt.Sprintf("p%d %s", fr.proc, what)
 }
 
 func (fr *fileReader) full(buf []byte, what string) error {
 	if fr.remaining >= 0 && int64(len(buf)) > fr.remaining {
-		return fmt.Errorf("trace: %s needs %d bytes but only %d remain", what, len(buf), fr.remaining)
+		return fmt.Errorf("trace: %s needs %d bytes but only %d remain", fr.name(what), len(buf), fr.remaining)
 	}
 	if _, err := io.ReadFull(fr.r, buf); err != nil {
-		return fmt.Errorf("trace: truncated reading %s: %w", what, err)
+		return fmt.Errorf("trace: truncated reading %s: %w", fr.name(what), err)
 	}
 	if fr.remaining >= 0 {
 		fr.remaining -= int64(len(buf))
@@ -193,26 +198,26 @@ func (fr *fileReader) full(buf []byte, what string) error {
 }
 
 func (fr *fileReader) u64(what string) (uint64, error) {
-	var b [8]byte
-	if err := fr.full(b[:], what); err != nil {
+	if err := fr.full(fr.b8[:], what); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	return binary.LittleEndian.Uint64(fr.b8[:]), nil
 }
 
-// column reads a declared-length byte column in bounded chunks: a lying
-// length fails on truncation after at most one chunk of over-allocation.
-func (fr *fileReader) column(declared uint64, what string) ([]byte, error) {
+// column reads a declared-length byte column into buf's storage, in
+// bounded chunks: a lying length fails on truncation after at most one
+// chunk of over-allocation.
+func (fr *fileReader) column(buf []byte, declared uint64, what string) ([]byte, error) {
 	if fr.remaining >= 0 && int64(declared) > fr.remaining {
-		return nil, fmt.Errorf("trace: %s declares %d bytes but only %d remain", what, declared, fr.remaining)
+		return nil, fmt.Errorf("trace: %s declares %d bytes but only %d remain", fr.name(what), declared, fr.remaining)
 	}
-	buf := make([]byte, 0, min(declared, colChunk))
+	buf = buf[:0]
 	for uint64(len(buf)) < declared {
 		n := min(declared-uint64(len(buf)), colChunk)
 		start := len(buf)
 		buf = append(buf, make([]byte, n)...)
 		if _, err := io.ReadFull(fr.r, buf[start:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated reading %s: %w", what, err)
+			return nil, fmt.Errorf("trace: truncated reading %s: %w", fr.name(what), err)
 		}
 		if fr.remaining >= 0 {
 			fr.remaining -= int64(n)
@@ -245,7 +250,7 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	br := bufio.NewReaderSize(r, 64<<10)
 	h := sha256.New()
-	fr := &fileReader{r: io.TeeReader(br, h), raw: br, h: h, remaining: remaining}
+	fr := &fileReader{r: io.TeeReader(br, h), raw: br, h: h, remaining: remaining, proc: -1}
 
 	var magic [8]byte
 	if err := fr.full(magic[:], "magic"); err != nil {
@@ -298,15 +303,18 @@ func Read(r io.Reader) (*Trace, error) {
 		}
 		t.DMATargets = append(t.DMATargets, addr.Segment{Base: addr.Addr(base), Size: size})
 	}
+	// The two column buffers are reused across processors.
+	var kg, deltas []byte
 	for p := uint32(0); p < procs; p++ {
-		count, err := fr.u64(fmt.Sprintf("p%d op count", p))
+		fr.proc = int(p)
+		count, err := fr.u64("op count")
 		if err != nil {
 			return nil, err
 		}
 		if count > maxFileOpsPerProc {
 			return nil, fmt.Errorf("trace: p%d declares %d ops (limit %d)", p, count, maxFileOpsPerProc)
 		}
-		kgLen, err := fr.u64(fmt.Sprintf("p%d kind|gap length", p))
+		kgLen, err := fr.u64("kind|gap length")
 		if err != nil {
 			return nil, err
 		}
@@ -314,26 +322,22 @@ func Read(r io.Reader) (*Trace, error) {
 		if kgLen < count || kgLen > count*binary.MaxVarintLen64 {
 			return nil, fmt.Errorf("trace: p%d kind|gap column of %d bytes cannot hold %d ops", p, kgLen, count)
 		}
-		kg, err := fr.column(kgLen, fmt.Sprintf("p%d kind|gap column", p))
+		kg, err = fr.column(kg, kgLen, "kind|gap column")
 		if err != nil {
 			return nil, err
 		}
-		pt := &t.Procs[p]
-		if err := pt.decodeKindGaps(kg, count, p); err != nil {
-			return nil, err
-		}
-		dLen, err := fr.u64(fmt.Sprintf("p%d delta length", p))
+		dLen, err := fr.u64("delta length")
 		if err != nil {
 			return nil, err
 		}
 		if dLen < count || dLen > count*binary.MaxVarintLen64 {
 			return nil, fmt.Errorf("trace: p%d delta column of %d bytes cannot hold %d ops", p, dLen, count)
 		}
-		deltas, err := fr.column(dLen, fmt.Sprintf("p%d delta column", p))
+		deltas, err = fr.column(deltas, dLen, "delta column")
 		if err != nil {
 			return nil, err
 		}
-		if err := pt.decodeDeltas(deltas, p); err != nil {
+		if t.Procs[p], err = decodeColumns(kg, deltas, count, p); err != nil {
 			return nil, err
 		}
 	}
@@ -348,57 +352,46 @@ func Read(r io.Reader) (*Trace, error) {
 	return t, nil
 }
 
-// decodeKindGaps unpacks a kind|gap column into the kind and gap bits of
-// pt's words, validating kinds and gap range. count ≤ len(kg) is already
-// established, so the word slice allocation is backed by bytes actually
-// read.
-func (pt *ProcTrace) decodeKindGaps(kg []byte, count uint64, p uint32) error {
-	pt.ops = make([]uint64, 0, count)
-	off := 0
+// decodeColumns decodes processor p's kind|gap and delta columns in
+// lockstep, straight into an encoder, checking that each holds exactly
+// count varints, that every kind and gap fits an op and that the running
+// address stays a valid physical address — cursors can then replay
+// without per-op error paths. count ≤ len(kg) is already established, so
+// the op column's allocation is backed by bytes actually read.
+func decodeColumns(kg, deltas []byte, count uint64, p uint32) (ProcTrace, error) {
+	e := encoder{pt: ProcTrace{ops: make([]uint32, 0, count)}}
+	var (
+		ko, do int
+		a      uint64
+	)
 	for i := uint64(0); i < count; i++ {
-		v, n := binary.Uvarint(kg[off:])
+		v, n := binary.Uvarint(kg[ko:])
 		if n <= 0 {
-			return fmt.Errorf("trace: corrupt kind|gap varint at p%d[%d]", p, i)
+			return ProcTrace{}, fmt.Errorf("trace: corrupt kind|gap varint at p%d[%d]", p, i)
 		}
-		off += n
-		kind, gap := v&7, v>>3
-		if workload.OpKind(kind) >= workload.NOpKinds {
-			return fmt.Errorf("trace: invalid op kind %d at p%d[%d]", kind, p, i)
-		}
-		if gap > math.MaxUint32 {
-			return fmt.Errorf("trace: gap %d out of range at p%d[%d]", gap, p, i)
-		}
-		pt.ops = append(pt.ops, pt.lowBits(kind, uint32(gap)))
-	}
-	if off != len(kg) {
-		return fmt.Errorf("trace: p%d kind|gap column has %d trailing bytes", p, len(kg)-off)
-	}
-	return nil
-}
-
-// decodeDeltas fills in the address bits of pt's words from the delta
-// column, checking it holds exactly one varint per op and that the
-// running sum stays a valid physical address — cursors can then replay
-// without per-op error paths.
-func (pt *ProcTrace) decodeDeltas(deltas []byte, p uint32) error {
-	off := 0
-	var cur int64
-	for i := range pt.ops {
-		d, n := binary.Varint(deltas[off:])
+		ko += n
+		d, n := binary.Varint(deltas[do:])
 		if n <= 0 {
-			return fmt.Errorf("trace: corrupt address varint at p%d[%d]", p, i)
+			return ProcTrace{}, fmt.Errorf("trace: corrupt address varint at p%d[%d]", p, i)
 		}
-		off += n
-		cur += d
-		if cur < 0 || uint64(cur) > addr.PhysAddrMask {
-			return fmt.Errorf("trace: address %x out of range at p%d[%d]", uint64(cur), p, i)
+		do += n
+		if v>>3 > math.MaxUint32 {
+			return ProcTrace{}, fmt.Errorf("trace: gap %d out of range at p%d[%d]", v>>3, p, i)
 		}
-		pt.ops[i] |= uint64(cur) << addrShift
+		// Wrapping arithmetic is safe: a sum that leaves [0, PhysAddrMask]
+		// lands above it, and add rejects it.
+		a += uint64(d)
+		if err := e.add(workload.Op{Kind: workload.OpKind(v & kindMask), Addr: addr.Addr(a), Gap: uint32(v >> 3)}); err != nil {
+			return ProcTrace{}, fmt.Errorf("trace: p%d[%d]: %w", p, i, err)
+		}
 	}
-	if off != len(deltas) {
-		return fmt.Errorf("trace: p%d delta column has %d trailing bytes", p, len(deltas)-off)
+	if ko != len(kg) {
+		return ProcTrace{}, fmt.Errorf("trace: p%d kind|gap column has %d trailing bytes", p, len(kg)-ko)
 	}
-	return nil
+	if do != len(deltas) {
+		return ProcTrace{}, fmt.Errorf("trace: p%d delta column has %d trailing bytes", p, len(deltas)-do)
+	}
+	return e.pt, nil
 }
 
 // ReadFile loads a compiled trace from path.

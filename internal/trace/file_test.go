@@ -137,16 +137,16 @@ func traceBytes(t testing.TB, tr *Trace) []byte {
 }
 
 func validProcTrace() ProcTrace {
-	var pt ProcTrace
+	var e encoder
 	for _, op := range []workload.Op{
 		{Kind: workload.OpLoad, Addr: 64, Gap: 3},
 		{Kind: workload.OpStore, Addr: 128, Gap: 1},
 	} {
-		if err := pt.add(op); err != nil {
+		if err := e.add(op); err != nil {
 			panic(err)
 		}
 	}
-	return pt
+	return e.pt
 }
 
 // rawProc is one processor's on-disk columns, byte for byte.
@@ -330,10 +330,13 @@ func TestFileRejectsInvalidContent(t *testing.T) {
 	}
 }
 
-// TestFileEdgeOpsRoundTrip: ops at the edges of the packed word — a gap
-// one below the escape marker, the marker itself, the largest gap the
-// format allows, and the highest physical address — read, replay and
-// write back unchanged, byte for byte.
+// TestFileEdgeOpsRoundTrip: ops at the edges of the packed op and of the
+// escape word read, replay and write back unchanged, byte for byte: gaps
+// on either side of both gap markers and the largest the format allows,
+// address steps at and one past either end of the delta field, the
+// lowest and highest physical addresses, and an instruction stream
+// interleaved with a distant data stream, so each class's previous
+// address differs from the other's.
 func TestFileEdgeOpsRoundTrip(t *testing.T) {
 	p0 := []workload.Op{
 		{Kind: workload.OpLoad, Addr: 64, Gap: gapEscape - 1},
@@ -345,19 +348,42 @@ func TestFileEdgeOpsRoundTrip(t *testing.T) {
 		{Kind: workload.OpDCBZ, Addr: 1 << 30, Gap: math.MaxUint32 - 1},
 		{Kind: workload.OpLoad, Addr: 1<<30 + 128, Gap: 0},
 	}
-	raw := sealRaw(rawColumns(p0...), rawColumns(p1...))
+	const top = addr.Addr(addr.PhysAddrMask)
+	p2 := []workload.Op{
+		{Kind: workload.OpIFetch, Addr: top - 3},
+		{Kind: workload.OpLoad, Addr: maxDelta + 1, Gap: 1},
+		{Kind: workload.OpIFetch, Addr: top},
+		{Kind: workload.OpLoad, Addr: 2*maxDelta + 1, Gap: gapMarker - 1},
+		{Kind: workload.OpStore, Addr: 3*maxDelta + 2, Gap: 3},
+		{Kind: workload.OpLoad, Addr: 3*maxDelta + 2 + minDelta},
+		{Kind: workload.OpLoad, Addr: 3*maxDelta + 2 + 2*minDelta - 1},
+		{Kind: workload.OpIFetch, Addr: top - 64, Gap: gapMarker},
+		{Kind: workload.OpDCBF, Addr: 512, Gap: gapEscape},
+		{Kind: workload.OpDCBZ, Addr: 0, Gap: math.MaxUint32},
+		{Kind: workload.OpLoad, Addr: 64},
+		{Kind: workload.OpStore, Addr: 0},
+		{Kind: workload.OpIFetch, Addr: top},
+	}
+	raw := sealRaw(rawColumns(p0...), rawColumns(p1...), rawColumns(p2...))
 	tr, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for p, want := range [][]workload.Op{p0, p1} {
+	for p, want := range [][]workload.Op{p0, p1, p2} {
 		if got := collectProc(t, &tr.Procs[p], 3); !reflect.DeepEqual(got, want) {
 			t.Fatalf("p%d replays %+v, want %+v", p, got, want)
 		}
 	}
-	// Two of p0's gaps and p1's one take the escape column.
-	if got := [2]int{len(tr.Procs[0].bigGaps), len(tr.Procs[1].bigGaps)}; got != [2]int{2, 1} {
-		t.Fatalf("escaped gaps per processor = %v, want [2 1]", got)
+	// p0 escapes every op: its gaps are large and its data addresses far
+	// apart. p2 escapes ops 0, 1, 4, 6, 7, 8 and 9: a far first op of
+	// each class, a step one past either end of the delta field, and a
+	// gap of 255 or more.
+	var esc, big [3]int
+	for p := range tr.Procs {
+		esc[p], big[p] = len(tr.Procs[p].esc), len(tr.Procs[p].bigGaps)
+	}
+	if esc != [3]int{4, 1, 7} || big != [3]int{2, 1, 2} {
+		t.Fatalf("escaped ops %v and big gaps %v per processor, want [4 1 7] and [2 1 2]", esc, big)
 	}
 	if !bytes.Equal(traceBytes(t, tr), raw) {
 		t.Fatal("Write does not reproduce the file it read")
@@ -384,6 +410,24 @@ func TestWriteMatchesPinnedBytes(t *testing.T) {
 		raw := traceBytes(t, tr)
 		if sum := sha256.Sum256(raw); len(raw) != c.size || hex.EncodeToString(sum[:]) != c.sum {
 			t.Errorf("%s: wrote %d bytes with sha256 %x, want %d bytes with %s", c.bench, len(raw), sum, c.size, c.sum)
+		}
+	}
+}
+
+// TestContentHashPinned pins ContentHash for the two traces whose bytes
+// TestWriteMatchesPinnedBytes pins, so the in-memory encoding can change
+// without changing a trace's identity.
+func TestContentHashPinned(t *testing.T) {
+	for _, c := range []struct{ bench, hash string }{
+		{"tpc-b", "c94e6db1f70904b63aff62ace4f4368831619c9de6c56a2c63c58e51b0d195d6"},
+		{"tpc-h", "7221f070972752a5ee5e6ec9a0ab367db70004e07bf89d115d39eb8b27addeaa"},
+	} {
+		tr, err := Compile(context.Background(), c.bench, workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.ContentHash(); got != c.hash {
+			t.Errorf("%s: ContentHash = %s, want %s", c.bench, got, c.hash)
 		}
 	}
 }
