@@ -52,25 +52,12 @@ type Options struct {
 	Seed uint64
 	// CGCT enables Coarse-Grain Coherence Tracking.
 	CGCT bool
-	// Fabric selects the coherence fabric: "snoop" (default) or
-	// "directory". It subsumes Directory; leaving both zero means the
-	// snooping bus.
-	Fabric string
-	// Directory replaces the snooping broadcast fabric with a directory
-	// protocol at the home memory controllers — the comparison system of
-	// the paper's introduction. Shorthand for Fabric: "directory".
-	// Composes with CGCT: the RCA then routes requests around the home
-	// pipeline instead of around the bus.
+	// Directory replaces the snooping broadcast fabric with a full-map
+	// directory protocol at the home memory controllers — the comparison
+	// system of the paper's introduction. Composes with CGCT: the RCA
+	// then routes requests around the home pipeline instead of around the
+	// bus.
 	Directory bool
-	// DirScheme selects the directory sharer-tracking scheme: "full-map"
-	// (default) or "limited" (Dir_i-B pointers, see DirPointers).
-	DirScheme string
-	// DirPointers is the per-entry pointer budget under the "limited"
-	// scheme (1..8); an overflowing entry degrades to a broadcast bit.
-	DirPointers int
-	// DirEntriesPerHome bounds directory storage per home controller
-	// (sparse directory, LRU eviction); 0 means unbounded.
-	DirEntriesPerHome uint64
 	// RegionScout enables the Moshovos ISCA-2005 comparison technique (§2
 	// of the paper): an untagged cached-region hash plus a small
 	// not-shared-region table instead of a tagged RCA. Mutually exclusive
@@ -181,8 +168,6 @@ type Result struct {
 
 	// Directory-fabric metrics (zero on the snooping fabric).
 	Directory           bool
-	DirScheme           string
-	DirPointers         int
 	DirMessages         uint64
 	ThreeHops           uint64
 	DirInvalidations    uint64
@@ -190,8 +175,6 @@ type Result struct {
 	DirFastPaths        uint64
 	DirRegionNotifies   uint64
 	DirEntriesAllocated uint64
-	DirEntriesEvicted   uint64
-	DirPtrOverflows     uint64
 	DirPeakEntries      uint64
 	DirQueuedCycles     uint64
 
@@ -272,30 +255,7 @@ func buildConfig(o Options) (config.Config, Options) {
 	} else {
 		cfg.RCA.RegionBytes = o.RegionBytes // statistics granularity
 	}
-	// Normalise the fabric selection: Fabric subsumes the Directory
-	// shorthand, and both come back filled so cache keys are canonical.
-	if o.Fabric == "" {
-		o.Fabric = string(config.FabricSnoop)
-		if o.Directory {
-			o.Fabric = string(config.FabricDirectory)
-		}
-	}
-	cfg.Fabric = config.FabricKind(o.Fabric)
-	o.Directory = cfg.Fabric == config.FabricDirectory
-	if o.Directory {
-		if o.DirScheme == "" {
-			o.DirScheme = config.DirSchemeFullMap
-		}
-		cfg.Directory = config.DirectoryParams{
-			Scheme:            o.DirScheme,
-			Pointers:          o.DirPointers,
-			MaxEntriesPerHome: o.DirEntriesPerHome,
-		}
-	} else {
-		// Directory knobs are meaningless on the snooping bus; zero them so
-		// equivalent requests normalise to one cache key.
-		o.DirScheme, o.DirPointers, o.DirEntriesPerHome = "", 0, 0
-	}
+	cfg.Directory = o.Directory
 	if o.RegionScout {
 		cfg = cfg.WithRegionScout(o.RegionBytes)
 	}
@@ -444,8 +404,6 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 		DMAWrites:             run.DMAWrites,
 		RegionProbes:          run.RegionProbes,
 		Directory:             o.Directory,
-		DirScheme:             o.DirScheme,
-		DirPointers:           o.DirPointers,
 		DirMessages:           run.DirMessages,
 		ThreeHops:             run.ThreeHops,
 		DirInvalidations:      run.DirInvalidations,
@@ -453,8 +411,6 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 		DirFastPaths:          run.DirFastPaths,
 		DirRegionNotifies:     run.DirRegionNotifies,
 		DirEntriesAllocated:   run.DirEntriesAllocated,
-		DirEntriesEvicted:     run.DirEntriesEvicted,
-		DirPtrOverflows:       run.DirPtrOverflows,
 		DirPeakEntries:        run.DirPeakEntries,
 		DirQueuedCycles:       run.DirQueuedCycles,
 		NSRTInserts:           run.NSRTInserts,
@@ -583,13 +539,9 @@ func (r *Result) String() string {
 		mode = fmt.Sprintf("CGCT/%dB", r.RegionBytes)
 	}
 	if r.Directory {
-		scheme := r.DirScheme
-		if scheme == "" {
-			scheme = config.DirSchemeFullMap
-		}
-		mode = "directory/" + scheme
+		mode = "directory"
 		if r.CGCT {
-			mode = fmt.Sprintf("directory/%s+CGCT/%dB", scheme, r.RegionBytes)
+			mode = fmt.Sprintf("directory+CGCT/%dB", r.RegionBytes)
 		}
 	}
 	return fmt.Sprintf("%s [%s]: %d cycles, %d requests (%d broadcast, %d direct, %d local), %.1f%% of broadcasts unnecessary",

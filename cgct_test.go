@@ -283,7 +283,7 @@ func TestSaveAndRunTrace(t *testing.T) {
 	}{
 		{"ocean-cgct", "ocean", cgct.Options{OpsPerProc: 5_000, Seed: 3, CGCT: true, DebugChecks: true}},
 		{"tpcb-8p-dma-snoop", "tpc-b", cgct.Options{Processors: 8, OpsPerProc: 4_000, Seed: 3, CGCT: true, DMAIntervalCycles: 2_000}},
-		{"tpcb-8p-dma-directory", "tpc-b", cgct.Options{Processors: 8, OpsPerProc: 4_000, Seed: 3, CGCT: true, DMAIntervalCycles: 2_000, Fabric: "directory"}},
+		{"tpcb-8p-dma-directory", "tpc-b", cgct.Options{Processors: 8, OpsPerProc: 4_000, Seed: 3, CGCT: true, DMAIntervalCycles: 2_000, Directory: true}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := dir + "/" + c.name + ".cgct"

@@ -4,6 +4,7 @@
 //
 //	cgctsim -benchmark tpc-w -cgct -region 512
 //	cgctsim -benchmark barnes -ops 1000000 -seed 7
+//	cgctsim -benchmark ocean -directory -cgct
 //	cgctsim -list
 package main
 
@@ -32,10 +33,7 @@ func main() {
 		pfilter = flag.Bool("pffilter", false, "filter prefetches by region state (§6)")
 		dma     = flag.Uint64("dma", 0, "DMA write interval in cycles (0 = no I/O traffic)")
 		regpf   = flag.Bool("regionpf", false, "prefetch the next region's global state (§6)")
-		fabric  = flag.String("fabric", "snoop", "coherence fabric: snoop or directory")
-		dscheme = flag.String("dirscheme", "full-map", "directory sharer tracking: full-map or limited")
-		dptrs   = flag.Int("dirpointers", 0, "limited-directory pointers per entry (1..8)")
-		dents   = flag.Uint64("direntries", 0, "sparse-directory entries per home (0 = unbounded)")
+		dir     = flag.Bool("directory", false, "run on the full-map directory fabric instead of the snooping bus")
 		ctrace  = flag.String("ctrace", "", "replay a compiled-trace file written by cgcttrace -compile instead of a benchmark")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write an allocation profile to this file on exit")
@@ -67,10 +65,7 @@ func main() {
 		PrefetchRegionFilter: *pfilter,
 		RegionPrefetch:       *regpf,
 		DMAIntervalCycles:    *dma,
-		Fabric:               *fabric,
-		DirScheme:            *dscheme,
-		DirPointers:          *dptrs,
-		DirEntriesPerHome:    *dents,
+		Directory:            *dir,
 	}
 	var res *cgct.Result
 	if *ctrace != "" {
@@ -115,8 +110,8 @@ func main() {
 		fmt.Printf("  directory messages:  %d (three-hop %d, invalidations %d, spurious %d)\n",
 			res.DirMessages, res.ThreeHops, res.DirInvalidations, res.DirExtraInvals)
 		fmt.Printf("  home-pipeline wait:  %d cycles queued\n", res.DirQueuedCycles)
-		fmt.Printf("  directory entries:   %d allocated, %d peak, %d evicted, %d ptr overflows\n",
-			res.DirEntriesAllocated, res.DirPeakEntries, res.DirEntriesEvicted, res.DirPtrOverflows)
+		fmt.Printf("  directory entries:   %d allocated, %d peak\n",
+			res.DirEntriesAllocated, res.DirPeakEntries)
 		if res.CGCT {
 			fmt.Printf("  home-pipeline skips: %d fast paths, %d region notifies\n",
 				res.DirFastPaths, res.DirRegionNotifies)

@@ -77,11 +77,8 @@ func main() {
 			config.Default().WithRegionScout(512),
 		}
 		cfgs = append(cfgs,
-			config.Default().WithDirectory(config.DirectoryParams{}),
-			config.Default().WithDirectory(config.DirectoryParams{
-				Scheme: config.DirSchemeLimited, Pointers: 2, MaxEntriesPerHome: 1024,
-			}),
-			config.Default().WithCGCT(512).WithDirectory(config.DirectoryParams{}),
+			config.Default().WithDirectory(),
+			config.Default().WithCGCT(512).WithDirectory(),
 		)
 		scaled := config.Default().WithCGCT(512)
 		scaled.RCA.ThreeState = true

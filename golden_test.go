@@ -46,13 +46,11 @@ func goldenCases() []goldenCase {
 		{"tpcw-cgct", "tpc-w", Options{OpsPerProc: ops, Seed: seed, CGCT: true}},
 		{"tpcw-cgct-perturb", "tpc-w", Options{OpsPerProc: ops, Seed: seed, CGCT: true, PerturbCycles: 40}},
 		{"ocean-directory", "ocean", Options{OpsPerProc: ops, Seed: seed, Directory: true}},
-		{"ocean-dir-cgct", "ocean", Options{OpsPerProc: ops, Seed: seed, CGCT: true, Fabric: "directory"}},
-		{"tpcw-dir-limited", "tpc-w", Options{OpsPerProc: ops, Seed: seed, Directory: true,
-			DirScheme: "limited", DirPointers: 2, DirEntriesPerHome: 2048}},
+		{"ocean-dir-cgct", "ocean", Options{OpsPerProc: ops, Seed: seed, CGCT: true, Directory: true}},
 		{"tpcw-scout-dma", "tpc-w", Options{OpsPerProc: ops, Seed: seed, RegionScout: true, DMAIntervalCycles: 3000}},
 		// 16 processors: the remote-scan filters skip the most nodes here.
 		{"tpcb16-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true}},
-		{"tpcb16-dir-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true, Fabric: "directory"}},
+		{"tpcb16-dir-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true, Directory: true}},
 		{"tpcb16-scout", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, RegionScout: true}},
 	}
 }

@@ -89,92 +89,10 @@ type RegionScoutParams struct {
 	CRHCounters uint64 // untagged cached-region-hash counters
 }
 
-// FabricKind selects the coherence-fabric backend: the snooping broadcast
-// bus the paper evaluates, or a home-node directory protocol.
-type FabricKind string
-
-const (
-	// FabricSnoop is the Fireplane-like broadcast fabric (default): an
-	// ordered address network snooped by every processor, MOESI lines.
-	FabricSnoop FabricKind = "snoop"
-	// FabricDirectory replaces broadcasts with a home-node directory at
-	// the memory controllers: every request is a point-to-point message to
-	// the line's home, cache-to-cache transfers take three hops, and
-	// invalidations are explicit message exchanges. MESI lines (the owner
-	// writes back to home while forwarding).
-	FabricDirectory FabricKind = "directory"
-)
-
-// Directory sharer-tracking schemes (FabricDirectory only).
-const (
-	// DirSchemeFullMap keeps one presence bit per processor in every
-	// directory entry — exact sharer sets, storage that scales with the
-	// machine.
-	DirSchemeFullMap = "full-map"
-	// DirSchemeLimited is a Dir_i-B limited-pointer directory: up to
-	// Pointers exact sharer pointers per entry; overflow sets a broadcast
-	// bit and later invalidations go to every node.
-	DirSchemeLimited = "limited"
-)
-
-// DirectoryParams configures the directory fabric.
-type DirectoryParams struct {
-	// Scheme is the sharer-tracking scheme: DirSchemeFullMap (default
-	// when empty) or DirSchemeLimited.
-	Scheme string
-	// Pointers is the exact-pointer count per entry for DirSchemeLimited
-	// (Dir_i-B's i). Ignored by the full-map scheme.
-	Pointers int
-	// MaxEntriesPerHome, when non-zero, bounds the directory storage at
-	// each home controller (a sparse directory): allocating an entry
-	// beyond the bound evicts the least-recently-used entry, invalidating
-	// its cached copies.
-	MaxEntriesPerHome uint64
-}
-
-// maxDirPointers bounds the limited-pointer count: beyond a handful of
-// pointers the scheme stops being "limited" and a full map is cheaper.
-const maxDirPointers = 8
-
 // MaxDirectoryProcessors is the largest machine the directory fabric
 // models: its full-map sharer mask (internal/directory) holds one bit per
 // processor and is sized from this bound.
 const MaxDirectoryProcessors = 128
-
-// MaxDirEntriesPerHome bounds configurable sparse-directory storage
-// (16M entries per home is already far beyond any simulated working set).
-const MaxDirEntriesPerHome = 1 << 24
-
-// schemeOrDefault returns the scheme with the full-map default applied.
-func (d DirectoryParams) schemeOrDefault() string {
-	if d.Scheme == "" {
-		return DirSchemeFullMap
-	}
-	return d.Scheme
-}
-
-// Limited reports whether the limited-pointer scheme is selected.
-func (d DirectoryParams) Limited() bool { return d.schemeOrDefault() == DirSchemeLimited }
-
-// Validate checks the directory parameters.
-func (d DirectoryParams) Validate() error {
-	switch d.schemeOrDefault() {
-	case DirSchemeFullMap:
-	case DirSchemeLimited:
-		if d.Pointers < 1 || d.Pointers > maxDirPointers {
-			return fmt.Errorf("config: limited-pointer directory needs 1..%d pointers, got %d", maxDirPointers, d.Pointers)
-		}
-	default:
-		return fmt.Errorf("config: unknown directory scheme %q", d.Scheme)
-	}
-	if d.MaxEntriesPerHome > MaxDirEntriesPerHome {
-		return fmt.Errorf("config: directory entries per home %d exceeds limit %d", d.MaxEntriesPerHome, MaxDirEntriesPerHome)
-	}
-	if d.MaxEntriesPerHome != 0 && d.MaxEntriesPerHome < 16 {
-		return fmt.Errorf("config: bounded directory needs at least 16 entries per home, got %d", d.MaxEntriesPerHome)
-	}
-	return nil
-}
 
 // RCAParams describes the Region Coherence Array.
 type RCAParams struct {
@@ -305,15 +223,16 @@ type Config struct {
 	// CGCTEnabled selects between the baseline (always broadcast) and the
 	// Coarse-Grain Coherence Tracking system.
 	CGCTEnabled bool
-	// Fabric selects the coherence-fabric backend. Empty means FabricSnoop.
-	// FabricDirectory is the comparison system of the paper's introduction
-	// (low-latency access to non-shared data, but three-hop cache-to-cache
-	// transfers); it composes with CGCTEnabled, which then tracks region
-	// grants at the home controllers instead of filtering broadcasts.
-	Fabric FabricKind
-	// Directory configures the directory fabric (sharer-tracking scheme
-	// and storage bound). Ignored on the snooping fabric.
-	Directory DirectoryParams
+	// Directory replaces the Fireplane-like snooping bus (MOESI lines
+	// over an ordered, broadcast address network) with a full-map
+	// directory at the home memory controllers: every request is a
+	// point-to-point message to the line's home, cache-to-cache transfers
+	// take three hops, and invalidations are explicit message exchanges
+	// (MESI lines; the owner writes back to home while forwarding). It is
+	// the comparison system of the paper's introduction and composes with
+	// CGCTEnabled, which then tracks region grants at the home controllers
+	// instead of filtering broadcasts.
+	Directory bool
 	// Scout enables the RegionScout comparison technique. Mutually
 	// exclusive with CGCTEnabled and the directory fabric.
 	Scout RegionScoutParams
@@ -352,7 +271,7 @@ type Config struct {
 // called later queues behind it; horizon 0 gives different Fig 8
 // numbers than the default (see DESIGN §5).
 func (c Config) BatchHorizon() uint64 {
-	if c.DirectoryEnabled() {
+	if c.Directory {
 		return c.Net.DirectReqSameChip + c.Net.DirectoryLatency
 	}
 	direct := c.Net.DirectReqSameChip + c.Net.DRAMLatency
@@ -381,11 +300,10 @@ func Default() Config {
 			PrefetchRunahead: 5,
 			ExclusivePrefet:  true,
 		},
-		L1I:    CacheParams{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64, LatencyCy: 1},
-		L1D:    CacheParams{SizeBytes: 64 << 10, Assoc: 4, LineBytes: 64, LatencyCy: 1},
-		L2:     CacheParams{SizeBytes: 1 << 20, Assoc: 2, LineBytes: 64, LatencyCy: 12},
-		RCA:    RCAParams{Sets: 8192, Assoc: 2, RegionBytes: 512},
-		Fabric: FabricSnoop,
+		L1I: CacheParams{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64, LatencyCy: 1},
+		L1D: CacheParams{SizeBytes: 64 << 10, Assoc: 4, LineBytes: 64, LatencyCy: 1},
+		L2:  CacheParams{SizeBytes: 1 << 20, Assoc: 2, LineBytes: 64, LatencyCy: 12},
+		RCA: RCAParams{Sets: 8192, Assoc: 2, RegionBytes: 512},
 		Net: InterconnectParams{
 			SnoopLatency:            SysCycles(16),
 			DRAMLatency:             SysCycles(16),
@@ -473,23 +391,16 @@ func (c Config) Validate() error {
 			return fmt.Errorf("config: L2 sector size %d invalid", c.L2SectorBytes)
 		}
 	}
-	switch c.FabricOrDefault() {
-	case FabricSnoop:
-	case FabricDirectory:
+	if c.Directory {
 		if c.Topology.Processors > MaxDirectoryProcessors {
 			return fmt.Errorf("config: the directory fabric tracks at most %d processors, got %d", MaxDirectoryProcessors, c.Topology.Processors)
-		}
-		if err := c.Directory.Validate(); err != nil {
-			return err
 		}
 		if c.Proc.RegionPrefetch {
 			return fmt.Errorf("config: region-state prefetch probes require the snooping fabric")
 		}
-	default:
-		return fmt.Errorf("config: unknown fabric %q", c.Fabric)
 	}
 	if c.Scout.Enabled {
-		if c.CGCTEnabled || c.DirectoryEnabled() {
+		if c.CGCTEnabled || c.Directory {
 			return fmt.Errorf("config: RegionScout is mutually exclusive with CGCT and the directory fabric")
 		}
 		if !addr.IsPow2(c.Scout.NSRTEntries) || c.Scout.NSRTAssoc <= 0 ||
@@ -503,23 +414,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// FabricOrDefault returns the selected fabric with the snooping default
-// applied (an empty Fabric means FabricSnoop).
-func (c Config) FabricOrDefault() FabricKind {
-	if c.Fabric == "" {
-		return FabricSnoop
-	}
-	return c.Fabric
-}
-
-// DirectoryEnabled reports whether the directory fabric is selected.
-func (c Config) DirectoryEnabled() bool { return c.FabricOrDefault() == FabricDirectory }
-
-// WithDirectory returns a copy running on the directory fabric with the
-// given parameters (zero value = unbounded full map).
-func (c Config) WithDirectory(p DirectoryParams) Config {
-	c.Fabric = FabricDirectory
-	c.Directory = p
+// WithDirectory returns a copy running on the full-map directory fabric.
+func (c Config) WithDirectory() Config {
+	c.Directory = true
 	return c
 }
 

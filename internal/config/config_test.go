@@ -118,16 +118,10 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(c *Config) { c.Proc.CommitWidth = 0 },
 		func(c *Config) { c.Proc.DemandOverlap = 0 },
 		func(c *Config) { c.Net.MemCtrlBanks = 0 },
-		func(c *Config) { c.Fabric = "hypercube" },
-		func(c *Config) { c.Fabric = FabricDirectory; c.Directory.Scheme = "coarse" },
-		func(c *Config) { c.Fabric = FabricDirectory; c.Directory.Scheme = DirSchemeLimited },            // needs pointers
-		func(c *Config) { *c = c.WithDirectory(DirectoryParams{Scheme: DirSchemeLimited, Pointers: 9}) }, // too many
-		func(c *Config) { *c = c.WithDirectory(DirectoryParams{MaxEntriesPerHome: 4}) },                  // below floor
-		func(c *Config) { *c = c.WithDirectory(DirectoryParams{MaxEntriesPerHome: 1 << 30}) },            // absurd bound
-		func(c *Config) { *c = c.WithDirectory(DirectoryParams{}); c.Proc.RegionPrefetch = true },
-		func(c *Config) { *c = c.WithRegionScout(512).WithDirectory(DirectoryParams{}) },
+		func(c *Config) { *c = c.WithDirectory(); c.Proc.RegionPrefetch = true },
+		func(c *Config) { *c = c.WithRegionScout(512).WithDirectory() },
 		func(c *Config) {
-			*c = c.WithDirectory(DirectoryParams{})
+			*c = c.WithDirectory()
 			c.Topology.Processors = MaxDirectoryProcessors + 1
 		},
 	}
@@ -140,15 +134,13 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
-// TestFabricDefaults pins the fabric normalization: an unset Fabric means
-// snooping, and the directory fabric composes with CGCT but not RegionScout.
 // TestBatchHorizon pins the node run-ahead horizon to the minimum
 // cross-node latency of each fabric (Table 3 values).
 func TestBatchHorizon(t *testing.T) {
 	if got, want := Default().BatchHorizon(), SysCycles(16); got != want {
 		t.Errorf("snoop horizon = %d, want the snoop latency %d", got, want)
 	}
-	dir := Default().WithDirectory(DirectoryParams{})
+	dir := Default().WithDirectory()
 	if got, want := dir.BatchHorizon(), uint64(21); got != want {
 		t.Errorf("directory horizon = %d, want same-chip request + directory lookup %d", got, want)
 	}
@@ -160,29 +152,18 @@ func TestBatchHorizon(t *testing.T) {
 	}
 }
 
+// TestFabricDefaults pins the fabric selection: the default is the
+// snooping bus, and the directory fabric validates on its own and
+// composes with CGCT.
 func TestFabricDefaults(t *testing.T) {
-	c := Default()
-	if c.FabricOrDefault() != FabricSnoop || c.DirectoryEnabled() {
-		t.Errorf("default fabric = %q", c.Fabric)
+	if Default().Directory {
+		t.Error("the default fabric must be the snooping bus")
 	}
-	c.Fabric = ""
-	if err := c.Validate(); err != nil {
-		t.Errorf("empty fabric must validate as snoop: %v", err)
+	if err := Default().WithDirectory().Validate(); err != nil {
+		t.Errorf("directory fabric invalid: %v", err)
 	}
-
-	d := Default().WithDirectory(DirectoryParams{})
-	if !d.DirectoryEnabled() || d.Directory.Limited() {
-		t.Errorf("WithDirectory = %+v", d.Directory)
-	}
-	if err := d.Validate(); err != nil {
-		t.Errorf("full-map directory invalid: %v", err)
-	}
-	dcg := Default().WithCGCT(512).WithDirectory(DirectoryParams{Scheme: DirSchemeLimited, Pointers: 2, MaxEntriesPerHome: 1024})
-	if err := dcg.Validate(); err != nil {
+	if err := Default().WithCGCT(512).WithDirectory().Validate(); err != nil {
 		t.Errorf("CGCT on the directory fabric must be allowed: %v", err)
-	}
-	if !dcg.Directory.Limited() {
-		t.Error("limited scheme not recognised")
 	}
 }
 

@@ -33,11 +33,8 @@ func TestHashDistinguishesConfigs(t *testing.T) {
 		Default().WithCGCT(1024),
 		Default().WithRCASets(4096),
 		Default().WithRegionScout(512),
-		Default().WithDirectory(DirectoryParams{}),
-		Default().WithDirectory(DirectoryParams{Scheme: DirSchemeLimited, Pointers: 2}),
-		Default().WithDirectory(DirectoryParams{Scheme: DirSchemeLimited, Pointers: 4}),
-		Default().WithDirectory(DirectoryParams{MaxEntriesPerHome: 4096}),
-		Default().WithCGCT(512).WithDirectory(DirectoryParams{}),
+		Default().WithDirectory(),
+		Default().WithCGCT(512).WithDirectory(),
 	}
 	seen := map[string]int{base.Hash(): -1}
 	for i, v := range variants {

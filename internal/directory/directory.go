@@ -1,18 +1,12 @@
 // Package directory implements the home-node directory state for the
 // directory coherence fabric: one Directory per memory controller, holding
-// a sharer-tracking entry per cached line whose home that controller is.
-//
-// Two sharer-tracking schemes are supported. The full map keeps one
-// presence bit per processor (exact, storage grows with the machine). The
-// limited-pointer scheme (Dir_i-B) keeps up to i exact pointers; when an
-// i+1-th sharer appears the entry overflows to a broadcast bit and later
-// invalidations must go to every node. Entry storage may be bounded
-// (a sparse directory): allocating past the bound evicts the least-
-// recently-used entry, whose cached copies the caller must invalidate.
+// a full-map entry per cached line whose home that controller is. An entry
+// keeps the line's owner and one presence bit per processor, so its sharer
+// set is exact; storage is unbounded, and an entry retires as soon as no
+// node holds its line.
 //
 // The package is purely bookkeeping — messages, latency and cache state
-// changes stay in the simulator. Everything here is deterministic: entry
-// iteration order is the LRU list, never a map walk.
+// changes stay in the simulator.
 package directory
 
 import (
@@ -35,106 +29,51 @@ type Entry struct {
 	// Owner is the node holding the line Exclusive/Modified, or -1.
 	Owner int
 
-	// mask is the exact sharer set (full map, or the limited pointers
-	// while precise). count caches its population.
-	mask  [maskWords]uint64
-	count int
+	// mask is the exact sharer set.
+	mask [maskWords]uint64
 
-	// Overflowed marks a limited-pointer entry that lost precision: more
-	// sharers appeared than pointers exist, so the sharer set is a
-	// conservative "maybe anyone" and invalidations must broadcast.
-	Overflowed bool
-
-	// LRU list links (most-recently-used at the front).
-	prev, next *Entry
+	// next chains recycled entries on the free list.
+	next *Entry
 }
 
-// Line returns the line this entry tracks.
-func (e *Entry) Line() addr.LineAddr { return e.line }
-
 // Uncached reports whether no node holds the line (the entry is dead).
-// An overflowed entry is never considered uncached — the precise set is
-// lost, so only a full invalidation can retire it.
-func (e *Entry) Uncached() bool { return e.Owner < 0 && e.count == 0 && !e.Overflowed }
+func (e *Entry) Uncached() bool { return e.Owner < 0 && e.mask == [maskWords]uint64{} }
 
-// Has reports whether node id is in the (precise) sharer set.
+// Has reports whether node id is in the sharer set.
 func (e *Entry) Has(id int) bool {
 	return e.mask[uint(id)/64]&(1<<(uint(id)%64)) != 0
 }
 
-// Sharers returns the number of precise sharers recorded.
-func (e *Entry) Sharers() int { return e.count }
-
-// AddSharer records node id as a sharer. Under the limited-pointer scheme
-// (pointers > 0) the entry overflows when a new sharer would exceed the
-// pointer budget; the return value reports whether this call overflowed
-// the entry. Overflowed entries stop tracking precisely.
-func (e *Entry) AddSharer(id, pointers int) (overflowed bool) {
-	if e.Overflowed {
-		return false
-	}
-	if e.Has(id) {
-		return false
-	}
-	if pointers > 0 && e.count >= pointers {
-		e.Overflowed = true
-		e.mask = [maskWords]uint64{}
-		e.count = 0
-		return true
-	}
+// AddSharer records node id as a sharer.
+func (e *Entry) AddSharer(id int) {
 	e.mask[uint(id)/64] |= 1 << (uint(id) % 64)
-	e.count++
-	return false
 }
 
-// RemoveSharer drops node id from the precise sharer set (no-op when
-// overflowed — precision is already lost).
+// RemoveSharer drops node id from the sharer set.
 func (e *Entry) RemoveSharer(id int) {
-	if e.Overflowed || !e.Has(id) {
-		return
-	}
 	e.mask[uint(id)/64] &^= 1 << (uint(id) % 64)
-	e.count--
 }
 
-// ClearSharers resets the sharer set (after a full invalidation), which
-// also restores precision to an overflowed entry.
-func (e *Entry) ClearSharers() {
-	e.mask = [maskWords]uint64{}
-	e.count = 0
-	e.Overflowed = false
-}
+// ClearSharers resets the sharer set (after a full invalidation).
+func (e *Entry) ClearSharers() { e.mask = [maskWords]uint64{} }
 
-// MustInvalidate reports whether node id must receive an invalidation:
-// precise sharers get one exactly; an overflowed entry invalidates
-// everyone.
+// MustInvalidate reports whether node id holds a copy the entry records:
+// as a sharer or as the owner.
 func (e *Entry) MustInvalidate(id int) bool {
-	return e.Overflowed || e.Has(id) || e.Owner == id
+	return e.Has(id) || e.Owner == id
 }
 
 // Stats counts one Directory's behaviour over a run.
 type Stats struct {
 	Allocs       uint64 // entries created
-	Drops        uint64 // entries retired because no node held the line
-	Evictions    uint64 // entries evicted by the sparse-storage bound
-	PtrOverflows uint64 // limited-pointer entries that lost precision
 	QueuedCycles uint64 // cycles transactions waited for the home pipeline
 	Peak         uint64 // peak live entries
 }
 
 // Directory is the per-home-controller directory.
 type Directory struct {
-	home     int
-	pointers int    // 0 = full map
-	maxEnt   uint64 // 0 = unbounded
-
 	entries map[addr.LineAddr]*Entry
-	// LRU list sentinel: lru.next is most recent, lru.prev the victim.
-	lru  Entry
-	free *Entry // recycled entries (chained via next)
-	// retired holds the last capacity-eviction victim: its state stays
-	// readable until the next Acquire, when it joins the free list.
-	retired *Entry
+	free    *Entry // recycled entries (chained via next)
 
 	// busyUntil serialises transactions at the home: the directory
 	// pipeline handles one transaction per DirectoryLatency, and bursts
@@ -145,25 +84,9 @@ type Directory struct {
 }
 
 // New builds the directory for one home controller.
-func New(home int, p config.DirectoryParams) *Directory {
-	d := &Directory{
-		home:    home,
-		maxEnt:  p.MaxEntriesPerHome,
-		entries: make(map[addr.LineAddr]*Entry),
-	}
-	if p.Limited() {
-		d.pointers = p.Pointers
-	}
-	d.lru.next = &d.lru
-	d.lru.prev = &d.lru
-	return d
+func New() *Directory {
+	return &Directory{entries: make(map[addr.LineAddr]*Entry)}
 }
-
-// Home returns the home-controller index.
-func (d *Directory) Home() int { return d.home }
-
-// Pointers returns the limited-pointer budget (0 = full map).
-func (d *Directory) Pointers() int { return d.pointers }
 
 // Live returns the current live entry count.
 func (d *Directory) Live() uint64 { return uint64(len(d.entries)) }
@@ -180,71 +103,14 @@ func (d *Directory) Admit(t event.Cycle, occupancy uint64) event.Cycle {
 	return start
 }
 
-// Lookup returns the entry for line (touching it in the LRU order), or
-// nil when the line is untracked.
-func (d *Directory) Lookup(line addr.LineAddr) *Entry {
-	e := d.entries[line]
-	if e != nil {
-		d.touch(e)
-	}
-	return e
-}
+// Lookup returns the entry for line, or nil when the line is untracked.
+func (d *Directory) Lookup(line addr.LineAddr) *Entry { return d.entries[line] }
 
-// Peek returns the entry for line without touching the LRU order (for
-// read-only paths like invariant checkers).
-func (d *Directory) Peek(line addr.LineAddr) *Entry { return d.entries[line] }
-
-// Acquire returns the entry for line, creating it if absent. When
-// creation would exceed the sparse-storage bound, the least-recently-used
-// entry is evicted and returned as victim: the caller must invalidate its
-// cached copies (the entry's state is valid until the next Acquire).
-func (d *Directory) Acquire(line addr.LineAddr) (e, victim *Entry) {
-	if e = d.entries[line]; e != nil {
-		d.touch(e)
-		return e, nil
+// Acquire returns the entry for line, creating it if absent.
+func (d *Directory) Acquire(line addr.LineAddr) *Entry {
+	if e := d.entries[line]; e != nil {
+		return e
 	}
-	if d.retired != nil {
-		d.recycle(d.retired)
-		d.retired = nil
-	}
-	if d.maxEnt != 0 && uint64(len(d.entries)) >= d.maxEnt {
-		victim = d.lru.prev
-		d.unlink(victim)
-		d.retired = victim
-		d.Stats.Evictions++
-	}
-	e = d.alloc(line)
-	d.entries[line] = e
-	d.pushFront(e)
-	d.Stats.Allocs++
-	liveEntries.Add(1)
-	if live := d.Live(); live > d.Stats.Peak {
-		d.Stats.Peak = live
-	}
-	return e, victim
-}
-
-// Release retires the entry when no node holds the line any more; call it
-// after mutating an entry's sharer/owner state.
-func (d *Directory) Release(e *Entry) {
-	if !e.Uncached() {
-		return
-	}
-	d.unlink(e)
-	d.recycle(e)
-	d.Stats.Drops++
-}
-
-// Close releases the directory's contribution to the process-wide live-
-// entry gauge. The Directory must not be used afterwards.
-func (d *Directory) Close() {
-	// Add the two's complement of the live count (atomic-decrement idiom).
-	liveEntries.Add(^uint64(len(d.entries)) + 1)
-	d.entries = nil
-}
-
-// alloc takes an Entry from the free list or the heap.
-func (d *Directory) alloc(line addr.LineAddr) *Entry {
 	e := d.free
 	if e != nil {
 		d.free = e.next
@@ -254,39 +120,33 @@ func (d *Directory) alloc(line addr.LineAddr) *Entry {
 	}
 	e.line = line
 	e.Owner = -1
+	d.entries[line] = e
+	d.Stats.Allocs++
+	liveEntries.Add(1)
+	if live := d.Live(); live > d.Stats.Peak {
+		d.Stats.Peak = live
+	}
 	return e
 }
 
-// unlink drops an entry from the map and LRU list; its state remains
-// readable until recycle.
-func (d *Directory) unlink(e *Entry) {
+// Release retires the entry when no node holds the line any more; call it
+// after mutating an entry's sharer/owner state.
+func (d *Directory) Release(e *Entry) {
+	if !e.Uncached() {
+		return
+	}
 	delete(d.entries, e.line)
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
 	liveEntries.Add(^uint64(0))
-}
-
-// recycle puts an unlinked entry on the free list.
-func (d *Directory) recycle(e *Entry) {
 	e.next = d.free
 	d.free = e
 }
 
-func (d *Directory) pushFront(e *Entry) {
-	e.next = d.lru.next
-	e.prev = &d.lru
-	e.next.prev = e
-	d.lru.next = e
-}
-
-func (d *Directory) touch(e *Entry) {
-	if d.lru.next == e {
-		return
-	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	d.pushFront(e)
+// Close releases the directory's contribution to the process-wide live-
+// entry gauge. The Directory must not be used afterwards.
+func (d *Directory) Close() {
+	// Add the two's complement of the live count (atomic-decrement idiom).
+	liveEntries.Add(^uint64(len(d.entries)) + 1)
+	d.entries = nil
 }
 
 // liveEntries is the process-wide live directory-entry count across every

@@ -154,7 +154,7 @@ func checkGoldenThroughServer(t *testing.T, c *client.Client) {
 		}},
 		{"ocean-dir-cgct", server.JobRequest{
 			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 60_000, Seed: 7, CGCT: true, Fabric: "directory"},
+			Options: cgct.Options{OpsPerProc: 60_000, Seed: 7, CGCT: true, Directory: true},
 		}},
 	}
 	ctx := context.Background()

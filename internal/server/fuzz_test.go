@@ -30,13 +30,13 @@ func FuzzNormalize(f *testing.F) {
 		`{"benchmark":"ocean","options":{"RCASets":1099511627776}}`,
 		`{"benchmark":"ocean","options":{"RegionBytes":18446744073709551615}}`,
 		`{"benchmark":"ocean","timeout_ms":-1}`,
-		`{"benchmark":"ocean","options":{"Fabric":"directory"}}`,
-		`{"benchmark":"ocean","options":{"Fabric":"mesh"}}`,
-		`{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limited","DirPointers":2,"DirEntriesPerHome":2048}}`,
-		`{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limitless"}}`,
-		`{"benchmark":"ocean","options":{"Directory":true,"DirPointers":-3}}`,
-		`{"benchmark":"ocean","options":{"Directory":true,"DirPointers":4096}}`,
-		`{"benchmark":"ocean","options":{"Directory":true,"DirEntriesPerHome":18446744073709551615}}`,
+		`{"benchmark":"ocean","options":{"Directory":true}}`,
+		`{"benchmark":"ocean","options":{"Directory":true,"Processors":129}}`,
+		`{"benchmark":"ocean","options":{"Directory":true,"Processors":128,"CGCT":true}}`,
+		`{"benchmark":"ocean","options":{"Directory":true,"CGCT":true,"RegionBytes":1024}}`,
+		`{"benchmark":"ocean","options":{"Directory":true,"RegionPrefetch":true}}`,
+		`{"benchmark":"ocean","options":{"Directory":true,"DMAIntervalCycles":2000}}`,
+		`{"benchmark":"ocean","options":{"Directory":"directory"}}`,
 		`{"benchmark":"ocean","options":{"Directory":true,"RegionScout":true}}`,
 		`{"benchmark":"Z"}`,
 		`{"type":"` + strings.Repeat("x", 1<<10) + `"}`,
@@ -69,10 +69,6 @@ func TestNormalizeBounds(t *testing.T) {
 		{"huge region bytes", `{"benchmark":"ocean","options":{"RegionBytes":1048577}}`},
 		{"huge sector bytes", `{"benchmark":"ocean","options":{"L2SectorBytes":1048577}}`},
 		{"negative timeout", `{"benchmark":"ocean","timeout_ms":-1}`},
-		{"huge dir pointers", `{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limited","DirPointers":4096}}`},
-		{"huge dir entries", `{"benchmark":"ocean","options":{"Directory":true,"DirEntriesPerHome":16777217}}`},
-		{"unknown fabric", `{"benchmark":"ocean","options":{"Fabric":"mesh"}}`},
-		{"unknown dir scheme", `{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limitless"}}`},
 		{"experiment huge ops", `{"type":"experiment","experiment":"fig8","params":{"OpsPerProc":1099511627776}}`},
 	}
 	for _, tc := range cases {

@@ -100,10 +100,6 @@ const (
 	maxReqBytesParam   = 1 << 20 // RegionBytes, L2SectorBytes
 	maxReqSeeds        = 64
 	maxReqBenchmarks   = 64
-	// Directory fabric knobs (mirror config's own ceilings so a hostile
-	// value fails at admission, not at config resolution).
-	maxReqDirPointers = 8
-	maxReqDirEntries  = 1 << 24
 )
 
 // boundRequest rejects oversized requests. Callers run it before resolving
@@ -142,12 +138,6 @@ func (r *JobRequest) boundRequest() error {
 		}
 		if o.L2SectorBytes > maxReqBytesParam {
 			return fmt.Errorf("l2_sector_bytes %d exceeds limit %d", o.L2SectorBytes, maxReqBytesParam)
-		}
-		if o.DirPointers > maxReqDirPointers {
-			return fmt.Errorf("dir_pointers %d exceeds limit %d", o.DirPointers, maxReqDirPointers)
-		}
-		if o.DirEntriesPerHome > maxReqDirEntries {
-			return fmt.Errorf("dir_entries_per_home %d exceeds limit %d", o.DirEntriesPerHome, maxReqDirEntries)
 		}
 	case TypeExperiment:
 		p := r.Params

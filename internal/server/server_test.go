@@ -441,16 +441,27 @@ func TestValidationAndErrorPaths(t *testing.T) {
 		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
 	}
 
-	// An option the API does not have is refused by name, not ignored.
-	resp, err = http.Post(hs.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"benchmark":"ocean","options":{"SimParallelism":4}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "SimParallelism") {
-		t.Errorf("unknown option: %d %s, want 400 naming the field", resp.StatusCode, body)
+	// An option the API does not have is refused by name, not ignored:
+	// a client still sending a retired fabric or directory option must
+	// not silently get snooping or full-map results.
+	for _, tc := range []struct{ field, options string }{
+		{"SimParallelism", `{"SimParallelism":4}`},
+		{"Fabric", `{"Fabric":"directory"}`},
+		{"DirScheme", `{"Directory":true,"DirScheme":"limited"}`},
+		{"DirPointers", `{"Directory":true,"DirPointers":2}`},
+		{"DirEntriesPerHome", `{"Directory":true,"DirEntriesPerHome":2048}`},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
+			strings.NewReader(`{"benchmark":"ocean","options":`+tc.options+`}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		// The JSON error body escapes the quotes around the field name.
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"`+tc.field+`\"`) {
+			t.Errorf("unknown option %s: %d %s, want 400 naming the field", tc.field, resp.StatusCode, body)
+		}
 	}
 
 	// Unknown job ID: 404 on status, result and cancel.

@@ -192,7 +192,7 @@ func BenchmarkSnoopTransaction(b *testing.B) {
 // the invalidations or three-hop transfer it implies. A transaction that
 // creates a home record may allocate the entry.
 func BenchmarkDirectoryTransaction(b *testing.B) {
-	benchmarkTransaction(b, config.Default().WithDirectory(config.DirectoryParams{}), func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
+	benchmarkTransaction(b, config.Default().WithDirectory(), func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
 		f := s.fabric.(*directoryFabric)
 		f.resolve(n, kind, line, s.topo.HomeController(addr.Addr(line)), s.queue.Now(), false)
 	})

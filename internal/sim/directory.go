@@ -14,11 +14,10 @@ import (
 
 // directoryFabric is the home-node directory backend: instead of
 // broadcasting, every request goes to the line's home memory controller,
-// which keeps a sharer-tracking entry per cached line (internal/directory:
-// full-map or limited-pointer, optionally sparse). Cache-to-cache
-// transfers take three hops (requester → home → owner → requester), every
-// invalidation is an explicit message exchange, and the home pipeline
-// serialises transactions NACK-free.
+// which keeps a full-map entry per cached line (internal/directory).
+// Cache-to-cache transfers take three hops (requester → home → owner →
+// requester), every invalidation is an explicit message exchange, and the
+// home pipeline serialises transactions NACK-free.
 //
 // The directory runs MESI semantics (no Owned state: on a remote dirty
 // hit the owner writes back to home while forwarding, the textbook
@@ -48,16 +47,9 @@ type directoryFabric struct {
 func newDirectoryFabric(s *System) *directoryFabric {
 	f := &directoryFabric{s: s, holders: make([]*node, 0, s.cfg.Topology.Processors)}
 	for i := 0; i < s.topo.MemControllers(); i++ {
-		f.dirs = append(f.dirs, directory.New(i, s.cfg.Directory))
+		f.dirs = append(f.dirs, directory.New())
 	}
 	return f
-}
-
-// addSharer records id as a sharer of e, tracking pointer overflows.
-func (f *directoryFabric) addSharer(d *directory.Directory, e *directory.Entry, id int) {
-	if e.AddSharer(id, d.Pointers()) {
-		d.Stats.PtrOverflows++
-	}
 }
 
 // issue implements coherenceFabric. Every request is a point-to-point
@@ -140,14 +132,11 @@ func (f *directoryFabric) recordFastGrant(d *directory.Directory, n *node, kind 
 		f.clearRecord(d, n, line)
 		return
 	}
-	e, victim := d.Acquire(line)
-	if victim != nil {
-		f.evictVictim(d, victim)
-	}
+	e := d.Acquire(line)
 	if granted == coherence.Shared {
 		// Direct shared grant (instruction fetch in an externally clean
 		// region): remote copies may exist; just add ourselves.
-		f.addSharer(d, e, n.id)
+		e.AddSharer(n.id)
 		return
 	}
 	// Exclusive/Modified grant: region exclusivity means no remote copies.
@@ -167,34 +156,6 @@ func (f *directoryFabric) clearRecord(d *directory.Directory, n *node, line addr
 	}
 	e.RemoveSharer(n.id)
 	d.Release(e)
-}
-
-// evictVictim handles a sparse-directory capacity eviction: every node the
-// victim entry implicates is invalidated (dirty data returns to the home),
-// off the critical path of the transaction that displaced it.
-func (f *directoryFabric) evictVictim(d *directory.Directory, v *directory.Entry) {
-	s := f.s
-	line := v.Line()
-	home := d.Home()
-	now := s.queue.Now()
-	for _, o := range s.nodes {
-		if !v.MustInvalidate(o.id) {
-			continue
-		}
-		s.run.DirInvalidations++
-		s.run.DirMessages += 2 // invalidation + ack
-		st := o.l2.Lookup(line)
-		if !st.Valid() {
-			s.run.DirExtraInvals++
-			continue
-		}
-		if st.Dirty() {
-			// The ack carries the dirty data home.
-			s.run.DirMessages++
-			s.mcs[home].Write(now+event.Cycle(s.cfg.Net.TransferLatency(s.topo.ProcToMem(o.id, home))), true)
-		}
-		o.l2.Invalidate(line)
-	}
 }
 
 // flushWriteback implements coherenceFabric: region-eviction flushes ride
@@ -262,7 +223,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	// would an omniscient protocol have needed this home transaction's
 	// coherence actions at all? Observed before any state changes.
 	cat := stats.CategoryOf(kind)
-	rec := d.Peek(line) // as the transaction finds it; Peek keeps the LRU order
+	rec := d.Lookup(line) // as the transaction finds it
 	remoteValid, remoteWritable := f.recordedLineState(rec, n.id, line)
 	if s.DebugChecks {
 		f.checkDirectoryOracle(n, line, remoteValid, remoteWritable, now)
@@ -297,10 +258,9 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		ready += event.Cycle(s.cfg.Net.TransferLatency(s.topo.ProcToMem(n.id, home)))
 		return s.dnet.Deliver(n.id, ready)
 	}
-	// invalidateSharers sends invalidations to every node the entry
-	// implicates except the requester and returns when the last
-	// acknowledgement is home. An overflowed limited-pointer entry has
-	// lost precision, so everyone gets one (the extras are counted).
+	// invalidateSharers sends invalidations to every sharer the entry
+	// records except the requester and returns when the last
+	// acknowledgement is home.
 	invalidateSharers := func(e *directory.Entry) event.Cycle {
 		ackBy := now
 		if e == nil {
@@ -331,10 +291,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 
 	switch kind {
 	case coherence.ReqRead, coherence.ReqPrefetch, coherence.ReqIFetch:
-		e, victim := d.Acquire(line)
-		if victim != nil {
-			f.evictVictim(d, victim)
-		}
+		e := d.Acquire(line)
 		switch {
 		case e.Owner >= 0 && e.Owner != n.id:
 			// Three-hop transfer: home forwards to the owner, the owner
@@ -348,8 +305,8 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 			s.mcs[home].Write(now, true) // owner's dirty data reaches home
 			fwd := now + event.Cycle(s.cfg.Net.TransferLatency(s.topo.ProcToMem(owner.id, home)))
 			arrive = transferFrom(owner.id, fwd)
-			f.addSharer(d, e, owner.id)
-			f.addSharer(d, e, n.id)
+			e.AddSharer(owner.id)
+			e.AddSharer(n.id)
 			e.Owner = -1
 			granted = coherence.Shared
 		case e.Uncached() || e.Owner == n.id:
@@ -357,24 +314,21 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 			arrive = memData()
 			if kind == coherence.ReqIFetch {
 				granted = coherence.Shared
-				f.addSharer(d, e, n.id)
+				e.AddSharer(n.id)
 				e.Owner = -1
 			} else {
 				granted = coherence.Exclusive
 				e.Owner = n.id
 				e.ClearSharers()
 			}
-		default: // shared somewhere (or overflowed: conservatively shared)
+		default: // shared somewhere
 			s.run.DirMessages++
 			arrive = memData()
 			granted = coherence.Shared
-			f.addSharer(d, e, n.id)
+			e.AddSharer(n.id)
 		}
 	case coherence.ReqReadExcl, coherence.ReqPrefetchExcl, coherence.ReqUpgrade, coherence.ReqDCBZ:
-		e, victim := d.Acquire(line)
-		if victim != nil {
-			f.evictVictim(d, victim)
-		}
+		e := d.Acquire(line)
 		if e.Owner >= 0 && e.Owner != n.id {
 			// Fetch the dirty line from its owner (three hops) and
 			// invalidate it there.
@@ -476,11 +430,11 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 
 // recordedLineState reports whether any node other than exclude caches
 // line, and whether any such copy is modifiable, reading the L2 only at the
-// nodes line's home record e implicates: its owner and sharers, or every
-// node once a limited-pointer record has overflowed (MustInvalidate). No
-// record (nil) means no node holds the line. The protocol already relies
-// on the record implicating every holder — invalidateSharers and dmaWrite
-// invalidate only those nodes, and checkDirectoryAgrees asserts it.
+// nodes line's home record e implicates: its owner and sharers
+// (MustInvalidate). No record (nil) means no node holds the line. The
+// protocol already relies on the record implicating every holder —
+// invalidateSharers and dmaWrite invalidate only those nodes, and
+// checkDirectoryAgrees asserts it.
 func (f *directoryFabric) recordedLineState(e *directory.Entry, exclude int, line addr.LineAddr) (valid, writable bool) {
 	if e == nil {
 		return false, false
@@ -550,8 +504,6 @@ func (f *directoryFabric) dmaWrite(base addr.Addr, n uint64, now event.Cycle) {
 func (f *directoryFabric) collect(run *stats.Run) {
 	for _, d := range f.dirs {
 		run.DirEntriesAllocated += d.Stats.Allocs
-		run.DirEntriesEvicted += d.Stats.Evictions
-		run.DirPtrOverflows += d.Stats.PtrOverflows
 		run.DirQueuedCycles += d.Stats.QueuedCycles
 		run.DirPeakEntries += d.Stats.Peak
 	}
@@ -579,18 +531,17 @@ func (f *directoryFabric) checkDirectoryOracle(n *node, line addr.LineAddr, vali
 }
 
 // checkDirectoryAgrees asserts (tests only) that the directory entry for a
-// line matches the true cache states. An overflowed limited-pointer entry
-// conservatively implicates everyone, so its sharer record is not checked.
+// line matches the true cache states.
 func (f *directoryFabric) checkDirectoryAgrees(line addr.LineAddr, home int, cycle event.Cycle) {
 	s := f.s
-	e := f.dirs[home].Peek(line)
+	e := f.dirs[home].Lookup(line)
 	owner := -1
 	if e != nil {
 		owner = e.Owner
 	}
 	for _, o := range s.nodes {
 		st := o.l2.Lookup(line)
-		hasBit := e != nil && (e.Overflowed || e.Has(o.id))
+		hasBit := e != nil && e.Has(o.id)
 		switch {
 		case st == coherence.Exclusive || st == coherence.Modified:
 			if owner != o.id {

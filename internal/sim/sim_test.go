@@ -452,7 +452,7 @@ func TestDirectoryMode(t *testing.T) {
 		ops = 4_000
 	}
 	for _, name := range []string{"barnes", "tpc-h", "specweb99", "ocean"} {
-		cfg := config.Default().WithDirectory(config.DirectoryParams{})
+		cfg := config.Default().WithDirectory()
 		s := MustNew(cfg, testWorkload(t, name, 4, ops, 21), 21)
 		s.DebugChecks = true
 		run := s.Run()
@@ -472,10 +472,10 @@ func TestDirectoryMode(t *testing.T) {
 }
 
 // TestDirectoryStress runs the contention stress trace on the directory
-// fabric with every check armed: on the full map, and on a 2-pointer,
-// 16-entry-per-home directory with and without CGCT, whose overflowed
-// records the oracle must read as implicating every node and whose sparse
-// victims invalidate their holders.
+// fabric, with and without CGCT, with every check armed: line invariants,
+// directory agreement, the record-filtered oracle and, with CGCT, region
+// exclusivity. Both runs must contend hard enough to need three-hop
+// transfers.
 func TestDirectoryStress(t *testing.T) {
 	gens := func() []workload.Generator {
 		r := rng.New(77)
@@ -498,25 +498,15 @@ func TestDirectoryStress(t *testing.T) {
 		}
 		return gens
 	}
-	cfg := config.Default().WithDirectory(config.DirectoryParams{})
-	s := MustNew(cfg, workload.Workload{Name: "dir-stress", Generators: gens()}, 77)
-	s.DebugChecks = true
-	run := s.Run()
-	if run.ThreeHops == 0 {
-		t.Error("contended trace produced no three-hop transfers")
-	}
-
-	limited := config.DirectoryParams{Scheme: config.DirSchemeLimited, Pointers: 2, MaxEntriesPerHome: 16}
 	for _, cfg := range []config.Config{
-		config.Default().WithDirectory(limited),
-		config.Default().WithCGCT(512).WithDirectory(limited),
+		config.Default().WithDirectory(),
+		config.Default().WithCGCT(512).WithDirectory(),
 	} {
 		s := MustNew(cfg, workload.Workload{Name: "dir-stress", Generators: gens()}, 77)
 		s.DebugChecks = true
 		run := s.Run()
-		if run.DirPtrOverflows == 0 || run.DirEntriesEvicted == 0 {
-			t.Errorf("cgct=%v: limited sparse directory never overflowed (%d) or evicted (%d)",
-				cfg.CGCTEnabled, run.DirPtrOverflows, run.DirEntriesEvicted)
+		if run.ThreeHops == 0 {
+			t.Errorf("cgct=%v: contended trace produced no three-hop transfers", cfg.CGCTEnabled)
 		}
 	}
 }
@@ -530,7 +520,7 @@ func TestDirectoryWithCGCT(t *testing.T) {
 		ops = 4_000
 	}
 	for _, name := range []string{"barnes", "ocean"} {
-		cfg := config.Default().WithCGCT(512).WithDirectory(config.DirectoryParams{})
+		cfg := config.Default().WithCGCT(512).WithDirectory()
 		s := MustNew(cfg, testWorkload(t, name, 4, ops, 21), 21)
 		s.DebugChecks = true
 		run := s.Run()
@@ -727,7 +717,7 @@ func TestRegionCountsCheckDetectsDrift(t *testing.T) {
 // that holds it, the oracle reads the line as uncached and must trip
 // "directory-oracle".
 func TestDirectoryOracleCheckDetectsMissingHolder(t *testing.T) {
-	s := MustNew(config.Default().WithDirectory(config.DirectoryParams{}), testWorkload(t, "ocean", 4, 1_000, 1), 1)
+	s := MustNew(config.Default().WithDirectory(), testWorkload(t, "ocean", 4, 1_000, 1), 1)
 	s.DebugChecks = true
 	f := s.fabric.(*directoryFabric)
 	line := addr.LineAddr(0x40000)
@@ -736,7 +726,7 @@ func TestDirectoryOracleCheckDetectsMissingHolder(t *testing.T) {
 	if st := s.nodes[1].l2.Lookup(line); st != coherence.Exclusive {
 		t.Fatalf("p1 holds the line in %v, want E", st)
 	}
-	f.dirs[home].Peek(line).Owner = -1
+	f.dirs[home].Lookup(line).Owner = -1
 	defer func() {
 		ie, ok := recover().(*coherence.InvariantError)
 		if !ok || ie.Check != "directory-oracle" {
@@ -841,7 +831,7 @@ func TestDMAStaysInsideItsSegment(t *testing.T) {
 	top := addr.PhysAddrMask + 1
 	for _, cfg := range []config.Config{
 		config.Default().WithCGCT(512),
-		config.Default().WithCGCT(512).WithDirectory(config.DirectoryParams{}),
+		config.Default().WithCGCT(512).WithDirectory(),
 	} {
 		for _, seg := range []addr.Segment{
 			{Base: addr.Addr(top - 256), Size: 256},
@@ -855,22 +845,22 @@ func TestDMAStaysInsideItsSegment(t *testing.T) {
 			run := s.Run()
 			for line := range s.verGlobal {
 				if uint64(line) > addr.PhysAddrMask {
-					t.Errorf("%s, segment %+v: DMA wrote line %#x above the address space",
-						cfg.FabricOrDefault(), seg, uint64(line))
+					t.Errorf("directory=%v, segment %+v: DMA wrote line %#x above the address space",
+						cfg.Directory, seg, uint64(line))
 				}
 			}
 			if seg.Size == 0 {
 				if run.DMAWrites != 0 {
-					t.Errorf("%s: %d writes to a zero-size segment", cfg.FabricOrDefault(), run.DMAWrites)
+					t.Errorf("directory=%v: %d writes to a zero-size segment", cfg.Directory, run.DMAWrites)
 				}
 				continue
 			}
 			if run.DMAWrites == 0 {
-				t.Errorf("%s: the DMA agent never fired", cfg.FabricOrDefault())
+				t.Errorf("directory=%v: the DMA agent never fired", cfg.Directory)
 			}
 			for a := uint64(seg.Base); a < uint64(seg.End()); a += cfg.L2.LineBytes {
 				if _, ok := s.verGlobal[addr.LineAddr(a)]; !ok {
-					t.Errorf("%s: segment line %#x never written", cfg.FabricOrDefault(), a)
+					t.Errorf("directory=%v: segment line %#x never written", cfg.Directory, a)
 				}
 			}
 		}

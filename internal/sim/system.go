@@ -98,7 +98,7 @@ func New(cfg config.Config, w workload.Workload, seed uint64) (*System, error) {
 	for i := 0; i < topo.MemControllers(); i++ {
 		s.mcs = append(s.mcs, memctrl.New(i, cfg.Net.MemCtrlBanks, cfg.Net.DRAMLatency, cfg.Net.DRAMBankOccupancy))
 	}
-	if cfg.DirectoryEnabled() {
+	if cfg.Directory {
 		s.fabric = newDirectoryFabric(s)
 	} else {
 		s.fabric = newSnoopFabric(s)

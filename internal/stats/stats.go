@@ -162,7 +162,7 @@ type Run struct {
 	ThreeHops   uint64 // requester→home→owner→requester transfers
 	// DirInvalidations counts explicit invalidation messages sent by a
 	// home; DirExtraInvals is the subset wasted on nodes that held no copy
-	// (limited-pointer imprecision, stale records).
+	// (stale records).
 	DirInvalidations uint64
 	DirExtraInvals   uint64
 	// DirFastPaths counts transactions CGCT resolved without the home
@@ -174,8 +174,6 @@ type Run struct {
 	// Directory storage behaviour (summed over homes; peak is the sum of
 	// per-home peaks).
 	DirEntriesAllocated uint64
-	DirEntriesEvicted   uint64
-	DirPtrOverflows     uint64
 	DirPeakEntries      uint64
 	// DirQueuedCycles accumulates cycles transactions waited for a busy
 	// home pipeline (the directory's serialization bottleneck).

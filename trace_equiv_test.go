@@ -45,8 +45,7 @@ func TestCompiledTraceEquivalence(t *testing.T) {
 		{"snoop", Options{}},
 		{"snoop+cgct", Options{CGCT: true}},
 		{"directory", Options{Directory: true}},
-		{"dir+cgct", Options{CGCT: true, Fabric: "directory"}},
-		{"dir-limited", Options{Directory: true, DirScheme: "limited", DirPointers: 2, DirEntriesPerHome: 1024}},
+		{"dir+cgct", Options{CGCT: true, Directory: true}},
 	}
 	for _, bench := range workload.Names() {
 		for _, v := range variants {
@@ -96,16 +95,14 @@ func TestRunUsesCompiledPath(t *testing.T) {
 	}
 }
 
-// fabricVariants is the 5-fabric sweep axis the equivalence suite pins:
-// snoop, snoop+CGCT, full-map directory, directory+CGCT, limited-pointer
-// directory.
+// fabricVariants is the 4-fabric sweep axis the equivalence suite pins:
+// snoop, snoop+CGCT, full-map directory, directory+CGCT.
 func fabricVariants() []Options {
 	return []Options{
 		{},
 		{CGCT: true},
 		{Directory: true},
-		{CGCT: true, Fabric: "directory"},
-		{Directory: true, DirScheme: "limited", DirPointers: 2, DirEntriesPerHome: 1024},
+		{CGCT: true, Directory: true},
 	}
 }
 
