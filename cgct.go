@@ -86,11 +86,6 @@ type Options struct {
 	// streams probe the next region's global state ahead of their first
 	// touch there.
 	RegionPrefetch bool
-	// DMAIntervalCycles, when non-zero, enables coherent I/O injection:
-	// one 512-byte DMA buffer write every this many cycles into the
-	// workload's I/O segments (file cache, buffer pool, ...). DMA writes
-	// are always broadcast — the device has no RCA.
-	DMAIntervalCycles uint64
 	// PerturbCycles adds a uniform random delay in [0, PerturbCycles] to
 	// each fabric request (run-to-run variability for confidence
 	// intervals).
@@ -156,14 +151,17 @@ type Result struct {
 	AvoidedByCat   CategoryTotals // direct + local
 	BroadcastByCat CategoryTotals
 
-	// Oracle classification of the broadcasts performed (Figure 2).
+	// Oracle classification (Figure 2) of the broadcasts performed, or
+	// on the directory fabric of the home transactions: Unnecessary
+	// counts those an omniscient protocol would have skipped, Necessary
+	// the rest.
 	UnnecessaryByCat CategoryTotals
 	Unnecessary      uint64
+	Necessary        uint64
 
 	// Traffic (Figure 10).
 	AvgBroadcastsPer100K  float64
 	PeakBroadcastsPer100K uint64
-	DMAWrites             uint64
 	RegionProbes          uint64
 
 	// Directory-fabric metrics (zero on the snooping fabric).
@@ -171,7 +169,6 @@ type Result struct {
 	DirMessages         uint64
 	ThreeHops           uint64
 	DirInvalidations    uint64
-	DirExtraInvals      uint64
 	DirFastPaths        uint64
 	DirRegionNotifies   uint64
 	DirEntriesAllocated uint64
@@ -221,13 +218,14 @@ type EnergyBreakdown struct {
 	Total     float64
 }
 
-// UnnecessaryFraction returns unnecessary broadcasts as a fraction of all
-// broadcasts performed.
+// UnnecessaryFraction returns the oracle's unnecessary share of the
+// transactions it classified: broadcasts on the snooping fabric, home
+// transactions on the directory.
 func (r *Result) UnnecessaryFraction() float64 {
-	if r.Broadcasts == 0 {
+	if r.Unnecessary+r.Necessary == 0 {
 		return 0
 	}
-	return float64(r.Unnecessary) / float64(r.Broadcasts)
+	return float64(r.Unnecessary) / float64(r.Unnecessary+r.Necessary)
 }
 
 // AvoidedFraction returns the fraction of fabric requests that skipped the
@@ -267,7 +265,6 @@ func buildConfig(o Options) (config.Config, Options) {
 	cfg.L2SectorBytes = o.L2SectorBytes
 	cfg.Proc.PrefetchRegionFilter = o.PrefetchRegionFilter
 	cfg.Proc.RegionPrefetch = o.RegionPrefetch
-	cfg.DMAIntervalCycles = o.DMAIntervalCycles
 	cfg.PerturbMaxCycles = o.PerturbCycles
 	return cfg, o
 }
@@ -394,6 +391,7 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 		Broadcasts:   run.TotalBroadcasts(),
 		CacheToCache: run.CacheToCache,
 		Unnecessary:  run.TotalUnnecessary(),
+		Necessary:    run.TotalNecessary(),
 
 		UnnecessaryByCat:      catTotals(run.OracleUnnecessary),
 		AvgBroadcastsPer100K:  run.Windows.AvgPer100K(run.Cycles),
@@ -401,13 +399,11 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 		AvgDemandMissLatency:  run.AvgDemandMissLatency(),
 		DemandMisses:          run.DemandMisses,
 		DemandStallCycles:     run.DemandMissCycles,
-		DMAWrites:             run.DMAWrites,
 		RegionProbes:          run.RegionProbes,
 		Directory:             o.Directory,
 		DirMessages:           run.DirMessages,
 		ThreeHops:             run.ThreeHops,
 		DirInvalidations:      run.DirInvalidations,
-		DirExtraInvals:        run.DirExtraInvals,
 		DirFastPaths:          run.DirFastPaths,
 		DirRegionNotifies:     run.DirRegionNotifies,
 		DirEntriesAllocated:   run.DirEntriesAllocated,
@@ -455,9 +451,8 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 // CompileTrace compiles a benchmark's workload into the columnar
 // compiled-trace format and writes it to path (see internal/trace). The
 // resulting file is versioned, integrity-checked, and replayable with
-// RunCompiledTrace; it keeps the think-time gaps and the workload's DMA
-// target segments, so a replay under the same Options returns the same
-// Result as Run.
+// RunCompiledTrace; it keeps the think-time gaps, so a replay under the
+// same Options returns the same Result as Run.
 func CompileTrace(benchmark, path string, o Options) error {
 	_, o2 := buildConfig(o)
 	tr, err := trace.Compile(context.Background(), benchmark, workload.Params{
@@ -544,6 +539,10 @@ func (r *Result) String() string {
 			mode = fmt.Sprintf("directory+CGCT/%dB", r.RegionBytes)
 		}
 	}
-	return fmt.Sprintf("%s [%s]: %d cycles, %d requests (%d broadcast, %d direct, %d local), %.1f%% of broadcasts unnecessary",
-		r.Benchmark, mode, r.Cycles, r.Requests, r.Broadcasts, r.Directs, r.Locals, 100*r.UnnecessaryFraction())
+	classified := "broadcasts"
+	if r.Directory {
+		classified = "home transactions"
+	}
+	return fmt.Sprintf("%s [%s]: %d cycles, %d requests (%d broadcast, %d direct, %d local), %.1f%% of %s unnecessary",
+		r.Benchmark, mode, r.Cycles, r.Requests, r.Broadcasts, r.Directs, r.Locals, 100*r.UnnecessaryFraction(), classified)
 }

@@ -31,7 +31,6 @@ func main() {
 		checks  = flag.Bool("checks", false, "enable coherence invariant checks (slow)")
 		scaled  = flag.Bool("scaled", false, "use the scaled-back 3-state protocol (§3.4)")
 		pfilter = flag.Bool("pffilter", false, "filter prefetches by region state (§6)")
-		dma     = flag.Uint64("dma", 0, "DMA write interval in cycles (0 = no I/O traffic)")
 		regpf   = flag.Bool("regionpf", false, "prefetch the next region's global state (§6)")
 		dir     = flag.Bool("directory", false, "run on the full-map directory fabric instead of the snooping bus")
 		ctrace  = flag.String("ctrace", "", "replay a compiled-trace file written by cgcttrace -compile instead of a benchmark")
@@ -64,7 +63,6 @@ func main() {
 		ScaledBack:           *scaled,
 		PrefetchRegionFilter: *pfilter,
 		RegionPrefetch:       *regpf,
-		DMAIntervalCycles:    *dma,
 		Directory:            *dir,
 	}
 	var res *cgct.Result
@@ -96,19 +94,21 @@ func main() {
 	fmt.Printf("  direct to memory:    %d\n", res.Directs)
 	fmt.Printf("  completed locally:   %d\n", res.Locals)
 	fmt.Printf("  cache-to-cache:      %d\n", res.CacheToCache)
-	fmt.Printf("  oracle unnecessary:  %.1f%% of broadcasts\n", 100*res.UnnecessaryFraction())
+	classified := "broadcasts"
+	if res.Directory {
+		classified = "home transactions"
+	}
+	fmt.Printf("  oracle unnecessary:  %.1f%% of %d %s\n",
+		100*res.UnnecessaryFraction(), res.Unnecessary+res.Necessary, classified)
 	fmt.Printf("  demand misses:       %d (avg exposed stall %.0f cycles)\n",
 		res.DemandMisses, res.AvgDemandMissLatency)
 	fmt.Printf("  L2 miss ratio:       %.4f\n", res.L2MissRatio)
-	if res.DMAWrites > 0 {
-		fmt.Printf("  DMA buffer writes:   %d\n", res.DMAWrites)
-	}
 	if res.RegionProbes > 0 {
 		fmt.Printf("  region-state probes: %d\n", res.RegionProbes)
 	}
 	if res.Directory {
-		fmt.Printf("  directory messages:  %d (three-hop %d, invalidations %d, spurious %d)\n",
-			res.DirMessages, res.ThreeHops, res.DirInvalidations, res.DirExtraInvals)
+		fmt.Printf("  directory messages:  %d (three-hop %d, invalidations %d)\n",
+			res.DirMessages, res.ThreeHops, res.DirInvalidations)
 		fmt.Printf("  home-pipeline wait:  %d cycles queued\n", res.DirQueuedCycles)
 		fmt.Printf("  directory entries:   %d allocated, %d peak\n",
 			res.DirEntriesAllocated, res.DirPeakEntries)

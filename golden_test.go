@@ -47,7 +47,7 @@ func goldenCases() []goldenCase {
 		{"tpcw-cgct-perturb", "tpc-w", Options{OpsPerProc: ops, Seed: seed, CGCT: true, PerturbCycles: 40}},
 		{"ocean-directory", "ocean", Options{OpsPerProc: ops, Seed: seed, Directory: true}},
 		{"ocean-dir-cgct", "ocean", Options{OpsPerProc: ops, Seed: seed, CGCT: true, Directory: true}},
-		{"tpcw-scout-dma", "tpc-w", Options{OpsPerProc: ops, Seed: seed, RegionScout: true, DMAIntervalCycles: 3000}},
+		{"tpcw-scout", "tpc-w", Options{OpsPerProc: ops, Seed: seed, RegionScout: true}},
 		// 16 processors: the remote-scan filters skip the most nodes here.
 		{"tpcb16-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true}},
 		{"tpcb16-dir-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true, Directory: true}},
@@ -188,5 +188,32 @@ func TestGoldenRepeatable(t *testing.T) {
 	b := runStats(t, c)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two identical runs produced different statistics")
+	}
+}
+
+// TestOracleFractionDivisor: UnnecessaryFraction divides by what the
+// oracle classified. On the snooping fabric that is every broadcast; on
+// the directory fabric, which broadcasts nothing, it is every home
+// transaction, so a directory run reports its fraction instead of 0.
+func TestOracleFractionDivisor(t *testing.T) {
+	for _, c := range goldenCases() {
+		if c.Name != "ocean-baseline" && c.Name != "ocean-directory" {
+			continue
+		}
+		res, err := Run(c.Benchmark, c.Opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch c.Name {
+		case "ocean-baseline":
+			if res.Unnecessary+res.Necessary != res.Broadcasts {
+				t.Errorf("%s: oracle classified %d + %d, want the %d broadcasts", c.Name, res.Unnecessary, res.Necessary, res.Broadcasts)
+			}
+		case "ocean-directory":
+			if res.Unnecessary != 28_721 || res.Necessary != 4_382 || res.UnnecessaryFraction() != 28_721.0/33_103 {
+				t.Errorf("%s: %d unnecessary, %d necessary, fraction %.4f; want 28721, 4382 and 0.8676",
+					c.Name, res.Unnecessary, res.Necessary, res.UnnecessaryFraction())
+			}
+		}
 	}
 }

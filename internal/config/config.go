@@ -183,7 +183,6 @@ type ProcessorParams struct {
 	StoreBufferSize  int // entries in the store buffer
 	PrefetchStreams  int // Power4-style stream prefetcher streams (8)
 	PrefetchRunahead int // lines of runahead per stream (5)
-	ExclusivePrefet  bool
 	// PrefetchRegionFilter enables the §6 extension: prefetches into
 	// externally dirty regions are suppressed (their lines are likely to
 	// be stolen back before use), and prefetches into exclusive regions go
@@ -244,12 +243,6 @@ type Config struct {
 
 	Net InterconnectParams
 
-	DMABufferBytes uint64
-	// DMAIntervalCycles, when non-zero, enables the DMA agent: one
-	// DMA-buffer write every this many CPU cycles into the workload's I/O
-	// target segments.
-	DMAIntervalCycles uint64
-
 	// PerturbMaxCycles adds a uniform random delay in [0, PerturbMaxCycles]
 	// to each memory request's issue, the Alameldeen-style perturbation used
 	// to generate confidence intervals across seeds. Zero disables it.
@@ -298,7 +291,6 @@ func Default() Config {
 			StoreBufferSize:  32,
 			PrefetchStreams:  8,
 			PrefetchRunahead: 5,
-			ExclusivePrefet:  true,
 		},
 		L1I: CacheParams{SizeBytes: 32 << 10, Assoc: 4, LineBytes: 64, LatencyCy: 1},
 		L1D: CacheParams{SizeBytes: 64 << 10, Assoc: 4, LineBytes: 64, LatencyCy: 1},
@@ -321,7 +313,6 @@ func Default() Config {
 			DRAMBankOccupancy:       SysCycles(4),
 			DirectoryLatency:        SysCycles(2),
 		},
-		DMABufferBytes:   512,
 		PerturbMaxCycles: 0,
 	}
 }

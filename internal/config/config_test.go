@@ -51,9 +51,6 @@ func TestTable3Defaults(t *testing.T) {
 	if c.Net.DataBusBytesPerSysCycle != 16 {
 		t.Errorf("data bandwidth = %d B/syscycle, want 16 (2.4 GB/s)", c.Net.DataBusBytesPerSysCycle)
 	}
-	if c.DMABufferBytes != 512 {
-		t.Errorf("DMA buffer = %d", c.DMABufferBytes)
-	}
 	if c.CGCTEnabled {
 		t.Error("default must be the baseline")
 	}

@@ -8,7 +8,7 @@ import (
 func TestCanonicalJSONRoundTrip(t *testing.T) {
 	orig := Default().WithCGCT(512)
 	orig.Proc.PrefetchRegionFilter = true
-	orig.DMAIntervalCycles = 1000
+	orig.PerturbMaxCycles = 40
 	b := orig.CanonicalJSON()
 	var back Config
 	if err := json.Unmarshal(b, &back); err != nil {

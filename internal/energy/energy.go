@@ -57,7 +57,7 @@ func Compute(run *stats.Run, procs int, p Params) Breakdown {
 	if hops < 1 {
 		hops = 1
 	}
-	broadcasts := float64(run.TotalBroadcasts()) + float64(run.DMAWrites) + float64(run.RegionProbes)
+	broadcasts := float64(run.TotalBroadcasts()) + float64(run.RegionProbes)
 	var directs uint64
 	for _, d := range run.Directs {
 		directs += d

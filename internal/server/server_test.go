@@ -442,14 +442,15 @@ func TestValidationAndErrorPaths(t *testing.T) {
 	}
 
 	// An option the API does not have is refused by name, not ignored:
-	// a client still sending a retired fabric or directory option must
-	// not silently get snooping or full-map results.
+	// a client still sending a retired fabric, directory or I/O-injection
+	// option must not silently get results simulated without it.
 	for _, tc := range []struct{ field, options string }{
 		{"SimParallelism", `{"SimParallelism":4}`},
 		{"Fabric", `{"Fabric":"directory"}`},
 		{"DirScheme", `{"Directory":true,"DirScheme":"limited"}`},
 		{"DirPointers", `{"Directory":true,"DirPointers":2}`},
 		{"DirEntriesPerHome", `{"Directory":true,"DirEntriesPerHome":2048}`},
+		{"DMAIntervalCycles", `{"DMAIntervalCycles":2000}`},
 	} {
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
 			strings.NewReader(`{"benchmark":"ocean","options":`+tc.options+`}`))

@@ -260,7 +260,9 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	}
 	// invalidateSharers sends invalidations to every sharer the entry
 	// records except the requester and returns when the last
-	// acknowledgement is home.
+	// acknowledgement is home. Every sharer it names holds the line:
+	// the home installs a grant's record together with the line, and a
+	// node dropping a clean line sends a replacement hint.
 	invalidateSharers := func(e *directory.Entry) event.Cycle {
 		ackBy := now
 		if e == nil {
@@ -274,8 +276,11 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 			s.run.DirMessages += 2 // invalidation + ack
 			if o.l2.Lookup(line).Valid() {
 				o.l2.Invalidate(line)
-			} else {
-				s.run.DirExtraInvals++
+			} else if s.DebugChecks {
+				coherence.Violate(coherence.InvariantError{
+					Check: "directory-stale-sharer", Cycle: uint64(now), Line: uint64(line),
+					Detail: fmt.Sprintf("the home record names p%d as a sharer, but its L2 lacks the line", o.id),
+				})
 			}
 			rt := event.Cycle(2 * s.cfg.Net.TransferLatency(s.topo.ProcToMem(o.id, home)))
 			if now+rt > ackBy {
@@ -433,7 +438,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 // nodes line's home record e implicates: its owner and sharers
 // (MustInvalidate). No record (nil) means no node holds the line. The
 // protocol already relies on the record implicating every holder —
-// invalidateSharers and dmaWrite invalidate only those nodes, and
+// invalidateSharers invalidates only those nodes, and
 // checkDirectoryAgrees asserts it.
 func (f *directoryFabric) recordedLineState(e *directory.Entry, exclude int, line addr.LineAddr) (valid, writable bool) {
 	if e == nil {
@@ -451,52 +456,6 @@ func (f *directoryFabric) recordedLineState(e *directory.Entry, exclude int, lin
 		}
 	}
 	return valid, writable
-}
-
-// dmaWrite implements coherenceFabric: coherent I/O goes through the home
-// like any other writer — one home transaction per buffer, precise
-// invalidations from the directory records instead of a broadcast.
-func (f *directoryFabric) dmaWrite(base addr.Addr, n uint64, now event.Cycle) {
-	s := f.s
-	s.run.DMAWrites++
-	home := s.topo.HomeController(base)
-	s.run.DirMessages++ // the DMA request (data travels with it)
-	at := f.dirs[home].Admit(now, s.cfg.Net.DirectoryLatency) + event.Cycle(s.cfg.Net.DirectoryLatency)
-
-	first, lines := s.dmaLines(base, n)
-	for i := 0; i < lines; i++ {
-		line := first + addr.LineAddr(uint64(i)*s.cfg.L2.LineBytes)
-		reg := s.geom.RegionOfLine(line)
-		s.trackExternalWrite(line)
-		lh := s.topo.HomeController(addr.Addr(line))
-		ld := f.dirs[lh]
-		if e := ld.Lookup(line); e != nil {
-			for _, o := range s.nodes {
-				if !e.MustInvalidate(o.id) {
-					continue
-				}
-				s.run.DirInvalidations++
-				s.run.DirMessages += 2
-				if o.l2.Lookup(line).Valid() {
-					o.l2.Invalidate(line) // old data is overwritten; no writeback
-				} else {
-					s.run.DirExtraInvals++
-				}
-			}
-			e.Owner = -1
-			e.ClearSharers()
-			ld.Release(e)
-		}
-		// The device overwrote lines of the region: remote RCA holders
-		// observe an external modifiable request.
-		for _, o := range s.nodes {
-			if applyExternalRegion(o, reg, coherence.ReqReadExcl, true) {
-				s.run.DirRegionNotifies++
-				s.run.DirMessages += 2
-			}
-		}
-	}
-	s.mcs[home].Write(at, true)
 }
 
 // collect implements coherenceFabric: fold the per-home directory

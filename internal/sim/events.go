@@ -7,9 +7,9 @@ import (
 )
 
 // Pooled-event dispatch. Every scheduling site in the simulator routes
-// through event.Queue.Schedule with a node (or dmaAgent) receiver, an op
-// code and a packed payload, so steady-state scheduling allocates nothing
-// — previously each of these sites captured a closure per event.
+// through event.Queue.Schedule with a node receiver, an op code and a
+// packed payload, so steady-state scheduling allocates nothing —
+// previously each of these sites captured a closure per event.
 //
 // The payload convention: u64 carries the line (or region) address; u32
 // carries the request kind plus the for-store flag (see packReq). Values
@@ -69,10 +69,4 @@ func (n *node) HandleEvent(now event.Cycle, op uint8, u32 uint32, u64 uint64) {
 	default:
 		n.sys.fabric.handle(n, now, op, u32, u64)
 	}
-}
-
-// HandleEvent implements event.Handler: the DMA agent has a single
-// periodic event, so the op and payload are unused.
-func (d *dmaAgent) HandleEvent(now event.Cycle, _ uint8, _ uint32, _ uint64) {
-	d.tick(now)
 }

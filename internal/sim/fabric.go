@@ -33,8 +33,6 @@ type coherenceFabric interface {
 	// eviction or region-eviction flush). The snooping fabric ignores it;
 	// the directory fabric sends the home a replacement hint.
 	lineEvicted(n *node, line addr.LineAddr)
-	// dmaWrite performs one coherent DMA write of n > 0 bytes at base.
-	dmaWrite(base addr.Addr, n uint64, now event.Cycle)
 	// handle dispatches the fabric-owned event op codes (see events.go).
 	handle(n *node, now event.Cycle, op uint8, u32 uint32, u64 uint64)
 	// collect folds fabric-internal statistics into the run record.
@@ -172,8 +170,8 @@ func (n *node) applyDirectRoute(kind coherence.ReqKind, line addr.LineAddr, regi
 // o's region entry (if any) for an observed request of kind: downgrade, or
 // self-invalidate when the region holds no cached lines. Every site that
 // makes a remote processor observe a region-touching event — snoop-bus
-// broadcasts, region probes, directory region notifications, DMA writes —
-// funnels through here so the bookkeeping cannot drift between fabrics.
+// broadcasts, region probes, directory region notifications — funnels
+// through here so the bookkeeping cannot drift between fabrics.
 // It reports whether o held an entry for the region.
 func applyExternalRegion(o *node, region addr.RegionAddr, kind coherence.ReqKind, requesterExclusive bool) bool {
 	if o.rca == nil {

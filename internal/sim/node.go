@@ -476,7 +476,7 @@ func (n *node) firePrefetches(line addr.LineAddr, isStore, wasMiss bool, t event
 	if n.pf == nil {
 		return
 	}
-	for _, h := range n.pf.OnAccess(line, isStore && n.sys.cfg.Proc.ExclusivePrefet, wasMiss) {
+	for _, h := range n.pf.OnAccess(line, isStore, wasMiss) {
 		if n.outstandingPf >= n.sys.cfg.Proc.MaxOutstanding {
 			return
 		}

@@ -313,51 +313,6 @@ func TestPrefetchRegionFilter(t *testing.T) {
 	}
 }
 
-func TestDMAAgent(t *testing.T) {
-	cfg := config.Default().WithCGCT(512)
-	cfg.DMAIntervalCycles = 2_000
-	w := testWorkload(t, "tpc-w", 4, 20_000, 8)
-	if len(w.DMATargets) == 0 {
-		t.Fatal("tpc-w should declare DMA targets (buffer pool)")
-	}
-	s := MustNew(cfg, w, 8)
-	s.DebugChecks = true
-	run := s.Run()
-	if run.DMAWrites == 0 {
-		t.Fatal("DMA agent never fired")
-	}
-	// DMA traffic counts toward the broadcast windows.
-	if run.Windows.Total() < run.TotalBroadcasts()+run.DMAWrites {
-		t.Errorf("windows %d < broadcasts %d + DMA %d",
-			run.Windows.Total(), run.TotalBroadcasts(), run.DMAWrites)
-	}
-
-	// A DMA-free run of the same workload must see fewer invalidations.
-	cfg2 := config.Default().WithCGCT(512)
-	s2 := MustNew(cfg2, testWorkload(t, "tpc-w", 4, 20_000, 8), 8)
-	quiet := s2.Run()
-	if quiet.DMAWrites != 0 {
-		t.Error("DMA fired while disabled")
-	}
-	// The injected bus traffic perturbs the run (the I/O data here is
-	// mostly cold, so the miss-count effect is small; the address-network
-	// occupancy is the observable).
-	if run.Cycles == quiet.Cycles {
-		t.Error("DMA traffic left the timing bit-identical")
-	}
-}
-
-func TestWorkloadsWithoutDMATargets(t *testing.T) {
-	cfg := config.Default()
-	cfg.DMAIntervalCycles = 1_000
-	w := testWorkload(t, "ocean", 4, 3_000, 1)
-	s := MustNew(cfg, w, 1)
-	run := s.Run()
-	if run.DMAWrites != 0 {
-		t.Error("DMA fired without targets")
-	}
-}
-
 // TestRandomContentionStress drives the full protocol with random traces
 // over a deliberately tiny address pool, maximising races between
 // broadcasts, direct requests, upgrades, self-invalidations and region
@@ -736,6 +691,28 @@ func TestDirectoryOracleCheckDetectsMissingHolder(t *testing.T) {
 	f.resolve(s.nodes[0], coherence.ReqRead, line, home, 0, false)
 }
 
+// TestDirectoryStaleSharerDetected: every sharer a home record names holds
+// the line, because nodes send a replacement hint when they drop a clean
+// line. A sharer bit for a node without the line means a hint was missed,
+// and the invalidation sent to that node must trip
+// "directory-stale-sharer".
+func TestDirectoryStaleSharerDetected(t *testing.T) {
+	s := MustNew(config.Default().WithDirectory(), testWorkload(t, "ocean", 4, 1_000, 1), 1)
+	s.DebugChecks = true
+	f := s.fabric.(*directoryFabric)
+	line := addr.LineAddr(0x40000)
+	home := s.topo.HomeController(addr.Addr(line))
+	f.resolve(s.nodes[1], coherence.ReqIFetch, line, home, 0, false)
+	f.dirs[home].Lookup(line).AddSharer(2) // p2 never fetched the line
+	defer func() {
+		ie, ok := recover().(*coherence.InvariantError)
+		if !ok || ie.Check != "directory-stale-sharer" {
+			t.Errorf("stale sharer not detected (violation %+v)", ie)
+		}
+	}()
+	f.resolve(s.nodes[0], coherence.ReqReadExcl, line, home, 0, false)
+}
+
 // TestMSHRFile checks the node's in-flight fill registers: a duplicate
 // issue keeps the line's one entry and its waiters, the first completion
 // removes it, and a line re-opened while the removed entry's waiters are
@@ -818,52 +795,6 @@ func TestCompleteFillRetriesWaiters(t *testing.T) {
 	}
 	if st := n.l2.Lookup(line); st != coherence.Modified {
 		t.Errorf("line ends %v after the stores, want M", st)
-	}
-}
-
-// TestDMAStaysInsideItsSegment runs the DMA agent, on both fabrics, against
-// a segment whose last byte is the top of the 40-bit address space but
-// which is smaller than the buffer, and against a zero-size segment just
-// below the top. Every line the device writes — the data-version
-// checker's record of external writes — must lie inside the segment, so
-// none lies above addr.PhysAddrMask.
-func TestDMAStaysInsideItsSegment(t *testing.T) {
-	top := addr.PhysAddrMask + 1
-	for _, cfg := range []config.Config{
-		config.Default().WithCGCT(512),
-		config.Default().WithCGCT(512).WithDirectory(),
-	} {
-		for _, seg := range []addr.Segment{
-			{Base: addr.Addr(top - 256), Size: 256},
-			{Base: addr.Addr(top - 64), Size: 0},
-		} {
-			cfg.DMAIntervalCycles = 2_000
-			w := testWorkload(t, "ocean", 4, 4_000, 1)
-			w.DMATargets = []addr.Segment{seg}
-			s := MustNew(cfg, w, 1)
-			s.DebugChecks = true
-			run := s.Run()
-			for line := range s.verGlobal {
-				if uint64(line) > addr.PhysAddrMask {
-					t.Errorf("directory=%v, segment %+v: DMA wrote line %#x above the address space",
-						cfg.Directory, seg, uint64(line))
-				}
-			}
-			if seg.Size == 0 {
-				if run.DMAWrites != 0 {
-					t.Errorf("directory=%v: %d writes to a zero-size segment", cfg.Directory, run.DMAWrites)
-				}
-				continue
-			}
-			if run.DMAWrites == 0 {
-				t.Errorf("directory=%v: the DMA agent never fired", cfg.Directory)
-			}
-			for a := uint64(seg.Base); a < uint64(seg.End()); a += cfg.L2.LineBytes {
-				if _, ok := s.verGlobal[addr.LineAddr(a)]; !ok {
-					t.Errorf("directory=%v: segment line %#x never written", cfg.Directory, a)
-				}
-			}
-		}
 	}
 }
 

@@ -411,33 +411,3 @@ func (f *snoopFabric) performRegionProbe(n *node, region addr.RegionAddr, now ev
 		s.checkRegionExclusivity(region, now)
 	}
 }
-
-// dmaWrite implements coherenceFabric: the DMA buffer write is always
-// broadcast — the device has no RCA, so the paper's direct path never
-// applies to it. Every processor invalidates its copies of the buffer's
-// lines, and the region entries covering the buffer downgrade or
-// self-invalidate.
-func (f *snoopFabric) dmaWrite(base addr.Addr, n uint64, now event.Cycle) {
-	s := f.s
-	grant := f.abus.Arbitrate(now)
-	s.run.Windows.Record(grant)
-	s.run.DMAWrites++
-
-	first, lines := s.dmaLines(base, n)
-	for i := 0; i < lines; i++ {
-		line := first + addr.LineAddr(uint64(i)*s.cfg.L2.LineBytes)
-		region := s.geom.RegionOfLine(line)
-		s.trackExternalWrite(line)
-		for _, o := range s.nodes {
-			o.l2.Invalidate(line) // back-invalidates L1s, maintains counts
-			if o.nsrt != nil {
-				o.nsrt.Observe(region)
-			}
-			// The device overwrote lines of the region: treat it as an
-			// external modifiable request.
-			applyExternalRegion(o, region, coherence.ReqReadExcl, true)
-		}
-	}
-	home := s.topo.HomeController(base)
-	s.mcs[home].Write(grant+event.Cycle(s.cfg.Net.SnoopLatency), false)
-}

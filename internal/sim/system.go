@@ -37,7 +37,6 @@ type System struct {
 	dnet   *bus.DataNet
 	mcs    []*memctrl.Controller
 	nodes  []*node
-	dma    *dmaAgent
 	r      *rng.Source // perturbation stream
 
 	// horizon bounds how far a node may run ahead of global time while it
@@ -106,7 +105,6 @@ func New(cfg config.Config, w workload.Workload, seed uint64) (*System, error) {
 	for i := 0; i < cfg.Topology.Processors; i++ {
 		s.nodes = append(s.nodes, newNode(s, i, w.Source(i)))
 	}
-	s.dma = newDMAAgent(s, w.DMATargets, cfg.DMAIntervalCycles)
 	return s, nil
 }
 
@@ -187,8 +185,8 @@ func (s *System) RunContext(ctx context.Context) (run *stats.Run, err error) {
 	}
 }
 
-// start arms the system for execution: debug-check state, the initial
-// per-node events, and the DMA agent. RunContext calls it once.
+// start arms the system for execution: debug-check state and the
+// initial per-node events. RunContext calls it once.
 func (s *System) start() {
 	if s.DebugChecks {
 		s.verGlobal = make(map[addr.LineAddr]uint64)
@@ -199,9 +197,6 @@ func (s *System) start() {
 	}
 	for _, n := range s.nodes {
 		n.schedule(0)
-	}
-	if s.dma != nil {
-		s.dma.start()
 	}
 }
 
@@ -394,14 +389,6 @@ func (s *System) trackDrop(nid int, line addr.LineAddr) {
 		return
 	}
 	delete(s.verNode[nid], line)
-}
-
-// trackExternalWrite records a write by a non-processor agent (DMA).
-func (s *System) trackExternalWrite(line addr.LineAddr) {
-	if s.verGlobal == nil {
-		return
-	}
-	s.verGlobal[line]++
 }
 
 // checkRead asserts node nid's cached copy of line is current.

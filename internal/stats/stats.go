@@ -139,18 +139,15 @@ type Run struct {
 	LocalDones   [coherence.NKinds]uint64
 	CacheToCache uint64 // broadcasts serviced by a remote cache
 
-	// Oracle classification (recorded for every broadcast performed):
-	// OracleUnnecessary[cat] counts broadcasts that an oracle would have
-	// skipped; OracleNecessary[cat] the rest.
+	// Oracle classification (recorded for every broadcast performed, or
+	// on the directory fabric for every home transaction):
+	// OracleUnnecessary[cat] counts those an oracle would have skipped;
+	// OracleNecessary[cat] the rest.
 	OracleUnnecessary [NCategories]uint64
 	OracleNecessary   [NCategories]uint64
 
 	// Traffic windows (Figure 10).
 	Windows TrafficWindows
-
-	// DMAWrites counts coherent I/O buffer writes injected by the DMA
-	// agent (always broadcast; the device has no RCA).
-	DMAWrites uint64
 
 	// RegionProbes counts region-state prefetch broadcasts (§6 extension):
 	// probes that fetch the global state of the next region ahead of a
@@ -161,10 +158,8 @@ type Run struct {
 	DirMessages uint64 // point-to-point coherence messages
 	ThreeHops   uint64 // requester→home→owner→requester transfers
 	// DirInvalidations counts explicit invalidation messages sent by a
-	// home; DirExtraInvals is the subset wasted on nodes that held no copy
-	// (stale records).
+	// home.
 	DirInvalidations uint64
-	DirExtraInvals   uint64
 	// DirFastPaths counts transactions CGCT resolved without the home
 	// pipeline (region-exclusive direct loads and write-backs);
 	// DirRegionNotifies counts region-grant notification messages to
@@ -233,7 +228,8 @@ func (r *Run) TotalBroadcasts() uint64 {
 	return t
 }
 
-// TotalUnnecessary sums the oracle's unnecessary broadcasts.
+// TotalUnnecessary sums the oracle's unnecessary broadcasts (home
+// transactions on the directory fabric).
 func (r *Run) TotalUnnecessary() uint64 {
 	var t uint64
 	for _, v := range r.OracleUnnecessary {
@@ -242,13 +238,14 @@ func (r *Run) TotalUnnecessary() uint64 {
 	return t
 }
 
-// UnnecessaryFraction returns unnecessary broadcasts / all broadcasts.
-func (r *Run) UnnecessaryFraction() float64 {
-	b := r.TotalBroadcasts()
-	if b == 0 {
-		return 0
+// TotalNecessary sums the oracle's necessary broadcasts (home
+// transactions on the directory fabric).
+func (r *Run) TotalNecessary() uint64 {
+	var t uint64
+	for _, v := range r.OracleNecessary {
+		t += v
 	}
-	return float64(r.TotalUnnecessary()) / float64(b)
+	return t
 }
 
 // AvgDemandMissLatency returns the mean demand-miss latency in cycles.

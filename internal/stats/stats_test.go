@@ -63,15 +63,13 @@ func TestRunTotals(t *testing.T) {
 	r.Requests[coherence.ReqWriteback] = 5
 	r.Broadcasts[coherence.ReqRead] = 8
 	r.OracleUnnecessary[CatData] = 6
-	r.OracleUnnecessary[CatWriteback] = 2
-	if r.TotalRequests() != 15 || r.TotalBroadcasts() != 8 || r.TotalUnnecessary() != 8 {
-		t.Errorf("totals: %d/%d/%d", r.TotalRequests(), r.TotalBroadcasts(), r.TotalUnnecessary())
-	}
-	if r.UnnecessaryFraction() != 1.0 {
-		t.Errorf("unnecessary fraction = %v", r.UnnecessaryFraction())
+	r.OracleUnnecessary[CatWriteback] = 1
+	r.OracleNecessary[CatData] = 1
+	if r.TotalRequests() != 15 || r.TotalBroadcasts() != 8 || r.TotalUnnecessary() != 7 || r.TotalNecessary() != 1 {
+		t.Errorf("totals: %d/%d/%d/%d", r.TotalRequests(), r.TotalBroadcasts(), r.TotalUnnecessary(), r.TotalNecessary())
 	}
 	var empty Run
-	if empty.UnnecessaryFraction() != 0 || empty.AvgDemandMissLatency() != 0 {
+	if empty.AvgDemandMissLatency() != 0 {
 		t.Error("empty run ratios should be 0")
 	}
 	r.DemandMisses = 4

@@ -4,8 +4,8 @@
 // serves previously simulated configs from disk instead of re-simulating
 // the world.
 //
-// The design mirrors the CGCTCPT1 compiled-trace format's durability
-// story (internal/trace/file.go):
+// The design mirrors the compiled-trace format's durability story
+// (internal/trace/file.go):
 //
 //   - every entry is a single file in a versioned envelope ("CGCTSTR1"
 //     magic, the entry's own key echoed in the header, payload length,

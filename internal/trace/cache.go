@@ -84,7 +84,7 @@ var (
 
 // SetPersistentStore installs (or, with nil, removes) the disk store
 // compiled traces spill to: each cache-miss compilation is serialised in
-// the CGCTCPT1 format and written through ps, and later misses — in this
+// the file format and written through ps, and later misses — in this
 // process after an eviction, or in a restarted one — load the slab from
 // disk instead of re-generating and re-encoding the workload. Store
 // failures in either direction are invisible to callers: persistence is
@@ -103,9 +103,10 @@ func storeKey(k Key) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// loadPersisted attempts to serve k from the persistent store. The
-// CGCTCPT1 envelope revalidates every byte on the way in, so a stale or
-// corrupt spill deserialises to an error, not a wrong trace.
+// loadPersisted attempts to serve k from the persistent store. The file
+// format's magic and digest revalidate every byte on the way in, so a
+// spill in an older format version or a corrupt one deserialises to an
+// error, not a wrong trace, and the caller recompiles.
 func loadPersisted(k Key) (*Trace, bool) {
 	persistMu.RLock()
 	ps := persist

@@ -14,13 +14,11 @@ import (
 	"cgct/internal/workload"
 )
 
-// On-disk compiled trace format, version 1 ("CGCTCPT1"), little-endian:
+// On-disk compiled trace format, version 2 ("CGCTCPT2"), little-endian:
 //
-//	magic    [8]byte  "CGCTCPT1"
+//	magic    [8]byte  "CGCTCPT2"
 //	nameLen  uint16 (≤ maxFileName) + name bytes
 //	procs    uint32 (1 .. maxFileProcs)
-//	dmaCount uint32 (≤ maxFileDMASegments)
-//	dma      dmaCount × { base uint64, size uint64 }
 //	per processor:
 //	    count  uint64  ops (≤ maxFileOpsPerProc)
 //	    kgLen  uint64  bytes of the kind|gap column
@@ -30,21 +28,22 @@ import (
 //	sum      [32]byte sha256 over every preceding byte
 //
 // The format is versioned through the magic; readers reject unknown
-// versions. Every header count is untrusted: allocations track bytes
-// actually read (never a declared count alone), column lengths are
-// validated against the varints they must contain and — when the input's
-// size is known — against the bytes available, and the trailing digest
-// rejects any corruption the structural checks miss. A trace compiled
+// versions, so a version-1 file (which carried a block of I/O segments
+// after procs) is refused by its magic rather than misparsed. Every
+// header count is untrusted: allocations track bytes actually read
+// (never a declared count alone), column lengths are validated against
+// the varints they must contain and — when the input's size is known —
+// against the bytes available, and the trailing digest rejects any
+// corruption the structural checks miss. A trace compiled
 // once with cgcttrace -compile can therefore be served from disk to any
 // number of consumers with integrity guaranteed.
 
-// fileMagic identifies version 1 of the compiled trace format.
-var fileMagic = [8]byte{'C', 'G', 'C', 'T', 'C', 'P', 'T', '1'}
+// fileMagic identifies version 2 of the compiled trace format.
+var fileMagic = [8]byte{'C', 'G', 'C', 'T', 'C', 'P', 'T', '2'}
 
 const (
-	maxFileName        = 256
-	maxFileProcs       = 1024
-	maxFileDMASegments = 1024
+	maxFileName  = 256
+	maxFileProcs = 1024
 	// maxFileOpsPerProc bounds one processor's declared op count (64 Mi
 	// ops, far beyond any real trace).
 	maxFileOpsPerProc = 64 << 20
@@ -82,9 +81,6 @@ func (t *Trace) Write(w io.Writer) error {
 	if len(t.Procs) == 0 || len(t.Procs) > maxFileProcs {
 		return fmt.Errorf("trace: cannot serialise %d processors (limit %d)", len(t.Procs), maxFileProcs)
 	}
-	if len(t.DMATargets) > maxFileDMASegments {
-		return fmt.Errorf("trace: %d DMA segments exceed limit %d", len(t.DMATargets), maxFileDMASegments)
-	}
 	bw := bufio.NewWriterSize(w, 64<<10)
 	h := sha256.New()
 	mw := io.MultiWriter(bw, h)
@@ -108,18 +104,6 @@ func (t *Trace) Write(w io.Writer) error {
 	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(t.Procs)))
 	if _, err := mw.Write(scratch[:4]); err != nil {
 		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(t.DMATargets)))
-	if _, err := mw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	for _, s := range t.DMATargets {
-		if err := w64(uint64(s.Base)); err != nil {
-			return err
-		}
-		if err := w64(s.Size); err != nil {
-			return err
-		}
 	}
 	// Each processor's two columns are encoded whole into kg and d, reused
 	// across processors, and each is written behind its length in one call.
@@ -279,30 +263,7 @@ func Read(r io.Reader) (*Trace, error) {
 	if procs == 0 || procs > maxFileProcs {
 		return nil, fmt.Errorf("trace: implausible processor count %d (limit %d)", procs, maxFileProcs)
 	}
-	if err := fr.full(b4[:], "DMA segment count"); err != nil {
-		return nil, err
-	}
-	dmaCount := binary.LittleEndian.Uint32(b4[:])
-	if dmaCount > maxFileDMASegments {
-		return nil, fmt.Errorf("trace: implausible DMA segment count %d (limit %d)", dmaCount, maxFileDMASegments)
-	}
 	t := &Trace{Name: string(name), Procs: make([]ProcTrace, procs)}
-	for i := uint32(0); i < dmaCount; i++ {
-		base, err := fr.u64("DMA segment base")
-		if err != nil {
-			return nil, err
-		}
-		size, err := fr.u64("DMA segment size")
-		if err != nil {
-			return nil, err
-		}
-		// The DMA agent writes anywhere in the segment, so its last byte
-		// must be a valid physical address too.
-		if base > addr.PhysAddrMask || size > addr.PhysAddrMask-base+1 {
-			return nil, fmt.Errorf("trace: DMA segment [%x, +%x) out of range", base, size)
-		}
-		t.DMATargets = append(t.DMATargets, addr.Segment{Base: addr.Addr(base), Size: size})
-	}
 	// The two column buffers are reused across processors.
 	var kg, deltas []byte
 	for p := uint32(0); p < procs; p++ {

@@ -37,8 +37,8 @@ func TestFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != tr.Name || !reflect.DeepEqual(got.DMATargets, tr.DMATargets) {
-		t.Fatalf("metadata: %q %v, want %q %v", got.Name, got.DMATargets, tr.Name, tr.DMATargets)
+	if got.Name != tr.Name {
+		t.Fatalf("name %q, want %q", got.Name, tr.Name)
 	}
 	if !reflect.DeepEqual(got.Procs, tr.Procs) {
 		t.Fatal("columns did not round-trip")
@@ -116,11 +116,11 @@ func TestFileTruncated(t *testing.T) {
 	}
 }
 
-// tinyTraceBytes serialises a hand-built single-proc trace (name "t", no
-// DMA) so header fields sit at fixed offsets:
+// tinyTraceBytes serialises a hand-built single-proc trace (name "t") so
+// header fields sit at fixed offsets:
 //
 //	magic [0..8)  nameLen [8..10)  name [10..11)
-//	procs [11..15)  dmaCount [15..19)  p0 count [19..27)  p0 kgLen [27..35)
+//	procs [11..15)  p0 count [15..23)  p0 kgLen [23..31)
 func tinyTraceBytes(t testing.TB, pt ProcTrace) []byte {
 	t.Helper()
 	return traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{pt}})
@@ -168,16 +168,15 @@ func rawColumns(ops ...workload.Op) rawProc {
 	return r
 }
 
-// sealRaw builds a complete file named "t" with no DMA segments around
-// raw column bytes and seals it with a valid digest, so a test can store
-// content the encoder would never produce.
+// sealRaw builds a complete file named "t" around raw column bytes and
+// seals it with a valid digest, so a test can store content the encoder
+// would never produce.
 func sealRaw(procs ...rawProc) []byte {
 	le := binary.LittleEndian
 	b := append([]byte(nil), fileMagic[:]...)
 	b = le.AppendUint16(b, 1)
 	b = append(b, 't')
 	b = le.AppendUint32(b, uint32(len(procs)))
-	b = le.AppendUint32(b, 0)
 	for _, p := range procs {
 		b = le.AppendUint64(b, p.count)
 		b = le.AppendUint64(b, uint64(len(p.kg)))
@@ -211,13 +210,15 @@ func hostileHeaders(t testing.TB) []hostileHeader {
 	le64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	return []hostileHeader{
 		{"bad magic", mutate(0, []byte{'X'}), "not a compiled CGCT trace"},
+		// Version 1 carried I/O segments after procs; it is refused by its
+		// magic, never parsed as version 2.
+		{"version-1 magic", mutate(7, []byte{'1'}), `magic "CGCTCPT1"`},
 		{"huge name length", mutate(8, []byte{0xff, 0xff}), "name length"},
 		{"zero procs", mutate(11, le32(0)), "processor count"},
 		{"too many procs", mutate(11, le32(maxFileProcs+1)), "processor count"},
-		{"huge DMA count", mutate(15, le32(1<<30)), "DMA segment count"},
-		{"op count over limit", mutate(19, le64(maxFileOpsPerProc+1)), "limit"},
-		{"column cannot hold ops", mutate(27, le64(1)), "cannot hold"},
-		{"column beyond input", mutate(27, le64(19)), "remain"},
+		{"op count over limit", mutate(15, le64(maxFileOpsPerProc+1)), "limit"},
+		{"column cannot hold ops", mutate(23, le64(1)), "cannot hold"},
+		{"column beyond input", mutate(23, le64(19)), "remain"},
 	}
 }
 
@@ -243,7 +244,6 @@ func TestFileLyingCountUnsizedReader(t *testing.T) {
 	data := append([]byte(nil), fileMagic[:]...)
 	data = binary.LittleEndian.AppendUint16(data, 0)     // name length
 	data = binary.LittleEndian.AppendUint32(data, 1)     // processors
-	data = binary.LittleEndian.AppendUint32(data, 0)     // DMA segments
 	data = binary.LittleEndian.AppendUint64(data, 1<<25) // p0 op count
 	data = binary.LittleEndian.AppendUint64(data, 1<<25) // p0 kind|gap length
 	var before, after runtime.MemStats
@@ -258,46 +258,6 @@ func TestFileLyingCountUnsizedReader(t *testing.T) {
 	// reader stops after one 64 KiB chunk.
 	if grown := after.TotalAlloc - before.TotalAlloc; grown > 32<<20 {
 		t.Fatalf("reader allocated %d bytes for a lying count", grown)
-	}
-}
-
-// dmaTraceBytes serialises a one-processor trace with the given DMA
-// target segments.
-func dmaTraceBytes(t testing.TB, segs ...addr.Segment) []byte {
-	t.Helper()
-	return traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{validProcTrace()}, DMATargets: segs})
-}
-
-// outOfRangeDMA starts inside the 40-bit address space and runs far past
-// its end.
-var outOfRangeDMA = addr.Segment{Base: 0xFF_FFFF_F000, Size: 1 << 50}
-
-// TestFileRejectsOutOfRangeDMA: a DMA segment whose last byte lies above
-// addr.PhysAddrMask is rejected even when the file's digest is valid,
-// because the DMA agent would write to addresses that cannot exist.
-func TestFileRejectsOutOfRangeDMA(t *testing.T) {
-	top := addr.Addr(addr.PhysAddrMask + 1)
-	for _, c := range []struct {
-		name string
-		seg  addr.Segment
-		ok   bool
-	}{
-		{"runs far past the top", outOfRangeDMA, false},
-		{"ends at the top", addr.Segment{Base: top - 0x1000, Size: 0x1000}, true},
-		{"one byte past the top", addr.Segment{Base: top - 0x1000, Size: 0x1001}, false},
-		{"whole address space", addr.Segment{Base: 0, Size: uint64(top)}, true},
-		{"size wraps uint64", addr.Segment{Base: 0x1000, Size: math.MaxUint64}, false},
-		{"base past the top", addr.Segment{Base: top}, false},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(dmaTraceBytes(t, c.seg)))
-			if c.ok && err != nil {
-				t.Fatalf("in-range segment rejected: %v", err)
-			}
-			if !c.ok && (err == nil || !strings.Contains(err.Error(), "DMA segment")) {
-				t.Fatalf("err = %v, want an out-of-range DMA segment error", err)
-			}
-		})
 	}
 }
 
@@ -390,18 +350,17 @@ func TestFileEdgeOpsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteMatchesPinnedBytes pins the CGCTCPT1 bytes Write produces for
-// two paper benchmarks, one with a single DMA segment (tpc-b) and one
-// with four (tpc-h), so a change to the in-memory encoding cannot
-// silently change the disk format.
+// TestWriteMatchesPinnedBytes pins the CGCTCPT2 bytes Write produces for
+// two paper benchmarks, tpc-b and tpc-h, so a change to the in-memory
+// encoding cannot silently change the disk format.
 func TestWriteMatchesPinnedBytes(t *testing.T) {
 	for _, c := range []struct {
 		bench string
 		size  int
 		sum   string
 	}{
-		{"tpc-b", 105_550, "5035698817b781b15e2ccbc62f2da645db17b925a8835182a268aa8ae02e4be1"},
-		{"tpc-h", 106_146, "66453f29dce167ca81af1d69b3cee1d928cc21102f381f63350a200720b2a394"},
+		{"tpc-b", 105_530, "489e93acdd08a3e085e9ec5f2927c99836ad0d4e47d81bf6d4a5236b109c01ae"},
+		{"tpc-h", 106_078, "d9e1cfb14095d670893ebd737395289c5e2c5401a37e25ce23f1feca91ffd0a4"},
 	} {
 		tr, err := Compile(context.Background(), c.bench, workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
 		if err != nil {
@@ -419,8 +378,8 @@ func TestWriteMatchesPinnedBytes(t *testing.T) {
 // without changing a trace's identity.
 func TestContentHashPinned(t *testing.T) {
 	for _, c := range []struct{ bench, hash string }{
-		{"tpc-b", "c94e6db1f70904b63aff62ace4f4368831619c9de6c56a2c63c58e51b0d195d6"},
-		{"tpc-h", "7221f070972752a5ee5e6ec9a0ab367db70004e07bf89d115d39eb8b27addeaa"},
+		{"tpc-b", "0c5dc84d78ccb8a78f34461ae772c6593051b613db5a702c5a26f523e00fe4c7"},
+		{"tpc-h", "b7be7cebc9bc5ead497440fa6f67bad8e3a272ad535c823457a9b88c18f4c10a"},
 	} {
 		tr, err := Compile(context.Background(), c.bench, workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
 		if err != nil {

@@ -188,13 +188,12 @@ func (c *Cursor) escape() workload.Op {
 	return workload.Op{Kind: workload.OpKind(w & kindMask), Addr: addr.Addr(w >> addrShift), Gap: gap}
 }
 
-// Trace is a compiled workload: one immutable slab per processor plus the
-// metadata the simulator needs (DMA target segments). A Trace is shared
-// freely across concurrent simulations; Workload hands out fresh cursors.
+// Trace is a compiled workload: one immutable slab per processor. A
+// Trace is shared freely across concurrent simulations; Workload hands
+// out fresh cursors.
 type Trace struct {
-	Name       string
-	Procs      []ProcTrace
-	DMATargets []addr.Segment
+	Name  string
+	Procs []ProcTrace
 }
 
 // Bytes returns the total resident size of the compiled columns.
@@ -223,7 +222,7 @@ func (t *Trace) Workload() workload.Workload {
 	for i := range t.Procs {
 		srcs[i] = t.Procs[i].Cursor()
 	}
-	return workload.Workload{Name: t.Name, Sources: srcs, DMATargets: t.DMATargets}
+	return workload.Workload{Name: t.Name, Sources: srcs}
 }
 
 // compileBatch is the generator drain granularity during compilation;
@@ -278,11 +277,7 @@ func Compile(ctx context.Context, benchmark string, p workload.Params) (*Trace, 
 // no mutable state (see workload.Workload). When several processors
 // fail, the error is the lowest-indexed one's, whatever the schedule.
 func FromWorkload(ctx context.Context, w workload.Workload, opsHint int) (*Trace, error) {
-	t := &Trace{
-		Name:       w.Name,
-		Procs:      make([]ProcTrace, w.Procs()),
-		DMATargets: w.DMATargets,
-	}
+	t := &Trace{Name: w.Name, Procs: make([]ProcTrace, w.Procs())}
 	progress := progressFrom(ctx)
 	errs := make([]error, len(t.Procs))
 	var (
@@ -340,9 +335,9 @@ func drain(ctx context.Context, i int, src workload.Source, opsHint int, buf []w
 	}
 }
 
-// ContentHash returns the hex sha256 identity of the trace content
-// (ops + DMA targets; independent of the benchmark name). It decodes and
-// hashes every op on each call, folding words through a fixed-size buffer
+// ContentHash returns the hex sha256 identity of the trace's ops
+// (independent of the benchmark name). It decodes and hashes
+// every op on each call, folding words through a fixed-size buffer
 // so hashing stays cheap on multi-million-op traces. Each op is hashed as
 // its escape word, followed by the processor's big gaps, so the identity
 // does not depend on which ops the slab escapes.
@@ -376,11 +371,6 @@ func (t *Trace) ContentHash() string {
 			room(4)
 			buf = binary.LittleEndian.AppendUint32(buf, g)
 		}
-	}
-	put64(uint64(len(t.DMATargets)))
-	for _, s := range t.DMATargets {
-		put64(uint64(s.Base))
-		put64(s.Size)
 	}
 	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))

@@ -272,9 +272,6 @@ func TestWorkloadWrapping(t *testing.T) {
 	if w.Procs() != 4 || w.Name != "tpc-w" {
 		t.Fatalf("workload = %q with %d procs", w.Name, w.Procs())
 	}
-	if len(w.DMATargets) == 0 {
-		t.Fatal("tpc-w DMA targets lost in compilation")
-	}
 	var buf [16]workload.Op
 	first := w.Source(0)
 	if n := first.Fill(buf[:]); n != 16 {

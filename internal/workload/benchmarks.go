@@ -120,7 +120,7 @@ func commonCode(l *layout, footprint, hotBody uint64, jumpProb, hotProb float64)
 	}
 }
 
-func buildOcean(p Params) ([]Generator, []addr.Segment) {
+func buildOcean(p Params) []Generator {
 	master := seedFor("ocean", p)
 	var l layout
 	code := commonCode(&l, 192*kb, 16*kb, 0.08, 0.85)
@@ -151,10 +151,10 @@ func buildOcean(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 48.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildRaytrace(p Params) ([]Generator, []addr.Segment) {
+func buildRaytrace(p Params) []Generator {
 	master := seedFor("raytrace", p)
 	var l layout
 	code := commonCode(&l, 384*kb, 24*kb, 0.10, 0.80)
@@ -176,10 +176,10 @@ func buildRaytrace(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 42.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildBarnes(p Params) ([]Generator, []addr.Segment) {
+func buildBarnes(p Params) []Generator {
 	master := seedFor("barnes", p)
 	var l layout
 	code := commonCode(&l, 128*kb, 12*kb, 0.08, 0.85)
@@ -198,10 +198,10 @@ func buildBarnes(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 30.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildSpecint(p Params) ([]Generator, []addr.Segment) {
+func buildSpecint(p Params) []Generator {
 	master := seedFor("specint2000rate", p)
 	var l layout
 	code := commonCode(&l, 512*kb, 32*kb, 0.12, 0.75)
@@ -222,10 +222,10 @@ func buildSpecint(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 40.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildSpecweb(p Params) ([]Generator, []addr.Segment) {
+func buildSpecweb(p Params) []Generator {
 	master := seedFor("specweb99", p)
 	var l layout
 	code := commonCode(&l, 1*mb, 48*kb, 0.14, 0.70)
@@ -236,7 +236,6 @@ func buildSpecweb(p Params) ([]Generator, []addr.Segment) {
 	connArena := l.seg(uint64(p.Processors)*3*mb, pageBytes)
 	pagePool := l.perProc(p.Processors, 6*mb, pageBytes)
 	stacks := l.perProc(p.Processors, 32*kb, pageBytes)
-	dma := []addr.Segment{fileCache}
 	gens := make([]Generator, p.Processors)
 	for i := range gens {
 		r := master.Split()
@@ -250,10 +249,10 @@ func buildSpecweb(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 26.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, dma
+	return gens
 }
 
-func buildSpecjbb(p Params) ([]Generator, []addr.Segment) {
+func buildSpecjbb(p Params) []Generator {
 	master := seedFor("specjbb2000", p)
 	var l layout
 	code := commonCode(&l, 768*kb, 64*kb, 0.15, 0.70)
@@ -274,10 +273,10 @@ func buildSpecjbb(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 20.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildTpcw(p Params) ([]Generator, []addr.Segment) {
+func buildTpcw(p Params) []Generator {
 	master := seedFor("tpc-w", p)
 	var l layout
 	code := commonCode(&l, 1536*kb, 64*kb, 0.14, 0.72)
@@ -303,10 +302,10 @@ func buildTpcw(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 14.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, []addr.Segment{bufferPool}
+	return gens
 }
 
-func buildTpcb(p Params) ([]Generator, []addr.Segment) {
+func buildTpcb(p Params) []Generator {
 	master := seedFor("tpc-b", p)
 	var l layout
 	code := commonCode(&l, 1*mb, 48*kb, 0.14, 0.72)
@@ -334,10 +333,10 @@ func buildTpcb(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(r, p.OpsPerProc, 24.0, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, []addr.Segment{accounts}
+	return gens
 }
 
-func buildTpch(p Params) ([]Generator, []addr.Segment) {
+func buildTpch(p Params) []Generator {
 	master := seedFor("tpc-h", p)
 	var l layout
 	code := commonCode(&l, 1*mb, 48*kb, 0.12, 0.75)
@@ -368,5 +367,5 @@ func buildTpch(p Params) ([]Generator, []addr.Segment) {
 			{frac: 0.88, mix: merge},
 		})
 	}
-	return gens, tableParts
+	return gens
 }

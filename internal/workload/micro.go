@@ -1,7 +1,5 @@
 package workload
 
-import "cgct/internal/addr"
-
 // Micro-workloads: minimal, single-pattern generators for experimentation
 // and debugging. They are registered alongside the Table 4 benchmarks but
 // excluded from the paper experiments (see PaperNames).
@@ -29,7 +27,7 @@ func init() {
 	})
 }
 
-func buildMicroPrivate(p Params) ([]Generator, []addr.Segment) {
+func buildMicroPrivate(p Params) []Generator {
 	master := seedFor("micro-private", p)
 	var l layout
 	code := commonCode(&l, 64*kb, 8*kb, 0.05, 0.9)
@@ -41,10 +39,10 @@ func buildMicroPrivate(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(master.Split(), p.OpsPerProc, 10, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildMicroMigratory(p Params) ([]Generator, []addr.Segment) {
+func buildMicroMigratory(p Params) []Generator {
 	master := seedFor("micro-migratory", p)
 	var l layout
 	code := commonCode(&l, 64*kb, 8*kb, 0.05, 0.9)
@@ -56,10 +54,10 @@ func buildMicroMigratory(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(master.Split(), p.OpsPerProc, 10, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildMicroProducerConsumer(p Params) ([]Generator, []addr.Segment) {
+func buildMicroProducerConsumer(p Params) []Generator {
 	master := seedFor("micro-producer-consumer", p)
 	var l layout
 	code := commonCode(&l, 64*kb, 8*kb, 0.05, 0.9)
@@ -71,10 +69,10 @@ func buildMicroProducerConsumer(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(master.Split(), p.OpsPerProc, 10, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }
 
-func buildMicroFalseShare(p Params) ([]Generator, []addr.Segment) {
+func buildMicroFalseShare(p Params) []Generator {
 	master := seedFor("micro-falseshare", p)
 	var l layout
 	code := commonCode(&l, 64*kb, 8*kb, 0.05, 0.9)
@@ -86,5 +84,5 @@ func buildMicroFalseShare(p Params) ([]Generator, []addr.Segment) {
 		}
 		gens[i] = newEngine(master.Split(), p.OpsPerProc, 10, code(), []phase{{frac: 1, mix: mix}})
 	}
-	return gens, nil
+	return gens
 }

@@ -111,10 +111,6 @@ type Workload struct {
 	// provide these so the simulator refills from a contiguous slab
 	// instead of making one interface call per op.
 	Sources []Source
-	// DMATargets lists the segments I/O devices write into (disk reads
-	// landing in the file cache, network receive buffers). The simulator's
-	// optional DMA agent walks them with DMA-buffer-sized coherent writes.
-	DMATargets []addr.Segment
 }
 
 // Procs returns the number of per-processor op streams the workload
@@ -146,10 +142,8 @@ type Params struct {
 // DefaultOpsPerProc is the standard experiment trace length.
 const DefaultOpsPerProc = 400_000
 
-// Builder constructs the per-processor generators of one benchmark and
-// the segments external DMA traffic targets (nil when the workload does
-// no I/O).
-type Builder func(p Params) ([]Generator, []addr.Segment)
+// Builder constructs the per-processor generators of one benchmark.
+type Builder func(p Params) []Generator
 
 // Info describes a registered benchmark.
 type Info struct {
@@ -235,8 +229,7 @@ func Build(name string, p Params) (Workload, error) {
 	if p.OpsPerProc <= 0 {
 		p.OpsPerProc = DefaultOpsPerProc
 	}
-	gens, dma := info.build(p)
-	return Workload{Name: name, Generators: gens, DMATargets: dma}, nil
+	return Workload{Name: name, Generators: info.build(p)}, nil
 }
 
 // MustBuild is Build that panics on error (tests, examples).

@@ -175,28 +175,6 @@ func TestOpKindStrings(t *testing.T) {
 	}
 }
 
-func TestDMATargetsDeclared(t *testing.T) {
-	// The I/O-heavy workloads declare DMA target segments; the purely
-	// in-memory ones do not.
-	withDMA := map[string]bool{
-		"specweb99": true, "tpc-w": true, "tpc-b": true, "tpc-h": true,
-	}
-	for _, name := range Names() {
-		w := MustBuild(name, Params{Processors: 4, OpsPerProc: 100, Seed: 1})
-		if withDMA[name] && len(w.DMATargets) == 0 {
-			t.Errorf("%s: no DMA targets", name)
-		}
-		if !withDMA[name] && len(w.DMATargets) != 0 {
-			t.Errorf("%s: unexpected DMA targets", name)
-		}
-		for _, seg := range w.DMATargets {
-			if seg.Size == 0 {
-				t.Errorf("%s: empty DMA target segment", name)
-			}
-		}
-	}
-}
-
 func TestPaperNames(t *testing.T) {
 	paper := PaperNames()
 	if len(paper) != 9 {
