@@ -175,6 +175,10 @@ type Result struct {
 	DirPeakEntries      uint64
 	DirQueuedCycles     uint64
 
+	// RegionScout marks a RegionScout run. It is omitted when false, so
+	// every other key's payload stays byte-identical to what stores and
+	// peers already hold, and the serving digests do not move.
+	RegionScout bool `json:",omitempty"`
 	// RegionScout metrics (zero unless enabled).
 	NSRTInserts uint64
 	NSRTHits    uint64
@@ -401,6 +405,7 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 		DemandStallCycles:     run.DemandMissCycles,
 		RegionProbes:          run.RegionProbes,
 		Directory:             o.Directory,
+		RegionScout:           o.RegionScout,
 		DirMessages:           run.DirMessages,
 		ThreeHops:             run.ThreeHops,
 		DirInvalidations:      run.DirInvalidations,
@@ -520,7 +525,7 @@ func Compare(benchmark string, regionBytes uint64, o Options) (*Comparison, erro
 		return nil, err
 	}
 	c := &Comparison{Baseline: base, CGCT: cg}
-	c.RuntimeReductionPct = stats.SpeedupPct(float64(base.Cycles), float64(cg.Cycles))
+	c.RuntimeReductionPct = stats.SpeedupPct(base.Cycles, cg.Cycles)
 	if base.Broadcasts > 0 {
 		c.BroadcastReductionPct = (1 - float64(cg.Broadcasts)/float64(base.Broadcasts)) * 100
 	}
@@ -530,14 +535,15 @@ func Compare(benchmark string, regionBytes uint64, o Options) (*Comparison, erro
 // String renders a short human-readable summary.
 func (r *Result) String() string {
 	mode := "baseline"
-	if r.CGCT {
-		mode = fmt.Sprintf("CGCT/%dB", r.RegionBytes)
-	}
-	if r.Directory {
+	switch {
+	case r.Directory && r.CGCT:
+		mode = fmt.Sprintf("directory+CGCT/%dB", r.RegionBytes)
+	case r.Directory:
 		mode = "directory"
-		if r.CGCT {
-			mode = fmt.Sprintf("directory+CGCT/%dB", r.RegionBytes)
-		}
+	case r.CGCT:
+		mode = fmt.Sprintf("CGCT/%dB", r.RegionBytes)
+	case r.RegionScout:
+		mode = fmt.Sprintf("RegionScout/%dB", r.RegionBytes)
 	}
 	classified := "broadcasts"
 	if r.Directory {

@@ -345,4 +345,10 @@ func TestResultStringModes(t *testing.T) {
 	if !strings.Contains(base.String(), "baseline") {
 		t.Errorf("String() = %q", base.String())
 	}
+	// RegionScout routes requests direct, so it must not read as a
+	// baseline run.
+	scout := cgct.MustRun("micro-private", cgct.Options{OpsPerProc: 2_000, RegionScout: true})
+	if !scout.RegionScout || !strings.Contains(scout.String(), "[RegionScout/512B]") {
+		t.Errorf("String() = %q, RegionScout = %v", scout.String(), scout.RegionScout)
+	}
 }

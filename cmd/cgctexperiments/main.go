@@ -6,9 +6,9 @@
 //	cgctexperiments -experiment fig8 -ops 400000 -seeds 3
 //	cgctexperiments -experiment fig2 -benchmarks tpc-w,tpc-h
 //
-// Experiments: table1, table2, fig2, fig6, fig7, fig8, fig9, fig10,
-// evictions, ablation, fabric, energy, sectoring, all. With -csv DIR, each
-// experiment's rows are also written to DIR/<name>.csv.
+// -experiment names one experiment, or all of them in a fixed order;
+// -h lists the names. With -csv DIR, each experiment's rows are also
+// written to DIR/<name>.csv.
 package main
 
 import (
@@ -60,9 +60,54 @@ func emit(name string, header []string, rows [][]string) {
 	}
 }
 
+// experiment is one table or figure: its -experiment name and printer.
+type experiment struct {
+	name string
+	run  func(experiments.Params)
+}
+
+// catalog lists every experiment once, in the order -experiment all runs
+// them; selectExperiments and the -experiment help text read it too.
+var catalog = []experiment{
+	{"table1", printTable1},
+	{"table2", printTable2},
+	{"fig6", printFig6},
+	{"fig2", printFig2},
+	{"fig7", printFig7},
+	{"fig8", printFig8},
+	{"fig9", printFig9},
+	{"fig10", printFig10},
+	{"evictions", printEvictions},
+	{"ablation", printAblation},
+	{"fabric", printFabric},
+	{"energy", printEnergy},
+	{"sectoring", printSectoring},
+}
+
+// catalogNames joins the catalog's names, in order, with commas.
+func catalogNames() string {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	return strings.Join(names, ",")
+}
+
+// selectExperiments resolves -experiment: "all" is the whole catalog, any
+// other value must name one entry.
+func selectExperiments(name string) ([]experiment, error) {
+	if name == "all" {
+		return catalog, nil
+	}
+	if i := slices.IndexFunc(catalog, func(e experiment) bool { return e.name == name }); i >= 0 {
+		return catalog[i : i+1], nil
+	}
+	return nil, fmt.Errorf("-experiment: unknown experiment %q (known: %s,all)", name, catalogNames())
+}
+
 func main() {
 	var (
-		exp        = flag.String("experiment", "all", "which experiment to run (table1,table2,fig2,fig6,fig7,fig8,fig9,fig10,evictions,ablation,fabric,energy,sectoring,all)")
+		exp        = flag.String("experiment", "all", "which experiment to run ("+catalogNames()+",all)")
 		ops        = flag.Int("ops", 400_000, "trace length per processor")
 		seeds      = flag.Int("seeds", 3, "number of seeded runs per configuration")
 		benchmarks = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all nine)")
@@ -73,6 +118,11 @@ func main() {
 	)
 	flag.Parse()
 	p, err := sweepParams(*ops, *seeds, *benchmarks, *parallel)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	selected, err := selectExperiments(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -90,32 +140,8 @@ func main() {
 		}
 	}
 
-	known := map[string]func(experiments.Params){
-		"table1":    func(experiments.Params) { printTable1() },
-		"table2":    func(experiments.Params) { printTable2() },
-		"fig2":      printFig2,
-		"fig6":      func(experiments.Params) { printFig6() },
-		"fig7":      printFig7,
-		"fig8":      printFig8,
-		"fig9":      printFig9,
-		"fig10":     printFig10,
-		"evictions": printEvictions,
-		"ablation":  printAblation,
-		"fabric":    printFabric,
-		"energy":    printEnergy,
-		"sectoring": printSectoring,
-	}
-	if *exp == "all" {
-		for _, name := range []string{"table1", "table2", "fig6", "fig2", "fig7", "fig8", "fig9", "fig10", "evictions", "ablation", "fabric", "energy", "sectoring"} {
-			known[name](p)
-		}
-	} else {
-		fn, ok := known[*exp]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(2)
-		}
-		fn(p)
+	for _, e := range selected {
+		e.run(p)
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -156,7 +182,7 @@ func sweepParams(ops, seeds int, benchmarks string, parallel int) (experiments.P
 	return p, nil
 }
 
-func printTable1() {
+func printTable1(experiments.Params) {
 	fmt.Println("== Table 1: region protocol states ==")
 	var rows [][]string
 	for _, r := range experiments.Table1() {
@@ -165,7 +191,7 @@ func printTable1() {
 	emit("table1", []string{"State", "Processor", "Other Processors", "Broadcast Needed?"}, rows)
 }
 
-func printTable2() {
+func printTable2(experiments.Params) {
 	fmt.Println("== Table 2: RCA storage overhead ==")
 	var rows [][]string
 	for _, r := range experiments.Table2() {
@@ -198,7 +224,7 @@ func printFig2(p experiments.Params) {
 	fmt.Printf("average unnecessary: %.1f%% (paper: 67%%, range 15-94%%)\n\n", experiments.Figure2Average(rows))
 }
 
-func printFig6() {
+func printFig6(experiments.Params) {
 	fmt.Println("== Figure 6: memory request latency (system cycles) ==")
 	var out [][]string
 	for _, r := range experiments.Figure6() {

@@ -68,3 +68,37 @@ func TestSweepParamsRejectsInvalidFlags(t *testing.T) {
 		t.Fatalf("empty -benchmarks: %+v, %v; want the default set", p, err)
 	}
 }
+
+// TestSelectExperiments: -experiment resolves against the one catalog
+// before any profile or CSV directory is created; "all" is the catalog
+// in its print order, and an unknown name is refused with the known ones.
+func TestSelectExperiments(t *testing.T) {
+	all := []string{"table1", "table2", "fig6", "fig2", "fig7", "fig8", "fig9", "fig10",
+		"evictions", "ablation", "fabric", "energy", "sectoring"}
+	for _, tc := range []struct {
+		flag    string
+		want    []string
+		wantErr []string
+	}{
+		{flag: "all", want: all},
+		{flag: "fig8", want: []string{"fig8"}},
+		{flag: "fig99", wantErr: []string{`"fig99"`, strings.Join(all, ",")}},
+	} {
+		got, err := selectExperiments(tc.flag)
+		if tc.wantErr != nil {
+			for _, s := range tc.wantErr {
+				if err == nil || !strings.Contains(err.Error(), s) {
+					t.Errorf("selectExperiments(%q) error = %v, want one naming %s", tc.flag, err, s)
+				}
+			}
+			continue
+		}
+		var names []string
+		for _, e := range got {
+			names = append(names, e.name)
+		}
+		if err != nil || !reflect.DeepEqual(names, tc.want) {
+			t.Errorf("selectExperiments(%q) = %v, %v; want %v", tc.flag, names, err, tc.want)
+		}
+	}
+}

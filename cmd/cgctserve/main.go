@@ -1,7 +1,8 @@
 // Command cgctserve exposes the CGCT simulator as an HTTP/JSON service:
-// simulation and experiment jobs flow through a bounded admission queue
-// into a bounded worker pool, backed by a content-addressed result cache
-// with singleflight deduplication.
+// simulation jobs flow through a bounded admission queue into a bounded
+// worker pool, backed by a content-addressed result cache with
+// singleflight deduplication. The paper's experiments run with
+// cgctexperiments, not here.
 //
 // Usage:
 //

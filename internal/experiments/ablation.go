@@ -1,6 +1,9 @@
 package experiments
 
-import "cgct"
+import (
+	"cgct"
+	"cgct/internal/stats"
+)
 
 // AblationRow compares the full seven-state protocol against the §3.4
 // scaled-back three-state variant, and measures the §6 prefetch-filter
@@ -34,13 +37,10 @@ func Ablation(p Params) []AblationRow {
 			sc := runs[p.request(b, s, scaledCfg)]
 			fl := runs[p.request(b, s, filterCfg)]
 			rp := runs[p.request(b, s, regionPfCfg)]
-			red := func(c uint64) float64 {
-				return 100 * (float64(base.Cycles) - float64(c)) / float64(base.Cycles)
-			}
-			full = append(full, red(f.Cycles))
-			scaled = append(scaled, red(sc.Cycles))
-			filtered = append(filtered, red(fl.Cycles))
-			regionPf = append(regionPf, red(rp.Cycles))
+			full = append(full, stats.SpeedupPct(base.Cycles, f.Cycles))
+			scaled = append(scaled, stats.SpeedupPct(base.Cycles, sc.Cycles))
+			filtered = append(filtered, stats.SpeedupPct(base.Cycles, fl.Cycles))
+			regionPf = append(regionPf, stats.SpeedupPct(base.Cycles, rp.Cycles))
 			fullAv = append(fullAv, 100*f.AvoidedFraction())
 			scaledAv = append(scaledAv, 100*sc.AvoidedFraction())
 		}

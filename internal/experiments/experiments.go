@@ -3,15 +3,14 @@
 // cgct.RunAll pool of Params.Parallel workers, and returns printable rows;
 // the cmd/cgctexperiments binary and the repository benchmarks drive them.
 //
-// The harness is built on the public cgct API, exercising the library the
-// way a downstream user would.
+// The harness drives the public cgct API the way a downstream user would;
+// from the internals it takes only stats.SpeedupPct, cgct.Compare's metric.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 
 	"cgct"
@@ -35,9 +34,6 @@ func (p Params) withDefaults() Params {
 	}
 	if len(p.Benchmarks) == 0 {
 		p.Benchmarks = cgct.PaperBenchmarks()
-	}
-	if p.Parallel <= 0 {
-		p.Parallel = runtime.GOMAXPROCS(0)
 	}
 	return p
 }
@@ -99,6 +95,15 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
+// tTable95 holds two-sided 95% critical values of Student's t, indexed
+// by degrees of freedom (1–30); beyond it ci95 uses the normal 1.96.
+var tTable95 = []float64{
+	0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
+	2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093,
+	2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045,
+	2.042,
+}
+
 // ci95 returns the half-width of the 95% confidence interval.
 func ci95(xs []float64) float64 {
 	n := len(xs)
@@ -111,14 +116,12 @@ func ci95(xs []float64) float64 {
 		d := x - m
 		ss += d * d
 	}
-	sd := ss / float64(n-1)
-	// Student-t two-sided 95% for small df.
-	t := []float64{0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228}
+	variance := ss / float64(n-1)
 	tv := 1.96
-	if n-1 < len(t) {
-		tv = t[n-1]
+	if n-1 < len(tTable95) {
+		tv = tTable95[n-1]
 	}
-	return tv * math.Sqrt(sd/float64(n))
+	return tv * math.Sqrt(variance/float64(n))
 }
 
 // sortedBenchmarks returns the benchmark list in canonical order.

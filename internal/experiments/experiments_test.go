@@ -156,36 +156,6 @@ func TestRender(t *testing.T) {
 	}
 }
 
-func TestRunByName(t *testing.T) {
-	rows, err := RunByName("table1", Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows == nil {
-		t.Fatal("nil rows")
-	}
-	if _, err := RunByName("nope", Params{}); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	if len(Names()) != 13 || !Known("fig8") {
-		t.Fatalf("catalog = %v", Names())
-	}
-}
-
-func TestParamsCanonical(t *testing.T) {
-	a := Params{Benchmarks: []string{"tpc-h", "ocean"}, Parallel: 7}.Canonical()
-	b := Params{Benchmarks: []string{"ocean", "tpc-h"}, Parallel: 2}.Canonical()
-	if a.Parallel != 0 || b.Parallel != 0 {
-		t.Error("Parallel must not survive canonicalisation")
-	}
-	if len(a.Benchmarks) != 2 || a.Benchmarks[0] != b.Benchmarks[0] || a.Benchmarks[1] != b.Benchmarks[1] {
-		t.Errorf("benchmark order not canonical: %v vs %v", a.Benchmarks, b.Benchmarks)
-	}
-	if a.OpsPerProc == 0 || len(a.Seeds) == 0 {
-		t.Error("defaults not applied")
-	}
-}
-
 func TestCI95(t *testing.T) {
 	if ci95([]float64{5}) != 0 {
 		t.Error("single sample CI should be 0")
@@ -193,6 +163,15 @@ func TestCI95(t *testing.T) {
 	ci := ci95([]float64{4, 6})
 	if math.Abs(ci-12.706) > 0.01 {
 		t.Errorf("two-sample CI = %v", ci)
+	}
+	// Twelve seeds: t(11) = 2.201, not the normal 1.96. Alternating 0/1
+	// has variance 12·0.25/11.
+	twelve := make([]float64, 12)
+	for i := range twelve {
+		twelve[i] = float64(i % 2)
+	}
+	if got, want := ci95(twelve), 2.201*math.Sqrt(3.0/11/12); math.Abs(got-want) > 1e-12 {
+		t.Errorf("twelve-sample CI = %v, want %v", got, want)
 	}
 }
 
@@ -278,18 +257,18 @@ func TestFabricHonoursParallel(t *testing.T) {
 // options every run is simulated under.
 func TestPooledExperimentsHonourParallel(t *testing.T) {
 	p := quickParams()
+	pooled := map[string]func(Params) any{
+		"fig9":      func(p Params) any { return Figure9(p) },
+		"evictions": func(p Params) any { return Evictions(p) },
+		"ablation":  func(p Params) any { return Ablation(p) },
+		"sectoring": func(p Params) any { return Sectoring(p) },
+	}
 	rows := map[string]any{}
-	for _, name := range []string{"fig9", "evictions", "ablation", "sectoring"} {
+	for name, run := range pooled {
 		p.Parallel = 1
-		one, err := RunByName(name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		one := run(p)
 		p.Parallel = 4
-		four, err := RunByName(name, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		four := run(p)
 		if !reflect.DeepEqual(one, four) {
 			t.Errorf("%s: rows differ between Parallel 1 and 4:\n%+v\n%+v", name, one, four)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"cgct"
+	"cgct/internal/stats"
 )
 
 // FabricRow compares the three coherence fabrics on one benchmark: the
@@ -92,13 +93,10 @@ func fabricRow(b string, procs int, runs [][5]*cgct.Result) FabricRow {
 	var cgC2C, threeHop, baseB, cgB, dirMsg, dirCGMsg, fastPaths uint64
 	for _, rs5 := range runs {
 		base, c, rs, d, dc := rs5[0], rs5[1], rs5[2], rs5[3], rs5[4]
-		red := func(r *cgct.Result) float64 {
-			return 100 * (float64(base.Cycles) - float64(r.Cycles)) / float64(base.Cycles)
-		}
-		cg = append(cg, red(c))
-		sc = append(sc, red(rs))
-		dir = append(dir, red(d))
-		dirCG = append(dirCG, red(dc))
+		cg = append(cg, stats.SpeedupPct(base.Cycles, c.Cycles))
+		sc = append(sc, stats.SpeedupPct(base.Cycles, rs.Cycles))
+		dir = append(dir, stats.SpeedupPct(base.Cycles, d.Cycles))
+		dirCG = append(dirCG, stats.SpeedupPct(base.Cycles, dc.Cycles))
 		cgC2C += c.CacheToCache
 		threeHop += d.ThreeHops
 		baseB += base.Broadcasts

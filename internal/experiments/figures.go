@@ -7,6 +7,7 @@ import (
 	"cgct"
 	"cgct/internal/config"
 	"cgct/internal/core"
+	"cgct/internal/stats"
 )
 
 // RegionSizes are the region sizes evaluated in the paper.
@@ -207,7 +208,7 @@ func Figure8(p Params) []Figure8Row {
 			for _, s := range p.Seeds {
 				base := runs[p.request(b, s, cgct.Options{})]
 				cg := runs[p.request(b, s, cgctAt(rb))]
-				red = append(red, 100*(float64(base.Cycles)-float64(cg.Cycles))/float64(base.Cycles))
+				red = append(red, stats.SpeedupPct(base.Cycles, cg.Cycles))
 			}
 			row.Reduction[rb] = Sample{Mean: mean(red), CI95: ci95(red)}
 		}
@@ -259,8 +260,8 @@ func Figure9(p Params) []Figure9Row {
 			base := runs[p.request(b, s, cgct.Options{})]
 			f := runs[p.request(b, s, cgctAt(512))]
 			h := runs[p.request(b, s, halfRCA)]
-			full = append(full, 100*(float64(base.Cycles)-float64(f.Cycles))/float64(base.Cycles))
-			half = append(half, 100*(float64(base.Cycles)-float64(h.Cycles))/float64(base.Cycles))
+			full = append(full, stats.SpeedupPct(base.Cycles, f.Cycles))
+			half = append(half, stats.SpeedupPct(base.Cycles, h.Cycles))
 		}
 		rows = append(rows, Figure9Row{
 			Benchmark: b,

@@ -145,16 +145,16 @@ func checkGoldenThroughServer(t *testing.T, c *client.Client) {
 		req  server.JobRequest
 	}{
 		{"ocean-baseline", server.JobRequest{
-			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 60_000, Seed: 7},
+			Benchmark: "ocean",
+			Options:   cgct.Options{OpsPerProc: 60_000, Seed: 7},
 		}},
 		{"ocean-cgct", server.JobRequest{
-			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 60_000, Seed: 7, CGCT: true},
+			Benchmark: "ocean",
+			Options:   cgct.Options{OpsPerProc: 60_000, Seed: 7, CGCT: true},
 		}},
 		{"ocean-dir-cgct", server.JobRequest{
-			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 60_000, Seed: 7, CGCT: true, Directory: true},
+			Benchmark: "ocean",
+			Options:   cgct.Options{OpsPerProc: 60_000, Seed: 7, CGCT: true, Directory: true},
 		}},
 	}
 	ctx := context.Background()

@@ -212,8 +212,8 @@ func TestClusterChaosPeerDeathMidSweep(t *testing.T) {
 	const seeds = 12
 	mkReq := func(seed uint64) server.JobRequest {
 		return server.JobRequest{
-			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 2_000, Seed: 7_000 + seed},
+			Benchmark: "ocean",
+			Options:   cgct.Options{OpsPerProc: 2_000, Seed: 7_000 + seed},
 		}
 	}
 	// The bit-identity reference, computed before any fault is armed.
@@ -383,8 +383,8 @@ func TestClusterChaosPeerDeathMidSweep(t *testing.T) {
 func TestClusterChaosColdRestartWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	req := server.JobRequest{
-		Type: server.TypeSim, Benchmark: "ocean",
-		Options: cgct.Options{OpsPerProc: 2_000, Seed: 8_101},
+		Benchmark: "ocean",
+		Options:   cgct.Options{OpsPerProc: 2_000, Seed: 8_101},
 	}
 	ctx := context.Background()
 
@@ -569,8 +569,8 @@ func TestClusterChaosKillAndRejoin(t *testing.T) {
 	const seeds = 6
 	mkReq := func(seed uint64) server.JobRequest {
 		return server.JobRequest{
-			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 2_000, Seed: 9_300 + seed},
+			Benchmark: "ocean",
+			Options:   cgct.Options{OpsPerProc: 2_000, Seed: 9_300 + seed},
 		}
 	}
 
@@ -733,8 +733,8 @@ func TestClusterChaosScrubRestoresFromPeer(t *testing.T) {
 	ctx := context.Background()
 
 	sub, err := nodes[0].c.Submit(ctx, server.JobRequest{
-		Type: server.TypeSim, Benchmark: "ocean",
-		Options: cgct.Options{OpsPerProc: 2_000, Seed: 9_500},
+		Benchmark: "ocean",
+		Options:   cgct.Options{OpsPerProc: 2_000, Seed: 9_500},
 	})
 	if err != nil {
 		t.Fatal(err)

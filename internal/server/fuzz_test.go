@@ -21,7 +21,7 @@ func FuzzNormalize(f *testing.F) {
 	seeds := []string{
 		`{}`,
 		`{"benchmark":"ocean"}`,
-		`{"type":"sim","benchmark":"ocean","options":{"OpsPerProc":2000,"Seed":3}}`,
+		`{"benchmark":"ocean","options":{"OpsPerProc":2000,"Seed":3}}`,
 		`{"type":"experiment","experiment":"fig8"}`,
 		`{"type":"experiment","experiment":"nope"}`,
 		`{"benchmark":"ocean","options":{"Processors":-5}}`,
@@ -39,7 +39,7 @@ func FuzzNormalize(f *testing.F) {
 		`{"benchmark":"ocean","options":{"Directory":"directory"}}`,
 		`{"benchmark":"ocean","options":{"Directory":true,"RegionScout":true}}`,
 		`{"benchmark":"Z"}`,
-		`{"type":"` + strings.Repeat("x", 1<<10) + `"}`,
+		`{"benchmark":"` + strings.Repeat("x", 1<<10) + `"}`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -69,7 +69,6 @@ func TestNormalizeBounds(t *testing.T) {
 		{"huge region bytes", `{"benchmark":"ocean","options":{"RegionBytes":1048577}}`},
 		{"huge sector bytes", `{"benchmark":"ocean","options":{"L2SectorBytes":1048577}}`},
 		{"negative timeout", `{"benchmark":"ocean","timeout_ms":-1}`},
-		{"experiment huge ops", `{"type":"experiment","experiment":"fig8","params":{"OpsPerProc":1099511627776}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

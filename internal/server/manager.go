@@ -37,7 +37,6 @@ import (
 	"cgct/internal/cluster"
 	"cgct/internal/config"
 	"cgct/internal/directory"
-	"cgct/internal/experiments"
 	"cgct/internal/faultinject"
 	"cgct/internal/metrics"
 	"cgct/internal/runcache"
@@ -63,23 +62,11 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job types accepted by Submit.
-const (
-	TypeSim        = "sim"        // one cgct.Run
-	TypeExperiment = "experiment" // one named experiments harness run
-)
-
-// JobRequest is the wire form of a job submission.
+// JobRequest is the wire form of a job submission: one simulation, a
+// cgct.RunContext call of Benchmark under Options.
 type JobRequest struct {
-	// Type selects the job kind: "sim" (default) or "experiment".
-	Type string `json:"type,omitempty"`
-	// Benchmark + Options describe a sim job.
 	Benchmark string       `json:"benchmark,omitempty"`
 	Options   cgct.Options `json:"options,omitempty"`
-	// Experiment + Params describe an experiment job (an entry of
-	// experiments.Names(), e.g. "fig8").
-	Experiment string             `json:"experiment,omitempty"`
-	Params     experiments.Params `json:"params,omitempty"`
 	// TimeoutMs overrides the server's default per-job wall-clock deadline
 	// (0 = server default; the deadline is an execution property, so it is
 	// deliberately NOT part of the result-cache key).
@@ -98,104 +85,69 @@ const (
 	// ways a set), so the bound keeps one request's RCAs under 512 MiB.
 	maxReqRCATotalSets = 1 << 24
 	maxReqBytesParam   = 1 << 20 // RegionBytes, L2SectorBytes
-	maxReqSeeds        = 64
-	maxReqBenchmarks   = 64
 )
-
-// boundRequest rejects oversized requests. Callers run it before resolving
-// configs so nothing scales with the hostile values first.
-func (r *JobRequest) boundRequest() error {
-	if r.TimeoutMs < 0 {
-		return fmt.Errorf("negative timeout_ms %d", r.TimeoutMs)
-	}
-	switch r.Type {
-	case "", TypeSim:
-		o := r.Options
-		if o.Processors > maxReqProcessors {
-			return fmt.Errorf("processors %d exceeds limit %d", o.Processors, maxReqProcessors)
-		}
-		if o.OpsPerProc > maxReqOpsPerProc {
-			return fmt.Errorf("ops_per_proc %d exceeds limit %d", o.OpsPerProc, maxReqOpsPerProc)
-		}
-		if o.RCASets > maxReqRCASets {
-			return fmt.Errorf("rca_sets %d exceeds limit %d", o.RCASets, maxReqRCASets)
-		}
-		if o.CGCT {
-			def := config.Default()
-			procs, sets := uint64(def.Topology.Processors), def.RCA.Sets
-			if o.Processors > 0 {
-				procs = uint64(o.Processors)
-			}
-			if o.RCASets > 0 {
-				sets = o.RCASets
-			}
-			if procs*sets > maxReqRCATotalSets {
-				return fmt.Errorf("processors × rca_sets = %d × %d exceeds limit %d", procs, sets, maxReqRCATotalSets)
-			}
-		}
-		if o.RegionBytes > maxReqBytesParam {
-			return fmt.Errorf("region_bytes %d exceeds limit %d", o.RegionBytes, maxReqBytesParam)
-		}
-		if o.L2SectorBytes > maxReqBytesParam {
-			return fmt.Errorf("l2_sector_bytes %d exceeds limit %d", o.L2SectorBytes, maxReqBytesParam)
-		}
-	case TypeExperiment:
-		p := r.Params
-		if p.OpsPerProc > maxReqOpsPerProc {
-			return fmt.Errorf("ops_per_proc %d exceeds limit %d", p.OpsPerProc, maxReqOpsPerProc)
-		}
-		if len(p.Seeds) > maxReqSeeds {
-			return fmt.Errorf("%d seeds exceeds limit %d", len(p.Seeds), maxReqSeeds)
-		}
-		if len(p.Benchmarks) > maxReqBenchmarks {
-			return fmt.Errorf("%d benchmarks exceeds limit %d", len(p.Benchmarks), maxReqBenchmarks)
-		}
-	}
-	return nil
-}
 
 // normalize validates the request in place, applies defaults, and returns
 // the content-addressed cache key covering everything that determines the
 // result: the resolved machine config hash, the workload identity, and the
-// seed(s).
+// seed. Sizes are bounded before any config is resolved, so nothing scales
+// with a hostile value first. The hashed text must keep its "sim\x00"
+// prefix: stored results and peers' replicas are filed under these keys.
 func (r *JobRequest) normalize() (string, error) {
-	if err := r.boundRequest(); err != nil {
+	if r.TimeoutMs < 0 {
+		return "", fmt.Errorf("negative timeout_ms %d", r.TimeoutMs)
+	}
+	o := r.Options
+	if o.Processors > maxReqProcessors {
+		return "", fmt.Errorf("processors %d exceeds limit %d", o.Processors, maxReqProcessors)
+	}
+	if o.OpsPerProc > maxReqOpsPerProc {
+		return "", fmt.Errorf("ops_per_proc %d exceeds limit %d", o.OpsPerProc, maxReqOpsPerProc)
+	}
+	if o.RCASets > maxReqRCASets {
+		return "", fmt.Errorf("rca_sets %d exceeds limit %d", o.RCASets, maxReqRCASets)
+	}
+	if o.CGCT {
+		def := config.Default()
+		procs, sets := uint64(def.Topology.Processors), def.RCA.Sets
+		if o.Processors > 0 {
+			procs = uint64(o.Processors)
+		}
+		if o.RCASets > 0 {
+			sets = o.RCASets
+		}
+		if procs*sets > maxReqRCATotalSets {
+			return "", fmt.Errorf("processors × rca_sets = %d × %d exceeds limit %d", procs, sets, maxReqRCATotalSets)
+		}
+	}
+	if o.RegionBytes > maxReqBytesParam {
+		return "", fmt.Errorf("region_bytes %d exceeds limit %d", o.RegionBytes, maxReqBytesParam)
+	}
+	if o.L2SectorBytes > maxReqBytesParam {
+		return "", fmt.Errorf("l2_sector_bytes %d exceeds limit %d", o.L2SectorBytes, maxReqBytesParam)
+	}
+	if r.Benchmark == "" {
+		return "", errors.New("sim job needs a benchmark")
+	}
+	if _, err := workload.Lookup(r.Benchmark); err != nil {
 		return "", err
 	}
-	h := sha256.New()
-	switch r.Type {
-	case "", TypeSim:
-		r.Type = TypeSim
-		if r.Benchmark == "" {
-			return "", errors.New("sim job needs a benchmark")
-		}
-		if _, err := workload.Lookup(r.Benchmark); err != nil {
-			return "", err
-		}
-		cfg, o2 := cgct.ResolveConfig(r.Options)
-		if err := cfg.Validate(); err != nil {
-			return "", err
-		}
-		r.Options = o2
-		fmt.Fprintf(h, "sim\x00%s\x00%s\x00%+v", r.Benchmark, cfg.Hash(), o2)
-	case TypeExperiment:
-		if !experiments.Known(r.Experiment) {
-			return "", fmt.Errorf("unknown experiment %q (have %v)", r.Experiment, experiments.Names())
-		}
-		r.Params = r.Params.Canonical()
-		fmt.Fprintf(h, "exp\x00%s\x00%+v", r.Experiment, r.Params)
-	default:
-		return "", fmt.Errorf("unknown job type %q (want %q or %q)", r.Type, TypeSim, TypeExperiment)
+	cfg, o2 := cgct.ResolveConfig(r.Options)
+	if err := cfg.Validate(); err != nil {
+		return "", err
 	}
+	r.Options = o2
+	h := sha256.New()
+	fmt.Fprintf(h, "sim\x00%s\x00%s\x00%+v", r.Benchmark, cfg.Hash(), o2)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // PhaseSpan is the wire form of one phase of a job's lifecycle:
 // queued → admitted → trace-compile → simulate → aggregate → finalize
-// for a sim job that led its computation, queued → execute for cache
-// followers, jobs served at admission (both spans start at submission)
-// and experiment jobs. Spans are contiguous, so their durations sum to
-// the job's total latency.
+// for a job that led its computation, queued → execute for cache
+// followers and jobs served at admission (both spans start at
+// submission). Spans are contiguous, so their durations sum to the job's
+// total latency.
 type PhaseSpan struct {
 	Name       string    `json:"name"`
 	StartedAt  time.Time `json:"started_at"`
@@ -205,7 +157,6 @@ type PhaseSpan struct {
 // JobStatus is the wire form of a job's lifecycle state.
 type JobStatus struct {
 	ID    string   `json:"id"`
-	Type  string   `json:"type"`
 	State JobState `json:"state"`
 	// Key is the job's content address (sha256 of the canonical config) —
 	// the handle cluster peers use against GET /v1/results/{key}.
@@ -265,14 +216,14 @@ type job struct {
 	hasStarted   bool
 
 	// Watchdog state, meaningful only while the job is the singleflight
-	// compute leader of a sim run (leading true, progress non-nil).
+	// compute leader (leading true).
 	leading    bool
 	progress   *cgct.Progress
 	lastEvents uint64
 	progressAt time.Time
 
 	// spans are the run phases reported by cgct.RunContext while this job
-	// led the computation (empty for cache followers and experiments).
+	// led the computation (empty for cache followers).
 	spans []cgct.Span
 }
 
@@ -300,9 +251,9 @@ func (j *job) phases() []PhaseSpan {
 	}
 	add("queued", j.submitted, j.started)
 	if len(j.spans) == 0 {
-		// Cache follower, admission-served job, experiment, or a run that
-		// failed before phase reporting: one opaque execution span keeps
-		// the tiling exact.
+		// Cache follower, admission-served job, or a run that failed
+		// before phase reporting: one opaque execution span keeps the
+		// tiling exact.
 		add("execute", j.started, j.finished)
 		return out
 	}
@@ -661,7 +612,7 @@ func (m *Manager) Submit(req JobRequest) (JobStatus, error) {
 	m.jobs[j.id] = j
 	m.jobsSubmitted.Inc()
 	m.log.Info("job submitted",
-		"job_id", j.id, "type", req.Type, "config_hash", shortHash(key),
+		"job_id", j.id, "config_hash", shortHash(key),
 		"cache_hit", j.cacheHit, "queue_depth", len(m.queue))
 	if served {
 		// Born done: no queue wait and no run phases, so phases() renders
@@ -731,7 +682,6 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 func (m *Manager) statusLocked(j *job) JobStatus {
 	st := JobStatus{
 		ID:           j.id,
-		Type:         j.request.Type,
 		State:        j.state,
 		Key:          j.key,
 		CacheHit:     j.cacheHit,
@@ -789,7 +739,7 @@ func (m *Manager) finishLocked(j *job, state JobState, failureKind, errMsg strin
 		m.finished = m.finished[1:]
 	}
 	m.log.Info("job finished",
-		"job_id", j.id, "type", j.request.Type, "config_hash", shortHash(j.key),
+		"job_id", j.id, "config_hash", shortHash(j.key),
 		"state", string(state), "failure_kind", failureKind, "error", errMsg,
 		"cache_hit", j.cacheHit, "elapsed_ms", j.finished.Sub(j.submitted).Milliseconds())
 }
@@ -887,19 +837,17 @@ func (m *Manager) executeProtected(j *job) (res any, err error) {
 	return m.execute(j)
 }
 
-// noteLeading marks j as the singleflight compute leader and, for sim
-// jobs, allocates the progress counter the watchdog polls. Runs on the
-// leader's own worker goroutine (the cache invokes fn synchronously).
+// noteLeading marks j as the singleflight compute leader and allocates
+// the progress counter the watchdog polls. Runs on the leader's own
+// worker goroutine (the cache invokes fn synchronously).
 func (m *Manager) noteLeading(j *job) *cgct.Progress {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.leading = true
 	j.spans = nil // a retried leadership starts a fresh phase record
-	if j.request.Type == TypeSim {
-		j.progress = &cgct.Progress{}
-		j.lastEvents = 0
-		j.progressAt = time.Now()
-	}
+	j.progress = &cgct.Progress{}
+	j.lastEvents = 0
+	j.progressAt = time.Now()
 	return j.progress
 }
 
@@ -934,11 +882,9 @@ func (m *Manager) executeCached(j *job) (any, error) {
 				m.storeSpill(j.key, payload)
 				return json.RawMessage(payload), nil
 			}
-			if p != nil {
-				ctx = cgct.WithProgress(ctx, p)
-			}
+			ctx = cgct.WithProgress(ctx, p)
 			ctx = cgct.WithSpanRecorder(ctx, func(s cgct.Span) { m.recordSpan(j, s) })
-			res, err := runRequest(ctx, j.request)
+			res, err := cgct.RunContext(ctx, j.request.Benchmark, j.request.Options)
 			if err == nil {
 				m.setResultSource(j, "sim")
 				if payload, merr := canonicalResult(res); merr == nil {
@@ -1167,7 +1113,7 @@ func (m *Manager) watchdog() {
 		case now := <-t.C:
 			m.mu.Lock()
 			for _, j := range m.jobs {
-				if j.state != StateRunning || !j.leading || j.progress == nil {
+				if j.state != StateRunning || !j.leading {
 					continue
 				}
 				if ev := j.progress.Events(); ev != j.lastEvents {
@@ -1185,20 +1131,6 @@ func (m *Manager) watchdog() {
 			}
 			m.mu.Unlock()
 		}
-	}
-}
-
-// runRequest dispatches a normalised request to the simulator or the
-// experiments harness. Sim jobs honour ctx cancellation mid-run;
-// experiment jobs are cancellable only while queued.
-func runRequest(ctx context.Context, req JobRequest) (any, error) {
-	switch req.Type {
-	case TypeSim:
-		return cgct.RunContext(ctx, req.Benchmark, req.Options)
-	case TypeExperiment:
-		return experiments.RunByName(req.Experiment, req.Params)
-	default:
-		return nil, fmt.Errorf("unknown job type %q", req.Type) // unreachable post-normalize
 	}
 }
 

@@ -95,8 +95,8 @@ func TestStoreAndClusterCounters(t *testing.T) {
 	ctx := context.Background()
 
 	sub, err := nodes[0].c.Submit(ctx, server.JobRequest{
-		Type: server.TypeSim, Benchmark: "ocean",
-		Options: cgct.Options{OpsPerProc: 2_000, Seed: 9_600},
+		Benchmark: "ocean",
+		Options:   cgct.Options{OpsPerProc: 2_000, Seed: 9_600},
 	})
 	if err != nil {
 		t.Fatal(err)

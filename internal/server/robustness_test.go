@@ -90,7 +90,7 @@ func TestWatchdogKillsStalledSim(t *testing.T) {
 	_, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 4, WatchdogStall: 200 * time.Millisecond})
 	// Big enough to span multiple event batches: the run must still be in
 	// progress when the injected stall ends, so it observes the kill.
-	req := server.JobRequest{Type: server.TypeSim, Benchmark: "ocean",
+	req := server.JobRequest{Benchmark: "ocean",
 		Options: cgct.Options{OpsPerProc: 60_000, Seed: 7}}
 	st, err := c.Submit(context.Background(), req)
 	if err != nil {
@@ -123,7 +123,7 @@ func TestWatchdogSparesProgressingSim(t *testing.T) {
 		t.Skip("multi-batch sim; skipped in -short")
 	}
 	_, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 4, WatchdogStall: 100 * time.Millisecond})
-	req := server.JobRequest{Type: server.TypeSim, Benchmark: "ocean",
+	req := server.JobRequest{Benchmark: "ocean",
 		Options: cgct.Options{OpsPerProc: 120_000, Seed: 7}}
 	st, err := c.Submit(context.Background(), req)
 	if err != nil {

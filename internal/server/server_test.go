@@ -2,7 +2,6 @@ package server_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -15,11 +14,12 @@ import (
 	"cgct"
 	"cgct/internal/server"
 	"cgct/internal/server/client"
+	"cgct/internal/trace"
 )
 
 // tinySim is a fast real-simulation request (~milliseconds).
 func tinySim(seed uint64) server.JobRequest {
-	return server.JobRequest{Type: server.TypeSim, Benchmark: "ocean", Options: cgct.Options{OpsPerProc: 2_000, Seed: seed}}
+	return server.JobRequest{Benchmark: "ocean", Options: cgct.Options{OpsPerProc: 2_000, Seed: seed}}
 }
 
 // newTestServer starts an httptest server and returns it with a client.
@@ -68,7 +68,7 @@ func TestJobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	if st.ID == "" || st.State != server.StateQueued || st.Type != server.TypeSim {
+	if st.ID == "" || st.State != server.StateQueued {
 		t.Fatalf("initial status = %+v", st)
 	}
 	final, err := c.Wait(ctx, st.ID, time.Millisecond)
@@ -259,8 +259,8 @@ func TestCancelMidRealSimulation(t *testing.T) {
 	_, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 2})
 	ctx := context.Background()
 	st, err := c.Submit(ctx, server.JobRequest{
-		Type: server.TypeSim, Benchmark: "ocean",
-		Options: cgct.Options{OpsPerProc: 20_000_000}, // minutes of work if not cancelled
+		Benchmark: "ocean",
+		Options:   cgct.Options{OpsPerProc: 20_000_000}, // minutes of work if not cancelled
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,6 +277,62 @@ func TestCancelMidRealSimulation(t *testing.T) {
 	if final.State != server.StateCancelled {
 		t.Fatalf("final = %+v", final)
 	}
+}
+
+// TestDeadlineAndDrainStopRealSimulation: a job's deadline and a forced
+// drain stop a genuinely running cgct simulation, not just a test
+// executor. The job's processors × ops exceed trace.MaxSharedOps, so
+// nothing is compiled up front: the workload generates live, and a run
+// that is not stopped would take minutes.
+func TestDeadlineAndDrainStopRealSimulation(t *testing.T) {
+	big := func(seed uint64) server.JobRequest {
+		return server.JobRequest{Benchmark: "tpc-b",
+			Options: cgct.Options{Processors: 16, OpsPerProc: 2_500_000, CGCT: true, Seed: seed}}
+	}
+	if o := big(0).Options; o.Processors*o.OpsPerProc <= trace.MaxSharedOps {
+		t.Fatalf("%d × %d ops would be compiled up front", o.Processors, o.OpsPerProc)
+	}
+	const limit = 5 * time.Second
+	ctx := context.Background()
+
+	_, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 2})
+	req := big(1)
+	req.TimeoutMs = 100
+	start := time.Now()
+	st, err := c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx, st.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadlineTook := time.Since(start)
+	if final.State != server.StateFailed || final.FailureKind != "deadline" || deadlineTook > limit {
+		t.Fatalf("100 ms deadline: job ended %q (%q) after %v, want failed/deadline within %v",
+			final.State, final.FailureKind, deadlineTook, limit)
+	}
+
+	s2, c2 := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 2})
+	st, err = c2.Submit(ctx, big(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, c2, st.ID, server.StateRunning)
+	dctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	start = time.Now()
+	if err := s2.Manager().Drain(dctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain err = %v, want deadline exceeded", err)
+	}
+	drainTook := time.Since(start)
+	if final, err = c2.Status(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if final.State != server.StateCancelled || drainTook > limit {
+		t.Fatalf("forced drain returned after %v with the job %q, want cancelled within %v", drainTook, final.State, limit)
+	}
+	t.Logf("deadline job ended after %v; forced drain returned after %v", deadlineTook, drainTook)
 }
 
 func TestGracefulDrain(t *testing.T) {
@@ -388,38 +444,13 @@ func TestMetricsLatencyPercentiles(t *testing.T) {
 	}
 }
 
-func TestExperimentJob(t *testing.T) {
-	_, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 4})
-	ctx := context.Background()
-	st, err := c.Submit(ctx, server.JobRequest{Type: server.TypeExperiment, Experiment: "table1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Type != server.TypeExperiment {
-		t.Fatalf("type = %q", st.Type)
-	}
-	final, err := c.Wait(ctx, st.ID, time.Millisecond)
-	if err != nil || final.State != server.StateDone {
-		t.Fatalf("experiment: %+v, %v", final, err)
-	}
-	var rows []json.RawMessage
-	if _, err := c.Result(ctx, st.ID, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 7 {
-		t.Fatalf("table1 rows = %d, want 7", len(rows))
-	}
-}
-
 func TestValidationAndErrorPaths(t *testing.T) {
 	s, c := newTestServer(t, server.Options{Workers: 1, QueueCapacity: 4})
 	ctx := context.Background()
 	badRequests := []server.JobRequest{
-		{Type: server.TypeSim},                                                                        // missing benchmark
-		{Type: server.TypeSim, Benchmark: "no-such-bench"},                                            // unknown workload
-		{Type: server.TypeExperiment, Experiment: "fig99"},                                            // unknown experiment
-		{Type: "training-run", Benchmark: "ocean"},                                                    // unknown type
-		{Type: server.TypeSim, Benchmark: "ocean", Options: cgct.Options{CGCT: true, RegionBytes: 7}}, // invalid config
+		{},                           // missing benchmark
+		{Benchmark: "no-such-bench"}, // unknown workload
+		{Benchmark: "ocean", Options: cgct.Options{CGCT: true, RegionBytes: 7}}, // invalid config
 	}
 	for i, req := range badRequests {
 		_, err := c.Submit(ctx, req)
@@ -441,19 +472,23 @@ func TestValidationAndErrorPaths(t *testing.T) {
 		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
 	}
 
-	// An option the API does not have is refused by name, not ignored:
-	// a client still sending a retired fabric, directory or I/O-injection
-	// option must not silently get results simulated without it.
-	for _, tc := range []struct{ field, options string }{
-		{"SimParallelism", `{"SimParallelism":4}`},
-		{"Fabric", `{"Fabric":"directory"}`},
-		{"DirScheme", `{"Directory":true,"DirScheme":"limited"}`},
-		{"DirPointers", `{"Directory":true,"DirPointers":2}`},
-		{"DirEntriesPerHome", `{"Directory":true,"DirEntriesPerHome":2048}`},
-		{"DMAIntervalCycles", `{"DMAIntervalCycles":2000}`},
+	// A field the API does not have is refused by name, not ignored: a
+	// client still sending a retired fabric, directory or I/O-injection
+	// option must not silently get results simulated without it, and one
+	// asking for the retired experiment job kind must not silently get a
+	// simulation.
+	for _, tc := range []struct{ field, body string }{
+		{"SimParallelism", `{"benchmark":"ocean","options":{"SimParallelism":4}}`},
+		{"Fabric", `{"benchmark":"ocean","options":{"Fabric":"directory"}}`},
+		{"DirScheme", `{"benchmark":"ocean","options":{"Directory":true,"DirScheme":"limited"}}`},
+		{"DirPointers", `{"benchmark":"ocean","options":{"Directory":true,"DirPointers":2}}`},
+		{"DirEntriesPerHome", `{"benchmark":"ocean","options":{"Directory":true,"DirEntriesPerHome":2048}}`},
+		{"DMAIntervalCycles", `{"benchmark":"ocean","options":{"DMAIntervalCycles":2000}}`},
+		{"type", `{"type":"experiment","experiment":"table1"}`},
+		{"experiment", `{"benchmark":"ocean","experiment":"fig8"}`},
+		{"params", `{"benchmark":"ocean","params":{"OpsPerProc":2000}}`},
 	} {
-		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json",
-			strings.NewReader(`{"benchmark":"ocean","options":`+tc.options+`}`))
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +496,7 @@ func TestValidationAndErrorPaths(t *testing.T) {
 		resp.Body.Close()
 		// The JSON error body escapes the quotes around the field name.
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"`+tc.field+`\"`) {
-			t.Errorf("unknown option %s: %d %s, want 400 naming the field", tc.field, resp.StatusCode, body)
+			t.Errorf("unknown field %s: %d %s, want 400 naming the field", tc.field, resp.StatusCode, body)
 		}
 	}
 
@@ -501,8 +536,8 @@ func TestConcurrentIdenticalSubmissions(t *testing.T) {
 	ids := make([]string, 6)
 	for i := range ids {
 		st, err := c.Submit(ctx, server.JobRequest{
-			Type: server.TypeSim, Benchmark: "ocean",
-			Options: cgct.Options{OpsPerProc: 60_000, Seed: 99},
+			Benchmark: "ocean",
+			Options:   cgct.Options{OpsPerProc: 60_000, Seed: 99},
 		})
 		if err != nil {
 			t.Fatal(err)

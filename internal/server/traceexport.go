@@ -45,15 +45,12 @@ func (m *Manager) WriteChromeTrace(w io.Writer) error {
 	out := chromeTraceFile{DisplayTimeUnit: "ms", TraceEvents: []chromeTraceEvent{}}
 	for _, j := range jobs {
 		args := map[string]string{
-			"job_id": j.id,
-			"type":   j.request.Type,
-			"state":  string(j.state),
+			"job_id":    j.id,
+			"state":     string(j.state),
+			"benchmark": j.request.Benchmark,
 		}
 		if j.failureKind != "" {
 			args["failure_kind"] = j.failureKind
-		}
-		if j.request.Benchmark != "" {
-			args["benchmark"] = j.request.Benchmark
 		}
 		out.TraceEvents = append(out.TraceEvents, chromeTraceEvent{
 			Name: "thread_name", Ph: "M", PID: 1, TID: j.seq,

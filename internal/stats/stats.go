@@ -1,12 +1,11 @@
 // Package stats collects simulation statistics: request/route counters,
 // the oracle's unnecessary-broadcast classification, the per-100K-cycle
-// broadcast traffic windows used for Figure 10, and mean/confidence-
-// interval aggregation across seeded runs for Figure 8's error bars.
+// broadcast traffic windows used for Figure 10, and the run-time reduction
+// metric of Figures 8 and 9. Aggregation across seeded runs (means and
+// confidence intervals) lives with the experiments that report it.
 package stats
 
 import (
-	"math"
-
 	"cgct/internal/coherence"
 	"cgct/internal/event"
 )
@@ -256,55 +255,13 @@ func (r *Run) AvgDemandMissLatency() float64 {
 	return float64(r.DemandMissCycles) / float64(r.DemandMisses)
 }
 
-// Sample summarises repeated measurements (one per seed) of a scalar.
-type Sample struct {
-	N    int
-	Mean float64
-	CI95 float64 // half-width of the 95% confidence interval
-}
-
-// tTable95 holds two-sided 95% critical values of Student's t for small
-// degrees of freedom (index = df, capped).
-var tTable95 = []float64{
-	0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
-	2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093,
-	2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045,
-	2.042,
-}
-
-// Summarize computes mean and 95% CI half-width over xs.
-func Summarize(xs []float64) Sample {
-	n := len(xs)
-	if n == 0 {
-		return Sample{}
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(n)
-	if n == 1 {
-		return Sample{N: 1, Mean: mean}
-	}
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	sd := math.Sqrt(ss / float64(n-1))
-	df := n - 1
-	t := 1.960
-	if df < len(tTable95) {
-		t = tTable95[df]
-	}
-	return Sample{N: n, Mean: mean, CI95: t * sd / math.Sqrt(float64(n))}
-}
-
-// SpeedupPct returns the percentage reduction in run time going from base
-// to improved (positive = improved is faster), the metric of Figures 8/9.
-func SpeedupPct(baseCycles, improvedCycles float64) float64 {
+// SpeedupPct returns the percentage reduction in run time going from
+// baseCycles to improvedCycles (positive = improved is faster), the metric
+// of Figures 8/9, rounded as 100·(base−improved)/base in float64.
+func SpeedupPct(baseCycles, improvedCycles uint64) float64 {
 	if baseCycles == 0 {
 		return 0
 	}
-	return (baseCycles - improvedCycles) / baseCycles * 100
+	base := float64(baseCycles)
+	return 100 * (base - float64(improvedCycles)) / base
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 
 	"cgct/internal/coherence"
@@ -79,43 +78,6 @@ func TestRunTotals(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 {
-		t.Error("empty sample")
-	}
-	s = Summarize([]float64{5})
-	if s.N != 1 || s.Mean != 5 || s.CI95 != 0 {
-		t.Errorf("single sample = %+v", s)
-	}
-	s = Summarize([]float64{4, 6})
-	if s.Mean != 5 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	// sd = sqrt(2); CI = 12.706*sqrt(2)/sqrt(2) = 12.706.
-	if math.Abs(s.CI95-12.706) > 0.01 {
-		t.Errorf("CI95 = %v, want 12.706", s.CI95)
-	}
-	// Identical samples: zero CI.
-	s = Summarize([]float64{3, 3, 3, 3})
-	if s.CI95 != 0 {
-		t.Errorf("CI of constant samples = %v", s.CI95)
-	}
-	// Large n uses the normal approximation.
-	big := make([]float64, 100)
-	for i := range big {
-		big[i] = float64(i % 2)
-	}
-	s = Summarize(big)
-	if s.Mean != 0.5 {
-		t.Errorf("mean = %v", s.Mean)
-	}
-	want := 1.96 * 0.502519 / 10 // sd of alternating 0/1 ≈ 0.5025
-	if math.Abs(s.CI95-want) > 0.01 {
-		t.Errorf("CI95 = %v, want ~%v", s.CI95, want)
-	}
-}
-
 func TestSpeedupPct(t *testing.T) {
 	if got := SpeedupPct(100, 90); got != 10 {
 		t.Errorf("SpeedupPct = %v", got)
@@ -125,6 +87,10 @@ func TestSpeedupPct(t *testing.T) {
 	}
 	if SpeedupPct(0, 50) != 0 {
 		t.Error("zero baseline should yield 0")
+	}
+	// The figures' rounding: scale first, then divide.
+	if got, want := SpeedupPct(3, 1), 100*2/3.0; got != want {
+		t.Errorf("SpeedupPct(3, 1) = %.17g, want %.17g", got, want)
 	}
 }
 
