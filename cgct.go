@@ -241,8 +241,11 @@ func (r *Result) AvoidedFraction() float64 {
 	return float64(r.Directs+r.Locals) / float64(r.Requests)
 }
 
-// buildConfig converts Options to the internal machine description.
-func buildConfig(o Options) (config.Config, Options) {
+// ResolveConfig converts Options to the internal machine description: it
+// returns the fully resolved configuration plus a normalised copy of o
+// with defaults applied. The serving layer hashes both into
+// content-addressed result-cache keys.
+func ResolveConfig(o Options) (config.Config, Options) {
 	cfg := config.Default()
 	if o.Processors > 0 {
 		cfg.Topology.Processors = o.Processors
@@ -273,14 +276,6 @@ func buildConfig(o Options) (config.Config, Options) {
 	return cfg, o
 }
 
-// ResolveConfig exposes the Options → machine-config mapping: it returns
-// the fully resolved internal configuration plus a normalised copy of o
-// with defaults applied. The serving layer hashes both into
-// content-addressed result-cache keys.
-func ResolveConfig(o Options) (config.Config, Options) {
-	return buildConfig(o)
-}
-
 // InvariantError is the structured error a run with DebugChecks returns
 // when a coherence invariant is violated (see internal/coherence).
 type InvariantError = coherence.InvariantError
@@ -309,7 +304,7 @@ func Run(benchmark string, o Options) (*Result, error) {
 func RunContext(ctx context.Context, benchmark string, o Options) (*Result, error) {
 	rec := spanRecorderFrom(ctx)
 	t0 := time.Now()
-	cfg, o2 := buildConfig(o)
+	cfg, o2 := ResolveConfig(o)
 	w, err := buildWorkload(ctx, benchmark, o2)
 	if err != nil {
 		return nil, err
@@ -459,7 +454,7 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 // RunCompiledTrace; it keeps the think-time gaps, so a replay under the
 // same Options returns the same Result as Run.
 func CompileTrace(benchmark, path string, o Options) error {
-	_, o2 := buildConfig(o)
+	_, o2 := ResolveConfig(o)
 	tr, err := trace.Compile(context.Background(), benchmark, workload.Params{
 		Processors: o2.Processors,
 		OpsPerProc: o2.OpsPerProc,
@@ -480,7 +475,7 @@ func RunCompiledTrace(path string, o Options) (*Result, error) {
 		return nil, err
 	}
 	o.Processors = len(tr.Procs)
-	cfg, o2 := buildConfig(o)
+	cfg, o2 := ResolveConfig(o)
 	system, err := sim.New(cfg, tr.Workload(), o2.Seed)
 	if err != nil {
 		return nil, err

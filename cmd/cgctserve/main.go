@@ -10,7 +10,6 @@
 //	cgctserve -store /var/lib/cgct   # crash-safe result/trace spill; warm restarts
 //	cgctserve -store /var/lib/cgct -store-max-bytes 10737418240 -scrub-interval 5s
 //	cgctserve -self http://a:8080 -peers http://a:8080,http://b:8080 -replication 2
-//	cgctserve -self http://d:8080 -join http://a:8080   # join a running fleet
 //	cgctserve -smoke            # self-test: serve, submit, verify, drain
 //
 // API (see README "Running the server" for curl examples):
@@ -20,7 +19,7 @@
 //	GET    /v1/jobs/{id}/result  full stats JSON
 //	DELETE /v1/jobs/{id}       cancel
 //	GET    /v1/results/{key}   result bytes by content address (peer fetching)
-//	GET    /v1/cluster         fleet membership and peer health
+//	GET    /v1/cluster         fleet membership (fixed: -self and -peers) and peer health
 //	GET    /v1/metrics         every metrics series as JSON (series → value)
 //	GET    /metrics            the same series in Prometheus text format
 //	GET    /v1/healthz         liveness (503 while draining)
@@ -71,8 +70,7 @@ func main() {
 		storeMax  = flag.Int64("store-max-bytes", 0, "byte cap on the persistent store; least-recently-used entries are evicted past it (0 = unlimited)")
 		scrubBeat = flag.Duration("scrub-interval", 0, "re-verify one store entry's integrity per interval, quarantining corruption and restoring it from replicas (0 = disabled)")
 		peersStr  = flag.String("peers", "", "comma-separated cluster peer base URLs (http://host:port); empty = standalone")
-		selfURL   = flag.String("self", "", "this node's advertised base URL, required with -peers or -join")
-		joinSeed  = flag.String("join", "", "base URL of a running fleet member to join through (membership then spreads by gossip)")
+		selfURL   = flag.String("self", "", "this node's advertised base URL, required with -peers")
 		replicas  = flag.Int("replication", 1, "replicate each result to this many ring owners (1 = owner only)")
 	)
 	flag.Parse()
@@ -114,21 +112,11 @@ func main() {
 		logger.Info("persistent store open",
 			"dir", st.Dir(), "max_bytes", *storeMax, "scrub_interval", scrubBeat.String())
 	}
-	if *peersStr != "" || *joinSeed != "" {
+	if *peersStr != "" {
 		cl, err := buildCluster(*selfURL, *peersStr, *replicas, logger)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cgctserve: %v\n", err)
 			os.Exit(2)
-		}
-		if *joinSeed != "" {
-			// Best-effort: a seed that is down must not keep the node from
-			// serving — the probe-time gossip retries membership later.
-			jctx, jcancel := context.WithTimeout(context.Background(), 30*time.Second)
-			if err := cl.Join(jctx, *joinSeed); err != nil {
-				logger.Warn("join failed, serving standalone until gossip finds the fleet",
-					"seed", *joinSeed, "error", err.Error())
-			}
-			jcancel()
 		}
 		opts.Cluster = cl
 		logger.Info("clustered",
@@ -154,7 +142,7 @@ func main() {
 // production.
 func buildCluster(self, peers string, replication int, logger *slog.Logger) (*cluster.Cluster, error) {
 	if self == "" {
-		return nil, errors.New("-peers/-join require -self (this node's advertised base URL)")
+		return nil, errors.New("-peers requires -self (this node's advertised base URL)")
 	}
 	peerList, err := cluster.ParsePeers(peers)
 	if err != nil {

@@ -60,7 +60,7 @@ func goldenCases() []goldenCase {
 // builds starts on this one's recycled tag storage.
 func runStats(t *testing.T, c goldenCase) map[string]uint64 {
 	t.Helper()
-	cfg, o := buildConfig(c.Opts)
+	cfg, o := ResolveConfig(c.Opts)
 	w, err := workload.Build(c.Benchmark, workload.Params{
 		Processors: o.Processors,
 		OpsPerProc: o.OpsPerProc,

@@ -5,12 +5,17 @@
 // peer, and every peer first attempts a bounded-deadline fetch of a
 // result from its owner before simulating locally.
 //
+// Membership is static: Config.Self plus Config.Peers, fixed when New
+// runs. Nothing a peer or client sends can add or remove a member;
+// growing a fleet means restarting its nodes with the new peer list.
+//
 // The cluster is an optimisation layer, never a dependency: every
 // failure mode — peer death, timeouts, 5xx, injected faults — degrades
 // to local simulation, so a node that has lost every peer still serves
 // correct results at single-node speed. Peer health is probed
 // continuously and failing peers are evicted from the ring (their keys
-// reassigned to the next peer clockwise) until they recover.
+// reassigned to the next peer clockwise) until they recover, so a peer
+// restarted at its listed URL is reinstated.
 //
 // Combined with each peer's process-local singleflight and the owner's
 // join-in-flight result endpoint, the ring gives cluster-wide
@@ -23,7 +28,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -31,6 +35,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,15 +49,10 @@ import (
 // must not drive an unbounded allocation here.
 const maxFetchBody = 256 << 20
 
-// Sentinel errors.
-var (
-	// ErrNoResult: the owning peer answered authoritatively that it has no
-	// result for the key (HTTP 404). Not retried — the caller should
-	// simulate locally.
-	ErrNoResult = errors.New("cluster: owner has no result for key")
-	// ErrNoPeers: every peer is marked down; Owner falls back to self.
-	ErrNoPeers = errors.New("cluster: no alive peers")
-)
+// ErrNoResult: the owning peer answered authoritatively that it has no
+// result for the key (HTTP 404). Not retried — the caller should
+// simulate locally.
+var ErrNoResult = errors.New("cluster: owner has no result for key")
 
 // Config configures a Cluster. Zero values take the defaults noted per
 // field.
@@ -62,19 +62,10 @@ type Config struct {
 	Self string
 	// Peers is the static membership: every node's advertised base URL.
 	Peers []string
-	// Replicas is the number of virtual nodes per peer on the hash ring
-	// (default 64).
-	Replicas int
 	// Replication is R, the number of distinct ring owners each result is
 	// replicated to (default 1 = owner only, no replication). Fetches fall
 	// through owner → replicas in ring order before the caller simulates.
 	Replication int
-	// ForgetFailures is how many consecutive failed probes remove a peer
-	// from the membership entirely (vnodes deleted) rather than merely
-	// marking it dead. 0 disables forgetting: evicted peers stay known and
-	// are reinstated on recovery. Must exceed ProbeFailures to be useful —
-	// a peer is always evicted before it is forgotten.
-	ForgetFailures int
 
 	// FetchTimeout bounds each fetch attempt (default 2s); the peer is a
 	// shortcut, so the deadline is deliberately short relative to a
@@ -105,9 +96,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Replicas <= 0 {
-		c.Replicas = 64
-	}
 	if c.Replication <= 0 {
 		c.Replication = 1
 	}
@@ -140,10 +128,10 @@ func (c Config) withDefaults() Config {
 
 // NormalizeBaseURL parses one advertised base URL into its canonical
 // form ("scheme://host[:port]", no trailing slash). Every membership
-// entry — flag-parsed peers, Config.Self, and URLs arriving through the
-// join protocol — goes through this one function, so the same node can
-// never sit on the ring under two spellings (e.g. with and without a
-// trailing slash, which would make it fetch from itself).
+// entry — flag-parsed peers and Config.Self — goes through this one
+// function, so the same node can never sit on the ring under two
+// spellings (e.g. with and without a trailing slash, which would make it
+// fetch from itself).
 func NormalizeBaseURL(raw string) (string, error) {
 	raw = strings.TrimSpace(raw)
 	if raw == "" {
@@ -191,9 +179,8 @@ func ParsePeers(list string) ([]string, error) {
 
 // peerHealth is one peer's probe state.
 type peerHealth struct {
-	failures  int
-	lastProbe time.Time
-	lastErr   string
+	failures int
+	lastErr  string
 }
 
 // Cluster is the peer-aware routing and fetching layer one cgctserve
@@ -205,7 +192,7 @@ type Cluster struct {
 	hc   *http.Client
 
 	mu       sync.Mutex
-	health   map[string]*peerHealth
+	health   map[string]*peerHealth // keys fixed at New; values guarded by mu
 	stop     chan struct{}
 	stopOnce sync.Once
 	started  bool
@@ -217,14 +204,12 @@ type Cluster struct {
 	fetchErrors   atomic.Uint64 // attempts failed (timeout, 5xx, transport, injected)
 	evictions     atomic.Uint64 // peers evicted from the ring
 	recoveries    atomic.Uint64 // peers reinstated after eviction
-	peersAdded    atomic.Uint64 // peers added to the membership (join/exchange)
-	peersRemoved  atomic.Uint64 // peers forgotten after sustained probe failure
 	replPushes    atomic.Uint64 // replica PUTs that landed on a peer
 	replPushErrs  atomic.Uint64 // replica PUTs that failed
 }
 
-// New builds a Cluster. Start launches the health prober; a Cluster is
-// usable (Owner/Fetch) without it.
+// New builds a Cluster over the membership Self ∪ Peers. Start launches
+// the health prober; a Cluster is usable (Owners/Fetch) without it.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Self == "" {
@@ -252,7 +237,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:    cfg,
-		ring:   newRing(members, cfg.Replicas),
+		ring:   newRing(members),
 		log:    cfg.Logger,
 		hc:     cfg.HTTPClient,
 		health: make(map[string]*peerHealth),
@@ -276,9 +261,11 @@ func (c *Cluster) Self() string { return c.cfg.Self }
 // should end up on.
 func (c *Cluster) Replication() int { return c.cfg.Replication }
 
+// Members returns the full membership (alive and dead), sorted.
+func (c *Cluster) Members() []string { return slices.Clone(c.ring.members) }
+
 // Start launches the background health prober (no-op when
-// ProbeInterval < 0; membership may still grow via joins, so an
-// initially-solo node probes too).
+// ProbeInterval < 0).
 func (c *Cluster) Start() {
 	if c.cfg.ProbeInterval < 0 {
 		return
@@ -300,18 +287,6 @@ func (c *Cluster) Start() {
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
-}
-
-// Owner resolves the alive peer owning key. self is true when the key
-// is owned locally — including the degenerate case where every other
-// peer is down (graceful degradation: with no fleet, every key is
-// ours).
-func (c *Cluster) Owner(key string) (peer string, self bool) {
-	p, ok := c.ring.owner(key)
-	if !ok {
-		return c.cfg.Self, true
-	}
-	return p, p == c.cfg.Self
 }
 
 // Owners resolves the first r distinct alive peers in ring order for
@@ -465,126 +440,6 @@ func (c *Cluster) Replicate(ctx context.Context, peer, key string, payload []byt
 	return nil
 }
 
-// JoinRequest is the wire body of POST /v1/cluster/join: the joining
-// (or gossiping) node's advertised base URL.
-type JoinRequest struct {
-	Peer string `json:"peer"`
-}
-
-// JoinResponse is the reply: the receiver's full membership, so one
-// round trip teaches the joiner the whole fleet.
-type JoinResponse struct {
-	Peers []string `json:"peers"`
-}
-
-// AddPeer admits one peer URL into the membership: normalised through
-// the same parser as every other entry, deduplicated against self and
-// existing members, placed on the ring alive. Reports whether the
-// membership actually changed. This is the single mutation point for
-// dynamic membership — the join endpoint and the probe-time exchange
-// both land here.
-func (c *Cluster) AddPeer(raw string) (bool, error) {
-	norm, err := NormalizeBaseURL(raw)
-	if err != nil {
-		return false, err
-	}
-	if norm == c.cfg.Self {
-		return false, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.ring.addPeer(norm) {
-		return false, nil
-	}
-	c.health[norm] = &peerHealth{}
-	c.peersAdded.Add(1)
-	c.log.Info("cluster: peer joined membership", "peer", norm)
-	return true, nil
-}
-
-// Members returns the full membership (alive and dead), sorted.
-func (c *Cluster) Members() []string { return c.ring.peers() }
-
-// HandleJoin is the server side of POST /v1/cluster/join: admit the
-// peer, answer with the full membership. Invalid URLs are the caller's
-// 400.
-func (c *Cluster) HandleJoin(raw string) ([]string, error) {
-	if _, err := c.AddPeer(raw); err != nil {
-		return nil, err
-	}
-	return c.Members(), nil
-}
-
-// Join introduces this node to a running fleet through one seed member:
-// POST our URL to the seed's join endpoint and merge the membership it
-// answers with. Bounded retries with the fetch backoff — a seed that is
-// briefly unreachable should not force a fleet restart — then an error;
-// the caller decides whether starting standalone is acceptable.
-func (c *Cluster) Join(ctx context.Context, seed string) error {
-	seedURL, err := NormalizeBaseURL(seed)
-	if err != nil {
-		return err
-	}
-	for attempt := 0; attempt < c.cfg.FetchAttempts; attempt++ {
-		if attempt > 0 {
-			t := time.NewTimer(c.backoffDelay(attempt - 1))
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-				return ctx.Err()
-			}
-		}
-		var members []string
-		members, err = c.exchange(ctx, seedURL)
-		if err == nil {
-			if _, aerr := c.AddPeer(seedURL); aerr != nil {
-				return aerr
-			}
-			for _, p := range members {
-				c.AddPeer(p) // invalid entries from a hostile seed are skipped
-			}
-			c.log.Info("cluster: joined fleet", "seed", seedURL, "members", len(c.Members()))
-			return nil
-		}
-	}
-	return fmt.Errorf("cluster: joining via seed %s: %w", seedURL, err)
-}
-
-// exchange posts our URL to one peer's join endpoint and returns the
-// membership it advertises — the piggybacked gossip that lets a fleet
-// converge on new members without any coordinator.
-func (c *Cluster) exchange(ctx context.Context, peer string) ([]string, error) {
-	body, err := json.Marshal(JoinRequest{Peer: c.cfg.Self})
-	if err != nil {
-		return nil, err
-	}
-	ectx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ectx, http.MethodPost, peer+"/v1/cluster/join", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("cluster: join to %s returned HTTP %d", peer, resp.StatusCode)
-	}
-	var jr JoinResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&jr); err != nil {
-		return nil, err
-	}
-	if len(jr.Peers) > 4096 {
-		return nil, fmt.Errorf("cluster: join response advertises %d peers", len(jr.Peers))
-	}
-	return jr.Peers, nil
-}
-
 // prober health-checks every peer on a ticker until Stop.
 func (c *Cluster) prober() {
 	defer c.wg.Done()
@@ -601,32 +456,14 @@ func (c *Cluster) prober() {
 }
 
 // ProbePeers health-checks every peer once, evicting peers past the
-// consecutive-failure threshold and reinstating recovered ones. Healthy
-// peers also get a membership exchange piggybacked on the probe, so a
-// join anywhere in the fleet gossips outward one probe interval per hop.
-// Peers past the ForgetFailures threshold are removed from the
-// membership entirely. Exported so tests (and the chaos harness) can
-// drive membership deterministically instead of sleeping through prober
-// ticks.
+// consecutive-failure threshold and reinstating recovered ones. Exported
+// so tests (and the chaos harness) can drive health deterministically
+// instead of sleeping through prober ticks.
 func (c *Cluster) ProbePeers(ctx context.Context) {
-	// Snapshot the membership under the lock: joins and forgets mutate
-	// c.health concurrently with a probe round.
-	c.mu.Lock()
-	peers := make([]string, 0, len(c.health))
-	for p := range c.health {
-		peers = append(peers, p)
-	}
-	c.mu.Unlock()
-	for _, peer := range peers {
-		healthy := c.probeOne(ctx, peer)
+	for peer, h := range c.health {
+		err := c.probeOne(ctx, peer)
 		c.mu.Lock()
-		h, ok := c.health[peer]
-		if !ok { // forgotten while we probed it
-			c.mu.Unlock()
-			continue
-		}
-		h.lastProbe = time.Now()
-		if healthy {
+		if err == nil {
 			h.failures = 0
 			h.lastErr = ""
 			if !c.ring.isAlive(peer) {
@@ -636,69 +473,41 @@ func (c *Cluster) ProbePeers(ctx context.Context) {
 			}
 		} else {
 			h.failures++
+			h.lastErr = err.Error()
 			if h.failures >= c.cfg.ProbeFailures && c.ring.isAlive(peer) {
 				c.ring.setAlive(peer, false)
 				c.evictions.Add(1)
 				c.log.Warn("cluster: peer evicted from ring",
 					"peer", peer, "consecutive_failures", h.failures, "error", h.lastErr)
 			}
-			if c.cfg.ForgetFailures > 0 && h.failures >= c.cfg.ForgetFailures {
-				c.ring.removePeer(peer)
-				delete(c.health, peer)
-				c.peersRemoved.Add(1)
-				c.log.Warn("cluster: peer forgotten after sustained failure",
-					"peer", peer, "consecutive_failures", h.failures)
-			}
 		}
 		c.mu.Unlock()
-		if healthy {
-			// Gossip: swap membership with the healthy peer. Best-effort — an
-			// older peer without the endpoint, or a flaky network, just means
-			// this round taught us nothing.
-			if members, err := c.exchange(ctx, peer); err == nil {
-				for _, p := range members {
-					c.AddPeer(p)
-				}
-			}
-		}
 	}
 }
 
-// setLastErr records a probe failure reason, tolerating the peer having
-// been forgotten between the probe and the record.
-func (c *Cluster) setLastErr(peer, msg string) {
-	c.mu.Lock()
-	if h, ok := c.health[peer]; ok {
-		h.lastErr = msg
-	}
-	c.mu.Unlock()
-}
-
-// probeOne issues one health check. A draining peer answers 503, which
-// counts as unhealthy: a peer that is shutting down should stop owning
-// keys before it stops answering entirely.
-func (c *Cluster) probeOne(ctx context.Context, peer string) bool {
+// probeOne issues one health check; a nil error means healthy. A
+// malformed peer URL fails every probe the same way, and the error says
+// why, so the status page never shows a dead peer without a reason. A
+// draining peer answers 503, which counts as unhealthy: a peer that is
+// shutting down should stop owning keys before it stops answering
+// entirely.
+func (c *Cluster) probeOne(ctx context.Context, peer string) error {
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, peer+"/v1/healthz", nil)
 	if err != nil {
-		// A malformed peer URL fails every probe the same way; the status
-		// page must say why, not show an empty lastErr forever.
-		c.setLastErr(peer, err.Error())
-		return false
+		return err
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		c.setLastErr(peer, err.Error())
-		return false
+		return err
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		c.setLastErr(peer, fmt.Sprintf("HTTP %d", resp.StatusCode))
-		return false
+		return fmt.Errorf("HTTP %d", resp.StatusCode)
 	}
-	return true
+	return nil
 }
 
 // PeerStatus is one peer's row in the /v1/cluster status.
@@ -712,7 +521,7 @@ type PeerStatus struct {
 	LastError           string `json:"last_error,omitempty"`
 }
 
-// Stats is the cluster's monotonic fetch/membership counters.
+// Stats is the cluster's monotonic fetch/health counters.
 type Stats struct {
 	FetchAttempts     uint64
 	FetchHits         uint64
@@ -720,8 +529,6 @@ type Stats struct {
 	FetchErrors       uint64
 	Evictions         uint64
 	Recoveries        uint64
-	PeersAdded        uint64
-	PeersRemoved      uint64
 	ReplicaPushes     uint64
 	ReplicaPushErrors uint64
 }
@@ -744,8 +551,6 @@ func (c *Cluster) Stats() Stats {
 		Evictions:     c.evictions.Load(),
 		Recoveries:    c.recoveries.Load(),
 
-		PeersAdded:        c.peersAdded.Load(),
-		PeersRemoved:      c.peersRemoved.Load(),
 		ReplicaPushes:     c.replPushes.Load(),
 		ReplicaPushErrors: c.replPushErrs.Load(),
 	}
@@ -756,7 +561,7 @@ func (c *Cluster) Status() Status {
 	st := Status{Self: c.cfg.Self}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, p := range c.ring.peers() {
+	for _, p := range c.ring.members {
 		ps := PeerStatus{URL: p, Self: p == c.cfg.Self, Alive: c.ring.isAlive(p)}
 		if h, ok := c.health[p]; ok {
 			ps.ConsecutiveFailures = h.failures
@@ -770,7 +575,7 @@ func (c *Cluster) Status() Status {
 // AlivePeers counts ring members currently marked alive (self included).
 func (c *Cluster) AlivePeers() int {
 	n := 0
-	for _, p := range c.ring.peers() {
+	for _, p := range c.ring.members {
 		if c.ring.isAlive(p) {
 			n++
 		}
@@ -796,11 +601,7 @@ func (c *Cluster) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("cgct_cluster_peers_alive", "ring members currently marked alive, self included",
 		func() float64 { return float64(c.AlivePeers()) })
 	reg.GaugeFunc("cgct_cluster_peers", "configured ring membership size",
-		func() float64 { return float64(len(c.ring.peers())) })
-	reg.CounterFunc("cgct_cluster_peers_added_total", "peers admitted to the membership via join or gossip",
-		func() float64 { return float64(c.peersAdded.Load()) })
-	reg.CounterFunc("cgct_cluster_peers_removed_total", "peers forgotten after sustained probe failure",
-		func() float64 { return float64(c.peersRemoved.Load()) })
+		func() float64 { return float64(len(c.ring.members)) })
 	reg.CounterFunc("cgct_replication_pushes_total", "result replicas pushed to ring owners",
 		func() float64 { return float64(c.replPushes.Load()) })
 	reg.CounterFunc("cgct_replication_push_errors_total", "result replica pushes that failed",

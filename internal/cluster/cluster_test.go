@@ -23,22 +23,27 @@ func keyOf(s string) string {
 
 func TestRingDistributesAndIsStable(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(peers, 64)
+	r := newRing(peers)
+	owner := func(k string) string {
+		t.Helper()
+		got := r.owners(k, 1)
+		if len(got) != 1 {
+			t.Fatalf("owners(%s, 1) = %v with a peer alive", k, got)
+		}
+		return got[0]
+	}
 	counts := map[string]int{}
 	owners := map[string]string{}
 	const n = 3000
 	for i := 0; i < n; i++ {
 		k := keyOf(fmt.Sprintf("key-%d", i))
-		p, ok := r.owner(k)
-		if !ok {
-			t.Fatal("owner not found with all peers alive")
-		}
+		p := owner(k)
 		counts[p]++
 		owners[k] = p
 	}
 	// Determinism: same key, same owner.
 	for k, want := range owners {
-		if got, _ := r.owner(k); got != want {
+		if got := owner(k); got != want {
 			t.Fatalf("owner(%s) flapped: %s then %s", k, want, got)
 		}
 	}
@@ -55,10 +60,7 @@ func TestRingDistributesAndIsStable(t *testing.T) {
 	r.setAlive("http://b:1", false)
 	moved := 0
 	for k, was := range owners {
-		now, ok := r.owner(k)
-		if !ok {
-			t.Fatal("owner not found with two peers alive")
-		}
+		now := owner(k)
 		if was == "http://b:1" {
 			if now == "http://b:1" {
 				t.Fatal("dead peer still owns a key")
@@ -75,18 +77,18 @@ func TestRingDistributesAndIsStable(t *testing.T) {
 	// Reinstating restores the original assignment exactly.
 	r.setAlive("http://b:1", true)
 	for k, was := range owners {
-		if now, _ := r.owner(k); now != was {
+		if now := owner(k); now != was {
 			t.Fatalf("assignment changed after evict+reinstate: %s: %s → %s", k, was, now)
 		}
 	}
 }
 
 func TestRingAllDead(t *testing.T) {
-	r := newRing([]string{"http://a:1", "http://b:1"}, 8)
+	r := newRing([]string{"http://a:1", "http://b:1"})
 	r.setAlive("http://a:1", false)
 	r.setAlive("http://b:1", false)
-	if _, ok := r.owner(keyOf("x")); ok {
-		t.Fatal("owner found with every peer dead")
+	if got := r.owners(keyOf("x"), 1); got != nil {
+		t.Fatalf("owners = %v with every peer dead, want nil", got)
 	}
 }
 
@@ -301,10 +303,11 @@ func TestProbeEvictsAndReinstates(t *testing.T) {
 	}
 
 	// Find a key the remote peer owns, to watch it move.
+	owner := func(k string) string { return c.Owners(k, 1)[0] }
 	var remoteKey string
 	for i := 0; ; i++ {
 		k := keyOf(fmt.Sprintf("probe-%d", i))
-		if p, _ := c.Owner(k); p == peerURL {
+		if owner(k) == peerURL {
 			remoteKey = k
 			break
 		}
@@ -319,7 +322,7 @@ func TestProbeEvictsAndReinstates(t *testing.T) {
 	if c.AlivePeers() != 1 {
 		t.Fatal("peer not evicted at the failure threshold")
 	}
-	if p, self := c.Owner(remoteKey); !self {
+	if p := owner(remoteKey); p != c.Self() {
 		t.Fatalf("evicted peer's key now owned by %s, want self", p)
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -331,7 +334,7 @@ func TestProbeEvictsAndReinstates(t *testing.T) {
 	if c.AlivePeers() != 2 {
 		t.Fatal("recovered peer not reinstated")
 	}
-	if p, _ := c.Owner(remoteKey); p != peerURL {
+	if p := owner(remoteKey); p != peerURL {
 		t.Fatalf("reinstated peer did not get its key back (owner %s)", p)
 	}
 	if st := c.Stats(); st.Recoveries != 1 {

@@ -7,18 +7,22 @@ import (
 	"sync"
 )
 
-// ring is a consistent-hash ring over the peer list: each peer owns
-// `replicas` virtual nodes placed by sha256 of "url#i", and a key is
-// owned by the first alive virtual node clockwise from the key's hash.
-// Consistent hashing keeps ownership stable as peers come and go — when
-// a peer is evicted, only its keys move (to the next alive peer on the
-// ring), so a flapping peer cannot reshuffle the whole fleet's cache
-// placement.
+// vnodesPerPeer is how many virtual nodes each peer places on the ring.
+const vnodesPerPeer = 64
+
+// ring is a consistent-hash ring over the fixed peer list: each peer
+// owns vnodesPerPeer virtual nodes placed by sha256 of "url#i", and a
+// key is owned by the first alive virtual node clockwise from the key's
+// hash. Consistent hashing keeps ownership stable as peers are evicted
+// and reinstated — when a peer is evicted, only its keys move (to the
+// next alive peer on the ring), so a flapping peer cannot reshuffle the
+// whole fleet's cache placement.
 type ring struct {
-	mu       sync.RWMutex
-	replicas int
-	vnodes   []vnode         // sorted by hash
-	alive    map[string]bool // peer URL → health
+	members []string // sorted; fixed at newRing
+
+	mu     sync.RWMutex
+	vnodes []vnode         // sorted by hash
+	alive  map[string]bool // peer URL → health
 }
 
 type vnode struct {
@@ -36,95 +40,28 @@ func hashPoint(s string) uint64 {
 
 // newRing builds the ring over peers (deduplicated), all initially
 // alive.
-func newRing(peers []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
-	r := &ring{replicas: replicas, alive: make(map[string]bool)}
+func newRing(peers []string) *ring {
+	r := &ring{alive: make(map[string]bool)}
 	for _, p := range peers {
-		r.addLocked(p)
+		if r.alive[p] {
+			continue // duplicate peer: one membership, one set of vnodes
+		}
+		r.alive[p] = true
+		r.members = append(r.members, p)
+		for i := 0; i < vnodesPerPeer; i++ {
+			var buf [8]byte
+			binary.BigEndian.PutUint64(buf[:], uint64(i))
+			r.vnodes = append(r.vnodes, vnode{hash: hashPoint(p + "#" + string(buf[:])), peer: p})
+		}
 	}
-	r.sortLocked()
-	return r
-}
-
-// addLocked appends one peer's vnodes without re-sorting. Caller holds
-// r.mu (or owns the ring exclusively, as newRing does).
-func (r *ring) addLocked(p string) bool {
-	if _, ok := r.alive[p]; ok {
-		return false // duplicate peer: one membership, one set of vnodes
-	}
-	r.alive[p] = true
-	for i := 0; i < r.replicas; i++ {
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], uint64(i))
-		r.vnodes = append(r.vnodes, vnode{hash: hashPoint(p + "#" + string(buf[:])), peer: p})
-	}
-	return true
-}
-
-// sortLocked restores the ring's clockwise order after a membership
-// delta. Caller holds r.mu.
-func (r *ring) sortLocked() {
+	sort.Strings(r.members)
 	sort.Slice(r.vnodes, func(i, j int) bool {
 		if r.vnodes[i].hash != r.vnodes[j].hash {
 			return r.vnodes[i].hash < r.vnodes[j].hash
 		}
 		return r.vnodes[i].peer < r.vnodes[j].peer // total order: ties cannot flap
 	})
-}
-
-// addPeer inserts a new peer (alive) into the ring, rebuilding the
-// clockwise order. Consistent hashing means only the key ranges the new
-// vnodes bisect move — every other key keeps its owner. Reports whether
-// the membership actually changed.
-func (r *ring) addPeer(p string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.addLocked(p) {
-		return false
-	}
-	r.sortLocked()
-	return true
-}
-
-// removePeer deletes a peer and its vnodes entirely (a forgotten member,
-// not merely a dead one). Reports whether the peer was present.
-func (r *ring) removePeer(p string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.alive[p]; !ok {
-		return false
-	}
-	delete(r.alive, p)
-	kept := r.vnodes[:0]
-	for _, v := range r.vnodes {
-		if v.peer != p {
-			kept = append(kept, v)
-		}
-	}
-	r.vnodes = kept
-	return true
-}
-
-// owner returns the alive peer owning key, walking clockwise past dead
-// peers' vnodes. ok is false when every peer is down.
-func (r *ring) owner(key string) (string, bool) {
-	h := hashPoint(key)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := len(r.vnodes)
-	if n == 0 {
-		return "", false
-	}
-	start := sort.Search(n, func(i int) bool { return r.vnodes[i].hash >= h })
-	for i := 0; i < n; i++ {
-		v := r.vnodes[(start+i)%n]
-		if r.alive[v.peer] {
-			return v.peer, true
-		}
-	}
-	return "", false
+	return r
 }
 
 // owners returns up to r distinct alive peers in clockwise ownership
@@ -155,27 +92,15 @@ func (r *ring) owners(key string, want int) []string {
 	return out
 }
 
-// setAlive flips a peer's health, changing which vnodes owner may land
-// on. Unknown peers are ignored (stale probe results after a config
-// change must not grow the membership).
+// setAlive flips a peer's health, changing which vnodes owners may land
+// on. Unknown peers are ignored: a probe result can never grow the
+// membership.
 func (r *ring) setAlive(peer string, alive bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.alive[peer]; ok {
 		r.alive[peer] = alive
 	}
-}
-
-// peers returns the full membership (alive and dead), sorted.
-func (r *ring) peers() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.alive))
-	for p := range r.alive {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // isAlive reports a peer's current health (false for unknown peers).

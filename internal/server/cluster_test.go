@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,9 +47,8 @@ func (n *fleetNode) kill() {
 }
 
 // bootNode brings up one peer behind an already-listening shim server:
-// store, cluster (config shaped by mut), Manager, and finally the real
-// handler swapped into the shim. peers may be nil for a node that will
-// Join a running fleet instead of being configured with the full list.
+// store, cluster over the full peer list (config shaped by mut) and
+// Manager; the caller swaps the real handler into the shim.
 func bootNode(t *testing.T, node *fleetNode, peers []string, mut ...func(*cluster.Config)) {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: node.dir})
@@ -58,7 +58,6 @@ func bootNode(t *testing.T, node *fleetNode, peers []string, mut ...func(*cluste
 	cfg := cluster.Config{
 		Self:           node.url,
 		Peers:          peers,
-		Replicas:       16,
 		FetchTimeout:   500 * time.Millisecond,
 		FetchAttempts:  2,
 		FetchBaseDelay: 2 * time.Millisecond,
@@ -550,15 +549,12 @@ func TestStoreBackedResultEndpoint(t *testing.T) {
 	}
 }
 
-// TestClusterChaosKillAndRejoin is the replication + membership chaos
+// TestClusterChaosKillServedFromReplicas is the replication chaos
 // harness: a three-node fleet with R=2 computes a sweep (each config on
 // exactly one node), replication settles, one peer is killed — and every
 // previously computed key must then be served by the survivors with ZERO
-// re-simulations, bit-identical to the direct runs. A fourth peer then
-// joins through a single seed node and must acquire ring ownership —
-// membership spreading by gossip, replicas starting to land on it — with
-// no fleet restart.
-func TestClusterChaosKillAndRejoin(t *testing.T) {
+// re-simulations, bit-identical to the direct runs.
+func TestClusterChaosKillServedFromReplicas(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-peer chaos run is seconds-long; skipped in -short")
 	}
@@ -656,70 +652,31 @@ func TestClusterChaosKillAndRejoin(t *testing.T) {
 			}
 		}
 	}
+}
 
-	// A fresh peer joins through one seed node — no restart, no static
-	// peer list — and the whole surviving fleet must learn it by gossip.
-	joiner, slot := shimServer(t)
-	bootNode(t, joiner, nil, withR2)
-	slot.Store(joiner.srv.Handler())
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_ = joiner.srv.Manager().Drain(ctx)
-		cancel()
-		joiner.hs.Close()
-	})
-	if err := joiner.cl.Join(ctx, nodes[0].url); err != nil {
-		t.Fatalf("join via %s: %v", nodes[0].url, err)
+// TestClusterJoinRouteGone: membership is fixed at startup, so a
+// clustered node has no join route. POST /v1/cluster/join answers 404 or
+// 405 and leaves the membership as configured.
+func TestClusterJoinRouteGone(t *testing.T) {
+	cl, err := cluster.New(cluster.Config{Self: "http://self.invalid:1", ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, node := range survivors {
-		node := node
-		waitFor(t, 10*time.Second, "gossip to spread the joiner", func() bool {
-			for _, m := range node.cl.Members() {
-				if m == joiner.url {
-					return true
-				}
-			}
-			return false
-		})
+	srv := server.New(server.Options{Workers: 1, QueueCapacity: 1, Cluster: cl})
+	t.Cleanup(func() { _ = srv.Manager().Drain(context.Background()) })
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	resp, err := hs.Client().Post(hs.URL+"/v1/cluster/join", "application/json",
+		strings.NewReader(`{"peer":"http://extra.invalid:1"}`))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Ownership: from a survivor's ring view the joiner must become the
-	// primary owner of some keyspace slice.
-	waitFor(t, 10*time.Second, "joiner to acquire ring ownership", func() bool {
-		for i := 0; i < 64; i++ {
-			owners := nodes[0].cl.Owners(fmt.Sprintf("join-probe-%d", i), 1)
-			if len(owners) == 1 && owners[0] == joiner.url {
-				return true
-			}
-		}
-		return false
-	})
-
-	// And functionally so: keep computing fresh configs on a survivor
-	// until one's ring owners include the joiner, then its replica must
-	// land there with no action on the joiner's part.
-	landed := false
-	for s := uint64(0); s < 20 && !landed; s++ {
-		req := mkReq(9_400 + s)
-		sub, err := nodes[0].c.Submit(ctx, req)
-		if err != nil {
-			t.Fatalf("post-join submit: %v", err)
-		}
-		st, err := nodes[0].c.Wait(ctx, sub.ID, 2*time.Millisecond)
-		if err != nil || st.State != server.StateDone {
-			t.Fatalf("post-join job: %+v, %v", st, err)
-		}
-		for _, owner := range nodes[0].cl.Owners(st.Key, 2) {
-			if owner == joiner.url {
-				waitFor(t, 10*time.Second, "replica to land on the joiner", func() bool {
-					return joiner.st.Has(st.Key)
-				})
-				landed = true
-			}
-		}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/cluster/join: HTTP %d, want 404 or 405", resp.StatusCode)
 	}
-	if !landed {
-		t.Fatal("20 fresh configs and none owned by the joiner: ring never rebalanced")
+	if got := cl.Members(); len(got) != 1 || got[0] != cl.Self() {
+		t.Fatalf("members = %v, want just self", got)
 	}
 }
 

@@ -13,10 +13,12 @@ import (
 	"cgct/internal/store"
 )
 
-// FuzzNormalize feeds arbitrary JSON through the exact path the HTTP
-// handler uses (decode into JobRequest, then normalize): hostile input
-// must produce an error or a valid key — never a panic and never an
-// admission that would let an oversized config reach the simulator.
+// FuzzNormalize feeds arbitrary bodies through the exact path the HTTP
+// handler uses (decodeJobRequest, then normalize): hostile input must
+// produce an error or a valid key — never a panic and never an admission
+// that would let an oversized config reach the simulator. Seeds carrying
+// retired fields (type, experiment, DMAIntervalCycles) stop at the
+// decoder's unknown-field rejection, as they do at POST /v1/jobs.
 func FuzzNormalize(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -45,9 +47,9 @@ func FuzzNormalize(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		var req JobRequest
-		if err := json.Unmarshal([]byte(raw), &req); err != nil {
-			return // not even JSON; the handler rejects it earlier
+		req, err := decodeJobRequest(strings.NewReader(raw))
+		if err != nil {
+			return // the handler answers 400 before admission
 		}
 		key, err := req.normalize()
 		if err == nil && key == "" {
@@ -57,27 +59,30 @@ func FuzzNormalize(f *testing.F) {
 }
 
 // TestNormalizeBounds pins the admission limits: oversized or negative
-// values must be rejected with an error before any simulator state exists.
+// values, and fields the API does not have, must be rejected with an
+// error naming them before any simulator state exists.
 func TestNormalizeBounds(t *testing.T) {
 	cases := []struct {
 		name string
 		raw  string
+		want string // substring of the rejection
 	}{
-		{"huge processors", `{"benchmark":"ocean","options":{"Processors":1073741824}}`},
-		{"huge ops", `{"benchmark":"ocean","options":{"OpsPerProc":1099511627776}}`},
-		{"huge rca sets", `{"benchmark":"ocean","options":{"RCASets":1099511627776}}`},
-		{"huge region bytes", `{"benchmark":"ocean","options":{"RegionBytes":1048577}}`},
-		{"huge sector bytes", `{"benchmark":"ocean","options":{"L2SectorBytes":1048577}}`},
-		{"negative timeout", `{"benchmark":"ocean","timeout_ms":-1}`},
+		{"huge processors", `{"benchmark":"ocean","options":{"Processors":1073741824}}`, "processors"},
+		{"huge ops", `{"benchmark":"ocean","options":{"OpsPerProc":1099511627776}}`, "ops_per_proc"},
+		{"huge rca sets", `{"benchmark":"ocean","options":{"RCASets":1099511627776}}`, "rca_sets"},
+		{"huge region bytes", `{"benchmark":"ocean","options":{"RegionBytes":1048577}}`, "region_bytes"},
+		{"huge sector bytes", `{"benchmark":"ocean","options":{"L2SectorBytes":1048577}}`, "l2_sector_bytes"},
+		{"negative timeout", `{"benchmark":"ocean","timeout_ms":-1}`, "timeout_ms"},
+		{"retired job kind", `{"benchmark":"ocean","type":"experiment","params":{"OpsPerProc":5}}`, `unknown field "type"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var req JobRequest
-			if err := json.Unmarshal([]byte(tc.raw), &req); err != nil {
-				t.Fatalf("seed JSON invalid: %v", err)
+			req, err := decodeJobRequest(strings.NewReader(tc.raw))
+			if err == nil {
+				_, err = req.normalize()
 			}
-			if _, err := req.normalize(); err == nil {
-				t.Fatalf("normalize accepted %s", tc.raw)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("admission of %s: err = %v, want a rejection naming %s", tc.raw, err, tc.want)
 			}
 		})
 	}
@@ -108,8 +113,8 @@ func TestAdmissionBoundsRCAFootprint(t *testing.T) {
 		`{"benchmark":"ocean","options":{"Processors":128,"CGCT":true}}`,
 		`{"benchmark":"ocean","options":{"Processors":128,"RCASets":4194304}}`, // no RCA without CGCT
 	} {
-		var req JobRequest
-		if err := json.Unmarshal([]byte(raw), &req); err != nil {
+		req, err := decodeJobRequest(strings.NewReader(raw))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := req.normalize(); err != nil {

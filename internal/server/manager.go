@@ -265,6 +265,10 @@ func (j *job) phases() []PhaseSpan {
 	return out
 }
 
+// jobHistory bounds how many terminal job records are retained for
+// status queries, pruned oldest-first.
+const jobHistory = 4096
+
 // Options configures a Manager. Zero values select sensible defaults.
 type Options struct {
 	// Workers bounds the worker pool (default GOMAXPROCS).
@@ -275,9 +279,6 @@ type Options struct {
 	// CacheEntries bounds the result cache's resident entries, evicted
 	// LRU-first (default 1024).
 	CacheEntries int
-	// JobHistory bounds how many terminal job records are retained for
-	// status queries, pruned oldest-first (default 4096).
-	JobHistory int
 	// DefaultTimeout is the per-job wall-clock deadline applied when a
 	// request does not set timeout_ms (0 = no deadline).
 	DefaultTimeout time.Duration
@@ -310,9 +311,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 1024
-	}
-	if o.JobHistory <= 0 {
-		o.JobHistory = 4096
 	}
 	return o
 }
@@ -734,7 +732,7 @@ func (m *Manager) finishLocked(j *job, state JobState, failureKind, errMsg strin
 		m.jobLatency.Observe(j.finished.Sub(j.submitted).Seconds())
 	}
 	m.finished = append(m.finished, j.id)
-	for len(m.finished) > m.opts.JobHistory {
+	for len(m.finished) > jobHistory {
 		delete(m.jobs, m.finished[0])
 		m.finished = m.finished[1:]
 	}
@@ -1024,17 +1022,6 @@ func (m *Manager) AcceptReplica(key, digest string, payload []byte) error {
 	m.replReceived.Inc()
 	m.log.Info("replica accepted", "config_hash", shortHash(key), "bytes", len(payload))
 	return nil
-}
-
-// ClusterJoin admits a peer through POST /v1/cluster/join and returns
-// the full membership. ErrNotFound on a standalone node — the route
-// exists, the fleet does not.
-func (m *Manager) ClusterJoin(peer string) ([]string, error) {
-	c := m.opts.Cluster
-	if c == nil {
-		return nil, ErrNotFound
-	}
-	return c.HandleJoin(peer)
 }
 
 // ResultPayload serves the canonical result bytes for a content address:

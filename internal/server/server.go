@@ -23,7 +23,6 @@ import (
 //	PUT    /v1/results/{key}  replica intake: a peer pushes a result it computed
 //	                          (key/digest validated; 503 on a storeless node)
 //	GET    /v1/cluster        this node's view of the fleet (membership and peer health)
-//	POST   /v1/cluster/join   admit a peer to the membership, answer the full peer list
 //	GET    /v1/metrics        the metrics registry as a JSON object, series → value
 //	GET    /metrics           the same registry in Prometheus text format
 //	GET    /v1/healthz        200 ok, 503 while draining
@@ -43,7 +42,6 @@ func New(o Options) *Server {
 	s.mux.HandleFunc("GET /v1/results/{key}", s.handleResultByKey)
 	s.mux.HandleFunc("PUT /v1/results/{key}", s.handleReplicaPut)
 	s.mux.HandleFunc("GET /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("POST /v1/cluster/join", s.handleClusterJoin)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /metrics", s.handlePrometheus)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
@@ -73,12 +71,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeJobRequest decodes a POST /v1/jobs body. Unknown fields are
+// errors, so a retired option or job kind gets a 400 naming it instead
+// of being silently dropped from the request and its content key.
+func decodeJobRequest(body io.Reader) (JobRequest, error) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
+		return JobRequest{}, fmt.Errorf("decoding job request: %w", err)
+	}
+	return req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeJobRequest(r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	st, err := s.manager.Submit(req)
@@ -175,26 +184,6 @@ func (s *Server) handleReplicaPut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 	default:
 		w.WriteHeader(http.StatusNoContent)
-	}
-}
-
-// handleClusterJoin admits a peer into the membership and answers with
-// the full peer list — one round trip teaches a joiner the whole fleet.
-// Standalone nodes 404: there is no fleet to join here.
-func (s *Server) handleClusterJoin(w http.ResponseWriter, r *http.Request) {
-	var jr cluster.JoinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<10)).Decode(&jr); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding join request: %w", err))
-		return
-	}
-	peers, err := s.manager.ClusterJoin(jr.Peer)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		writeError(w, http.StatusNotFound, errors.New("server: not clustered"))
-	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		writeJSON(w, http.StatusOK, cluster.JoinResponse{Peers: peers})
 	}
 }
 

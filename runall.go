@@ -94,7 +94,7 @@ func longestFirst(reqs []RunRequest) []int {
 	order := make([]int, len(reqs))
 	cost := make([]int64, len(reqs))
 	for i, rq := range reqs {
-		_, o := buildConfig(rq.Options)
+		_, o := ResolveConfig(rq.Options)
 		ops := o.OpsPerProc
 		if ops <= 0 {
 			ops = workload.DefaultOpsPerProc

@@ -22,7 +22,7 @@ import (
 // the compiled-trace run starts on the live run's recycled tag storage.
 func runPath(t *testing.T, o Options, w workload.Workload, seed uint64) map[string]uint64 {
 	t.Helper()
-	cfg, _ := buildConfig(o)
+	cfg, _ := ResolveConfig(o)
 	system, err := sim.New(cfg, w, seed)
 	if err != nil {
 		t.Fatal(err)
