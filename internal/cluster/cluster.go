@@ -61,6 +61,8 @@ type Config struct {
 	// absent and is never probed or fetched from.
 	Self string
 	// Peers is the static membership: every node's advertised base URL.
+	// New normalises each entry as ParsePeers does, drops duplicates and
+	// fails on a malformed one.
 	Peers []string
 	// Replication is R, the number of distinct ring owners each result is
 	// replicated to (default 1 = owner only, no replication). Fetches fall
@@ -128,8 +130,8 @@ func (c Config) withDefaults() Config {
 
 // NormalizeBaseURL parses one advertised base URL into its canonical
 // form ("scheme://host[:port]", no trailing slash). Every membership
-// entry — flag-parsed peers and Config.Self — goes through this one
-// function, so the same node can never sit on the ring under two
+// entry — flag-parsed peers, Config.Peers and Config.Self — goes through
+// this one function, so the same node can never sit on the ring under two
 // spellings (e.g. with and without a trailing slash, which would make it
 // fetch from itself).
 func NormalizeBaseURL(raw string) (string, error) {
@@ -159,9 +161,15 @@ func NormalizeBaseURL(raw string) (string, error) {
 // path would silently misroute every fetch, so it is rejected here, at
 // flag-parsing time.
 func ParsePeers(list string) ([]string, error) {
+	return normalizePeers(strings.Split(list, ","))
+}
+
+// normalizePeers sends every non-blank entry through NormalizeBaseURL and
+// drops duplicates, keeping first-seen order.
+func normalizePeers(list []string) ([]string, error) {
 	var out []string
 	seen := make(map[string]bool)
-	for _, raw := range strings.Split(list, ",") {
+	for _, raw := range list {
 		if strings.TrimSpace(raw) == "" {
 			continue
 		}
@@ -224,6 +232,11 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: Config.Self: %w", err)
 	}
 	cfg.Self = self
+	// Config.Peers goes through it too, so a peer spelled two ways (or
+	// self under an alias) sits on the ring once.
+	if cfg.Peers, err = normalizePeers(cfg.Peers); err != nil {
+		return nil, fmt.Errorf("cluster: Config.Peers: %w", err)
+	}
 	members := cfg.Peers
 	found := false
 	for _, p := range members {

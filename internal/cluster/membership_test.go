@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -194,14 +195,44 @@ func TestFetchCancelPreservesError(t *testing.T) {
 	}
 }
 
-// TestProbeRecordsBuildFailure: an unparseable peer URL fails the
-// request build; that failure must land in lastErr so the status page
-// says why the peer is dead (satellite: probeOne cluster.go).
-func TestProbeRecordsBuildFailure(t *testing.T) {
-	bad := "http://bad host:1" // space in host: url.Parse inside NewRequest rejects it
-	// Config.Peers bypasses the ParsePeers guard, the way a stale config
-	// file could.
-	c, err := New(Config{Self: "http://self.invalid:1", Peers: []string{"http://self.invalid:1", bad}})
+// TestPeersNormalization: Config.Peers goes through the same normaliser
+// as ParsePeers, so self listed under a trailing-slash alias collapses
+// onto self, and the alias is neither a member nor the owner of any key.
+func TestPeersNormalization(t *testing.T) {
+	c, err := New(Config{Self: "http://a:8080", Peers: []string{"http://a:8080/", "http://b:8080"}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	want := []string{"http://a:8080", "http://b:8080"}
+	if got := c.Members(); !slices.Equal(got, want) {
+		t.Fatalf("members = %v, want %v", got, want)
+	}
+	for i := 0; i < 256; i++ {
+		if o := c.Owners(fmt.Sprintf("%064x", i), 1); !slices.Contains(want, o[0]) {
+			t.Fatalf("key %d owned by %q, not a member", i, o[0])
+		}
+	}
+}
+
+// TestNewRejectsMalformedPeer: a Config.Peers entry ParsePeers would
+// reject fails New, naming the entry, instead of reaching the ring.
+func TestNewRejectsMalformedPeer(t *testing.T) {
+	for _, bad := range []string{"http://bad host:1", "ftp://b:1", "http://b:1/v1", "b:8080"} {
+		_, err := New(Config{Self: "http://a:8080", Peers: []string{"http://a:8080", bad}})
+		if err == nil || !strings.Contains(err.Error(), "Config.Peers") || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("Peers entry %q: err = %v, want a Config.Peers error naming it", bad, err)
+		}
+	}
+}
+
+// TestProbeRecordsFailure: a failed probe lands in lastErr and the
+// failure streak, so the status page says why a peer is dead.
+func TestProbeRecordsFailure(t *testing.T) {
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer dead.Close()
+	c, err := New(Config{Self: "http://self.invalid:1", Peers: []string{"http://self.invalid:1", dead.URL}})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -209,10 +240,10 @@ func TestProbeRecordsBuildFailure(t *testing.T) {
 	st := c.Status()
 	found := false
 	for _, p := range st.Peers {
-		if p.URL == bad {
+		if p.URL == dead.URL {
 			found = true
-			if p.LastError == "" {
-				t.Fatal("request-build failure recorded no lastErr")
+			if !strings.Contains(p.LastError, "503") {
+				t.Fatalf("last_error = %q, want the probe's HTTP 503", p.LastError)
 			}
 			if p.ConsecutiveFailures != 1 {
 				t.Fatalf("consecutive_failures = %d, want 1", p.ConsecutiveFailures)
@@ -220,6 +251,6 @@ func TestProbeRecordsBuildFailure(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("malformed peer missing from status")
+		t.Fatal("failing peer missing from status")
 	}
 }

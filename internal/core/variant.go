@@ -133,9 +133,11 @@ var (
 // SevenStateReadShared is the §3.1 design alternative: identical to the
 // full protocol except that ordinary loads in externally clean regions
 // (CC/DC) go directly to memory and take the line Shared instead of
-// broadcasting for an exclusive copy. The paper predicts — and the
-// ablation experiment confirms — that this trades broadcasts for "a large
-// number of upgrades" when the loaded lines are later written.
+// broadcasting for an exclusive copy. The paper predicts that this trades
+// broadcasts for "a large number of upgrades" when the loaded lines are
+// later written. No experiment runs this variant (RCA.ReadSharedDirect
+// selects it); sim's TestReadSharedAlternative checks the upgrade
+// inflation.
 type SevenStateReadShared struct{ SevenState }
 
 // Name implements Protocol.

@@ -42,6 +42,8 @@ func FuzzNormalize(f *testing.F) {
 		`{"benchmark":"ocean","options":{"Directory":true,"RegionScout":true}}`,
 		`{"benchmark":"Z"}`,
 		`{"benchmark":"` + strings.Repeat("x", 1<<10) + `"}`,
+		`{"benchmark":"ocean"} {"benchmark":"ocean"}`,
+		`{"benchmark":"ocean"}` + " \n\t",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -49,11 +51,14 @@ func FuzzNormalize(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw string) {
 		req, err := decodeJobRequest(strings.NewReader(raw))
 		if err != nil {
-			return // the handler answers 400 before admission
+			return // the handler answers 400 or 413 before admission
 		}
 		key, err := req.normalize()
 		if err == nil && key == "" {
 			t.Fatalf("normalize accepted %q but produced an empty cache key", raw)
+		}
+		if err == nil && (len(raw) > maxJobRequestBytes || len(req.Benchmark) > maxReqBenchmarkName) {
+			t.Fatalf("admitted a %d-byte body naming a %d-byte benchmark", len(raw), len(req.Benchmark))
 		}
 	})
 }
@@ -74,6 +79,9 @@ func TestNormalizeBounds(t *testing.T) {
 		{"huge sector bytes", `{"benchmark":"ocean","options":{"L2SectorBytes":1048577}}`, "l2_sector_bytes"},
 		{"negative timeout", `{"benchmark":"ocean","timeout_ms":-1}`, "timeout_ms"},
 		{"retired job kind", `{"benchmark":"ocean","type":"experiment","params":{"OpsPerProc":5}}`, `unknown field "type"`},
+		{"trailing data", `{"benchmark":"ocean"} {}`, "after the JSON object"},
+		{"body over the limit", `{"benchmark":"ocean"` + strings.Repeat(" ", maxJobRequestBytes) + `}`, "exceeds 65536 bytes"},
+		{"long benchmark name", `{"benchmark":"` + strings.Repeat("x", maxReqBenchmarkName+1) + `"}`, "benchmark name of 65 bytes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

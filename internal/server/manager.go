@@ -85,6 +85,9 @@ const (
 	// ways a set), so the bound keeps one request's RCAs under 512 MiB.
 	maxReqRCATotalSets = 1 << 24
 	maxReqBytesParam   = 1 << 20 // RegionBytes, L2SectorBytes
+	// maxReqBenchmarkName bounds the benchmark name, which an unknown-name
+	// 400 repeats.
+	maxReqBenchmarkName = 64
 )
 
 // normalize validates the request in place, applies defaults, and returns
@@ -128,6 +131,9 @@ func (r *JobRequest) normalize() (string, error) {
 	}
 	if r.Benchmark == "" {
 		return "", errors.New("sim job needs a benchmark")
+	}
+	if len(r.Benchmark) > maxReqBenchmarkName {
+		return "", fmt.Errorf("benchmark name of %d bytes exceeds limit %d", len(r.Benchmark), maxReqBenchmarkName)
 	}
 	if _, err := workload.Lookup(r.Benchmark); err != nil {
 		return "", err

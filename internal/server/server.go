@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,21 +72,44 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// decodeJobRequest decodes a POST /v1/jobs body. Unknown fields are
-// errors, so a retired option or job kind gets a 400 naming it instead
-// of being silently dropped from the request and its content key.
+// maxJobRequestBytes bounds a POST /v1/jobs body. A job request is a
+// benchmark name and a few dozen numeric options, well under 1 KiB.
+const maxJobRequestBytes = 64 << 10
+
+// errJobRequestTooLarge is decodeJobRequest's error for a body past
+// maxJobRequestBytes; the handler answers it with 413.
+var errJobRequestTooLarge = fmt.Errorf("job request exceeds %d bytes", maxJobRequestBytes)
+
+// decodeJobRequest decodes a POST /v1/jobs body: one JSON object of at
+// most maxJobRequestBytes, followed by nothing but whitespace. Unknown
+// fields are errors, so a retired option or job kind gets a 400 naming it
+// instead of being silently dropped from the request and its content key.
 func decodeJobRequest(body io.Reader) (JobRequest, error) {
+	raw, err := io.ReadAll(io.LimitReader(body, maxJobRequestBytes+1))
+	if err != nil {
+		return JobRequest{}, fmt.Errorf("reading job request: %w", err)
+	}
+	if len(raw) > maxJobRequestBytes {
+		return JobRequest{}, errJobRequestTooLarge
+	}
 	var req JobRequest
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return JobRequest{}, fmt.Errorf("decoding job request: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobRequest{}, errors.New("decoding job request: data after the JSON object")
 	}
 	return req, nil
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeJobRequest(r.Body)
+	if errors.Is(err, errJobRequestTooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -472,6 +472,28 @@ func TestValidationAndErrorPaths(t *testing.T) {
 		t.Errorf("malformed body: %d, want 400", resp.StatusCode)
 	}
 
+	// The body is bounded: a request past 64 KiB gets a short 413, bytes
+	// after the JSON object get a 400, and so does a benchmark name past
+	// 64 bytes, whose error body stays short rather than repeating it.
+	for _, tc := range []struct {
+		name, body string
+		code       int
+	}{
+		{"body over the limit", `{"benchmark":"ocean"` + strings.Repeat(" ", 64<<10) + `}`, http.StatusRequestEntityTooLarge},
+		{"trailing garbage", `{"benchmark":"ocean","options":{"OpsPerProc":2000}} trailing garbage`, http.StatusBadRequest},
+		{"over-long name", `{"benchmark":"` + strings.Repeat("x", 16<<10) + `"}`, http.StatusBadRequest},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || len(body) >= 1<<10 {
+			t.Errorf("%s: %d with a %d-byte body, want %d with under 1 KiB", tc.name, resp.StatusCode, len(body), tc.code)
+		}
+	}
+
 	// A field the API does not have is refused by name, not ignored: a
 	// client still sending a retired fabric, directory or I/O-injection
 	// option must not silently get results simulated without it, and one

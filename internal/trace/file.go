@@ -1,45 +1,41 @@
 package trace
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"io"
-	"math"
 	"os"
+	"slices"
 
 	"cgct/internal/addr"
 	"cgct/internal/workload"
 )
 
-// On-disk compiled trace format, version 2 ("CGCTCPT2"), little-endian:
+// On-disk compiled trace format, version 3 ("CGCTCPT3"), little-endian:
 //
-//	magic    [8]byte  "CGCTCPT2"
+//	magic    [8]byte  "CGCTCPT3"
 //	nameLen  uint16 (≤ maxFileName) + name bytes
 //	procs    uint32 (1 .. maxFileProcs)
-//	per processor:
-//	    count  uint64  ops (≤ maxFileOpsPerProc)
-//	    kgLen  uint64  bytes of the kind|gap column
-//	    kg     count × uvarint(gap<<3 | kind)
-//	    dLen   uint64  bytes of the address-delta column
-//	    d      count × zigzag-varint(addr − prevAddr)
+//	per processor, its ProcTrace slab as memory holds it:
+//	    nOps, nEsc, nBig  uint64 each (nBig ≤ nEsc ≤ nOps ≤ maxFileOpsPerProc)
+//	    ops      nOps × uint32
+//	    esc      nEsc × uint64
+//	    bigGaps  nBig × uint32
 //	sum      [32]byte sha256 over every preceding byte
 //
-// The format is versioned through the magic; readers reject unknown
-// versions, so a version-1 file (which carried a block of I/O segments
-// after procs) is refused by its magic rather than misparsed. Every
-// header count is untrusted: allocations track bytes actually read
-// (never a declared count alone), column lengths are validated against
-// the varints they must contain and — when the input's size is known —
-// against the bytes available, and the trailing digest rejects any
-// corruption the structural checks miss. A trace compiled
-// once with cgcttrace -compile can therefore be served from disk to any
-// number of consumers with integrity guaranteed.
+// Write and Read move columns and never re-encode an op, so the version
+// follows the slab layout: a layout change bumps the magic, by which
+// readers refuse every other version (1 carried I/O segments, 2 two varint
+// columns) rather than misparse it. Every count is untrusted: each is
+// bounded before anything is allocated, a column is checked against the
+// bytes available when the input's size is known and otherwise grows only
+// with bytes read, and Read checks what a Cursor assumes of the columns.
+// The trailing digest, at which a sized input must end, rejects any
+// corruption the structural checks miss.
 
-// fileMagic identifies version 2 of the compiled trace format.
-var fileMagic = [8]byte{'C', 'G', 'C', 'T', 'C', 'P', 'T', '2'}
+// fileMagic identifies version 3 of the compiled trace format.
+var fileMagic = [8]byte{'C', 'G', 'C', 'T', 'C', 'P', 'T', '3'}
 
 const (
 	maxFileName  = 256
@@ -47,33 +43,15 @@ const (
 	// maxFileOpsPerProc bounds one processor's declared op count (64 Mi
 	// ops, far beyond any real trace).
 	maxFileOpsPerProc = 64 << 20
-	// colChunk caps each column-read allocation: growth tracks bytes
-	// actually read, so a lying length costs at most one chunk.
+	// colChunk sizes the buffer Read reads columns through. A column the
+	// input's size does not vouch for grows a chunk at a time, so a lying
+	// count costs at most one chunk.
 	colChunk = 64 << 10
 )
 
-// appendColumns appends p's two on-disk columns, derived in one decoding
-// pass: uvarint(gap<<3 | kind) per op to kg, and to d the zigzag-varint
-// of each op's address minus the previous op's (starting from 0),
-// whatever their classes.
-func (p *ProcTrace) appendColumns(kg, d []byte) ([]byte, []byte) {
-	var (
-		batch [128]workload.Op
-		prev  uint64
-	)
-	c := Cursor{t: p}
-	for n := c.Fill(batch[:]); n > 0; n = c.Fill(batch[:]) {
-		for _, op := range batch[:n] {
-			kg = binary.AppendUvarint(kg, uint64(op.Gap)<<3|uint64(op.Kind))
-			d = binary.AppendVarint(d, int64(uint64(op.Addr)-prev))
-			prev = uint64(op.Addr)
-		}
-	}
-	return kg, d
-}
-
-// Write serialises the trace. The stream ends with a sha256 of everything
-// written before it.
+// Write serialises the trace. Each processor's counts and columns go out
+// in one call, from a buffer reused across processors that grows to the
+// largest, and the stream ends with a sha256 of everything before it.
 func (t *Trace) Write(w io.Writer) error {
 	if len(t.Name) > maxFileName {
 		return fmt.Errorf("trace: name %q too long to serialise (limit %d)", t.Name, maxFileName)
@@ -81,57 +59,37 @@ func (t *Trace) Write(w io.Writer) error {
 	if len(t.Procs) == 0 || len(t.Procs) > maxFileProcs {
 		return fmt.Errorf("trace: cannot serialise %d processors (limit %d)", len(t.Procs), maxFileProcs)
 	}
-	bw := bufio.NewWriterSize(w, 64<<10)
+	le := binary.LittleEndian
 	h := sha256.New()
-	mw := io.MultiWriter(bw, h)
-
-	var scratch [8]byte
-	w64 := func(v uint64) error {
-		binary.LittleEndian.PutUint64(scratch[:8], v)
-		_, err := mw.Write(scratch[:8])
-		return err
-	}
-	if _, err := mw.Write(fileMagic[:]); err != nil {
-		return fmt.Errorf("trace: writing header: %w", err)
-	}
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(len(t.Name)))
-	if _, err := mw.Write(scratch[:2]); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(mw, t.Name); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(t.Procs)))
-	if _, err := mw.Write(scratch[:4]); err != nil {
-		return err
-	}
-	// Each processor's two columns are encoded whole into kg and d, reused
-	// across processors, and each is written behind its length in one call.
-	kg, d := make([]byte, 0, colChunk), make([]byte, 0, colChunk)
-	writeCol := func(col []byte) error {
-		if err := w64(uint64(len(col))); err != nil {
-			return err
-		}
-		_, err := mw.Write(col)
-		return err
-	}
+	buf := append([]byte(nil), fileMagic[:]...)
+	buf = le.AppendUint16(buf, uint16(len(t.Name)))
+	buf = append(buf, t.Name...)
+	buf = le.AppendUint32(buf, uint32(len(t.Procs)))
 	for i := range t.Procs {
-		pt := &t.Procs[i]
-		if err := w64(uint64(pt.Len())); err != nil {
-			return err
+		p := &t.Procs[i]
+		buf = slices.Grow(buf, 24+int(p.Bytes()))
+		buf = le.AppendUint64(buf, uint64(len(p.ops)))
+		buf = le.AppendUint64(buf, uint64(len(p.esc)))
+		buf = le.AppendUint64(buf, uint64(len(p.bigGaps)))
+		for _, v := range p.ops {
+			buf = le.AppendUint32(buf, v)
 		}
-		kg, d = pt.appendColumns(kg[:0], d[:0])
-		if err := writeCol(kg); err != nil {
-			return err
+		for _, v := range p.esc {
+			buf = le.AppendUint64(buf, v)
 		}
-		if err := writeCol(d); err != nil {
-			return err
+		for _, v := range p.bigGaps {
+			buf = le.AppendUint32(buf, v)
 		}
+		h.Write(buf)
+		if _, err := w.Write(buf); err != nil {
+			return fmt.Errorf("trace: writing p%d: %w", i, err)
+		}
+		buf = buf[:0]
 	}
-	if _, err := bw.Write(h.Sum(nil)); err != nil { // digest itself is unhashed
-		return err
+	if _, err := w.Write(h.Sum(buf)); err != nil { // the digest itself is unhashed
+		return fmt.Errorf("trace: writing digest: %w", err)
 	}
-	return bw.Flush()
+	return nil
 }
 
 // WriteFile writes the trace to path in the versioned binary format.
@@ -147,17 +105,15 @@ func (t *Trace) WriteFile(path string) error {
 	return f.Close()
 }
 
-// fileReader threads the pieces Read's helpers need: the hashed stream,
-// the running digest, the remaining-input bound (-1 = unknown), and the
-// processor whose columns are being read (-1 in the header), which error
-// messages name, so a read need not format its description up front.
+// fileReader threads the pieces Read's helpers need: the stream teed
+// through the running digest, the remaining-input bound (-1 = unknown),
+// the processor being read (-1 in the header), which error messages
+// name, and the buffer every field and column is read through.
 type fileReader struct {
-	r         io.Reader // tee through the digest
-	raw       *bufio.Reader
-	h         hash.Hash
+	r         io.Reader
 	remaining int64
 	proc      int
-	b8        [8]byte // u64's buffer
+	buf       []byte
 }
 
 // name describes what is being read for an error message.
@@ -181,38 +137,37 @@ func (fr *fileReader) full(buf []byte, what string) error {
 	return nil
 }
 
-func (fr *fileReader) u64(what string) (uint64, error) {
-	if err := fr.full(fr.b8[:], what); err != nil {
-		return 0, err
+// column reads a column of n words, width bytes each, decoding each with
+// get. n is already bounded. When the input's size is known, the column
+// is checked against it and allocated once; otherwise it grows with the
+// chunks actually read.
+func column[T uint32 | uint64](fr *fileReader, n uint64, width int, get func([]byte) T, what string) ([]T, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	return binary.LittleEndian.Uint64(fr.b8[:]), nil
+	size, capacity := n*uint64(width), n
+	if fr.remaining < 0 {
+		capacity = min(n, uint64(len(fr.buf)/width))
+	} else if size > uint64(fr.remaining) {
+		return nil, fmt.Errorf("trace: %s needs %d bytes but only %d remain", fr.name(what), size, fr.remaining)
+	}
+	col := make([]T, 0, capacity)
+	for left := size; left > 0; {
+		b := fr.buf[:min(left, uint64(len(fr.buf)))]
+		if err := fr.full(b, what); err != nil {
+			return nil, err
+		}
+		left -= uint64(len(b))
+		for ; len(b) > 0; b = b[width:] {
+			col = append(col, get(b))
+		}
+	}
+	return col, nil
 }
 
-// column reads a declared-length byte column into buf's storage, in
-// bounded chunks: a lying length fails on truncation after at most one
-// chunk of over-allocation.
-func (fr *fileReader) column(buf []byte, declared uint64, what string) ([]byte, error) {
-	if fr.remaining >= 0 && int64(declared) > fr.remaining {
-		return nil, fmt.Errorf("trace: %s declares %d bytes but only %d remain", fr.name(what), declared, fr.remaining)
-	}
-	buf = buf[:0]
-	for uint64(len(buf)) < declared {
-		n := min(declared-uint64(len(buf)), colChunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(fr.r, buf[start:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated reading %s: %w", fr.name(what), err)
-		}
-		if fr.remaining >= 0 {
-			fr.remaining -= int64(n)
-		}
-	}
-	return buf, nil
-}
-
-// Read deserialises a compiled trace written by Write, validating every
-// header field against sane limits (and, for sized inputs, against the
-// bytes available) before allocating, and verifying the trailing digest.
+// Read deserialises a compiled trace written by Write. It bounds every
+// count before allocating, checks each processor's columns as a Cursor
+// will replay them, and verifies the trailing digest.
 func Read(r io.Reader) (*Trace, error) {
 	remaining := int64(-1)
 	if lr, ok := r.(interface{ Len() int }); ok {
@@ -232,127 +187,119 @@ func Read(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: input too short for a compiled trace")
 		}
 	}
-	br := bufio.NewReaderSize(r, 64<<10)
 	h := sha256.New()
-	fr := &fileReader{r: io.TeeReader(br, h), raw: br, h: h, remaining: remaining, proc: -1}
-
-	var magic [8]byte
-	if err := fr.full(magic[:], "magic"); err != nil {
+	fr := &fileReader{r: io.TeeReader(r, h), remaining: remaining, proc: -1, buf: make([]byte, colChunk)}
+	le := binary.LittleEndian
+	if err := fr.full(fr.buf[:8], "magic"); err != nil {
 		return nil, err
 	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("trace: not a compiled CGCT trace (magic %q)", magic[:])
+	if [8]byte(fr.buf) != fileMagic {
+		return nil, fmt.Errorf("trace: not a compiled CGCT trace (magic %q; this version reads %q)", fr.buf[:8], fileMagic[:])
 	}
-	var b2 [2]byte
-	if err := fr.full(b2[:], "name length"); err != nil {
+	if err := fr.full(fr.buf[:2], "name length"); err != nil {
 		return nil, err
 	}
-	nameLen := binary.LittleEndian.Uint16(b2[:])
+	nameLen := le.Uint16(fr.buf)
 	if nameLen > maxFileName {
 		return nil, fmt.Errorf("trace: implausible name length %d (limit %d)", nameLen, maxFileName)
 	}
-	name := make([]byte, nameLen)
-	if err := fr.full(name, "name"); err != nil {
+	if err := fr.full(fr.buf[:nameLen], "name"); err != nil {
 		return nil, err
 	}
-	var b4 [4]byte
-	if err := fr.full(b4[:], "processor count"); err != nil {
+	name := string(fr.buf[:nameLen])
+	if err := fr.full(fr.buf[:4], "processor count"); err != nil {
 		return nil, err
 	}
-	procs := binary.LittleEndian.Uint32(b4[:])
+	procs := le.Uint32(fr.buf)
 	if procs == 0 || procs > maxFileProcs {
 		return nil, fmt.Errorf("trace: implausible processor count %d (limit %d)", procs, maxFileProcs)
 	}
-	t := &Trace{Name: string(name), Procs: make([]ProcTrace, procs)}
-	// The two column buffers are reused across processors.
-	var kg, deltas []byte
-	for p := uint32(0); p < procs; p++ {
-		fr.proc = int(p)
-		count, err := fr.u64("op count")
-		if err != nil {
+	t := &Trace{Name: name, Procs: make([]ProcTrace, procs)}
+	for p := range t.Procs {
+		fr.proc = p
+		if err := fr.full(fr.buf[:24], "counts"); err != nil {
 			return nil, err
 		}
-		if count > maxFileOpsPerProc {
-			return nil, fmt.Errorf("trace: p%d declares %d ops (limit %d)", p, count, maxFileOpsPerProc)
+		nOps, nEsc, nBig := le.Uint64(fr.buf), le.Uint64(fr.buf[8:]), le.Uint64(fr.buf[16:])
+		switch {
+		case nOps > maxFileOpsPerProc:
+			return nil, fmt.Errorf("trace: p%d declares %d ops (limit %d)", p, nOps, maxFileOpsPerProc)
+		case nEsc > nOps:
+			return nil, fmt.Errorf("trace: p%d declares %d escape words, more than its %d ops", p, nEsc, nOps)
+		case nBig > nEsc:
+			return nil, fmt.Errorf("trace: p%d declares %d big gaps, more than its %d escape words", p, nBig, nEsc)
 		}
-		kgLen, err := fr.u64("kind|gap length")
-		if err != nil {
+		pt := &t.Procs[p]
+		var err error
+		if pt.ops, err = column(fr, nOps, 4, le.Uint32, "op column"); err != nil {
 			return nil, err
 		}
-		// Each op encodes to 1..MaxVarintLen64 bytes in either column.
-		if kgLen < count || kgLen > count*binary.MaxVarintLen64 {
-			return nil, fmt.Errorf("trace: p%d kind|gap column of %d bytes cannot hold %d ops", p, kgLen, count)
-		}
-		kg, err = fr.column(kg, kgLen, "kind|gap column")
-		if err != nil {
+		if pt.esc, err = column(fr, nEsc, 8, le.Uint64, "escape column"); err != nil {
 			return nil, err
 		}
-		dLen, err := fr.u64("delta length")
-		if err != nil {
+		if pt.bigGaps, err = column(fr, nBig, 4, le.Uint32, "big-gap column"); err != nil {
 			return nil, err
 		}
-		if dLen < count || dLen > count*binary.MaxVarintLen64 {
-			return nil, fmt.Errorf("trace: p%d delta column of %d bytes cannot hold %d ops", p, dLen, count)
-		}
-		deltas, err = fr.column(deltas, dLen, "delta column")
-		if err != nil {
-			return nil, err
-		}
-		if t.Procs[p], err = decodeColumns(kg, deltas, count, p); err != nil {
-			return nil, err
+		if err := pt.check(); err != nil {
+			return nil, fmt.Errorf("trace: p%d %w", p, err)
 		}
 	}
-	want := fr.h.Sum(nil)
-	var got [sha256.Size]byte
-	if _, err := io.ReadFull(fr.raw, got[:]); err != nil {
+	if fr.remaining > 0 {
+		return nil, fmt.Errorf("trace: %d bytes more than the counts declare", fr.remaining)
+	}
+	want := h.Sum(nil)
+	got := fr.buf[:sha256.Size]
+	if _, err := io.ReadFull(r, got); err != nil {
 		return nil, fmt.Errorf("trace: truncated reading digest: %w", err)
 	}
-	if [sha256.Size]byte(want) != got {
+	if [sha256.Size]byte(want) != [sha256.Size]byte(got) {
 		return nil, fmt.Errorf("trace: digest mismatch — file corrupt")
 	}
 	return t, nil
 }
 
-// decodeColumns decodes processor p's kind|gap and delta columns in
-// lockstep, straight into an encoder, checking that each holds exactly
-// count varints, that every kind and gap fits an op and that the running
-// address stays a valid physical address — cursors can then replay
-// without per-op error paths. count ≤ len(kg) is already established, so
-// the op column's allocation is backed by bytes actually read.
-func decodeColumns(kg, deltas []byte, count uint64, p uint32) (ProcTrace, error) {
-	e := encoder{pt: ProcTrace{ops: make([]uint32, 0, count)}}
-	var (
-		ko, do int
-		a      uint64
-	)
-	for i := uint64(0); i < count; i++ {
-		v, n := binary.Uvarint(kg[ko:])
-		if n <= 0 {
-			return ProcTrace{}, fmt.Errorf("trace: corrupt kind|gap varint at p%d[%d]", p, i)
-		}
-		ko += n
-		d, n := binary.Varint(deltas[do:])
-		if n <= 0 {
-			return ProcTrace{}, fmt.Errorf("trace: corrupt address varint at p%d[%d]", p, i)
-		}
-		do += n
-		if v>>3 > math.MaxUint32 {
-			return ProcTrace{}, fmt.Errorf("trace: gap %d out of range at p%d[%d]", v>>3, p, i)
-		}
-		// Wrapping arithmetic is safe: a sum that leaves [0, PhysAddrMask]
-		// lands above it, and add rejects it.
-		a += uint64(d)
-		if err := e.add(workload.Op{Kind: workload.OpKind(v & kindMask), Addr: addr.Addr(a), Gap: uint32(v >> 3)}); err != nil {
-			return ProcTrace{}, fmt.Errorf("trace: p%d[%d]: %w", p, i, err)
+// check verifies what a Cursor assumes of columns read from outside: one
+// escape word per op holding the gap marker, one big gap per escape word
+// holding the escape value, each big gap one an escape word cannot hold,
+// and every op replaying with a valid kind and an address inside the
+// physical address space.
+func (p *ProcTrace) check() error {
+	markers, escaped := 0, 0
+	for _, w := range p.ops {
+		if w>>kindBits&gapMarker == gapMarker {
+			markers++
 		}
 	}
-	if ko != len(kg) {
-		return ProcTrace{}, fmt.Errorf("trace: p%d kind|gap column has %d trailing bytes", p, len(kg)-ko)
+	for _, e := range p.esc {
+		if e>>kindBits&gapEscape == gapEscape {
+			escaped++
+		}
 	}
-	if do != len(deltas) {
-		return ProcTrace{}, fmt.Errorf("trace: p%d delta column has %d trailing bytes", p, len(deltas)-do)
+	if markers != len(p.esc) {
+		return fmt.Errorf("has %d escape words for %d ops holding the gap marker", len(p.esc), markers)
 	}
-	return e.pt, nil
+	if escaped != len(p.bigGaps) {
+		return fmt.Errorf("has %d big gaps for %d escape words holding the escape value", len(p.bigGaps), escaped)
+	}
+	for i, g := range p.bigGaps {
+		if g < gapEscape {
+			return fmt.Errorf("big gap %d is %d, out of range (minimum %d)", i, g, gapEscape)
+		}
+	}
+	var batch [256]workload.Op
+	c := Cursor{t: p}
+	for n := c.Fill(batch[:]); n > 0; n = c.Fill(batch[:]) {
+		for j, op := range batch[:n] {
+			i := c.pos - n + j
+			if op.Kind >= workload.NOpKinds {
+				return fmt.Errorf("op %d: invalid op kind %d", i, op.Kind)
+			}
+			if uint64(op.Addr) > addr.PhysAddrMask {
+				return fmt.Errorf("op %d: address %#x exceeds the %d-bit physical address space", i, uint64(op.Addr), addr.PhysAddrBits)
+			}
+		}
+	}
+	return nil
 }
 
 // ReadFile loads a compiled trace from path.

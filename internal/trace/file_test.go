@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -116,17 +117,30 @@ func TestFileTruncated(t *testing.T) {
 	}
 }
 
+// TestFileTrailingBytes: an input whose size is known must end at the
+// digest; bytes after it are refused, not ignored.
+func TestFileTrailingBytes(t *testing.T) {
+	raw := append(tinyTraceBytes(t, validProcTrace(t)), "junk"...)
+	_, err := Read(bytes.NewReader(raw))
+	if err == nil || !strings.Contains(err.Error(), "4 bytes more than the counts declare") {
+		t.Fatalf("err = %v, want the 4 trailing bytes refused", err)
+	}
+}
+
 // tinyTraceBytes serialises a hand-built single-proc trace (name "t") so
 // header fields sit at fixed offsets:
 //
-//	magic [0..8)  nameLen [8..10)  name [10..11)
-//	procs [11..15)  p0 count [15..23)  p0 kgLen [23..31)
+//	magic [0..8)  nameLen [8..10)  name [10..11)  procs [11..15)
+//	p0 op count [15..23)  escape count [23..31)  big-gap count [31..39)
+//	p0 columns [39..)
 func tinyTraceBytes(t testing.TB, pt ProcTrace) []byte {
 	t.Helper()
 	return traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{pt}})
 }
 
-// traceBytes serialises tr.
+// traceBytes serialises tr. Write stores the columns as they are, so a
+// hand-built ProcTrace puts content the encoder would never produce on
+// disk, sealed with a valid digest.
 func traceBytes(t testing.TB, tr *Trace) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -136,56 +150,23 @@ func traceBytes(t testing.TB, tr *Trace) []byte {
 	return buf.Bytes()
 }
 
-func validProcTrace() ProcTrace {
+// encode compiles ops into a ProcTrace through the encoder.
+func encode(t testing.TB, ops ...workload.Op) ProcTrace {
+	t.Helper()
 	var e encoder
-	for _, op := range []workload.Op{
-		{Kind: workload.OpLoad, Addr: 64, Gap: 3},
-		{Kind: workload.OpStore, Addr: 128, Gap: 1},
-	} {
+	for _, op := range ops {
 		if err := e.add(op); err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
 	}
 	return e.pt
 }
 
-// rawProc is one processor's on-disk columns, byte for byte.
-type rawProc struct {
-	count uint64
-	kg, d []byte
-}
-
-// rawColumns encodes ops into on-disk columns the way the format
-// specifies, independently of ProcTrace.
-func rawColumns(ops ...workload.Op) rawProc {
-	r := rawProc{count: uint64(len(ops))}
-	var prev int64
-	for _, op := range ops {
-		r.kg = binary.AppendUvarint(r.kg, uint64(op.Gap)<<3|uint64(op.Kind))
-		r.d = binary.AppendVarint(r.d, int64(op.Addr)-prev)
-		prev = int64(op.Addr)
-	}
-	return r
-}
-
-// sealRaw builds a complete file named "t" around raw column bytes and
-// seals it with a valid digest, so a test can store content the encoder
-// would never produce.
-func sealRaw(procs ...rawProc) []byte {
-	le := binary.LittleEndian
-	b := append([]byte(nil), fileMagic[:]...)
-	b = le.AppendUint16(b, 1)
-	b = append(b, 't')
-	b = le.AppendUint32(b, uint32(len(procs)))
-	for _, p := range procs {
-		b = le.AppendUint64(b, p.count)
-		b = le.AppendUint64(b, uint64(len(p.kg)))
-		b = append(b, p.kg...)
-		b = le.AppendUint64(b, uint64(len(p.d)))
-		b = append(b, p.d...)
-	}
-	sum := sha256.Sum256(b)
-	return append(b, sum[:]...)
+// validProcTrace is two ops, both packed: no escape words, no big gaps.
+func validProcTrace(t testing.TB) ProcTrace {
+	return encode(t,
+		workload.Op{Kind: workload.OpLoad, Addr: 64, Gap: 3},
+		workload.Op{Kind: workload.OpStore, Addr: 128, Gap: 1})
 }
 
 // hostileHeader is a valid file with one header field mutated, and a
@@ -200,7 +181,7 @@ type hostileHeader struct {
 // descriptive error before large allocations: the structural checks run
 // while streaming, ahead of the digest.
 func hostileHeaders(t testing.TB) []hostileHeader {
-	base := tinyTraceBytes(t, validProcTrace())
+	base := tinyTraceBytes(t, validProcTrace(t))
 	mutate := func(off int, val []byte) []byte {
 		b := append([]byte(nil), base...)
 		copy(b[off:], val)
@@ -210,15 +191,19 @@ func hostileHeaders(t testing.TB) []hostileHeader {
 	le64 := func(v uint64) []byte { return binary.LittleEndian.AppendUint64(nil, v) }
 	return []hostileHeader{
 		{"bad magic", mutate(0, []byte{'X'}), "not a compiled CGCT trace"},
-		// Version 1 carried I/O segments after procs; it is refused by its
-		// magic, never parsed as version 2.
+		// Earlier versions are refused by their magic, never parsed as
+		// version 3: version 1 carried I/O segments after procs, version 2
+		// two varint columns per processor.
 		{"version-1 magic", mutate(7, []byte{'1'}), `magic "CGCTCPT1"`},
+		{"version-2 magic", mutate(7, []byte{'2'}), `magic "CGCTCPT2"`},
 		{"huge name length", mutate(8, []byte{0xff, 0xff}), "name length"},
 		{"zero procs", mutate(11, le32(0)), "processor count"},
 		{"too many procs", mutate(11, le32(maxFileProcs+1)), "processor count"},
 		{"op count over limit", mutate(15, le64(maxFileOpsPerProc+1)), "limit"},
-		{"column cannot hold ops", mutate(23, le64(1)), "cannot hold"},
-		{"column beyond input", mutate(23, le64(19)), "remain"},
+		{"escape count over op count", mutate(23, le64(3)), "3 escape words, more than its 2 ops"},
+		{"big-gap count over escape count", mutate(31, le64(1)), "1 big gaps, more than its 0 escape words"},
+		// Two ops' 8 bytes remain before the digest; three need 12.
+		{"column beyond input", mutate(15, le64(3)), "op column needs 12 bytes but only 8 remain"},
 	}
 }
 
@@ -236,50 +221,84 @@ func TestFileHostileHeaders(t *testing.T) {
 	}
 }
 
-// TestFileLyingCountUnsizedReader covers readers whose size is unknown
-// (no Len/Seek): a header declaring 32 Mi ops and a 32 MiB kind|gap
-// column, followed by nothing, must fail on truncation without
-// allocating the declared amount up front.
-func TestFileLyingCountUnsizedReader(t *testing.T) {
+// lyingCountRead reads, through wrap, a header declaring 32 Mi ops for
+// p0, a 128 MiB op column, followed by only a digest's worth of bytes, and
+// returns the bytes allocated meanwhile and Read's error.
+func lyingCountRead(wrap func(io.Reader) io.Reader) (uint64, error) {
 	data := append([]byte(nil), fileMagic[:]...)
 	data = binary.LittleEndian.AppendUint16(data, 0)     // name length
 	data = binary.LittleEndian.AppendUint32(data, 1)     // processors
 	data = binary.LittleEndian.AppendUint64(data, 1<<25) // p0 op count
-	data = binary.LittleEndian.AppendUint64(data, 1<<25) // p0 kind|gap length
+	data = binary.LittleEndian.AppendUint64(data, 0)     // p0 escape count
+	data = binary.LittleEndian.AppendUint64(data, 0)     // p0 big-gap count
+	data = append(data, make([]byte, sha256.Size)...)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := Read(iotest.OneByteReader(bytes.NewReader(data)))
+	_, err := Read(wrap(bytes.NewReader(data)))
 	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "truncated") {
-		t.Fatalf("err = %v, want a truncation error", err)
+	return after.TotalAlloc - before.TotalAlloc, err
+}
+
+// TestFileLyingCountUnsizedReader covers readers whose size is unknown
+// (no Len/Seek): a lying op count must fail on truncation without
+// allocating the declared column up front.
+func TestFileLyingCountUnsizedReader(t *testing.T) {
+	grown, err := lyingCountRead(iotest.OneByteReader)
+	if err == nil || !strings.Contains(err.Error(), "truncated reading p0 op column") {
+		t.Fatalf("err = %v, want a truncation error in p0's op column", err)
 	}
-	// Reading the declared column up front would take 32 MiB; the chunked
-	// reader stops after one 64 KiB chunk.
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > 32<<20 {
-		t.Fatalf("reader allocated %d bytes for a lying count", grown)
+	// The reader's buffer is one chunk and the column gets one more before
+	// the first read of it fails.
+	if grown > 3*colChunk {
+		t.Fatalf("reader allocated %d bytes for a lying count, want at most %d", grown, 3*colChunk)
 	}
 }
 
-// TestFileRejectsInvalidContent: structurally valid columns with invalid
-// payloads (bad kind, oversized gap, out-of-range address, trailing
-// bytes) are rejected even though lengths and counts agree.
+// TestFileLyingCountSizedReader: with the input's size known, the same
+// lying count fails against the bytes that remain, before the column is
+// allocated at all.
+func TestFileLyingCountSizedReader(t *testing.T) {
+	grown, err := lyingCountRead(func(r io.Reader) io.Reader { return r })
+	if err == nil || !strings.Contains(err.Error(), "p0 op column needs 134217728 bytes but only 0 remain") {
+		t.Fatalf("err = %v, want p0's op column refused against the input's size", err)
+	}
+	if grown > 2*colChunk {
+		t.Fatalf("reader allocated %d bytes for a lying count, want at most %d", grown, 2*colChunk)
+	}
+}
+
+// TestFileRejectsInvalidContent: columns whose counts agree with their
+// lengths but whose words a Cursor could not replay (a marker with no
+// escape word, an escape value with no big gap, or the reverse), or would
+// replay into an invalid op (an unknown kind in either kind of word, a
+// big gap an escape word could hold, a delta chain leaving the 40-bit
+// address space), are rejected even under a valid digest.
 func TestFileRejectsInvalidContent(t *testing.T) {
-	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
-	zz := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	const (
+		marker = gapMarker << kindBits
+		load   = uint32(workload.OpLoad)
+	)
+	packed := func(delta int32, kind uint32) uint32 { return uint32(delta)<<deltaShift | kind }
+	escWord := func(a uint64, gap uint32, kind uint64) uint64 { return a<<addrShift | uint64(gap)<<kindBits | kind }
 	cases := []struct {
 		name string
-		raw  rawProc
+		pt   ProcTrace
 		want string
 	}{
-		{"invalid kind", rawProc{1, uv(uint64(workload.NOpKinds)), zz(64)}, "op kind"},
-		{"gap out of range", rawProc{1, uv(uint64(1) << 40 << 3), zz(64)}, "gap"},
-		{"negative address", rawProc{1, uv(0), zz(-1)}, "address"},
-		{"delta trailing bytes", rawProc{1, uv(0), append(zz(64), 0)}, "trailing"},
+		{"invalid kind", ProcTrace{ops: []uint32{packed(64, uint32(workload.NOpKinds))}}, "invalid op kind"},
+		{"invalid escape kind", ProcTrace{ops: []uint32{marker}, esc: []uint64{escWord(64, 0, uint64(workload.NOpKinds))}}, "invalid op kind"},
+		{"gap out of range", ProcTrace{ops: []uint32{marker}, esc: []uint64{escWord(64, gapEscape, 0)}, bigGaps: []uint32{gapEscape - 1}}, "out of range"},
+		{"negative address", ProcTrace{ops: []uint32{packed(-1, load)}}, "physical address space"},
+		{"address past 40 bits", ProcTrace{ops: []uint32{marker, packed(1, load)}, esc: []uint64{escWord(addr.PhysAddrMask, 0, 0)}}, "physical address space"},
+		{"marker without escape word", ProcTrace{ops: []uint32{marker, marker}, esc: []uint64{escWord(64, 0, 0)}}, "1 escape words for 2 ops"},
+		{"escape column trailing words", ProcTrace{ops: []uint32{packed(64, load)}, esc: []uint64{escWord(64, 0, 0)}}, "1 escape words for 0 ops"},
+		{"escape value without big gap", ProcTrace{ops: []uint32{marker}, esc: []uint64{escWord(64, gapEscape, 0)}}, "0 big gaps for 1 escape words"},
+		{"big-gap column trailing gaps", ProcTrace{ops: []uint32{marker}, esc: []uint64{escWord(64, 5, 0)}, bigGaps: []uint32{gapEscape}}, "1 big gaps for 0 escape words"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := Read(bytes.NewReader(sealRaw(c.raw)))
+			_, err := Read(bytes.NewReader(tinyTraceBytes(t, c.pt)))
 			if err == nil {
 				t.Fatal("invalid content accepted")
 			}
@@ -291,12 +310,12 @@ func TestFileRejectsInvalidContent(t *testing.T) {
 }
 
 // TestFileEdgeOpsRoundTrip: ops at the edges of the packed op and of the
-// escape word read, replay and write back unchanged, byte for byte: gaps
-// on either side of both gap markers and the largest the format allows,
-// address steps at and one past either end of the delta field, the
-// lowest and highest physical addresses, and an instruction stream
-// interleaved with a distant data stream, so each class's previous
-// address differs from the other's.
+// escape word encode, write, read and replay unchanged, and write back
+// byte for byte: gaps on either side of both gap markers and the largest
+// the format allows, address steps at and one past either end of the
+// delta field, the lowest and highest physical addresses, and an
+// instruction stream interleaved with a distant data stream, so each
+// class's previous address differs from the other's.
 func TestFileEdgeOpsRoundTrip(t *testing.T) {
 	p0 := []workload.Op{
 		{Kind: workload.OpLoad, Addr: 64, Gap: gapEscape - 1},
@@ -324,7 +343,7 @@ func TestFileEdgeOpsRoundTrip(t *testing.T) {
 		{Kind: workload.OpStore, Addr: 0},
 		{Kind: workload.OpIFetch, Addr: top},
 	}
-	raw := sealRaw(rawColumns(p0...), rawColumns(p1...), rawColumns(p2...))
+	raw := traceBytes(t, &Trace{Name: "t", Procs: []ProcTrace{encode(t, p0...), encode(t, p1...), encode(t, p2...)}})
 	tr, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -350,17 +369,18 @@ func TestFileEdgeOpsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteMatchesPinnedBytes pins the CGCTCPT2 bytes Write produces for
-// two paper benchmarks, tpc-b and tpc-h, so a change to the in-memory
-// encoding cannot silently change the disk format.
+// TestWriteMatchesPinnedBytes pins the CGCTCPT3 bytes Write produces for
+// two paper benchmarks, tpc-b and tpc-h. The file stores the slab as it
+// is, so a change to the slab's layout fails here and must bump the
+// format's magic along with these pins.
 func TestWriteMatchesPinnedBytes(t *testing.T) {
 	for _, c := range []struct {
 		bench string
 		size  int
 		sum   string
 	}{
-		{"tpc-b", 105_530, "489e93acdd08a3e085e9ec5f2927c99836ad0d4e47d81bf6d4a5236b109c01ae"},
-		{"tpc-h", 106_078, "d9e1cfb14095d670893ebd737395289c5e2c5401a37e25ce23f1feca91ffd0a4"},
+		{"tpc-b", 83_179, "3cb41d5b2c9b918d61a138aeb15ed62721db6e0e9d4db8c6de0a0dfa46c20863"},
+		{"tpc-h", 83_055, "4c66a7ece461c3ac6eb16743a42591e3e7d650c9523c1fd9c47b99df1003cdc7"},
 	} {
 		tr, err := Compile(context.Background(), c.bench, workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
 		if err != nil {
@@ -415,7 +435,7 @@ func BenchmarkTraceWriteRead(b *testing.B) {
 
 // TestFileDigestMismatch: a corrupted trailing digest is its own error.
 func TestFileDigestMismatch(t *testing.T) {
-	raw := tinyTraceBytes(t, validProcTrace())
+	raw := tinyTraceBytes(t, validProcTrace(t))
 	raw[len(raw)-1] ^= 1
 	_, err := Read(bytes.NewReader(raw))
 	if err == nil || !strings.Contains(err.Error(), "digest") {
@@ -430,7 +450,7 @@ func TestWriteRejectsUnserialisable(t *testing.T) {
 	if err := (&Trace{Name: "empty"}).Write(&buf); err == nil {
 		t.Error("zero-proc trace serialised")
 	}
-	long := &Trace{Name: strings.Repeat("n", maxFileName+1), Procs: []ProcTrace{validProcTrace()}}
+	long := &Trace{Name: strings.Repeat("n", maxFileName+1), Procs: []ProcTrace{validProcTrace(t)}}
 	if err := long.Write(&buf); err == nil {
 		t.Error("oversized name serialised")
 	}

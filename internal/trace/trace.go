@@ -30,7 +30,8 @@
 // per worker. Traces carry a content hash, computed on demand from a
 // decoding pass; the process-wide shared cache (Get) keys traces by their
 // parameters, and the versioned on-disk format (WriteFile / ReadFile)
-// seals files with its own digest.
+// stores the slabs' columns as they are and seals files with its own
+// digest.
 package trace
 
 import (
