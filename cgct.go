@@ -213,14 +213,7 @@ type Result struct {
 }
 
 // EnergyBreakdown is the per-component energy of a run (relative units).
-type EnergyBreakdown struct {
-	Network   float64 // broadcasts + point-to-point requests
-	TagProbes float64 // remote tag-array lookups
-	DRAM      float64
-	Transfers float64
-	Region    float64 // region-tracking / directory overhead
-	Total     float64
-}
+type EnergyBreakdown = energy.Breakdown
 
 // UnnecessaryFraction returns the oracle's unnecessary share of the
 // transactions it classified: broadcasts on the snooping fabric, home
@@ -434,11 +427,7 @@ func summarize(benchmark string, o Options, run *stats.Run) *Result {
 	if t := run.RCAHits + run.RCAMisses; t > 0 {
 		r.RCAHitRatio = float64(run.RCAHits) / float64(t)
 	}
-	eb := energy.Compute(run, o.Processors, energy.Default())
-	r.Energy = EnergyBreakdown{
-		Network: eb.Network, TagProbes: eb.TagProbes, DRAM: eb.DRAM,
-		Transfers: eb.Transfers, Region: eb.Region, Total: eb.Total,
-	}
+	r.Energy = energy.Compute(run, o.Processors, energy.Default())
 	r.RCAEvictions = run.RCAEvictions
 	r.RCASelfInvals = run.RCASelfInvals
 	if run.RCAEvictions > 0 {

@@ -8,7 +8,6 @@
 //
 //	cgctserve -addr :8080 -workers 8 -queue 64 -cache 1024
 //	cgctserve -store /var/lib/cgct   # crash-safe result/trace spill; warm restarts
-//	cgctserve -store /var/lib/cgct -store-max-bytes 10737418240 -scrub-interval 5s
 //	cgctserve -self http://a:8080 -peers http://a:8080,http://b:8080 -replication 2
 //	cgctserve -smoke            # self-test: serve, submit, verify, drain
 //
@@ -55,23 +54,21 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "admission queue capacity (overflow gets 429)")
-		cache     = flag.Int("cache", 1024, "result cache capacity, entries (LRU)")
-		drain     = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
-		timeout   = flag.Duration("job-timeout", 30*time.Minute, "per-job wall-clock deadline (0 = none; requests may set a shorter timeout_ms)")
-		stall     = flag.Duration("watchdog", 2*time.Minute, "fail a running job whose simulation makes no progress for this long (0 = disabled)")
-		smoke     = flag.Bool("smoke", false, "serve on a loopback port, run a client round trip, and exit")
-		pprofAt   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
-		traceOut  = flag.String("trace-out", "", "write completed jobs' phase spans as chrome://tracing JSON to this path on shutdown")
-		logFmt    = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
-		storeDir  = flag.String("store", "", "persistent store directory: results and compiled traces spill here crash-safely and restarts warm-start from it (empty = no persistence)")
-		storeMax  = flag.Int64("store-max-bytes", 0, "byte cap on the persistent store; least-recently-used entries are evicted past it (0 = unlimited)")
-		scrubBeat = flag.Duration("scrub-interval", 0, "re-verify one store entry's integrity per interval, quarantining corruption and restoring it from replicas (0 = disabled)")
-		peersStr  = flag.String("peers", "", "comma-separated cluster peer base URLs (http://host:port); empty = standalone")
-		selfURL   = flag.String("self", "", "this node's advertised base URL, required with -peers")
-		replicas  = flag.Int("replication", 1, "replicate each result to this many ring owners (1 = owner only)")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("workers", 0, "worker pool size (default GOMAXPROCS)")
+		queue    = flag.Int("queue", 64, "admission queue capacity (overflow gets 429)")
+		cache    = flag.Int("cache", 1024, "result cache capacity, entries (LRU)")
+		drain    = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
+		timeout  = flag.Duration("job-timeout", 30*time.Minute, "per-job wall-clock deadline (0 = none; requests may set a shorter timeout_ms)")
+		stall    = flag.Duration("watchdog", 2*time.Minute, "fail a running job whose simulation makes no progress for this long (0 = disabled)")
+		smoke    = flag.Bool("smoke", false, "serve on a loopback port, run a client round trip, and exit")
+		pprofAt  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = disabled)")
+		traceOut = flag.String("trace-out", "", "write completed jobs' phase spans as chrome://tracing JSON to this path on shutdown")
+		logFmt   = flag.String("log-format", "text", "structured log encoding on stderr: text or json")
+		storeDir = flag.String("store", "", "persistent store directory: results and compiled traces spill here crash-safely and restarts warm-start from it (empty = no persistence)")
+		peersStr = flag.String("peers", "", "comma-separated cluster peer base URLs (http://host:port); empty = standalone")
+		selfURL  = flag.String("self", "", "this node's advertised base URL, required with -peers")
+		replicas = flag.Int("replication", 1, "replicate each result to this many ring owners (1 = owner only)")
 	)
 	flag.Parse()
 
@@ -98,9 +95,7 @@ func main() {
 		DefaultTimeout: *timeout, WatchdogStall: *stall, Logger: logger,
 	}
 	if *storeDir != "" {
-		st, err := store.Open(store.Options{
-			Dir: *storeDir, MaxBytes: *storeMax, ScrubInterval: *scrubBeat, Logger: logger,
-		})
+		st, err := store.Open(store.Options{Dir: *storeDir, Logger: logger})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cgctserve: %v\n", err)
 			os.Exit(2)
@@ -109,8 +104,7 @@ func main() {
 		// Compiled traces spill into the same store, so a warm restart
 		// skips trace compilation as well as simulation.
 		trace.SetPersistentStore(st)
-		logger.Info("persistent store open",
-			"dir", st.Dir(), "max_bytes", *storeMax, "scrub_interval", scrubBeat.String())
+		logger.Info("persistent store open", "dir", st.Dir())
 	}
 	if *peersStr != "" {
 		cl, err := buildCluster(*selfURL, *peersStr, *replicas, logger)

@@ -680,41 +680,43 @@ func TestClusterJoinRouteGone(t *testing.T) {
 	}
 }
 
-// TestClusterChaosScrubRestoresFromPeer closes the loop between the
-// store's scrubber and the cluster's replicas: a bit-flipped entry on
-// one node is quarantined by a scrub pass and restored through the
-// manager's refetch callback from the peer replica — the fleet heals
-// bit-rot end to end.
-func TestClusterChaosScrubRestoresFromPeer(t *testing.T) {
+// TestClusterChaosCorruptEntryHealsFromPeer: a bit-flipped replica is
+// healed at read time. Node 0 simulates a key and pushes it to node 1;
+// node 1's durable copy is corrupted; the same request submitted to node
+// 1 then quarantines the entry (evidence preserved), is served from node
+// 0's copy without re-simulating, and re-spills the good bytes.
+func TestClusterChaosCorruptEntryHealsFromPeer(t *testing.T) {
 	nodes := startFleet(t, 2, func(c *cluster.Config) { c.Replication = 2 })
 	ctx := context.Background()
-
-	sub, err := nodes[0].c.Submit(ctx, server.JobRequest{
+	req := server.JobRequest{
 		Benchmark: "ocean",
 		Options:   cgct.Options{OpsPerProc: 2_000, Seed: 9_500},
-	})
+	}
+
+	sub, err := nodes[0].c.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, err := nodes[0].c.Wait(ctx, sub.ID, 2*time.Millisecond)
 	if err != nil || st.State != server.StateDone {
-		t.Fatalf("job: %+v, %v", st, err)
+		t.Fatalf("job on node 0: %+v, %v", st, err)
 	}
 	key := st.Key
 
-	// The push to the replica is async; wait for it, then make the local
-	// copy durable so the scrubber will touch it (it skips dirty keys).
-	waitFor(t, 10*time.Second, "replica to land on the peer", func() bool {
-		return nodes[1].st.Has(key)
+	// The push to the replica is async; wait for it, then make node 1's
+	// copy durable so there is a file to corrupt.
+	replica := nodes[1]
+	waitFor(t, 10*time.Second, "replica to land on node 1", func() bool {
+		return replica.st.Has(key)
 	})
-	nodes[0].st.Flush()
-	good, err := nodes[0].st.Get(key)
+	replica.st.Flush()
+	good, err := replica.st.Get(key)
 	if err != nil {
 		t.Fatalf("pre-corruption Get: %v", err)
 	}
 
 	// Flip one payload byte of the durable entry in place.
-	path := filepath.Join(nodes[0].dir, key[:2], key)
+	path := filepath.Join(replica.dir, key[:2], key)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading entry to corrupt: %v", err)
@@ -724,25 +726,32 @@ func TestClusterChaosScrubRestoresFromPeer(t *testing.T) {
 		t.Fatalf("writing corrupted entry: %v", err)
 	}
 
-	scrubbed, corrupt, repaired := nodes[0].st.ScrubNow(10)
-	if scrubbed == 0 || corrupt != 1 || repaired != 1 {
-		t.Fatalf("ScrubNow = (%d, %d, %d), want 1 corrupt and 1 repaired via the peer replica",
-			scrubbed, corrupt, repaired)
-	}
-	nodes[0].st.Flush()
-	restored, err := nodes[0].st.Get(key)
+	sub, err = replica.c.Submit(ctx, req)
 	if err != nil {
-		t.Fatalf("Get after repair: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(restored, good) {
-		t.Fatalf("restored payload diverged from the original\n got: %s\nwant: %s", restored, good)
+	st, err = replica.c.Wait(ctx, sub.ID, 2*time.Millisecond)
+	if err != nil || st.State != server.StateDone {
+		t.Fatalf("job on node 1: %+v, %v", st, err)
+	}
+	if st.ResultSource != "peer" {
+		t.Fatalf("result_source = %q, want \"peer\": the corrupt entry must fall through to node 0's copy", st.ResultSource)
+	}
+
+	replica.st.Flush()
+	healed, err := replica.st.Get(key)
+	if err != nil {
+		t.Fatalf("Get after heal: %v", err)
+	}
+	if !bytes.Equal(healed, good) {
+		t.Fatalf("re-spilled payload diverged from the original\n got: %s\nwant: %s", healed, good)
 	}
 	// The rotten bytes are preserved for post-mortem.
-	q, err := os.ReadDir(filepath.Join(nodes[0].dir, "quarantine"))
+	q, err := os.ReadDir(filepath.Join(replica.dir, "quarantine"))
 	if err != nil || len(q) != 1 {
 		t.Fatalf("quarantine dir = %v, %v; want exactly one preserved entry", q, err)
 	}
-	if s := nodes[0].st.Stats(); s.ScrubRepairs != 1 || s.Corruptions != 1 {
-		t.Fatalf("store stats after heal: %+v", s)
+	if s := replica.st.Stats(); s.Corruptions != 1 {
+		t.Fatalf("store stats after heal: %+v, want 1 corruption", s)
 	}
 }

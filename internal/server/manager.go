@@ -413,48 +413,7 @@ func NewManager(o Options) *Manager {
 	if o.Cluster != nil {
 		o.Cluster.Start()
 	}
-	if o.Store != nil && o.Cluster != nil {
-		// The scrubber heals quarantined entries from replica peers — the
-		// payoff of pushing every result to R ring owners.
-		o.Store.SetRefetch(m.refetchFromPeers)
-	}
 	return m
-}
-
-// refetchFromPeers restores a store entry from whichever ring owner
-// still holds it; the store's scrubber calls this for quarantined keys.
-func (m *Manager) refetchFromPeers(key string) ([]byte, error) {
-	c := m.opts.Cluster
-	if c == nil {
-		return nil, errors.New("server: standalone, no replicas to refetch from")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	payload, _, err := fetchFromOwners(ctx, c, key)
-	return payload, err
-}
-
-// fetchFromOwners asks key's ring owners other than this node — the
-// owner first, then the replica holders in clockwise order — for its
-// result. It returns the first payload that is valid JSON, so a garbled
-// body cannot poison a cache, with the peer that served it; otherwise the
-// last fetch error, or cluster.ErrNoResult when no fetch failed outright.
-// An authoritative miss on the owner may still hit a replica.
-func fetchFromOwners(ctx context.Context, c *cluster.Cluster, key string) (payload []byte, peer string, err error) {
-	err = cluster.ErrNoResult
-	for _, p := range c.Owners(key, 0) {
-		if p == c.Self() {
-			continue
-		}
-		b, ferr := c.Fetch(ctx, p, key)
-		if ferr == nil && json.Valid(b) {
-			return b, p, nil
-		}
-		if ferr != nil {
-			err = ferr
-		}
-	}
-	return nil, "", err
 }
 
 // initMetrics builds the manager's registry: its own counters and the
@@ -948,23 +907,30 @@ func (m *Manager) storeSpill(key string, payload []byte) {
 	}
 }
 
-// peerFetch asks the key's ring owners for the result (fetchFromOwners),
+// peerFetch asks key's ring owners other than this node — the owner
+// first, then the replica holders in clockwise order — for its result,
 // so a freshly dead owner costs a fetch against its replica, not a
-// re-simulation. Reports !ok — and the caller simulates locally — when
-// the node is standalone, every listed owner is this node itself, nobody
-// has the key, or every fetch fails outright (peer death, timeout,
-// injected fault).
+// re-simulation. It returns the first payload that is valid JSON, so a
+// garbled body cannot poison a cache; an authoritative miss on the owner
+// may still hit a replica. Reports !ok — and the caller simulates
+// locally — when the node is standalone, every listed owner is this node
+// itself, nobody has the key, or every fetch fails outright (peer death,
+// timeout, injected fault).
 func (m *Manager) peerFetch(ctx context.Context, key string) ([]byte, bool) {
 	c := m.opts.Cluster
 	if c == nil {
 		return nil, false
 	}
-	payload, owner, err := fetchFromOwners(ctx, c, key)
-	if err != nil {
-		return nil, false
+	for _, owner := range c.Owners(key, 0) {
+		if owner == c.Self() {
+			continue
+		}
+		if payload, err := c.Fetch(ctx, owner, key); err == nil && json.Valid(payload) {
+			m.log.Info("result fetched from peer", "config_hash", shortHash(key), "owner", owner, "bytes", len(payload))
+			return payload, true
+		}
 	}
-	m.log.Info("result fetched from peer", "config_hash", shortHash(key), "owner", owner, "bytes", len(payload))
-	return payload, true
+	return nil, false
 }
 
 // replicate pushes a freshly simulated result to the other R−1 ring

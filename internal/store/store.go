@@ -32,16 +32,14 @@
 // starve it); Close flushes and stops the writer — graceful drain calls
 // it so a planned restart loses nothing.
 //
-// Capacity and hygiene are optional background layers: Options.MaxBytes
-// enables LRU eviction over a lazily built size index (no startup scan —
-// the index is first built when a capacity check or scrub needs it), and
-// Options.ScrubInterval enables a trickle scrubber that re-validates one
-// entry's envelope per tick, quarantines failures, and — when a refetch
-// callback is installed — restores the entry from a replica peer.
+// The store has no byte cap and no background verification. Corruption
+// is found when an entry is read, and the caller re-derives the value
+// (in a fleet, from a peer's replica) and puts it back. Every entry
+// caches a deterministic result, so deleting the store's directory
+// costs misses, never answers.
 package store
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -52,7 +50,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cgct/internal/faultinject"
 	"cgct/internal/metrics"
@@ -63,6 +60,10 @@ var fileMagic = [8]byte{'C', 'G', 'C', 'T', 'S', 'T', 'R', '1'}
 
 // KeyLen is the exact length of a store key: a lowercase-hex sha256.
 const KeyLen = 64
+
+// headerLen is an envelope's size before its payload: magic, key length,
+// key, payload length.
+const headerLen = 8 + 2 + KeyLen + 8
 
 // MaxPayload bounds a single entry. Results and compiled traces are a
 // few KB to a few hundred MB; anything past this is a corrupt header or
@@ -102,26 +103,15 @@ func ValidateKey(key string) error {
 type Options struct {
 	// Dir is the store's root directory; created if absent.
 	Dir string
-	// QueueCapacity bounds the write-behind queue (default 256). A Put
-	// finding the queue full writes synchronously on the caller's
-	// goroutine instead of blocking behind it or dropping the entry.
-	QueueCapacity int
-	// MaxBytes caps the durable footprint (0 = unlimited). When a write
-	// pushes the store past the cap, least-recently-used entries are
-	// evicted until it fits; the size index behind the cap is built
-	// lazily on first need, so an uncapped store still opens in O(1).
-	MaxBytes int64
-	// ScrubInterval enables the background scrubber (0 = disabled): one
-	// entry per tick is re-read and its envelope re-verified, so silent
-	// bit-rot is found at a trickle rate instead of at serve time.
-	ScrubInterval time.Duration
 	// Logger receives write-failure and quarantine warnings; nil discards.
 	Logger *slog.Logger
-}
 
-// RefetchFunc restores a quarantined entry's payload from elsewhere
-// (in the cluster: a replica peer). Wired via SetRefetch.
-type RefetchFunc func(key string) ([]byte, error)
+	// queueCapacity bounds the write-behind queue (default 256). A Put
+	// finding the queue full writes synchronously on the caller's
+	// goroutine instead of blocking behind it or dropping the entry.
+	// Only this package's tests set it, to drive that path.
+	queueCapacity int
+}
 
 // pending is one queued write-behind entry. gen is the Put's global
 // generation: per key, only the highest-generation payload may become
@@ -147,20 +137,12 @@ type writeState struct {
 	refs int
 }
 
-// indexEntry is one durable entry's row in the lazily built size index.
-type indexEntry struct {
-	size int64
-	seq  uint64 // last-access sequence; smallest = least recently used
-}
-
 // Store is a crash-safe content-addressed blob store. Safe for
 // concurrent use.
 type Store struct {
-	dir      string
-	log      *slog.Logger
-	queue    chan pending
-	maxBytes int64
-	refetch  atomic.Pointer[RefetchFunc]
+	dir   string
+	log   *slog.Logger
+	queue chan pending
 
 	mu      sync.Mutex
 	dirty   map[string]dirtyEntry  // accepted but not yet settled: read-your-writes
@@ -169,28 +151,14 @@ type Store struct {
 	closed  bool
 	idle    *sync.Cond // signalled whenever a dirty entry settles
 
-	// imu guards the size index, which orders eviction and scrubbing.
-	// Never held together with mu — index maintenance snapshots what it
-	// needs from mu-guarded state first.
-	imu        sync.Mutex
-	index      map[string]*indexEntry
-	indexBytes int64
-	indexBuilt bool
-	accessSeq  uint64
-	scrubKeys  []string // scrub cursor: keys still to visit this cycle
+	wg sync.WaitGroup
 
-	scrubStop chan struct{}
-	wg        sync.WaitGroup
-
-	hits         atomic.Uint64 // Get served (disk or dirty map)
-	misses       atomic.Uint64 // Get found nothing
-	readErrors   atomic.Uint64 // Get failed before validation (IO or injected faults)
-	writes       atomic.Uint64 // entries made durable
-	writeErrors  atomic.Uint64 // writes that failed (entry lost, logged)
-	corruptions  atomic.Uint64 // entries quarantined (read or scrub)
-	evictions    atomic.Uint64 // entries removed by the byte cap
-	scrubbed     atomic.Uint64 // entries re-verified by the scrubber
-	scrubRepairs atomic.Uint64 // quarantined entries restored via refetch
+	hits        atomic.Uint64 // Get served (disk or dirty map)
+	misses      atomic.Uint64 // Get found nothing
+	readErrors  atomic.Uint64 // Get failed before validation (IO or injected faults)
+	writes      atomic.Uint64 // entries made durable
+	writeErrors atomic.Uint64 // writes that failed (entry lost, logged)
+	corruptions atomic.Uint64 // entries quarantined on read
 }
 
 // Stats is a point-in-time snapshot of store behaviour.
@@ -201,13 +169,6 @@ type Stats struct {
 	Writes      uint64
 	WriteErrors uint64
 	Corruptions uint64
-	Evictions   uint64
-	Scrubbed    uint64
-	// ScrubRepairs counts quarantined entries restored from a replica.
-	ScrubRepairs uint64
-	// Bytes is the indexed durable footprint (0 until the size index has
-	// been built — it is lazy).
-	Bytes int64
 	// Pending counts entries accepted by Put but not yet durable.
 	Pending int
 }
@@ -219,20 +180,18 @@ func Open(o Options) (*Store, error) {
 	if o.Dir == "" {
 		return nil, errors.New("store: Options.Dir is required")
 	}
-	if o.QueueCapacity <= 0 {
-		o.QueueCapacity = 256
+	if o.queueCapacity <= 0 {
+		o.queueCapacity = 256
 	}
 	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating root: %w", err)
 	}
 	s := &Store{
-		dir:      o.Dir,
-		log:      o.Logger,
-		queue:    make(chan pending, o.QueueCapacity),
-		maxBytes: o.MaxBytes,
-		dirty:    make(map[string]dirtyEntry),
-		writing:  make(map[string]*writeState),
-		index:    make(map[string]*indexEntry),
+		dir:     o.Dir,
+		log:     o.Logger,
+		queue:   make(chan pending, o.queueCapacity),
+		dirty:   make(map[string]dirtyEntry),
+		writing: make(map[string]*writeState),
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -240,23 +199,7 @@ func Open(o Options) (*Store, error) {
 	s.idle = sync.NewCond(&s.mu)
 	s.wg.Add(1)
 	go s.writer()
-	if o.ScrubInterval > 0 {
-		s.scrubStop = make(chan struct{})
-		s.wg.Add(1)
-		go s.scrubber(o.ScrubInterval)
-	}
 	return s, nil
-}
-
-// SetRefetch installs the callback the scrubber uses to restore a
-// quarantined entry from a replica peer. nil (the default) means
-// quarantined entries are simply lost from the store.
-func (s *Store) SetRefetch(fn RefetchFunc) {
-	if fn == nil {
-		s.refetch.Store(nil)
-		return
-	}
-	s.refetch.Store(&fn)
 }
 
 // Dir returns the store's root directory.
@@ -270,8 +213,10 @@ func (s *Store) entryPath(key string) string {
 // Put schedules payload for durable storage under key. The entry is
 // readable via Get immediately (read-your-writes); durability follows
 // when the background writer drains it, or synchronously on this
-// goroutine when the queue is full. The payload is copied, so callers
-// may reuse their buffer.
+// goroutine when the queue is full. Put takes ownership of payload
+// without copying it: the caller must not modify the slice afterwards.
+// Every caller hands over a buffer it never touches again — a freshly
+// serialised trace or result, or a replica body read off the wire.
 func (s *Store) Put(key string, payload []byte) error {
 	if err := ValidateKey(key); err != nil {
 		return err
@@ -279,8 +224,6 @@ func (s *Store) Put(key string, payload []byte) error {
 	if int64(len(payload)) > MaxPayload {
 		return fmt.Errorf("store: payload of %d bytes exceeds limit %d", len(payload), MaxPayload)
 	}
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
 
 	s.mu.Lock()
 	if s.closed {
@@ -291,8 +234,8 @@ func (s *Store) Put(key string, payload []byte) error {
 	// update, so dirty[key] always holds the highest generation accepted
 	// for the key — the invariant the write-ordering check relies on.
 	s.gen++
-	p := pending{key: key, payload: cp, gen: s.gen}
-	s.dirty[key] = dirtyEntry{payload: cp, gen: p.gen}
+	p := pending{key: key, payload: payload, gen: s.gen}
+	s.dirty[key] = dirtyEntry{payload: payload, gen: p.gen}
 	// Enqueue under mu: Close also sets closed under mu before closing the
 	// channel, so a Put that got this far can never send on a closed queue.
 	select {
@@ -352,19 +295,15 @@ func (s *Store) persist(p pending) {
 		s.log.Warn("store: write failed", "key", shortKey(p.key), "error", err.Error())
 	} else {
 		s.writes.Add(1)
-		// Index and evict before settling the dirty entry, so a Flush that
-		// returns has also applied the byte cap. The key is still busy
-		// here, so it can never be its own victim.
-		s.noteDurable(p.key, entrySize(p.key, len(p.payload)))
 	}
 	s.mu.Lock()
 	if cur, ok := s.dirty[p.key]; ok && cur.gen == p.gen {
 		delete(s.dirty, p.key)
 	}
 	// Drop the write reference in the same section that settles the
-	// entry, so a Flush that returns never leaves the key reading as
-	// busy to a scrub. The rename is done; a persist that takes a fresh
-	// writeState for the key from here on has nothing to race.
+	// entry, so a Flush that returns leaves no write state behind for
+	// the keys it waited on. The rename is done; a persist that takes a
+	// fresh writeState for the key from here on has nothing to race.
 	s.releaseWriteLocked(p.key, ws)
 	// Every settle wakes Flush: it waits on a drain generation, not on
 	// the map emptying, so sustained Puts cannot starve it.
@@ -402,14 +341,9 @@ func (s *Store) releaseWriteLocked(key string, ws *writeState) {
 	}
 }
 
-// entrySize is the on-disk envelope size for a payload: magic, key
-// length, key, payload length, payload, sha256 footer.
-func entrySize(key string, payloadLen int) int64 {
-	return int64(8 + 2 + len(key) + 8 + payloadLen + sha256.Size)
-}
-
 // writeEntry writes one envelope atomically: temp file in the shard
-// directory, fsync, rename.
+// directory, fsync, rename. The header, the payload and the digest go
+// out as three writes straight from their own memory.
 func (s *Store) writeEntry(key string, payload []byte) error {
 	shard := filepath.Join(s.dir, key[:2])
 	if err := os.MkdirAll(shard, 0o755); err != nil {
@@ -420,50 +354,28 @@ func (s *Store) writeEntry(key string, payload []byte) error {
 		return err
 	}
 	tmp := f.Name()
-	cleanup := func() {
-		f.Close()
-		os.Remove(tmp)
-	}
-	bw := bufio.NewWriterSize(f, 64<<10)
-	h := sha256.New()
-	mw := io.MultiWriter(bw, h)
 
-	var scratch [8]byte
-	if _, err := mw.Write(fileMagic[:]); err != nil {
-		cleanup()
-		return err
+	var hdr [headerLen]byte
+	copy(hdr[:], fileMagic[:])
+	binary.LittleEndian.PutUint16(hdr[8:], KeyLen)
+	copy(hdr[10:], key)
+	binary.LittleEndian.PutUint64(hdr[10+KeyLen:], uint64(len(payload)))
+	h := sha256.New()
+	h.Write(hdr[:])
+	h.Write(payload)
+	var sum [sha256.Size]byte
+	for _, b := range [][]byte{hdr[:], payload, h.Sum(sum[:0])} { // digest itself unhashed
+		if _, err = f.Write(b); err != nil {
+			break
+		}
 	}
-	binary.LittleEndian.PutUint16(scratch[:2], uint16(len(key)))
-	if _, err := mw.Write(scratch[:2]); err != nil {
-		cleanup()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	if _, err := io.WriteString(mw, key); err != nil {
-		cleanup()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	binary.LittleEndian.PutUint64(scratch[:8], uint64(len(payload)))
-	if _, err := mw.Write(scratch[:8]); err != nil {
-		cleanup()
-		return err
-	}
-	if _, err := mw.Write(payload); err != nil {
-		cleanup()
-		return err
-	}
-	if _, err := bw.Write(h.Sum(nil)); err != nil { // digest itself unhashed
-		cleanup()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -512,7 +424,6 @@ func (s *Store) Get(key string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, rerr)
 	}
 	s.hits.Add(1)
-	s.touch(key, entrySize(key, len(payload)))
 	return payload, nil
 }
 
@@ -533,66 +444,46 @@ func (s *Store) Has(key string) bool {
 }
 
 // readEntry validates one envelope and returns its payload. Every header
-// field is untrusted: the payload length is bounded by MaxPayload and by
-// the file's actual size before allocation, the embedded key must match
-// the requested one (a renamed or cross-linked file must not serve under
-// the wrong address), and the trailing digest catches whatever bit-rot
-// the structural checks miss.
+// field is untrusted: the file's size is bounded by MaxPayload before the
+// one buffer the whole envelope is read into is allocated, the payload
+// length must match that size, the embedded key must match the requested
+// one (a renamed or cross-linked file must not serve under the wrong
+// address), and the trailing digest catches whatever bit-rot the
+// structural checks miss.
 func readEntry(f *os.File, key string) ([]byte, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	h := sha256.New()
-	br := bufio.NewReaderSize(f, 64<<10)
-	r := io.TeeReader(br, h)
-
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("truncated magic: %w", err)
+	size := fi.Size()
+	if size < headerLen+sha256.Size {
+		return nil, fmt.Errorf("truncated envelope: %d bytes", size)
 	}
-	if magic != fileMagic {
-		return nil, fmt.Errorf("bad magic %q", magic[:])
+	if size > headerLen+MaxPayload+sha256.Size {
+		return nil, fmt.Errorf("file size %d exceeds the payload limit", size)
 	}
-	var b2 [2]byte
-	if _, err := io.ReadFull(r, b2[:]); err != nil {
-		return nil, fmt.Errorf("truncated key length: %w", err)
+	raw := make([]byte, size)
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, fmt.Errorf("truncated read: %w", err)
 	}
-	keyLen := binary.LittleEndian.Uint16(b2[:])
-	if int(keyLen) != len(key) {
-		return nil, fmt.Errorf("key length %d, want %d", keyLen, len(key))
+	if [8]byte(raw[:8]) != fileMagic {
+		return nil, fmt.Errorf("bad magic %q", raw[:8])
 	}
-	gotKey := make([]byte, keyLen)
-	if _, err := io.ReadFull(r, gotKey); err != nil {
-		return nil, fmt.Errorf("truncated key: %w", err)
+	if keyLen := binary.LittleEndian.Uint16(raw[8:]); keyLen != KeyLen {
+		return nil, fmt.Errorf("key length %d, want %d", keyLen, KeyLen)
 	}
-	if string(gotKey) != key {
+	if gotKey := raw[10 : 10+KeyLen]; string(gotKey) != key {
 		return nil, fmt.Errorf("entry holds key %s, want %s", shortKey(string(gotKey)), shortKey(key))
 	}
-	var b8 [8]byte
-	if _, err := io.ReadFull(r, b8[:]); err != nil {
-		return nil, fmt.Errorf("truncated payload length: %w", err)
+	end := size - sha256.Size // the payload ends where the digest starts
+	if plen := binary.LittleEndian.Uint64(raw[headerLen-8:]); plen != uint64(end-headerLen) {
+		return nil, fmt.Errorf("payload length %d inconsistent with file size %d", plen, size)
 	}
-	plen := binary.LittleEndian.Uint64(b8[:])
-	header := int64(8 + 2 + int(keyLen) + 8)
-	if plen > MaxPayload || int64(plen) != fi.Size()-header-sha256.Size {
-		return nil, fmt.Errorf("payload length %d inconsistent with file size %d", plen, fi.Size())
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("truncated payload: %w", err)
-	}
-	want := h.Sum(nil)
-	var got [sha256.Size]byte
-	// br, not r: the digest trails the hashed stream, so it must not feed
-	// the running hash.
-	if _, err := io.ReadFull(br, got[:]); err != nil {
-		return nil, fmt.Errorf("truncated digest: %w", err)
-	}
-	if [sha256.Size]byte(want) != got {
+	// The digest covers every byte before it, itself excluded.
+	if sha256.Sum256(raw[:end]) != [sha256.Size]byte(raw[end:]) {
 		return nil, errors.New("digest mismatch")
 	}
-	return payload, nil
+	return raw[headerLen:end:end], nil
 }
 
 // quarantine moves a corrupt entry aside so later reads re-derive the
@@ -617,7 +508,6 @@ func (s *Store) quarantine(key string, cause error) {
 		return
 	}
 	s.log.Warn("store: entry quarantined", "key", shortKey(key), "to", name, "cause", cause.Error())
-	s.indexForget(key)
 }
 
 // Flush blocks until every entry accepted before the call is either
@@ -645,8 +535,7 @@ func (s *Store) dirtyAtOrBelowLocked(target uint64) bool {
 	return false
 }
 
-// Close flushes the write-behind queue and stops the writer and
-// scrubber. Later Puts return ErrClosed; Get keeps working (the store
+// Close flushes the write-behind queue and stops the writer. Later Puts return ErrClosed; Get keeps working (the store
 // stays readable so an already-running drain can still serve followers).
 // Idempotent.
 func (s *Store) Close() error {
@@ -657,9 +546,6 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	if s.scrubStop != nil {
-		close(s.scrubStop)
-	}
 	s.Flush()
 	close(s.queue)
 	s.wg.Wait()
@@ -671,21 +557,14 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	pending := len(s.dirty)
 	s.mu.Unlock()
-	s.imu.Lock()
-	bytes := s.indexBytes
-	s.imu.Unlock()
 	return Stats{
-		Hits:         s.hits.Load(),
-		Misses:       s.misses.Load(),
-		ReadErrors:   s.readErrors.Load(),
-		Writes:       s.writes.Load(),
-		WriteErrors:  s.writeErrors.Load(),
-		Corruptions:  s.corruptions.Load(),
-		Evictions:    s.evictions.Load(),
-		Scrubbed:     s.scrubbed.Load(),
-		ScrubRepairs: s.scrubRepairs.Load(),
-		Bytes:        bytes,
-		Pending:      pending,
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		ReadErrors:  s.readErrors.Load(),
+		Writes:      s.writes.Load(),
+		WriteErrors: s.writeErrors.Load(),
+		Corruptions: s.corruptions.Load(),
+		Pending:     pending,
 	}
 }
 
@@ -702,20 +581,8 @@ func (s *Store) RegisterMetrics(reg *metrics.Registry, prefix string) {
 		func() float64 { return float64(s.writes.Load()) })
 	reg.CounterFunc(prefix+"_write_errors_total", "entries lost to failed writes",
 		func() float64 { return float64(s.writeErrors.Load()) })
-	reg.CounterFunc(prefix+"_corruptions_total", "entries quarantined on read or scrub",
+	reg.CounterFunc(prefix+"_corruptions_total", "entries quarantined on read",
 		func() float64 { return float64(s.corruptions.Load()) })
-	reg.CounterFunc(prefix+"_evictions_total", "entries evicted by the byte cap, least recently used first",
-		func() float64 { return float64(s.evictions.Load()) })
-	reg.CounterFunc(prefix+"_scrubbed_total", "entries re-verified by the background scrubber",
-		func() float64 { return float64(s.scrubbed.Load()) })
-	reg.CounterFunc(prefix+"_scrub_repairs_total", "quarantined entries restored from a replica",
-		func() float64 { return float64(s.scrubRepairs.Load()) })
-	reg.GaugeFunc(prefix+"_bytes", "indexed durable footprint in bytes (0 until the lazy index builds)",
-		func() float64 {
-			s.imu.Lock()
-			defer s.imu.Unlock()
-			return float64(s.indexBytes)
-		})
 	reg.GaugeFunc(prefix+"_pending", "entries accepted but not yet durable",
 		func() float64 { return float64(s.Stats().Pending) })
 }

@@ -6,10 +6,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"cgct/internal/faultinject"
 )
@@ -272,7 +275,7 @@ func TestStoreInjectedReadFaults(t *testing.T) {
 // consistent (a Get sees some complete payload for its key, never a torn
 // one).
 func TestStoreConcurrentPutGet(t *testing.T) {
-	s := openTest(t, Options{QueueCapacity: 4}) // tiny queue forces the sync-write path too
+	s := openTest(t, Options{queueCapacity: 4}) // tiny queue forces the sync-write path too
 	const keys = 8
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -311,9 +314,83 @@ func TestStoreConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// TestStoreSameKeyWriteOrdering pins the write-ordering bugfix: with a
+// tiny queue, same-key Puts run through both the background writer and
+// the queue-full synchronous path concurrently, and before the per-key
+// generation ordering an older payload's rename could land after a newer
+// one — stale bytes durable while the dirty map is clear. After a flush,
+// the durable entry must be the last Put, always. Run with -race.
+func TestStoreSameKeyWriteOrdering(t *testing.T) {
+	s := openTest(t, Options{queueCapacity: 1})
+	key := keyOf("ordered")
+	filler := keyOf("ordering-filler")
+	const rounds = 400
+	var last []byte
+	for i := 0; i < rounds; i++ {
+		// The filler keeps the one-slot queue occupied so the keyed Put
+		// frequently takes the synchronous path while the writer drains an
+		// older generation of the same key.
+		if err := s.Put(filler, []byte("fill")); err != nil {
+			t.Fatalf("Put(filler): %v", err)
+		}
+		last = []byte(fmt.Sprintf("generation-%04d", i))
+		if err := s.Put(key, last); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+	}
+	s.Flush()
+	if st := s.Stats(); st.Pending != 0 {
+		t.Fatalf("pending = %d after Flush", st.Pending)
+	}
+	// Dirty map is clear, so this is the durable envelope from disk.
+	got, err := s.Get(key)
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if !bytes.Equal(got, last) {
+		t.Fatalf("durable entry = %q, want the last written %q (stale write won the rename race)", got, last)
+	}
+}
+
+// TestStoreFlushUnderSustainedPuts: Flush is bounded by a drain
+// generation, so a steady stream of concurrent Puts must not starve it
+// (the old condition waited for len(dirty)==0, which never holds under
+// sustained writes).
+func TestStoreFlushUnderSustainedPuts(t *testing.T) {
+	s := openTest(t, Options{queueCapacity: 4})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Put(keyOf(fmt.Sprintf("flood-%d", i)), []byte("flood"))
+		}
+	}()
+	// Give the flood a head start so Flush really runs against live Puts.
+	time.Sleep(10 * time.Millisecond)
+	flushed := make(chan struct{})
+	go func() {
+		s.Flush()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Flush starved by sustained concurrent Puts")
+	}
+	close(stop)
+	wg.Wait()
+}
+
 // TestStoreFlushReleasesWriteState: once Flush returns, a flushed key no
-// longer reads as being written, so a scrub right after the flush
-// verifies it instead of skipping it as busy.
+// longer reads as being written, so the per-key write state stays bounded
+// by persists in flight rather than by keys ever written.
 func TestStoreFlushReleasesWriteState(t *testing.T) {
 	s := openTest(t, Options{})
 	key := keyOf("flush-release")
@@ -328,6 +405,35 @@ func TestStoreFlushReleasesWriteState(t *testing.T) {
 		if busy {
 			t.Fatalf("round %d: key still being written after Flush returned", round)
 		}
+	}
+}
+
+// TestStoreGetAllocation caps what a durable Get of a 1,500-byte entry
+// allocates at 8 KiB: the envelope is read into one buffer of the file's
+// size and checked in memory, so a Get costs about the entry, not a
+// 64 KiB read buffer. The smallest of three Gets counts.
+func TestStoreGetAllocation(t *testing.T) {
+	s := openTest(t, Options{})
+	key := keyOf("get-allocation")
+	payload := bytes.Repeat([]byte{'r'}, 1500)
+	if err := s.Put(key, payload); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := s.Get(key)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("Get = %d bytes, %v; want the 1500-byte payload", len(got), err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a durable Get of a 1500-byte entry allocated %d bytes", least)
+	if least > 8<<10 {
+		t.Errorf("a durable Get of a 1500-byte entry allocated %d bytes, cap 8 KiB", least)
 	}
 }
 

@@ -126,7 +126,8 @@ func loadPersisted(k Key) (*Trace, bool) {
 }
 
 // spillPersisted writes a freshly compiled trace through the store's
-// write-behind queue. Best-effort by design.
+// write-behind queue. Best-effort by design. The file is serialised into
+// a buffer of exactly its size, which the store then owns.
 func spillPersisted(k Key, t *Trace) {
 	persistMu.RLock()
 	ps := persist
@@ -134,8 +135,8 @@ func spillPersisted(k Key, t *Trace) {
 	if ps == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := t.Write(&buf); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, t.fileSize()))
+	if err := t.Write(buf); err != nil {
 		return
 	}
 	_ = ps.Put(storeKey(k), buf.Bytes())

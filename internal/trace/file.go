@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"cgct/internal/addr"
 	"cgct/internal/workload"
@@ -50,8 +49,9 @@ const (
 )
 
 // Write serialises the trace. Each processor's counts and columns go out
-// in one call, from a buffer reused across processors that grows to the
-// largest, and the stream ends with a sha256 of everything before it.
+// in one call, from one buffer reused across processors and sized up
+// front for the header and the largest, and the stream ends with a
+// sha256 of everything before it.
 func (t *Trace) Write(w io.Writer) error {
 	if len(t.Name) > maxFileName {
 		return fmt.Errorf("trace: name %q too long to serialise (limit %d)", t.Name, maxFileName)
@@ -61,13 +61,17 @@ func (t *Trace) Write(w io.Writer) error {
 	}
 	le := binary.LittleEndian
 	h := sha256.New()
-	buf := append([]byte(nil), fileMagic[:]...)
+	var largest int64
+	for i := range t.Procs {
+		largest = max(largest, t.Procs[i].Bytes())
+	}
+	buf := make([]byte, 0, t.headerSize()+24+int(largest))
+	buf = append(buf, fileMagic[:]...)
 	buf = le.AppendUint16(buf, uint16(len(t.Name)))
 	buf = append(buf, t.Name...)
 	buf = le.AppendUint32(buf, uint32(len(t.Procs)))
 	for i := range t.Procs {
 		p := &t.Procs[i]
-		buf = slices.Grow(buf, 24+int(p.Bytes()))
 		buf = le.AppendUint64(buf, uint64(len(p.ops)))
 		buf = le.AppendUint64(buf, uint64(len(p.esc)))
 		buf = le.AppendUint64(buf, uint64(len(p.bigGaps)))
@@ -90,6 +94,18 @@ func (t *Trace) Write(w io.Writer) error {
 		return fmt.Errorf("trace: writing digest: %w", err)
 	}
 	return nil
+}
+
+// headerSize is the length of the file's header: magic, name length,
+// name and processor count.
+func (t *Trace) headerSize() int {
+	return len(fileMagic) + 2 + len(t.Name) + 4
+}
+
+// fileSize is the length of the file Write produces: the header, each
+// processor's three counts and columns, and the digest.
+func (t *Trace) fileSize() int64 {
+	return int64(t.headerSize()+24*len(t.Procs)+sha256.Size) + t.Bytes()
 }
 
 // WriteFile writes the trace to path in the versioned binary format.

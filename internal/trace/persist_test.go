@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"math"
+	"runtime"
 	"testing"
 
 	"cgct/internal/store"
@@ -137,5 +139,45 @@ func TestPersistentTraceFormatUpgrade(t *testing.T) {
 	}
 	if loaded.ContentHash() != pre.ContentHash() {
 		t.Fatalf("spilled trace hash %s != %s", loaded.ContentHash(), pre.ContentHash())
+	}
+}
+
+// TestSpillAllocation caps what one spill of the pinned tpc-b trace (an
+// 83,179-byte file) allocates, the store's background persist included,
+// at 1.5 times the file. The file is serialised once into a buffer of its
+// exact size, which the store keeps without copying and writes without an
+// intermediate buffer; a buffer grown by doubling, a copy in Put or a
+// buffered writer per entry each push a spill past the cap. The smallest
+// of three spills counts.
+func TestSpillAllocation(t *testing.T) {
+	s, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	SetPersistentStore(s)
+	defer SetPersistentStore(nil)
+
+	tr, err := Compile(context.Background(), "tpc-b", workload.Params{Processors: 4, OpsPerProc: 5_000, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(len(traceBytes(t, tr)))
+	if int64(size) != tr.fileSize() {
+		t.Fatalf("fileSize = %d, Write produced %d bytes", tr.fileSize(), size)
+	}
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		k := Key{Benchmark: "tpc-b", Processors: 4, OpsPerProc: 5_000, Seed: coldSeed()}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		spillPersisted(k, tr)
+		s.Flush()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("one spill of a %d-byte file allocated %d bytes (%.2fx)", size, least, float64(least)/float64(size))
+	if least > size*3/2 {
+		t.Errorf("one spill of a %d-byte file allocated %d bytes (%.2fx), cap 1.5x", size, least, float64(least)/float64(size))
 	}
 }
