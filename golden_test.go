@@ -48,7 +48,10 @@ func goldenCases() []goldenCase {
 		{"ocean-directory", "ocean", Options{OpsPerProc: ops, Seed: seed, Directory: true}},
 		{"ocean-dir-cgct", "ocean", Options{OpsPerProc: ops, Seed: seed, CGCT: true, Directory: true}},
 		{"tpcw-scout", "tpc-w", Options{OpsPerProc: ops, Seed: seed, RegionScout: true}},
-		// 16 processors: the remote-scan filters skip the most nodes here.
+		// 16 processors: the remote-scan filters skip the most nodes here,
+		// and the baseline's broadcasts snoop every node.
+		{"tpcb16-baseline", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed}},
+		{"tpcb16-directory", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, Directory: true}},
 		{"tpcb16-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true}},
 		{"tpcb16-dir-cgct", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, CGCT: true, Directory: true}},
 		{"tpcb16-scout", "tpc-b", Options{Processors: 16, OpsPerProc: ops16, Seed: seed, RegionScout: true}},
