@@ -45,13 +45,17 @@ const (
 // Cache is a set-associative cache keyed by line address. The ways are
 // one dense, set-major array of tag words, so a probe reads assoc
 // consecutive 8-byte words and a hit refreshes its LRU tick in the word it
-// already read.
+// already read. A cache of a Bank is a strided view: its sets are every
+// stride-th run of assoc words, starting at offset, in the bank's array.
 type Cache struct {
 	name      string
 	assoc     int
+	stride    int // words from one of this cache's sets to the next
+	offset    int // index of this cache's first way in its set's run
+	banked    bool
 	lineShift uint
 	setMask   uint64
-	tags      []uint64 // numSets * assoc tag words, set-major
+	tags      []uint64 // this cache's sets, every stride words from offset
 	lruTick   uint64   // last tick handed out, at most addr.TickMax
 
 	// OnEvict, when set, observes every valid line leaving the cache
@@ -75,27 +79,37 @@ var tagPool recycle.Pool[uint64]
 // size. Panics on invalid geometry (configuration is validated upstream).
 // Its tag array may be one a released cache handed back, zeroed.
 func New(name string, sizeBytes uint64, assoc int, lineBytes uint64) *Cache {
-	if assoc <= 0 || !addr.IsPow2(lineBytes) || lineBytes <= stateMask {
-		panic(fmt.Sprintf("cache %s: bad geometry", name))
-	}
-	numSets := sizeBytes / (lineBytes * uint64(assoc))
-	if numSets == 0 || !addr.IsPow2(numSets) {
-		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, numSets))
-	}
+	numSets := setCount(name, sizeBytes, assoc, lineBytes)
 	return &Cache{
 		name:      name,
 		assoc:     assoc,
+		stride:    assoc,
 		lineShift: addr.Log2(lineBytes),
 		setMask:   numSets - 1,
 		tags:      tagPool.Get(int(numSets) * assoc),
 	}
 }
 
+// setCount returns the set count of a cache of sizeBytes, panicking on
+// invalid geometry (configuration is validated upstream).
+func setCount(name string, sizeBytes uint64, assoc int, lineBytes uint64) uint64 {
+	if assoc <= 0 || !addr.IsPow2(lineBytes) || lineBytes <= stateMask {
+		panic(fmt.Sprintf("cache %s: bad geometry", name))
+	}
+	n := sizeBytes / (lineBytes * uint64(assoc))
+	if n == 0 || !addr.IsPow2(n) {
+		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, n))
+	}
+	return n
+}
+
 // Release hands the tag array back for a later New to reuse. Every later
 // probe or update of c then panics instead of reading ways another cache
 // may own; the statistics stay readable. A second Release does nothing.
+// A cache of a Bank is released with its bank; Release does nothing to
+// it.
 func (c *Cache) Release() {
-	if c.tags != nil {
+	if c.tags != nil && !c.banked {
 		tagPool.Put(c.tags)
 		c.tags = nil
 	}
@@ -103,7 +117,14 @@ func (c *Cache) Release() {
 
 // setBase returns the index of the first way of l's set.
 func (c *Cache) setBase(l addr.LineAddr) int {
-	return int((uint64(l)>>c.lineShift)&c.setMask) * c.assoc
+	return int((uint64(l)>>c.lineShift)&c.setMask)*c.stride + c.offset
+}
+
+// sets calls fn with each of the cache's sets, in set order.
+func (c *Cache) sets(fn func(set []uint64)) {
+	for base := c.offset; base < len(c.tags); base += c.stride {
+		fn(c.tags[base : base+c.assoc])
+	}
 }
 
 // find returns the index of l's way, or -1 when l is not present.
@@ -139,8 +160,7 @@ func (c *Cache) touch(w *uint64) {
 // they rank in way order.
 func (c *Cache) renumber() {
 	rank := make([]uint64, c.assoc)
-	for base := 0; base < len(c.tags); base += c.assoc {
-		set := c.tags[base : base+c.assoc]
+	c.sets(func(set []uint64) {
 		for i := range set {
 			rank[i] = 1
 			for j := range set {
@@ -152,7 +172,7 @@ func (c *Cache) renumber() {
 		for i := range set {
 			set[i] = set[i]&addr.PhysAddrMask | rank[i]<<addr.TickShift
 		}
-	}
+	})
 	c.lruTick = uint64(c.assoc)
 }
 
@@ -297,22 +317,20 @@ func (c *Cache) invalidateWay(i int) Line {
 // CountValid returns the number of valid lines (test/diagnostic helper).
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, w := range c.tags {
-		if w&stateMask != 0 {
-			n++
-		}
-	}
+	c.ForEachValid(func(Line) { n++ })
 	return n
 }
 
 // ForEachValid calls fn for every valid line (order: set-major). Intended
 // for tests and final-state checks, not hot paths.
 func (c *Cache) ForEachValid(fn func(Line)) {
-	for _, w := range c.tags {
-		if w&stateMask != 0 {
-			fn(lineAt(w))
+	c.sets(func(set []uint64) {
+		for _, w := range set {
+			if w&stateMask != 0 {
+				fn(lineAt(w))
+			}
 		}
-	}
+	})
 }
 
 // RegionSnoop summarises the cache's copies within a region: whether any

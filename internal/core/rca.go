@@ -75,13 +75,17 @@ type way struct {
 // RCA is a set-associative Region Coherence Array. The ways are one dense,
 // set-major array, so a probe reads assoc consecutive records and a hit
 // refreshes its LRU tick and reads its counts from the record it already
-// compared.
+// compared. An RCA of an RCABank is a strided view: its sets are every
+// stride-th run of assoc records, starting at offset, in the bank's array.
 type RCA struct {
 	geom    addr.Geometry
 	sets    uint64
 	assoc   int
+	stride  int // records from one of this RCA's sets to the next
+	offset  int // index of this RCA's first way in its set's run
+	banked  bool
 	setMask uint64
-	ways    []way  // sets * assoc ways, set-major
+	ways    []way  // this RCA's sets, every stride records from offset
 	lruTick uint64 // last tick handed out, at most addr.TickMax
 
 	// OnEvict is called with the victim entry before it is replaced or
@@ -99,24 +103,31 @@ var wayPool recycle.Pool[way]
 // NewRCA builds an RCA with the given geometry. sets must be a power of
 // two. Its way array may be one a released RCA handed back, zeroed.
 func NewRCA(geom addr.Geometry, sets uint64, assoc int) *RCA {
-	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 {
-		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways)", sets, assoc))
-	}
+	checkGeometry(sets, assoc)
 	return &RCA{
 		geom:    geom,
 		sets:    sets,
 		assoc:   assoc,
+		stride:  assoc,
 		setMask: sets - 1,
 		ways:    wayPool.Get(int(sets) * assoc),
+	}
+}
+
+// checkGeometry panics unless sets is a power of two and assoc positive.
+func checkGeometry(sets uint64, assoc int) {
+	if sets == 0 || !addr.IsPow2(sets) || assoc <= 0 {
+		panic(fmt.Sprintf("core: bad RCA geometry (%d sets, %d ways)", sets, assoc))
 	}
 }
 
 // Release hands the way array back for a later NewRCA to reuse. Every
 // later probe or update of r then panics instead of reading ways another
 // RCA may own; the statistics stay readable. A second Release does
-// nothing.
+// nothing. An RCA of an RCABank is released with its bank; Release does
+// nothing to it.
 func (r *RCA) Release() {
-	if r.ways != nil {
+	if r.ways != nil && !r.banked {
 		wayPool.Put(r.ways)
 		r.ways = nil
 	}
@@ -136,7 +147,14 @@ func (r *RCA) Entries() uint64 { return r.sets * uint64(r.assoc) }
 
 // setBase returns the index of the first way of region's set.
 func (r *RCA) setBase(region addr.RegionAddr) int {
-	return int((uint64(region)>>r.geom.RegionShift())&r.setMask) * r.assoc
+	return int((uint64(region)>>r.geom.RegionShift())&r.setMask)*r.stride + r.offset
+}
+
+// eachSet calls fn with each of the RCA's sets, in set order.
+func (r *RCA) eachSet(fn func(set []way)) {
+	for base := r.offset; base < len(r.ways); base += r.stride {
+		fn(r.ways[base : base+r.assoc])
+	}
 }
 
 // find returns the index of region's way, or -1 when it is absent.
@@ -156,8 +174,10 @@ func (r *RCA) find(region addr.RegionAddr) int {
 }
 
 // entry assembles way i's entry.
-func (r *RCA) entry(i int) Entry {
-	w := &r.ways[i]
+func (r *RCA) entry(i int) Entry { return entryOf(&r.ways[i]) }
+
+// entryOf assembles the entry way w holds.
+func entryOf(w *way) Entry {
 	return Entry{
 		Region:    addr.RegionAddr(w.tag & addrMask),
 		State:     RegionState(w.tag & stateMask),
@@ -187,8 +207,7 @@ func (r *RCA) tick(i int) uint64 { return r.ways[i].tag >> addr.TickShift }
 // they rank in way order.
 func (r *RCA) renumber() {
 	rank := make([]uint64, r.assoc)
-	for base := 0; base < len(r.ways); base += r.assoc {
-		set := r.ways[base : base+r.assoc]
+	r.eachSet(func(set []way) {
 		for i := range set {
 			rank[i] = 1
 			for j := range set {
@@ -200,7 +219,7 @@ func (r *RCA) renumber() {
 		for i := range set {
 			set[i].tag = set[i].tag&addr.PhysAddrMask | rank[i]<<addr.TickShift
 		}
-	}
+	})
 	r.lruTick = uint64(r.assoc)
 }
 
@@ -377,20 +396,100 @@ func (r *RCA) AdjustModLines(region addr.RegionAddr, modifiable bool) {
 
 // ForEachValid visits all valid entries (diagnostics/tests).
 func (r *RCA) ForEachValid(fn func(Entry)) {
-	for i := range r.ways {
-		if r.ways[i].tag&stateMask != 0 {
-			fn(r.entry(i))
+	r.eachSet(func(set []way) {
+		for i := range set {
+			if set[i].tag&stateMask != 0 {
+				fn(entryOf(&set[i]))
+			}
 		}
-	}
+	})
 }
 
 // CountValid returns the number of valid entries.
 func (r *RCA) CountValid() int {
 	n := 0
-	for i := range r.ways {
-		if r.ways[i].tag&stateMask != 0 {
-			n++
+	r.ForEachValid(func(Entry) { n++ })
+	return n
+}
+
+// Holder is one RCA of a machine that holds an entry for a region, and
+// the entry.
+type Holder struct {
+	Index int // the RCA's index in its RCABank (its node)
+	Entry Entry
+}
+
+// RCABank is n RCAs of one geometry whose ways share one array,
+// interleaved set-major then RCA: way w of set s of RCA i is record
+// (s·n+i)·assoc+w. The n copies of a set then sit side by side, so
+// Holders answers a region snoop of every RCA with one scan of n·assoc
+// records, while each RCA, a strided view, still probes its own assoc
+// consecutive records.
+type RCABank struct {
+	rcas     []*RCA
+	ways     []way
+	assoc    int
+	setWays  int // n·assoc: the records of one set across the bank
+	setMask  uint64
+	regShift uint
+}
+
+// NewRCABank builds n RCAs with the given geometry. sets must be a power
+// of two. Its way array may be one a released bank handed back, zeroed.
+func NewRCABank(geom addr.Geometry, n int, sets uint64, assoc int) *RCABank {
+	checkGeometry(sets, assoc)
+	b := &RCABank{
+		ways:     wayPool.Get(int(sets) * n * assoc),
+		assoc:    assoc,
+		setWays:  n * assoc,
+		setMask:  sets - 1,
+		regShift: geom.RegionShift(),
+	}
+	for i := 0; i < n; i++ {
+		b.rcas = append(b.rcas, &RCA{
+			geom:    geom,
+			sets:    sets,
+			assoc:   assoc,
+			stride:  b.setWays,
+			offset:  i * assoc,
+			banked:  true,
+			setMask: b.setMask,
+			ways:    b.ways,
+		})
+	}
+	return b
+}
+
+// RCA returns RCA i.
+func (b *RCABank) RCA(i int) *RCA { return b.rcas[i] }
+
+// Holders appends to dst, in RCA order, every RCA of the bank that holds
+// an entry for region, with the entry, and returns the grown slice. It
+// scans region's set across the bank once; a region has at most one way
+// in each RCA, so each holder appears once.
+func (b *RCABank) Holders(region addr.RegionAddr, dst []Holder) []Holder {
+	key := uint64(region)
+	base := int((key>>b.regShift)&b.setMask) * b.setWays
+	set := b.ways[base : base+b.setWays]
+	for j := range set {
+		if w := set[j].tag; w&addrMask == key && w&stateMask != 0 {
+			dst = append(dst, Holder{Index: j / b.assoc, Entry: entryOf(&set[j])})
 		}
 	}
-	return n
+	return dst
+}
+
+// Release hands the way array back for a later NewRCABank to reuse. Every
+// later probe or update of one of the bank's RCAs then panics instead of
+// reading ways another bank may own; their statistics stay readable. A
+// second Release does nothing.
+func (b *RCABank) Release() {
+	if b.ways == nil {
+		return
+	}
+	wayPool.Put(b.ways)
+	b.ways = nil
+	for _, r := range b.rcas {
+		r.ways = nil
+	}
 }

@@ -10,6 +10,7 @@
 package directory
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"cgct/internal/addr"
@@ -57,10 +58,24 @@ func (e *Entry) RemoveSharer(id int) {
 // ClearSharers resets the sharer set (after a full invalidation).
 func (e *Entry) ClearSharers() { e.mask = [maskWords]uint64{} }
 
-// MustInvalidate reports whether node id holds a copy the entry records:
-// as a sharer or as the owner.
-func (e *Entry) MustInvalidate(id int) bool {
-	return e.Has(id) || e.Owner == id
+// AppendNodes appends to dst, in ascending order, the nodes the entry
+// records: its sharers, with the owner added when withOwner is set and
+// left out otherwise. It walks the set bits, so it costs one step per
+// recorded node, not one per processor.
+func (e *Entry) AppendNodes(dst []int, withOwner bool) []int {
+	for w, m := range e.mask {
+		if e.Owner >= 0 && e.Owner/64 == w {
+			if bit := uint64(1) << (e.Owner % 64); withOwner {
+				m |= bit
+			} else {
+				m &^= bit
+			}
+		}
+		for ; m != 0; m &= m - 1 {
+			dst = append(dst, w*64+bits.TrailingZeros64(m))
+		}
+	}
+	return dst
 }
 
 // Stats counts one Directory's behaviour over a run.

@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"slices"
 	"testing"
 
 	"cgct/internal/addr"
@@ -32,16 +33,48 @@ func TestFullMapSharerSet(t *testing.T) {
 	if e.Uncached() {
 		t.Fatal("entry with sharers reported uncached")
 	}
-	if !e.MustInvalidate(127) || e.MustInvalidate(64) {
-		t.Fatal("MustInvalidate disagrees with the sharer set")
+	if got := e.AppendNodes(nil, true); !slices.Equal(got, []int{0, 5, 63, 127}) {
+		t.Fatalf("AppendNodes = %v, want the sharer set [0 5 63 127]", got)
 	}
 	e.ClearSharers()
 	if !e.Uncached() || e.Has(0) || e.Has(127) {
 		t.Fatal("ClearSharers left sharers behind")
 	}
 	e.Owner = 3
-	if e.Uncached() || !e.MustInvalidate(3) {
-		t.Fatal("an owned entry must be cached and invalidate its owner")
+	if got := e.AppendNodes(nil, true); e.Uncached() || !slices.Equal(got, []int{3}) {
+		t.Fatalf("an owned entry must be cached and record its owner (AppendNodes = %v)", got)
+	}
+}
+
+// TestAppendNodesWalksOwnerAndSharers: AppendNodes lists the recorded
+// nodes in ascending order across both mask words, adds the owner only
+// when asked, leaves it out otherwise even when its sharer bit is set,
+// and appends to what dst already holds.
+func TestAppendNodesWalksOwnerAndSharers(t *testing.T) {
+	d := New()
+	defer d.Close()
+	e := d.Acquire(addr.LineAddr(1))
+	for _, id := range []int{127, 2, 64, 70} {
+		e.AddSharer(id)
+	}
+	for _, tc := range []struct {
+		owner     int
+		withOwner bool
+		want      []int
+	}{
+		{-1, true, []int{2, 64, 70, 127}},
+		{-1, false, []int{2, 64, 70, 127}},
+		{65, true, []int{2, 64, 65, 70, 127}},
+		{65, false, []int{2, 64, 70, 127}},
+		{0, true, []int{0, 2, 64, 70, 127}},
+		{70, true, []int{2, 64, 70, 127}},
+		{70, false, []int{2, 64, 127}},
+	} {
+		e.Owner = tc.owner
+		got := e.AppendNodes([]int{-7}, tc.withOwner)
+		if !slices.Equal(got, append([]int{-7}, tc.want...)) {
+			t.Errorf("owner %d, withOwner %v: AppendNodes = %v, want [-7] then %v", tc.owner, tc.withOwner, got, tc.want)
+		}
 	}
 }
 

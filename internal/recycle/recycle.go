@@ -18,18 +18,35 @@ type Pool[T any] struct {
 // Get returns a zeroed slice of length n: one handed back by Put when a
 // slice of that length is waiting, a new one otherwise.
 func (p *Pool[T]) Get(n int) []T {
-	if sp, ok := p.pool(n).Get().(*[]T); ok {
-		s := *sp
-		clear(s)
-		return s
+	sp := p.pool(n)
+	for {
+		switch v := sp.Get().(type) {
+		case *[]T:
+			clear(*v)
+			return *v
+		case nil:
+			return make([]T, n)
+		}
+		// A placeholder Put left behind: look further.
 	}
-	return make([]T, n)
 }
+
+// placeholder is what Put hands a sync.Pool ahead of each slice.
+type placeholder struct{}
 
 // Put hands s back for a later Get of its length. The caller must not use
 // s afterwards.
+//
+// A sync.Pool keeps the first value put on each processor (P) in a slot
+// that only a Get on that P reaches; the rest go to a list any P's Get
+// can take from. A released machine's bank is one slice, which would sit
+// in that slot while a sweep worker on another P builds its machine with
+// fresh storage. So Put hands over a placeholder first, which takes the
+// slot if it is free, and the slice lands in the shared list.
 func (p *Pool[T]) Put(s []T) {
-	p.pool(len(s)).Put(&s)
+	sp := p.pool(len(s))
+	sp.Put(placeholder{})
+	sp.Put(&s)
 }
 
 // pool returns the sync.Pool for slices of length n, creating it on

@@ -38,6 +38,23 @@ func TestLengthsDoNotMix(t *testing.T) {
 	}
 }
 
+// TestGetSkipsPlaceholders: each Put also hands the pool a placeholder,
+// and Get never returns one — every Get, of slices put back and beyond,
+// is a zeroed slice of the requested length.
+func TestGetSkipsPlaceholders(t *testing.T) {
+	var p Pool[uint64]
+	for i := 0; i < 3; i++ {
+		s := make([]uint64, 8)
+		s[0] = 1
+		p.Put(s)
+	}
+	for i := 0; i < 5; i++ {
+		if s := p.Get(8); len(s) != 8 || s[0] != 0 {
+			t.Fatalf("Get %d returned %v, want 8 zeros", i, s)
+		}
+	}
+}
+
 // TestConcurrentGetPut: many goroutines recycle slices of a few lengths at
 // once; each sees only zeroed slices of the length it asked for. Run it
 // with -race.

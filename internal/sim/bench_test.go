@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -58,9 +59,15 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 // workload for it.
 func bigCGCT(tb testing.TB, cfg config.Config) (config.Config, workload.Workload) {
 	tb.Helper()
-	cfg = cfg.WithCGCT(512)
-	cfg.Topology.Processors = 16
-	w, err := workload.Build("tpc-b", workload.Params{Processors: 16, OpsPerProc: 20_000, Seed: 7})
+	return tpcbMachine(tb, cfg.WithCGCT(512), 16)
+}
+
+// tpcbMachine returns cfg with procs processors, and a tpc-b workload for
+// it at 20K ops per processor.
+func tpcbMachine(tb testing.TB, cfg config.Config, procs int) (config.Config, workload.Workload) {
+	tb.Helper()
+	cfg.Topology.Processors = procs
+	w, err := workload.Build("tpc-b", workload.Params{Processors: procs, OpsPerProc: 20_000, Seed: 7})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -122,15 +129,15 @@ func BenchmarkNewSystemRecycled(b *testing.B) {
 	}
 }
 
-// warmTransactionSystem returns a 16-processor tpc-b CGCT system on the
-// given fabric, warmed by simulating the workload to completion, and the
-// lines its L2s then hold, sorted, an odd number of them so that a
+// warmTransactionSystem returns a procs-processor tpc-b system on the
+// given configuration, warmed by simulating the workload to completion,
+// and the lines its L2s then hold, sorted, an odd number of them so that a
 // round-robin over the nodes sends each line to every node in turn. The
 // run is stepped by hand rather than through RunContext, which closes the
 // fabric; the caller closes it.
-func warmTransactionSystem(b *testing.B, cfg config.Config) (*System, []addr.LineAddr) {
+func warmTransactionSystem(b *testing.B, cfg config.Config, procs int) (*System, []addr.LineAddr) {
 	b.Helper()
-	cfg, w := bigCGCT(b, cfg)
+	cfg, w := tpcbMachine(b, cfg, procs)
 	s := MustNew(cfg, w, 7)
 	s.start()
 	for {
@@ -151,13 +158,14 @@ func warmTransactionSystem(b *testing.B, cfg config.Config) (*System, []addr.Lin
 }
 
 // benchmarkTransaction times one coherence transaction per iteration on a
-// warm system: node i mod 16 requests line i mod len(lines), a read when
-// it holds no copy and a read-for-ownership when it does. Each iteration
-// opens the request as issue does — the outstanding and demand counts and
-// the mshr that completeFill releases — runs the transaction, and drains
-// the events it schedules (the fill, write-backs of displaced lines).
-func benchmarkTransaction(b *testing.B, cfg config.Config, transact func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr)) {
-	s, lines := warmTransactionSystem(b, cfg)
+// warm procs-processor system: node i mod procs requests line i mod
+// len(lines), a read when it holds no copy and a read-for-ownership when
+// it does. Each iteration opens the request as issue does — the
+// outstanding and demand counts and the mshr that completeFill releases —
+// runs the transaction, and drains the events it schedules (the fill,
+// write-backs of displaced lines).
+func benchmarkTransaction(b *testing.B, cfg config.Config, procs int, transact func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr)) {
+	s, lines := warmTransactionSystem(b, cfg, procs)
 	defer s.fabric.close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -178,21 +186,36 @@ func benchmarkTransaction(b *testing.B, cfg config.Config, transact func(s *Syst
 	}
 }
 
-// BenchmarkSnoopTransaction times one snooping-bus broadcast: the snoop
-// phase over the 15 remote nodes, the MOESI and region actions, and the
-// requester's fill.
+// BenchmarkSnoopTransaction times one snooping-bus broadcast — the snoop
+// phase over the remote nodes, the MOESI and region actions, and the
+// requester's fill — without region tracking, with CGCT and with
+// RegionScout, at 4 and 16 processors.
 func BenchmarkSnoopTransaction(b *testing.B) {
-	benchmarkTransaction(b, config.Default(), func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
-		s.fabric.(*snoopFabric).performBroadcast(n, kind, line, s.geom.RegionOfLine(line), s.queue.Now(), false)
-	})
+	for _, v := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"baseline", config.Default()},
+		{"cgct", config.Default().WithCGCT(512)},
+		{"scout", config.Default().WithRegionScout(512)},
+	} {
+		for _, procs := range []int{4, 16} {
+			b.Run(fmt.Sprintf("%s/%dp", v.name, procs), func(b *testing.B) {
+				benchmarkTransaction(b, v.cfg, procs, func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
+					s.fabric.(*snoopFabric).performBroadcast(n, kind, line, s.geom.RegionOfLine(line), s.queue.Now(), false)
+				})
+			})
+		}
+	}
 }
 
-// BenchmarkDirectoryTransaction times one full directory home transaction:
-// the oracle, the region gather and notifications, the record update and
-// the invalidations or three-hop transfer it implies. A transaction that
-// creates a home record may allocate the entry.
+// BenchmarkDirectoryTransaction times one full directory home transaction
+// on the 16-processor CGCT machine: the oracle, the region gather and
+// notifications, the record update and the invalidations or three-hop
+// transfer it implies. A transaction that creates a home record may
+// allocate the entry.
 func BenchmarkDirectoryTransaction(b *testing.B) {
-	benchmarkTransaction(b, config.Default().WithDirectory(), func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
+	benchmarkTransaction(b, config.Default().WithDirectory().WithCGCT(512), 16, func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
 		f := s.fabric.(*directoryFabric)
 		f.resolve(n, kind, line, s.topo.HomeController(addr.Addr(line)), s.queue.Now(), false)
 	})

@@ -42,10 +42,17 @@ type directoryFabric struct {
 	// holders is resolve's scratch list of the remote nodes holding an
 	// RCA entry for the line's region (observeRemoteRegion).
 	holders []*node
+	// recorded is resolve's scratch list of the nodes a home record
+	// names (directory.Entry.AppendNodes).
+	recorded []int
 }
 
 func newDirectoryFabric(s *System) *directoryFabric {
-	f := &directoryFabric{s: s, holders: make([]*node, 0, s.cfg.Topology.Processors)}
+	f := &directoryFabric{
+		s:        s,
+		holders:  make([]*node, 0, s.cfg.Topology.Processors),
+		recorded: make([]int, 0, s.cfg.Topology.Processors),
+	}
 	for i := 0; i < s.topo.MemControllers(); i++ {
 		f.dirs = append(f.dirs, directory.New())
 	}
@@ -259,19 +266,21 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		return s.dnet.Deliver(n.id, ready)
 	}
 	// invalidateSharers sends invalidations to every sharer the entry
-	// records except the requester and returns when the last
-	// acknowledgement is home. Every sharer it names holds the line:
-	// the home installs a grant's record together with the line, and a
-	// node dropping a clean line sends a replacement hint.
+	// records except the requester and the owner, in node order, and
+	// returns when the last acknowledgement is home. Every sharer it names
+	// holds the line: the home installs a grant's record together with the
+	// line, and a node dropping a clean line sends a replacement hint.
 	invalidateSharers := func(e *directory.Entry) event.Cycle {
 		ackBy := now
 		if e == nil {
 			return ackBy
 		}
-		for _, o := range s.nodes {
-			if o.id == n.id || o.id == e.Owner || !e.MustInvalidate(o.id) {
+		f.recorded = e.AppendNodes(f.recorded[:0], false)
+		for _, id := range f.recorded {
+			if id == n.id {
 				continue
 			}
+			o := s.nodes[id]
 			s.run.DirInvalidations++
 			s.run.DirMessages += 2 // invalidation + ack
 			if o.l2.Lookup(line).Valid() {
@@ -436,7 +445,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 // recordedLineState reports whether any node other than exclude caches
 // line, and whether any such copy is modifiable, reading the L2 only at the
 // nodes line's home record e implicates: its owner and sharers
-// (MustInvalidate). No record (nil) means no node holds the line. The
+// (AppendNodes). No record (nil) means no node holds the line. The
 // protocol already relies on the record implicating every holder —
 // invalidateSharers invalidates only those nodes, and
 // checkDirectoryAgrees asserts it.
@@ -444,11 +453,12 @@ func (f *directoryFabric) recordedLineState(e *directory.Entry, exclude int, lin
 	if e == nil {
 		return false, false
 	}
-	for _, o := range f.s.nodes {
-		if o.id == exclude || !e.MustInvalidate(o.id) {
+	f.recorded = e.AppendNodes(f.recorded[:0], true)
+	for _, id := range f.recorded {
+		if id == exclude {
 			continue
 		}
-		if st := o.l2.Lookup(line); st.Valid() {
+		if st := f.s.nodes[id].l2.Lookup(line); st.Valid() {
 			valid = true
 			if core.ModifiableLine(st) {
 				writable = true

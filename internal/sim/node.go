@@ -163,17 +163,12 @@ func newNode(s *System, id int, src workload.Source) *node {
 		src:   src,
 		mshrs: newMSHRFile(s.cfg.Proc.DemandOverlap + s.cfg.Proc.MaxOutstanding + s.cfg.Proc.StoreBufferSize),
 	}
-	if s.cfg.L2SectorBytes > 0 {
-		n.l2 = cache.NewSectored(fmt.Sprintf("p%d.l2", id), s.cfg.L2.SizeBytes, s.cfg.L2.Assoc,
-			s.cfg.L2.LineBytes, s.cfg.L2SectorBytes)
-	} else {
-		n.l2 = cache.New(fmt.Sprintf("p%d.l2", id), s.cfg.L2.SizeBytes, s.cfg.L2.Assoc, s.cfg.L2.LineBytes)
-	}
+	n.l2 = s.l2s.Store(id)
 	if s.cfg.Proc.PrefetchStreams > 0 {
 		n.pf = proc.NewStreamPrefetcher(s.cfg.Proc.PrefetchStreams, s.cfg.Proc.PrefetchRunahead, s.cfg.L2.LineBytes)
 	}
-	if s.cfg.CGCTEnabled {
-		n.rca = core.NewRCA(s.geom, s.cfg.RCA.Sets, s.cfg.RCA.Assoc)
+	if s.rcas != nil {
+		n.rca = s.rcas.RCA(id)
 		n.rca.OnEvict = n.onRegionEvict
 		switch {
 		case s.cfg.RCA.ThreeState:
@@ -184,9 +179,9 @@ func newNode(s *System, id int, src workload.Source) *node {
 			n.protocol = core.SevenState{}
 		}
 	}
-	if s.cfg.Scout.Enabled {
-		n.crh = regionscout.NewCRH(s.cfg.Scout.CRHCounters, s.cfg.RCA.RegionBytes)
-		n.nsrt = regionscout.NewNSRT(s.cfg.Scout.NSRTEntries, s.cfg.Scout.NSRTAssoc, s.cfg.RCA.RegionBytes)
+	if s.crhs != nil {
+		n.crh = s.crhs.CRH(id)
+		n.nsrt = s.nsrts.Table(id)
 	}
 	// Inclusion hooks: L2 evictions/invalidations back-invalidate the L1s,
 	// maintain the RCA line counts, and generate write-backs.

@@ -5,6 +5,7 @@ import (
 
 	"cgct/internal/addr"
 	"cgct/internal/bus"
+	"cgct/internal/cache"
 	"cgct/internal/coherence"
 	"cgct/internal/core"
 	"cgct/internal/event"
@@ -21,7 +22,7 @@ type snoopFabric struct {
 	abus *bus.AddressBus
 
 	// snooped is performBroadcast's scratch list of the remote nodes its
-	// snoop phase did not filter, with their L2 state for the line.
+	// action phase visits, with their L2 state for the line (snoop).
 	snooped []snoopedNode
 	// holders is performRegionProbe's scratch list of the remote nodes
 	// holding an RCA entry for the probed region (observeRemoteRegion).
@@ -185,83 +186,20 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	}
 
 	// --- Snoop phase (state observed before any action). ---
-	remoteValid, remoteWritable := false, false
-	owner := -1
-	regionClean, regionDirty := false, false
-	crhPresent := false
-	f.snooped = f.snooped[:0]
-	for _, o := range s.nodes {
-		if o == n {
-			continue
-		}
-		crhP := o.crh != nil && o.crh.Present(region)
-		if crhP {
-			// RegionScout: the imprecise cached-region-hash answer — hash
-			// collisions make this conservative where CGCT's precise
-			// region snoop is exact.
-			crhPresent = true
-		}
-		// A snooped processor whose RCA (or cached-region hash) proves the
-		// region absent need not probe its cache tags at all. The RCA tracks
-		// every region with cached lines and the hash never misses a present
-		// region, so the simulator exploits the same filter the hardware
-		// does: it skips the tag scans, and the action loop below skips the
-		// node too, since it holds no line or region entry to act on.
-		var e core.Entry
-		if o.rca != nil {
-			e = o.rca.Probe(region)
-		}
-		if (o.rca != nil && !e.State.Valid()) || (o.crh != nil && !crhP) {
-			s.run.SnoopTagFiltered++
-			if s.DebugChecks {
-				s.checkSnoopFilter(o, region, grant)
-			}
-			continue
-		}
-		s.run.SnoopTagLookups++
-		st := coherence.Invalid
-		if o.rca != nil && e.LineCount == 0 {
-			// The modelled hardware probes these tags, but an entry that
-			// counts no lines proves they hold nothing of the region.
-			if s.DebugChecks {
-				s.checkSnoopFilter(o, region, grant)
-			}
-		} else {
-			st = o.l2.Lookup(line)
-			if st.Valid() {
-				remoteValid = true
-				if st.Dirty() || st == coherence.Exclusive {
-					remoteWritable = true
-				}
-				if st.Dirty() {
-					owner = o.id
-				}
-			}
-			if n.rca != nil {
-				// Every node has an RCA when the requester does, and this
-				// entry counts lines: its counts are o's region response.
-				if s.DebugChecks {
-					s.checkRegionCounts(o, e, grant)
-				}
-				if e.ModLines > 0 {
-					regionDirty = true
-				} else {
-					regionClean = true
-				}
-			}
-		}
-		f.snooped = append(f.snooped, snoopedNode{o, st})
+	r := f.snoop(n, line, region)
+	if s.DebugChecks {
+		s.checkSnoopScan(n.id, line, region, grant)
 	}
 
 	// --- Oracle classification (Figure 2). ---
 	cat := stats.CategoryOf(kind)
-	if oracle.Unnecessary(kind, remoteValid, remoteWritable) {
+	if oracle.Unnecessary(kind, r.remoteValid, r.remoteWritable) {
 		s.run.OracleUnnecessary[cat]++
 	} else {
 		s.run.OracleNecessary[cat]++
 	}
 
-	granted := grantedLineState(kind, remoteValid)
+	granted := grantedLineState(kind, r.remoteValid)
 	requesterExclusive := granted == coherence.Exclusive || granted == coherence.Modified
 
 	// --- Conventional protocol actions on the snooped processors. ---
@@ -295,26 +233,23 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 		applyExternalRegion(o, region, kind, requesterExclusive)
 	}
 	// RegionScout: observing any external request for the region ends its
-	// not-shared status at every other node, filtered or not.
-	if n.nsrt != nil {
-		for _, o := range s.nodes {
-			if o != n {
-				o.nsrt.Observe(region)
-			}
-		}
+	// not-shared status at every other node, filtered or not. Only the
+	// recorded holder can have an entry to end.
+	if s.nsrts != nil {
+		s.nsrts.Observe(n.id, region)
 	}
 
 	// --- Region protocol on the requester (Figures 3 and 4). ---
 	if n.rca != nil {
-		if n.applyBroadcastResponse(region, kind, requesterExclusive, regionClean, regionDirty, owner) {
+		if n.applyBroadcastResponse(region, kind, requesterExclusive, r.regionClean, r.regionDirty, r.owner) {
 			f.maybeProbeNextRegion(n, region, grant)
 		}
 	}
 
 	// RegionScout learning: a snoop that found no region presence records
 	// the region as globally unshared.
-	if n.nsrt != nil && !crhPresent {
-		n.nsrt.Insert(region)
+	if s.nsrts != nil && !r.crhPresent {
+		s.nsrts.Insert(n.id, region)
 	}
 
 	// --- Requester cache update. ---
@@ -345,16 +280,19 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 	if s.DebugChecks {
 		s.checkRegionExclusivity(region, grant)
 		s.checkLineInvariants(line, grant)
+		if s.nsrts != nil {
+			s.checkNSRTHolder(region, grant)
+		}
 	}
 
 	// --- Timing. ---
 	snoopDone := grant + event.Cycle(s.cfg.Net.SnoopLatency)
 	arrive := snoopDone
 	if kind.WantsData() {
-		if owner >= 0 {
+		if r.owner >= 0 {
 			// Cache-to-cache transfer from the dirty owner.
 			s.run.CacheToCache++
-			ready := snoopDone + event.Cycle(s.cfg.Net.TransferLatency(s.topo.ProcToProc(n.id, owner)))
+			ready := snoopDone + event.Cycle(s.cfg.Net.TransferLatency(s.topo.ProcToProc(n.id, r.owner)))
 			arrive = s.dnet.Deliver(n.id, ready)
 		} else {
 			// Memory supplies the data; DRAM overlaps the snoop, so only
@@ -366,6 +304,122 @@ func (f *snoopFabric) performBroadcast(n *node, kind coherence.ReqKind, line add
 		}
 	}
 	s.queue.Schedule(arrive, n, nodeOpCompleteFill, packReq(kind, forStore), uint64(line))
+}
+
+// snoopResponse is a broadcast's combined snoop response from the remote
+// nodes: whether any caches the line and whether such a copy is writable
+// (E, O or M), the dirty owner (-1 when none), the region response read
+// from the remote RCA entries' line counts (CGCT), and whether any remote
+// cached-region hash claims the region (RegionScout).
+type snoopResponse struct {
+	remoteValid, remoteWritable bool
+	owner                       int
+	regionClean, regionDirty    bool
+	crhPresent                  bool
+}
+
+// addLine folds remote node id's copy of the line, in state st, into the
+// response.
+func (r *snoopResponse) addLine(id int, st coherence.LineState) {
+	r.remoteValid = true
+	if core.ModifiableLine(st) {
+		r.remoteWritable = true
+	}
+	if st.Dirty() {
+		r.owner = id
+	}
+}
+
+// snoop gathers a broadcast's snoop response from every node but the
+// requester n, and lists in f.snooped, in node order, the nodes the action
+// phase must visit with their line state: every remote RCA holder of the
+// region under CGCT, every remote holder of the line otherwise.
+//
+// The modelled hardware snoops every remote node. A node whose RCA has no
+// entry for the region, or whose cached-region hash counts nothing in the
+// region's bucket, answers without probing its tags (SnoopTagFiltered);
+// every other node looks its tags up (SnoopTagLookups). The simulator
+// reads the same answers from one scan per bank (snoopScan) — the RCA or
+// CRH bank for the filter, then the L2 bank for the line — and counts the
+// two statistics from the scan's lengths. An RCA entry counting no lines
+// proves its node's tags hold nothing of the region, so under CGCT the L2
+// bank is scanned only when some remote entry counts lines.
+func (f *snoopFabric) snoop(n *node, line addr.LineAddr, region addr.RegionAddr) (r snoopResponse) {
+	s := f.s
+	s.scan.reset()
+	r.owner = -1
+	f.snooped = f.snooped[:0]
+	remote := uint64(len(s.nodes) - 1)
+	lookups := remote
+	switch {
+	case s.rcas != nil:
+		regions := s.scanRegions(region)
+		lookups = 0
+		counting := false
+		for _, h := range regions {
+			if h.Index != n.id {
+				lookups++
+				counting = counting || h.Entry.LineCount > 0
+			}
+		}
+		var lines []cache.Holder
+		if counting {
+			lines = s.scanLines(line)
+		}
+		for _, h := range regions {
+			if h.Index == n.id {
+				continue
+			}
+			st := coherence.Invalid
+			if h.Entry.LineCount > 0 {
+				// RCA inclusion: every remote holder of the line counts it,
+				// so both lists advance in node order together.
+				for len(lines) > 0 && lines[0].Index < h.Index {
+					lines = lines[1:]
+				}
+				if len(lines) > 0 && lines[0].Index == h.Index {
+					st = lines[0].State
+					r.addLine(h.Index, st)
+				}
+				// This entry's counts are its node's region response.
+				if h.Entry.ModLines > 0 {
+					r.regionDirty = true
+				} else {
+					r.regionClean = true
+				}
+			}
+			f.snooped = append(f.snooped, snoopedNode{s.nodes[h.Index], st})
+		}
+	case s.crhs != nil:
+		lookups = 0
+		for _, i := range s.scanBuckets(region) {
+			if i != n.id {
+				lookups++
+			}
+		}
+		// The hash never misses a region with cached lines, so when no
+		// remote bucket counts anything no remote node holds the line.
+		r.crhPresent = lookups > 0
+		if r.crhPresent {
+			f.snoopLines(n, line, &r)
+		}
+	default:
+		f.snoopLines(n, line, &r)
+	}
+	s.run.SnoopTagLookups += lookups
+	s.run.SnoopTagFiltered += remote - lookups
+	return r
+}
+
+// snoopLines scans the L2 bank for line and adds every remote holder to
+// the response and to f.snooped.
+func (f *snoopFabric) snoopLines(n *node, line addr.LineAddr, r *snoopResponse) {
+	for _, h := range f.s.scanLines(line) {
+		if h.Index != n.id {
+			r.addLine(h.Index, h.State)
+			f.snooped = append(f.snooped, snoopedNode{f.s.nodes[h.Index], h.State})
+		}
+	}
 }
 
 // maybeProbeNextRegion implements the §6 region-state prefetch: when a new

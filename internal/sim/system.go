@@ -16,11 +16,14 @@ import (
 
 	"cgct/internal/addr"
 	"cgct/internal/bus"
+	"cgct/internal/cache"
 	"cgct/internal/coherence"
 	"cgct/internal/config"
+	"cgct/internal/core"
 	"cgct/internal/event"
 	"cgct/internal/faultinject"
 	"cgct/internal/memctrl"
+	"cgct/internal/regionscout"
 	"cgct/internal/rng"
 	"cgct/internal/stats"
 	"cgct/internal/topology"
@@ -38,6 +41,15 @@ type System struct {
 	mcs    []*memctrl.Controller
 	nodes  []*node
 	r      *rng.Source // perturbation stream
+
+	// Each structure the fabrics snoop keeps every node's copy in one
+	// bank, which one scan answers for all nodes (snoopScan). rcas is nil
+	// without CGCT, crhs and nsrts without RegionScout.
+	l2s   l2Bank
+	rcas  *core.RCABank
+	crhs  *regionscout.CRHBank
+	nsrts *regionscout.NSRTs
+	scan  snoopScan
 
 	// horizon bounds how far a node may run ahead of global time while it
 	// is only hitting in its caches (CPU cycles); see Config.BatchHorizon.
@@ -65,6 +77,15 @@ type System struct {
 
 	run  stats.Run
 	done int
+}
+
+// l2Bank is a machine's L2s: each node's cache, and the snoop scan that
+// finds which of them hold a line — a cache.Bank, or a cache.SectoredBank
+// for sectored L2s.
+type l2Bank interface {
+	Store(i int) cache.Store
+	Holders(l addr.LineAddr, dst []cache.Holder) []cache.Holder
+	Release()
 }
 
 // New assembles a system for the given workload. The workload must provide
@@ -102,7 +123,20 @@ func New(cfg config.Config, w workload.Workload, seed uint64) (*System, error) {
 	} else {
 		s.fabric = newSnoopFabric(s)
 	}
-	for i := 0; i < cfg.Topology.Processors; i++ {
+	procs := cfg.Topology.Processors
+	if cfg.L2SectorBytes > 0 {
+		s.l2s = cache.NewSectoredBank("l2", procs, cfg.L2.SizeBytes, cfg.L2.Assoc, cfg.L2.LineBytes, cfg.L2SectorBytes)
+	} else {
+		s.l2s = cache.NewBank("l2", procs, cfg.L2.SizeBytes, cfg.L2.Assoc, cfg.L2.LineBytes)
+	}
+	if cfg.CGCTEnabled {
+		s.rcas = core.NewRCABank(geom, procs, cfg.RCA.Sets, cfg.RCA.Assoc)
+	}
+	if cfg.Scout.Enabled {
+		s.crhs = regionscout.NewCRHBank(procs, cfg.Scout.CRHCounters, cfg.RCA.RegionBytes)
+		s.nsrts = regionscout.NewNSRTs(procs, cfg.Scout.NSRTEntries, cfg.Scout.NSRTAssoc, cfg.RCA.RegionBytes)
+	}
+	for i := 0; i < procs; i++ {
 		s.nodes = append(s.nodes, newNode(s, i, w.Source(i)))
 	}
 	return s, nil
@@ -323,20 +357,23 @@ func (s *System) collect() {
 	}
 }
 
-// Release hands every node's L1I, L1D and L2 tag storage and RCA back for
-// the next machines New builds. Call it only once the run's statistics
-// have been read, as cgct's summarize does when it copies every counter:
-// afterwards, running or probing s panics. Callers that inspect a System
-// after its run, such as tests and cgctverify, do not release it. A second
-// Release does nothing.
+// Release hands every node's L1I and L1D tag storage, and the machine's
+// L2, RCA and cached-region-hash banks, back for the next machines New
+// builds. Call it only once the run's statistics have been read, as cgct's
+// summarize does when it copies every counter: afterwards, running or
+// probing s panics. Callers that inspect a System after its run, such as
+// tests and cgctverify, do not release it. A second Release does nothing.
 func (s *System) Release() {
 	for _, n := range s.nodes {
 		n.l1i.Release()
 		n.l1d.Release()
-		n.l2.Release()
-		if n.rca != nil {
-			n.rca.Release()
-		}
+	}
+	s.l2s.Release()
+	if s.rcas != nil {
+		s.rcas.Release()
+	}
+	if s.crhs != nil {
+		s.crhs.Release()
 	}
 }
 

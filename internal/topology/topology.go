@@ -28,6 +28,12 @@ type Topology struct {
 	chipsPerSwitch   int
 	switchesPerBoard int
 	chips            int
+
+	// chipOf[p] is processor p's chip, and dist[a*chips+b] the distance
+	// between chips a and b: every request, transfer and write-back asks
+	// for one, so New works them out once.
+	chipOf []int
+	dist   []config.Distance
 }
 
 // New builds a Topology from configuration parameters.
@@ -35,13 +41,24 @@ func New(p config.TopologyParams) (*Topology, error) {
 	if p.Processors <= 0 || p.CoresPerChip <= 0 || p.ChipsPerSwitch <= 0 || p.SwitchesPerBoard <= 0 {
 		return nil, fmt.Errorf("topology: all factors must be positive (%+v)", p)
 	}
-	return &Topology{
+	t := &Topology{
 		processors:       p.Processors,
 		coresPerChip:     p.CoresPerChip,
 		chipsPerSwitch:   p.ChipsPerSwitch,
 		switchesPerBoard: p.SwitchesPerBoard,
 		chips:            (p.Processors + p.CoresPerChip - 1) / p.CoresPerChip,
-	}, nil
+	}
+	t.chipOf = make([]int, t.processors)
+	for i := range t.chipOf {
+		t.chipOf[i] = i / t.coresPerChip
+	}
+	t.dist = make([]config.Distance, t.chips*t.chips)
+	for a := 0; a < t.chips; a++ {
+		for b := 0; b < t.chips; b++ {
+			t.dist[a*t.chips+b] = t.distanceChips(a, b)
+		}
+	}
+	return t, nil
 }
 
 // MustNew is New that panics on error.
@@ -60,7 +77,7 @@ func (t *Topology) Processors() int { return t.processors }
 func (t *Topology) MemControllers() int { return t.chips }
 
 // ChipOf returns the chip index of processor p.
-func (t *Topology) ChipOf(p int) int { return p / t.coresPerChip }
+func (t *Topology) ChipOf(p int) int { return t.chipOf[p] }
 
 // SwitchOfChip returns the data-switch index of chip c.
 func (t *Topology) SwitchOfChip(c int) int { return c / t.chipsPerSwitch }
@@ -87,12 +104,12 @@ func (t *Topology) distanceChips(a, b int) config.Distance {
 // ProcToMem classifies the distance from processor p to memory controller m
 // (memory controller m lives on chip m).
 func (t *Topology) ProcToMem(p, m int) config.Distance {
-	return t.distanceChips(t.ChipOf(p), m)
+	return t.dist[t.chipOf[p]*t.chips+m]
 }
 
 // ProcToProc classifies the distance between two processors.
 func (t *Topology) ProcToProc(a, b int) config.Distance {
-	return t.distanceChips(t.ChipOf(a), t.ChipOf(b))
+	return t.dist[t.chipOf[a]*t.chips+t.chipOf[b]]
 }
 
 // HomeController returns the memory controller that owns address a

@@ -113,3 +113,47 @@ func TestValidation(t *testing.T) {
 		t.Error("zero cores per chip accepted")
 	}
 }
+
+// TestDistanceTableMatchesHierarchy: the distances New works out once are
+// the ones the chip, switch and board hierarchy gives, for every
+// processor and controller pair of several machines, the largest 128
+// single-core chips.
+func TestDistanceTableMatchesHierarchy(t *testing.T) {
+	for _, p := range []config.TopologyParams{
+		config.Default().Topology,
+		{Processors: 16, CoresPerChip: 2, ChipsPerSwitch: 2, SwitchesPerBoard: 2},
+		{Processors: 72, CoresPerChip: 2, ChipsPerSwitch: 2, SwitchesPerBoard: 2},
+		{Processors: 7, CoresPerChip: 3, ChipsPerSwitch: 1, SwitchesPerBoard: 2},
+		{Processors: 128, CoresPerChip: 1, ChipsPerSwitch: 4, SwitchesPerBoard: 4},
+	} {
+		tp := MustNew(p)
+		dist := func(a, b int) config.Distance {
+			switch {
+			case a == b:
+				return config.DistSameChip
+			case a/p.ChipsPerSwitch == b/p.ChipsPerSwitch:
+				return config.DistSameSwitch
+			case a/p.ChipsPerSwitch/p.SwitchesPerBoard == b/p.ChipsPerSwitch/p.SwitchesPerBoard:
+				return config.DistSameBoard
+			default:
+				return config.DistRemote
+			}
+		}
+		for a := 0; a < p.Processors; a++ {
+			ca := a / p.CoresPerChip
+			if tp.ChipOf(a) != ca {
+				t.Fatalf("%+v: ChipOf(%d) = %d, want %d", p, a, tp.ChipOf(a), ca)
+			}
+			for m := 0; m < tp.MemControllers(); m++ {
+				if got, want := tp.ProcToMem(a, m), dist(ca, m); got != want {
+					t.Fatalf("%+v: ProcToMem(%d, %d) = %v, want %v", p, a, m, got, want)
+				}
+			}
+			for b := 0; b < p.Processors; b++ {
+				if got, want := tp.ProcToProc(a, b), dist(ca, b/p.CoresPerChip); got != want {
+					t.Fatalf("%+v: ProcToProc(%d, %d) = %v, want %v", p, a, b, got, want)
+				}
+			}
+		}
+	}
+}
