@@ -13,9 +13,10 @@ var raceEnabled bool
 // TestRepeatedRunAllocation gates recycled machine storage: once a warm-up
 // run has compiled the trace into the shared cache and released its
 // machine, a repeated Run of the same request reuses that machine's tag
-// arrays and allocates only per-run bookkeeping. Fresh tag storage alone
-// is 1.6 MiB for the 4-processor CGCT machine, 6.3 MiB for the
-// 16-processor one and 0.5 MiB for the third case's sectored L2s. The
+// arrays, and a directory run its homes' record tables, and allocates
+// only per-run bookkeeping. Fresh tag storage alone is 1.6 MiB for the
+// 4-processor CGCT machine, 6.3 MiB for the 16-processor ones and
+// 0.5 MiB for the last case's sectored L2s. The
 // smallest of three measured runs counts, so one run that a collection
 // left without recycled storage does not fail it.
 func TestRepeatedRunAllocation(t *testing.T) {
@@ -30,6 +31,7 @@ func TestRepeatedRunAllocation(t *testing.T) {
 	}{
 		{"4-processor CGCT ocean", "ocean", Options{OpsPerProc: 2_000, Seed: 3, CGCT: true}, 128 << 10},
 		{"16-processor CGCT tpc-b", "tpc-b", Options{Processors: 16, OpsPerProc: 2_000, Seed: 3, CGCT: true}, 256 << 10},
+		{"16-processor directory+CGCT tpc-b", "tpc-b", Options{Processors: 16, OpsPerProc: 2_000, Seed: 3, CGCT: true, Directory: true}, 256 << 10},
 		{"4-processor ocean, 512 B L2 sectors", "ocean", Options{OpsPerProc: 2_000, Seed: 3, L2SectorBytes: 512}, 128 << 10},
 	} {
 		if _, err := Run(c.benchmark, c.opts); err != nil {

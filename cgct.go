@@ -63,7 +63,10 @@ type Options struct {
 	// not-shared-region table instead of a tagged RCA. Mutually exclusive
 	// with CGCT and Directory.
 	RegionScout bool
-	// RegionBytes is the region size when CGCT is enabled (default 512).
+	// RegionBytes is the region size when CGCT or RegionScout is enabled
+	// (default 512): a power of two from the line size up to the 4 KiB
+	// home interleave (config.HomeInterleaveBytes), so that a region never
+	// spans memory controllers.
 	RegionBytes uint64
 	// RCASets overrides the Region Coherence Array set count (default
 	// 8192; the paper's half-size study uses 4096).

@@ -25,7 +25,7 @@ func main() {
 		ops     = flag.Int("ops", 400_000, "trace length per processor")
 		seed    = flag.Uint64("seed", 1, "deterministic seed")
 		useCGCT = flag.Bool("cgct", false, "enable Coarse-Grain Coherence Tracking")
-		region  = flag.Uint64("region", 512, "region size in bytes (256/512/1024)")
+		region  = flag.Uint64("region", 512, "region size in bytes (256/512/1024; at most the 4096-byte home interleave)")
 		rcaSets = flag.Uint64("rcasets", 0, "override RCA set count (default 8192)")
 		procs   = flag.Int("procs", 0, "processor count (default 4)")
 		checks  = flag.Bool("checks", false, "enable coherence invariant checks (slow)")

@@ -89,6 +89,12 @@ type RegionScoutParams struct {
 	CRHCounters uint64 // untagged cached-region-hash counters
 }
 
+// HomeInterleaveBytes is the granularity at which physical memory is
+// interleaved across memory controllers (4 KB pages; the paper notes the
+// OS makes no locality-aware placement, so interleaving is a fair model).
+// Validate bounds a region by it, so a region never spans controllers.
+const HomeInterleaveBytes = 4096
+
 // MaxDirectoryProcessors is the largest machine the directory fabric
 // models: its full-map sharer mask (internal/directory) holds one bit per
 // processor and is sized from this bound.
@@ -98,7 +104,7 @@ const MaxDirectoryProcessors = 128
 type RCAParams struct {
 	Sets        uint64 // number of sets (paper: 8192, or 4096 for the half-size study)
 	Assoc       int    // paper: 2
-	RegionBytes uint64 // 256, 512 or 1024
+	RegionBytes uint64 // 256, 512 or 1024; at most HomeInterleaveBytes
 	// ThreeState selects the scaled-back protocol of §3.4: a single
 	// region-cached snoop-response bit and only exclusive / not-exclusive /
 	// invalid region states.
@@ -401,6 +407,12 @@ func (c Config) Validate() error {
 		if !addr.IsPow2(c.RCA.RegionBytes) || c.RCA.RegionBytes < c.L2.LineBytes {
 			return fmt.Errorf("config: region size %d invalid for RegionScout", c.RCA.RegionBytes)
 		}
+	}
+	// A larger region's lines would have several homes, while
+	// region-eviction flushes and the directory's region fast paths
+	// address the region's one home.
+	if (c.CGCTEnabled || c.Scout.Enabled) && c.RCA.RegionBytes > HomeInterleaveBytes {
+		return fmt.Errorf("config: region size %d exceeds the %d-byte home interleave", c.RCA.RegionBytes, HomeInterleaveBytes)
 	}
 	return nil
 }

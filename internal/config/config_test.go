@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestTable3Defaults pins the default configuration to the paper's Table 3.
 func TestTable3Defaults(t *testing.T) {
@@ -127,6 +130,23 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		mutate(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
+		}
+	}
+}
+
+// TestRegionBoundedByHomeInterleave: under CGCT and under RegionScout a
+// region may be as large as the home interleave, one page, and no larger,
+// so it never spans home controllers.
+func TestRegionBoundedByHomeInterleave(t *testing.T) {
+	for name, with := range map[string]func(Config, uint64) Config{
+		"CGCT":        Config.WithCGCT,
+		"RegionScout": Config.WithRegionScout,
+	} {
+		if err := with(Default(), 4096).Validate(); err != nil {
+			t.Errorf("%s with 4096-byte regions rejected: %v", name, err)
+		}
+		if err := with(Default(), 8192).Validate(); err == nil || !strings.Contains(err.Error(), "4096-byte home interleave") {
+			t.Errorf("%s with 8192-byte regions: err = %v, want a rejection naming the 4096-byte home interleave", name, err)
 		}
 	}
 }

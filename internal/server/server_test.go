@@ -450,7 +450,8 @@ func TestValidationAndErrorPaths(t *testing.T) {
 	badRequests := []server.JobRequest{
 		{},                           // missing benchmark
 		{Benchmark: "no-such-bench"}, // unknown workload
-		{Benchmark: "ocean", Options: cgct.Options{CGCT: true, RegionBytes: 7}}, // invalid config
+		{Benchmark: "ocean", Options: cgct.Options{CGCT: true, RegionBytes: 7}},    // invalid config
+		{Benchmark: "ocean", Options: cgct.Options{CGCT: true, RegionBytes: 8192}}, // region spans two homes
 	}
 	for i, req := range badRequests {
 		_, err := c.Submit(ctx, req)

@@ -212,8 +212,8 @@ func BenchmarkSnoopTransaction(b *testing.B) {
 // BenchmarkDirectoryTransaction times one full directory home transaction
 // on the 16-processor CGCT machine: the oracle, the region gather and
 // notifications, the record update and the invalidations or three-hop
-// transfer it implies. A transaction that creates a home record may
-// allocate the entry.
+// transfer it implies. A record the transaction creates takes a free
+// slot of the home's table.
 func BenchmarkDirectoryTransaction(b *testing.B) {
 	benchmarkTransaction(b, config.Default().WithDirectory().WithCGCT(512), 16, func(s *System, n *node, kind coherence.ReqKind, line addr.LineAddr) {
 		f := s.fabric.(*directoryFabric)

@@ -26,15 +26,16 @@ import (
 //
 // CGCT composes with the directory exactly as it does with the bus: the
 // RCA routes requests. A region held exclusively never spans home
-// controllers (regions are at most a page), so the home's per-line
-// records for an exclusively-held region cannot be observed by anyone
-// until an external request for the region arrives — which itself
-// resolves at the same home. Record updates on the local and direct fast
-// paths are therefore modelled as synchronous and free: the direct
-// request already travels to the home controller (it is the memory
-// controller), and local completions defer their record maintenance
-// behind the region grant. What the fast paths save is the home-pipeline
-// occupancy and directory latency, not correctness.
+// controllers (config.Validate bounds a region by the one-page home
+// interleave), so the home's per-line records for an exclusively-held
+// region cannot be observed by anyone until an external request for the
+// region arrives — which itself resolves at the same home. Record
+// updates on the local and direct fast paths are therefore modelled as
+// synchronous and free: the direct request already travels to the home
+// controller (it is the memory controller), and local completions defer
+// their record maintenance behind the region grant. What the fast paths
+// save is the home-pipeline occupancy and directory latency, not
+// correctness.
 type directoryFabric struct {
 	s    *System
 	dirs []*directory.Directory
@@ -152,7 +153,8 @@ func (f *directoryFabric) recordFastGrant(d *directory.Directory, n *node, kind 
 }
 
 // clearRecord drops n from the record for line (fast-path write-backs,
-// flushes and invalidates).
+// flushes, invalidates and replacement hints), retiring the record it
+// looked up when no node holds the line any more.
 func (f *directoryFabric) clearRecord(d *directory.Directory, n *node, line addr.LineAddr) {
 	e := d.Lookup(line)
 	if e == nil {
@@ -229,9 +231,18 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	// Oracle classification (Figure 2's question asked of the directory):
 	// would an omniscient protocol have needed this home transaction's
 	// coherence actions at all? Observed before any state changes.
+	//
+	// The transaction takes the line's home record with the table's one
+	// probe: data kinds create it when absent (a fresh record is uncached,
+	// so it reads as no record does), flushes and invalidates only look.
 	cat := stats.CategoryOf(kind)
-	rec := d.Lookup(line) // as the transaction finds it
-	remoteValid, remoteWritable := f.recordedLineState(rec, n.id, line)
+	var e *directory.Entry
+	if kind == coherence.ReqDCBF || kind == coherence.ReqDCBI {
+		e = d.Lookup(line)
+	} else {
+		e = d.Acquire(line)
+	}
+	remoteValid, remoteWritable := f.recordedLineState(e, n.id, line)
 	if s.DebugChecks {
 		f.checkDirectoryOracle(n, line, remoteValid, remoteWritable, now)
 	}
@@ -250,8 +261,8 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		regionClean, regionDirty, f.holders = s.observeRemoteRegion(n.id, reg, f.holders[:0])
 	}
 	prevOwner := -1
-	if rec != nil && rec.Owner != n.id {
-		prevOwner = rec.Owner
+	if e != nil && e.Owner != n.id {
+		prevOwner = e.Owner
 	}
 
 	// transferFrom computes when data sourced at node src reaches the
@@ -265,12 +276,12 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		ready += event.Cycle(s.cfg.Net.TransferLatency(s.topo.ProcToMem(n.id, home)))
 		return s.dnet.Deliver(n.id, ready)
 	}
-	// invalidateSharers sends invalidations to every sharer the entry
-	// records except the requester and the owner, in node order, and
+	// invalidateSharers sends invalidations to every sharer the record
+	// names except the requester and the owner, in node order, and
 	// returns when the last acknowledgement is home. Every sharer it names
 	// holds the line: the home installs a grant's record together with the
 	// line, and a node dropping a clean line sends a replacement hint.
-	invalidateSharers := func(e *directory.Entry) event.Cycle {
+	invalidateSharers := func() event.Cycle {
 		ackBy := now
 		if e == nil {
 			return ackBy
@@ -305,7 +316,6 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 
 	switch kind {
 	case coherence.ReqRead, coherence.ReqPrefetch, coherence.ReqIFetch:
-		e := d.Acquire(line)
 		switch {
 		case e.Owner >= 0 && e.Owner != n.id:
 			// Three-hop transfer: home forwards to the owner, the owner
@@ -342,7 +352,6 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 			e.AddSharer(n.id)
 		}
 	case coherence.ReqReadExcl, coherence.ReqPrefetchExcl, coherence.ReqUpgrade, coherence.ReqDCBZ:
-		e := d.Acquire(line)
 		if e.Owner >= 0 && e.Owner != n.id {
 			// Fetch the dirty line from its owner (three hops) and
 			// invalidate it there.
@@ -355,7 +364,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 			arrive = transferFrom(owner.id, fwd)
 			e.Owner = -1
 		} else {
-			ackBy := invalidateSharers(e)
+			ackBy := invalidateSharers()
 			if kind == coherence.ReqUpgrade || kind == coherence.ReqDCBZ {
 				// Permission-only: complete once the acks are in.
 				arrive = ackBy
@@ -371,7 +380,6 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 		e.Owner = n.id
 		e.ClearSharers()
 	case coherence.ReqDCBF, coherence.ReqDCBI:
-		e := d.Lookup(line)
 		if e != nil && e.Owner >= 0 && e.Owner != n.id {
 			o := s.nodes[e.Owner]
 			if kind == coherence.ReqDCBF {
@@ -381,7 +389,7 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 			s.run.DirMessages += 2
 			e.Owner = -1
 		}
-		arrive = invalidateSharers(e)
+		arrive = invalidateSharers()
 		// The requester's own copy goes too.
 		if st := n.l2.Lookup(line); st.Valid() {
 			if st.Dirty() && kind == coherence.ReqDCBF {
@@ -397,6 +405,10 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 	default:
 		panic(fmt.Sprintf("sim: directory cannot resolve %v", kind))
 	}
+
+	// e is not used past here: a region allocation or the line install
+	// below may displace a line whose flush or replacement hint retires
+	// a record of this home, which may move e (directory.Directory).
 
 	// Region protocol maintenance (full transactions only — the fast
 	// paths never change remote region state). The home notifies every
@@ -445,9 +457,9 @@ func (f *directoryFabric) resolve(n *node, kind coherence.ReqKind, line addr.Lin
 // recordedLineState reports whether any node other than exclude caches
 // line, and whether any such copy is modifiable, reading the L2 only at the
 // nodes line's home record e implicates: its owner and sharers
-// (AppendNodes). No record (nil) means no node holds the line. The
-// protocol already relies on the record implicating every holder —
-// invalidateSharers invalidates only those nodes, and
+// (AppendNodes). No record (nil), like a fresh one, means no node holds
+// the line. The protocol already relies on the record implicating every
+// holder — invalidateSharers invalidates only those nodes, and
 // checkDirectoryAgrees asserts it.
 func (f *directoryFabric) recordedLineState(e *directory.Entry, exclude int, line addr.LineAddr) (valid, writable bool) {
 	if e == nil {

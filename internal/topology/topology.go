@@ -16,11 +16,6 @@ import (
 	"cgct/internal/config"
 )
 
-// HomeInterleaveBytes is the granularity at which physical memory is
-// interleaved across memory controllers (4 KB pages; the paper notes the
-// OS makes no locality-aware placement, so interleaving is a fair model).
-const HomeInterleaveBytes = 4096
-
 // Topology is an immutable description of the machine hierarchy.
 type Topology struct {
 	processors       int
@@ -113,14 +108,14 @@ func (t *Topology) ProcToProc(a, b int) config.Distance {
 }
 
 // HomeController returns the memory controller that owns address a
-// (page-interleaved across controllers).
+// (interleaved across controllers every config.HomeInterleaveBytes).
 func (t *Topology) HomeController(a addr.Addr) int {
-	return int((uint64(a) / HomeInterleaveBytes) % uint64(t.chips))
+	return int((uint64(a) / config.HomeInterleaveBytes) % uint64(t.chips))
 }
 
 // HomeControllerRegion returns the home controller of a whole region. A
-// region never spans controllers because regions (<= 1 KB) are smaller than
-// the interleave granularity (4 KB) and both are power-of-two aligned.
+// region never spans controllers because config.Validate bounds regions
+// by the interleave granularity (4 KB) and both are power-of-two aligned.
 func (t *Topology) HomeControllerRegion(r addr.RegionAddr) int {
 	return t.HomeController(addr.Addr(r))
 }
